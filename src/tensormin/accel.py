@@ -15,18 +15,14 @@ estimating-sequence rate.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .basic import _MAX_LEVEL_DOUBLINGS, _make_report, initial_level
-from .inner import InnerConfig, StopReason, run_inner
+from .basic import level_search
+from .inner import run_inner  # noqa: F401  (not called here; perfbench/spans.py rebinds it)
 from .model import ModelAnchor
-
-logger = logging.getLogger(__name__)
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 
@@ -190,133 +186,45 @@ def run_accel(
     (``a_total_next``, ``phi_star_next``).  Evaluated trials carry the trial
     point (``x_trial``), as in ``run_basic``.
     """
-    t_start = time.perf_counter()
-    calls_start = oracle.calls.total()
+    return level_search(_AccelStep, oracle, composite, x0, m0, epsilon,
+                        max_outer, max_inner, secular_tol, trace_sink)
 
-    x0 = np.asarray(x0, dtype=float)
-    if not composite.in_domain(x0):
-        raise ValueError("x0 lies outside the composite term's domain")
-    eps = float(epsilon)
-    if eps <= 0.0:
-        raise ValueError("epsilon must be positive")
 
-    state = AccelState.fresh(x0, m0)
-    it = 0
-    bgm_e = 0
-    bgm_it = 0
-    rows = []
-    converged = False
-    final_gnorm = np.inf
-    final_f = np.inf
+class _AccelStep:
+    """Anchor at the mixture z(a), accept on the angle test, and fold every
+    accepted step into the estimating sequence.
 
-    def emit(row):
-        rows.append(row)
-        if trace_sink is not None:
-            trace_sink(dict(row, kind="outer"))
+    The objective is evaluated only at accepted trials, so ``f`` and
+    ``gnorm`` at the start point are unknown.
+    """
 
-    for t in range(max_outer):
-        if converged:
-            break
-        i = initial_level(state.m, m0)
-        doublings = 0
+    f = gnorm = None
 
-        while True:
-            m_level = state.m * 2.0**i
-            a_t = solve_a(state.a_total, m_level, tol=secular_tol)
-            z = mix_z(state.x, state.v, state.a_total, a_t)
-            gamma = a_t / (state.a_total + a_t)
-            anchor = ModelAnchor.from_oracle(oracle, z, m_level)
-            gnorm_z = float(np.linalg.norm(anchor.g_x))
-            v_dist = float(np.linalg.norm(state.v - state.x0))
-            phi_star = phi_min_value(state)
+    def __init__(self, oracle, composite, x0, m0, secular_tol):
+        self.oracle = oracle
+        self.composite = composite
+        self.secular_tol = secular_tol
+        self.state = AccelState.fresh(x0, m0)
 
-            inner_trace = None
-            if trace_sink is not None:
-                inner_trace = lambda r, _t=t, _i=i: trace_sink(
-                    dict(r, kind="inner", t=_t, i=_i)
-                )
-            res = run_inner(
-                anchor,
-                oracle,
-                composite,
-                InnerConfig(epsilon=eps, max_inner=max_inner, secular_tol=secular_tol),
-                gnorm_z,
-                trace=inner_trace,
-            )
-            bgm_e += 1
-            bgm_it += res.iterations
+    def anchor(self, m_level):
+        state = self.state
+        self._a = solve_a(state.a_total, m_level, tol=self.secular_tol)
+        self._z = mix_z(state.x, state.v, state.a_total, self._a)
+        anchor = ModelAnchor.from_oracle(self.oracle, self._z, m_level)
+        fields = {
+            "a": self._a, "gamma": self._a / (state.a_total + self._a),
+            "a_total": state.a_total,
+            "v_dist": float(np.linalg.norm(state.v - state.x0)),
+            "phi_star": phi_min_value(state),
+        }
+        return anchor, float(np.linalg.norm(anchor.g_x)), fields
 
-            base_row = {
-                "t": t, "i": i, "M_level": m_level, "alpha": res.alpha,
-                "inner_iters": res.iterations, "a": a_t, "gamma": gamma,
-                "a_total": state.a_total, "v_dist": v_dist, "phi_star": phi_star,
-                "stop_reason": res.stop_reason.value,
-            }
+    def accept(self, x_plus, g_plus, gnorm_plus, m_level):
+        return accept_test_accel(g_plus, self._z, x_plus, m_level), None
 
-            if res.stop_reason is StopReason.ITERATION_CAP:
-                logger.warning(
-                    "inner iteration cap %d hit at outer t=%d level %g; aborting run",
-                    max_inner, t, m_level,
-                )
-                emit(dict(base_row, f_trial=None, grad_norm_trial=None,
-                          accepted=False))
-                report = _make_report(eps, it, oracle, calls_start, bgm_e, bgm_it,
-                                      final_gnorm, final_f, t_start, False)
-                return state.x, report, rows
-
-            if res.alpha:
-                emit(dict(base_row, f_trial=None, grad_norm_trial=None,
-                          accepted=False))
-                i += 1
-                doublings += 1
-                if doublings > _MAX_LEVEL_DOUBLINGS:
-                    raise RuntimeError("level doubling did not terminate")
-                continue
-
-            x_plus = res.x_plus
-            g_smooth = oracle.grad(x_plus)
-            g_plus = g_smooth + res.g_psi
-            gnorm_plus = float(np.linalg.norm(g_plus))
-
-            if gnorm_plus <= eps:
-                it += 1
-                f_plus = oracle.value(x_plus) + composite.value(x_plus)
-                state = replace(state, x=np.asarray(x_plus, dtype=float).copy())
-                final_gnorm = gnorm_plus
-                final_f = f_plus
-                converged = True
-                emit(dict(base_row, f_trial=f_plus, grad_norm_trial=gnorm_plus,
-                          accepted=True, x_trial=np.array(x_plus)))
-                break
-
-            accepted = accept_test_accel(g_plus, z, x_plus, m_level)
-            if accepted:
-                it += 1
-                f_plus = oracle.value(x_plus) + composite.value(x_plus)
-                f_smooth = f_plus - composite.value(x_plus)
-                state = update_phi_and_v(state, a_t, g_smooth, f_smooth, x_plus)
-                state = replace(state, m=m_level / 2.0)
-                final_gnorm = gnorm_plus
-                final_f = f_plus
-                emit(dict(base_row, f_trial=f_plus, grad_norm_trial=gnorm_plus,
-                          accepted=True, x_trial=np.array(x_plus),
-                          a_total_next=state.a_total,
-                          phi_star_next=phi_min_value(state)))
-                break
-
-            emit(dict(base_row, f_trial=None, grad_norm_trial=gnorm_plus,
-                      accepted=False, x_trial=np.array(x_plus)))
-            i += 1
-            doublings += 1
-            if doublings > _MAX_LEVEL_DOUBLINGS:
-                raise RuntimeError("level doubling did not terminate")
-
-    if not converged:
-        logger.warning("outer iteration cap %d hit at epsilon %g", max_outer, eps)
-        if not np.isfinite(final_f):
-            final_f = oracle.value(state.x) + composite.value(state.x)
-            final_gnorm = float(np.linalg.norm(oracle.grad(state.x)))
-
-    report = _make_report(eps, it, oracle, calls_start, bgm_e, bgm_it,
-                          final_gnorm, final_f, t_start, converged)
-    return state.x, report, rows
+    def update(self, x_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
+        f_smooth = f_plus - self.composite.value(x_plus)
+        state = update_phi_and_v(self.state, self._a, g_smooth, f_smooth, x_plus)
+        self.state = replace(state, m=m_next)
+        return {"a_total_next": self.state.a_total,
+                "phi_star_next": phi_min_value(self.state)}

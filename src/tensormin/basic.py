@@ -6,6 +6,9 @@ until the slow-convergence flag clears and the trial point passes a
 sufficient-decrease test, then halves the level estimate for the next
 iteration.  The level therefore tracks the (unknown) third-derivative
 Lipschitz constant from below without ever being told it.
+
+``level_search`` is that level rule; the accelerated method runs it too,
+with its own anchor, acceptance test and update.
 """
 
 from __future__ import annotations
@@ -91,28 +94,84 @@ def run_basic(
         Slow-convergence trials carry ``f_trial = grad_norm_trial = None``
         and no ``x_trial`` (the algorithm never evaluates them).
     """
+    return level_search(_BasicStep, oracle, composite, x0, m0, epsilon,
+                        max_outer, max_inner, secular_tol, trace_sink)
+
+
+class _BasicStep:
+    """Anchor at the iterate, accept on sufficient decrease.
+
+    ``f``, ``g`` and ``gnorm`` are the objective, the composite gradient and
+    its norm at the iterate ``x``; one anchor per outer step is built from
+    them and re-levelled for each trial level.
+    """
+
+    def __init__(self, oracle, composite, x0, m0, secular_tol):
+        self.oracle = oracle
+        self.composite = composite
+        self.x = x0
+        self.f = oracle.value(x0) + composite.value(x0)
+        self.g = oracle.grad(x0)
+        self.gnorm = float(np.linalg.norm(self.g))
+        self._anchor = None
+
+    def anchor(self, m_level):
+        if self._anchor is None:
+            self._anchor = ModelAnchor.from_oracle(
+                self.oracle, self.x, m_level, f_x=self.f, g_x=self.g
+            )
+        return self._anchor.with_m(m_level), self.gnorm, {}
+
+    def accept(self, x_plus, g_plus, gnorm_plus, m_level):
+        f_plus = self.oracle.value(x_plus) + self.composite.value(x_plus)
+        return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
+
+    def update(self, x_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
+        self.x, self.f, self.g, self.gnorm = x_plus, f_plus, g_plus, gnorm_plus
+        self._anchor = None
+        return {}
+
+
+def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
+                 max_inner, secular_tol, trace_sink):
+    """The adaptive level rule shared by the basic and accelerated methods.
+
+    Each outer step t runs the inner solver at levels 2^i M_t from
+    ``initial_level(M_t, m0)`` upwards, doubling while the solver certifies
+    slow progress or the trial is rejected, and sets M_{t+1} to half the
+    accepted level.  A trial whose composite gradient norm is <= epsilon
+    ends the run.  Arguments and return value are those of ``run_basic``.
+
+    ``make_step(oracle, composite, x0, m0, secular_tol)`` builds the method's
+    part of the loop, an object with
+
+    * ``f``, ``gnorm``: the objective and gradient norm at x0 if the method
+      evaluated them there, else None;
+    * ``anchor(m_level) -> (ModelAnchor, gradient norm there, row fields)``;
+    * ``accept(x_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
+      where ``f_plus`` is None when the test did not need the trial value;
+    * ``update(x_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next)``,
+      called on acceptance, returning the row fields it adds.
+    """
     t_start = time.perf_counter()
     calls_start = oracle.calls.total()
 
-    x = np.asarray(x0, dtype=float).copy()
-    if not composite.in_domain(x):
+    x0 = np.asarray(x0, dtype=float).copy()
+    if not composite.in_domain(x0):
         raise ValueError("x0 lies outside the composite term's domain")
-    m_t = float(m0)
     eps = float(epsilon)
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
+    cfg = InnerConfig(epsilon=eps, max_inner=max_inner, secular_tol=secular_tol)
 
-    f_x = oracle.value(x) + composite.value(x)
-    g_x = oracle.grad(x)
-    gnorm_x = float(np.linalg.norm(g_x))
-
+    step = make_step(oracle, composite, x0, m0, secular_tol)
+    final = (x0, step.f, step.gnorm)
+    m_t = float(m0)
     it = 0
     bgm_e = 0
     bgm_it = 0
     rows = []
-    converged = False
-    final_gnorm = gnorm_x
-    final_f = f_x
+    converged = aborted = False
 
     def emit(row):
         rows.append(row)
@@ -120,108 +179,74 @@ def run_basic(
             trace_sink(dict(row, kind="outer"))
 
     for t in range(max_outer):
-        if converged:
-            break
         i = initial_level(m_t, m0)
-        base_anchor = ModelAnchor.from_oracle(oracle, x, m_t * 2.0**i, f_x=f_x, g_x=g_x)
-        doublings = 0
-
-        while True:
+        for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
             m_level = m_t * 2.0**i
-            anchor = base_anchor.with_m(m_level)
+            anchor, gnorm_anchor, fields = step.anchor(m_level)
             inner_trace = None
             if trace_sink is not None:
                 inner_trace = lambda r, _t=t, _i=i: trace_sink(
                     dict(r, kind="inner", t=_t, i=_i)
                 )
-            res = run_inner(
-                anchor,
-                oracle,
-                composite,
-                InnerConfig(epsilon=eps, max_inner=max_inner, secular_tol=secular_tol),
-                gnorm_x,
-                trace=inner_trace,
-            )
+            res = run_inner(anchor, oracle, composite, cfg, gnorm_anchor,
+                            trace=inner_trace)
             bgm_e += 1
             bgm_it += res.iterations
+            row = {"t": t, "i": i, "M_level": m_level, "alpha": res.alpha,
+                   "inner_iters": res.iterations, **fields, "f_trial": None,
+                   "grad_norm_trial": None, "accepted": False,
+                   "stop_reason": res.stop_reason.value}
 
-            if res.stop_reason is StopReason.ITERATION_CAP:
+            aborted = res.stop_reason is StopReason.ITERATION_CAP
+            if aborted:
                 logger.warning(
                     "inner iteration cap %d hit at outer t=%d level %g; aborting run",
                     max_inner, t, m_level,
                 )
-                emit({"t": t, "i": i, "M_level": m_level, "alpha": res.alpha,
-                      "inner_iters": res.iterations, "f_trial": None,
-                      "grad_norm_trial": None, "accepted": False,
-                      "stop_reason": res.stop_reason.value})
-                report = _make_report(eps, it, oracle, calls_start, bgm_e, bgm_it,
-                                      final_gnorm, final_f, t_start, False)
-                return x, report, rows
-
+                emit(row)
+                break
             if res.alpha:
                 # Level certified too small; never evaluate this trial.
-                emit({"t": t, "i": i, "M_level": m_level, "alpha": True,
-                      "inner_iters": res.iterations, "f_trial": None,
-                      "grad_norm_trial": None, "accepted": False,
-                      "stop_reason": res.stop_reason.value})
+                emit(row)
                 i += 1
-                doublings += 1
-                if doublings > _MAX_LEVEL_DOUBLINGS:
-                    raise RuntimeError("level doubling did not terminate")
                 continue
 
             x_plus = res.x_plus
-            g_plus = oracle.grad(x_plus) + res.g_psi
+            g_smooth = oracle.grad(x_plus)
+            g_plus = g_smooth + res.g_psi
             gnorm_plus = float(np.linalg.norm(g_plus))
-            f_plus = oracle.value(x_plus) + composite.value(x_plus)
-
-            if gnorm_plus <= eps:
-                it += 1
-                x = x_plus
-                final_gnorm = gnorm_plus
-                final_f = f_plus
-                converged = True
-                emit({"t": t, "i": i, "M_level": m_level, "alpha": False,
-                      "inner_iters": res.iterations, "f_trial": f_plus,
-                      "grad_norm_trial": gnorm_plus, "accepted": True,
-                      "x_trial": np.array(x_plus),
-                      "stop_reason": res.stop_reason.value})
-                break
-
-            accepted = accept_test_basic(f_x, f_plus, gnorm_plus, m_level)
-            emit({"t": t, "i": i, "M_level": m_level, "alpha": False,
-                  "inner_iters": res.iterations, "f_trial": f_plus,
-                  "grad_norm_trial": gnorm_plus, "accepted": accepted,
-                  "x_trial": np.array(x_plus),
-                  "stop_reason": res.stop_reason.value})
-
+            converged = gnorm_plus <= eps
+            if converged:
+                accepted, f_plus = True, None
+            else:
+                accepted, f_plus = step.accept(x_plus, g_plus, gnorm_plus, m_level)
             if accepted:
                 it += 1
-                x = x_plus
-                f_x = f_plus
-                g_x = g_plus
-                gnorm_x = gnorm_plus
-                final_gnorm = gnorm_plus
-                final_f = f_plus
-                m_t = m_level / 2.0
+                if f_plus is None:
+                    f_plus = oracle.value(x_plus) + composite.value(x_plus)
+                final = (x_plus, f_plus, gnorm_plus)
+                if not converged:
+                    m_t = m_level / 2.0
+                    row.update(step.update(x_plus, f_plus, g_smooth, g_plus,
+                                           gnorm_plus, m_t))
+            row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
+                       accepted=accepted, x_trial=np.array(x_plus))
+            emit(row)
+            if accepted:
                 break
-
             i += 1
-            doublings += 1
-            if doublings > _MAX_LEVEL_DOUBLINGS:
-                raise RuntimeError("level doubling did not terminate")
-
-    if not converged:
+        else:
+            raise RuntimeError("level doubling did not terminate")
+        if converged or aborted:
+            break
+    else:
         logger.warning("outer iteration cap %d hit at epsilon %g", max_outer, eps)
 
-    report = _make_report(eps, it, oracle, calls_start, bgm_e, bgm_it,
-                          final_gnorm, final_f, t_start, converged)
-    return x, report, rows
-
-
-def _make_report(eps, it, oracle, calls_start, bgm_e, bgm_it,
-                 final_gnorm, final_f, t_start, converged):
-    return RunReport(
+    x, final_f, final_gnorm = final
+    if final_f is None:
+        final_f = oracle.value(x) + composite.value(x)
+        final_gnorm = float(np.linalg.norm(oracle.grad(x)))
+    report = RunReport(
         epsilon=eps,
         IT=it,
         CO=oracle.calls.total() - calls_start,
@@ -233,3 +258,4 @@ def _make_report(eps, it, oracle, calls_start, bgm_e, bgm_it,
         wall_time_s=time.perf_counter() - t_start,
         converged=converged,
     )
+    return x, report, rows

@@ -24,7 +24,7 @@ from .reports import RunReport
 
 CSV_HEADER = [
     "epsilon", "IT", "CO", "BGM_E", "BGM_IT", "BGM_A",
-    "final_grad_norm", "final_f", "wall_time_s",
+    "final_grad_norm", "final_f", "wall_time_s", "converged",
 ]
 
 _FORMATS = ("table", "csv", "jsonl")
@@ -45,7 +45,6 @@ class RunConfig:
     fd_tau: float | None = None       # replace third derivatives by differences
     max_outer: int = 100000
     max_inner: int = 10000
-    seed: int = 0                     # reserved for randomized harness extensions
 
     def __post_init__(self):
         if self.problem not in ("logistic", "quartic"):
@@ -201,6 +200,7 @@ def emit_report(reports, format="table", sink=None):
                 repr(r.epsilon), "%d" % r.IT, "%d" % r.CO, "%d" % r.BGM_E,
                 "%d" % r.BGM_IT, "%.4f" % r.BGM_A,
                 repr(r.final_grad_norm), repr(r.final_f), repr(r.wall_time_s),
+                str(r.converged),
             ])
     else:
         for r in reports:
@@ -224,10 +224,12 @@ def parse_report_csv(text):
     for row in reader:
         if not row:
             continue
+        if row[9] not in ("True", "False"):
+            raise ValueError("converged must be True or False, got %r" % (row[9],))
         reports.append(RunReport(
             epsilon=float(row[0]), IT=int(row[1]), CO=int(row[2]),
             BGM_E=int(row[3]), BGM_IT=int(row[4]), BGM_A=float(row[5]),
             final_grad_norm=float(row[6]), final_f=float(row[7]),
-            wall_time_s=float(row[8]),
+            wall_time_s=float(row[8]), converged=row[9] == "True",
         ))
     return reports

@@ -142,6 +142,32 @@ def test_experiment_logistic_bundled_dataset():
         assert 1.0 <= r.BGM_A <= 30.0
 
 
+def test_experiment_bundled_dataset_paper_counters():
+    # The paper's protocol (x0 = ones, m0 = 1) on the bundled set pins the
+    # exact (IT, CO, BGM_E, BGM_IT) so refactors of the outer loops cannot
+    # change the work done without this test noticing.
+    expected = {
+        "basic": [
+            (1e-2, (3, 47, 3, 33)),
+            (1e-4, (3, 59, 3, 45)),
+            (1e-6, (4, 79, 4, 61)),
+            (1e-8, (4, 90, 4, 72)),
+        ],
+        "accel": [
+            (1e-2, (31, 662, 31, 476)),
+            (1e-4, (127, 3545, 127, 2783)),
+        ],
+    }
+    for solver, cases in expected.items():
+        reports = run_experiment(RunConfig(
+            problem="logistic", solver=solver, x0="ones", m0=1.0,
+            epsilons=[eps for eps, _ in cases],
+        ))
+        got = [(r.epsilon, (r.IT, r.CO, r.BGM_E, r.BGM_IT)) for r in reports]
+        assert got == cases, solver
+        assert all(r.converged for r in reports)
+
+
 def test_experiment_errors_annotated_with_accuracy(tmp_path):
     cfg = RunConfig(
         problem="logistic",
@@ -219,24 +245,30 @@ def test_emit_report_csv_layout_and_round_trip():
     text = emit_report([sample_report()], format="csv", sink=sink)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
-    assert lines[1] == "0.01,4,20,5,62,12.4000,0.009,1.5,0.01"
+    assert lines[1] == "0.01,4,20,5,62,12.4000,0.009,1.5,0.01,True"
 
     # Round-trip through the parser: everything reproduces exactly except
     # BGM_A, which is serialized with four decimals by design.
-    original = RunReport(
+    converged = RunReport(
         epsilon=1e-6, IT=13, CO=77, BGM_E=14, BGM_IT=201, BGM_A=201 / 14,
         final_grad_norm=3.4e-7, final_f=62.0884421, wall_time_s=0.1234,
     )
-    back = parse_report_csv(emit_report([original], format="csv", sink=io.StringIO()))
-    assert len(back) == 1
-    r = back[0]
-    assert (r.epsilon, r.IT, r.CO, r.BGM_E, r.BGM_IT) == (
-        original.epsilon, original.IT, original.CO, original.BGM_E, original.BGM_IT
+    capped = RunReport(
+        epsilon=1e-8, IT=2, CO=31, BGM_E=3, BGM_IT=40, BGM_A=40 / 3,
+        final_grad_norm=2.5e-3, final_f=1.75, wall_time_s=0.02, converged=False,
     )
-    assert r.final_grad_norm == original.final_grad_norm
-    assert r.final_f == original.final_f
-    assert r.wall_time_s == original.wall_time_s
-    assert abs(r.BGM_A - original.BGM_A) <= 5e-5
+    originals = [converged, capped]
+    back = parse_report_csv(emit_report(originals, format="csv", sink=io.StringIO()))
+    assert len(back) == 2
+    for r, original in zip(back, originals):
+        assert (r.epsilon, r.IT, r.CO, r.BGM_E, r.BGM_IT) == (
+            original.epsilon, original.IT, original.CO, original.BGM_E, original.BGM_IT
+        )
+        assert r.final_grad_norm == original.final_grad_norm
+        assert r.final_f == original.final_f
+        assert r.wall_time_s == original.wall_time_s
+        assert r.converged is original.converged
+        assert abs(r.BGM_A - original.BGM_A) <= 5e-5
 
 
 def test_emit_report_json_lines_and_alias():

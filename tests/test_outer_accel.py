@@ -1,6 +1,9 @@
 """Accelerated outer loop: weight equation, mixtures, estimating sequence,
 and the directional acceptance test."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from tensormin.accel import (
     solve_a,
     update_phi_and_v,
 )
+from tensormin.basic import run_basic
 from tensormin.inner import StopReason
 from tensormin.oracles import ZeroComposite, quartic_oracle
 
@@ -292,6 +296,20 @@ def test_run_accel_inner_cap_aborts_run():
     assert report.converged is False
     assert rows[-1]["stop_reason"] == StopReason.ITERATION_CAP.value
     assert rows[-1]["accepted"] is False
+
+
+@pytest.mark.parametrize("solver", [run_basic, run_accel])
+def test_inner_cap_before_any_step_reports_start_values(solver):
+    # An abort before the first accepted step still reports f and ||grad f||
+    # at the start point, so the JSON-lines report stays valid JSON.
+    oracle = quartic_oracle(2)
+    x0 = np.ones(2)
+    _, report, _ = solver(oracle, ZeroComposite(), x0, 1.0, 1e-10, max_inner=1)
+    assert report.converged is False
+    assert np.isfinite(report.final_f)
+    assert report.final_f == oracle.value(x0)
+    assert report.final_grad_norm == float(np.linalg.norm(oracle.grad(x0)))
+    json.dumps(asdict(report), allow_nan=False)
 
 
 def test_run_accel_rejects_bad_parameters():
