@@ -55,9 +55,12 @@ from .oracles import (
     DerivativeReport,
     FdThirdOracle,
     LogisticOracle,
+    OracleError,
+    Point,
     QuarticOracle,
     SmoothOracle,
     ZeroComposite,
+    as_point,
     check_derivatives,
     fd_third_directional,
     logistic_oracle,
@@ -70,9 +73,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelState", "CallCounter", "CompositeTerm", "ConvexityError", "Dataset",
     "DerivativeReport", "FdThirdOracle", "InnerConfig", "InnerResult",
-    "LogisticOracle", "ModelAnchor", "QuarticOracle", "RunConfig", "RunReport",
-    "SmoothOracle", "StopReason", "UnsupportedCompositeError", "ZeroComposite",
-    "accept_test_accel", "accept_test_basic", "bregman_div", "bregman_step",
+    "LogisticOracle", "ModelAnchor", "OracleError", "Point", "QuarticOracle",
+    "RunConfig", "RunReport", "SmoothOracle", "StopReason",
+    "UnsupportedCompositeError", "ZeroComposite", "accept_test_accel",
+    "accept_test_basic", "as_point", "bregman_div", "bregman_step",
     "bundled_dataset_path", "check_derivatives", "d4_grad", "d4_value",
     "emit_report", "fd_third_directional", "initial_level", "inner_constants",
     "load_dataset", "logistic_oracle", "mix_z", "omega_grad", "omega_value",

@@ -219,12 +219,13 @@ class _AccelStep:
         }
         return anchor, float(np.linalg.norm(anchor.g_x)), fields
 
-    def accept(self, x_plus, g_plus, gnorm_plus, m_level):
-        return accept_test_accel(g_plus, self._z, x_plus, m_level), None
+    def accept(self, p_plus, g_plus, gnorm_plus, m_level):
+        return accept_test_accel(g_plus, self._z, p_plus.x, m_level), None
 
-    def update(self, x_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
-        f_smooth = f_plus - self.composite.value(x_plus)
-        state = update_phi_and_v(self.state, self._a, g_smooth, f_smooth, x_plus)
+    def update(self, p_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
+        f_smooth = f_plus - self.composite.value(p_plus.x)
+        state = update_phi_and_v(self.state, self._a, g_smooth, f_smooth,
+                                 p_plus.x)
         self.state = replace(state, m=m_next)
         return {"a_total_next": self.state.a_total,
                 "phi_star_next": phi_min_value(self.state)}

@@ -20,6 +20,7 @@ import numpy as np
 
 from .inner import InnerConfig, StopReason, run_inner
 from .model import ModelAnchor
+from .oracles import OracleError, as_point
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -102,32 +103,33 @@ class _BasicStep:
     """Anchor at the iterate, accept on sufficient decrease.
 
     ``f``, ``g`` and ``gnorm`` are the objective, the composite gradient and
-    its norm at the iterate ``x``; one anchor per outer step is built from
-    them and re-levelled for each trial level.
+    its norm at the iterate, whose oracle point is ``p``; one anchor per
+    outer step is built from them at ``p`` and re-levelled for each trial
+    level.
     """
 
     def __init__(self, oracle, composite, x0, m0, secular_tol):
         self.oracle = oracle
         self.composite = composite
-        self.x = x0
-        self.f = oracle.value(x0) + composite.value(x0)
-        self.g = oracle.grad(x0)
+        self.p = as_point(x0)
+        self.f = oracle.value(self.p) + composite.value(x0)
+        self.g = oracle.grad(self.p)
         self.gnorm = float(np.linalg.norm(self.g))
         self._anchor = None
 
     def anchor(self, m_level):
         if self._anchor is None:
             self._anchor = ModelAnchor.from_oracle(
-                self.oracle, self.x, m_level, f_x=self.f, g_x=self.g
+                self.oracle, self.p, m_level, f_x=self.f, g_x=self.g
             )
         return self._anchor.with_m(m_level), self.gnorm, {}
 
-    def accept(self, x_plus, g_plus, gnorm_plus, m_level):
-        f_plus = self.oracle.value(x_plus) + self.composite.value(x_plus)
+    def accept(self, p_plus, g_plus, gnorm_plus, m_level):
+        f_plus = self.oracle.value(p_plus) + self.composite.value(p_plus.x)
         return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
 
-    def update(self, x_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
-        self.x, self.f, self.g, self.gnorm = x_plus, f_plus, g_plus, gnorm_plus
+    def update(self, p_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
+        self.p, self.f, self.g, self.gnorm = p_plus, f_plus, g_plus, gnorm_plus
         self._anchor = None
         return {}
 
@@ -141,6 +143,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     slow progress or the trial is rejected, and sets M_{t+1} to half the
     accepted level.  A trial whose composite gradient norm is <= epsilon
     ends the run.  Arguments and return value are those of ``run_basic``.
+    An ``OracleError`` raised during outer step t at level index i is
+    re-raised with t and i added to its message.
 
     ``make_step(oracle, composite, x0, m0, secular_tol)`` builds the method's
     part of the loop, an object with
@@ -148,9 +152,10 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     * ``f``, ``gnorm``: the objective and gradient norm at x0 if the method
       evaluated them there, else None;
     * ``anchor(m_level) -> (ModelAnchor, gradient norm there, row fields)``;
-    * ``accept(x_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
-      where ``f_plus`` is None when the test did not need the trial value;
-    * ``update(x_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next)``,
+    * ``accept(p_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
+      where ``p_plus`` is the trial's oracle point and ``f_plus`` is None
+      when the test did not need the trial value;
+    * ``update(p_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next)``,
       called on acceptance, returning the row fields it adds.
     """
     t_start = time.perf_counter()
@@ -178,69 +183,78 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         if trace_sink is not None:
             trace_sink(dict(row, kind="outer"))
 
-    for t in range(max_outer):
-        i = initial_level(m_t, m0)
-        for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
-            m_level = m_t * 2.0**i
-            anchor, gnorm_anchor, fields = step.anchor(m_level)
-            inner_trace = None
-            if trace_sink is not None:
-                inner_trace = lambda r, _t=t, _i=i: trace_sink(
-                    dict(r, kind="inner", t=_t, i=_i)
-                )
-            res = run_inner(anchor, oracle, composite, cfg, gnorm_anchor,
-                            trace=inner_trace)
-            bgm_e += 1
-            bgm_it += res.iterations
-            row = {"t": t, "i": i, "M_level": m_level, "alpha": res.alpha,
-                   "inner_iters": res.iterations, **fields, "f_trial": None,
-                   "grad_norm_trial": None, "accepted": False,
-                   "stop_reason": res.stop_reason.value}
+    try:
+        for t in range(max_outer):
+            i = initial_level(m_t, m0)
+            for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
+                m_level = m_t * 2.0**i
+                anchor, gnorm_anchor, fields = step.anchor(m_level)
+                inner_trace = None
+                if trace_sink is not None:
+                    inner_trace = lambda r, _t=t, _i=i: trace_sink(
+                        dict(r, kind="inner", t=_t, i=_i)
+                    )
+                res = run_inner(anchor, oracle, composite, cfg, gnorm_anchor,
+                                trace=inner_trace)
+                bgm_e += 1
+                bgm_it += res.iterations
+                row = {"t": t, "i": i, "M_level": m_level, "alpha": res.alpha,
+                       "inner_iters": res.iterations, **fields, "f_trial": None,
+                       "grad_norm_trial": None, "accepted": False,
+                       "stop_reason": res.stop_reason.value}
 
-            aborted = res.stop_reason is StopReason.ITERATION_CAP
-            if aborted:
-                logger.warning(
-                    "inner iteration cap %d hit at outer t=%d level %g; aborting run",
-                    max_inner, t, m_level,
-                )
+                aborted = res.stop_reason is StopReason.ITERATION_CAP
+                if aborted:
+                    logger.warning(
+                        "inner iteration cap %d hit at outer t=%d level %g; "
+                        "aborting run", max_inner, t, m_level,
+                    )
+                    emit(row)
+                    break
+                if res.alpha:
+                    # Level certified too small; never evaluate this trial.
+                    emit(row)
+                    i += 1
+                    continue
+
+                # One point for the trial's gradient and value, and for the
+                # next anchor if the trial is accepted.
+                x_plus = res.x_plus
+                p_plus = as_point(x_plus)
+                g_smooth = oracle.grad(p_plus)
+                g_plus = g_smooth + res.g_psi
+                gnorm_plus = float(np.linalg.norm(g_plus))
+                converged = gnorm_plus <= eps
+                if converged:
+                    accepted, f_plus = True, None
+                else:
+                    accepted, f_plus = step.accept(p_plus, g_plus, gnorm_plus,
+                                                   m_level)
+                if accepted:
+                    it += 1
+                    if f_plus is None:
+                        f_plus = oracle.value(p_plus) + composite.value(x_plus)
+                    final = (x_plus, f_plus, gnorm_plus)
+                    if not converged:
+                        m_t = m_level / 2.0
+                        row.update(step.update(p_plus, f_plus, g_smooth, g_plus,
+                                               gnorm_plus, m_t))
+                row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
+                           accepted=accepted, x_trial=np.array(x_plus))
                 emit(row)
-                break
-            if res.alpha:
-                # Level certified too small; never evaluate this trial.
-                emit(row)
+                if accepted:
+                    break
                 i += 1
-                continue
-
-            x_plus = res.x_plus
-            g_smooth = oracle.grad(x_plus)
-            g_plus = g_smooth + res.g_psi
-            gnorm_plus = float(np.linalg.norm(g_plus))
-            converged = gnorm_plus <= eps
-            if converged:
-                accepted, f_plus = True, None
             else:
-                accepted, f_plus = step.accept(x_plus, g_plus, gnorm_plus, m_level)
-            if accepted:
-                it += 1
-                if f_plus is None:
-                    f_plus = oracle.value(x_plus) + composite.value(x_plus)
-                final = (x_plus, f_plus, gnorm_plus)
-                if not converged:
-                    m_t = m_level / 2.0
-                    row.update(step.update(x_plus, f_plus, g_smooth, g_plus,
-                                           gnorm_plus, m_t))
-            row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
-                       accepted=accepted, x_trial=np.array(x_plus))
-            emit(row)
-            if accepted:
+                raise RuntimeError("level doubling did not terminate")
+            if converged or aborted:
                 break
-            i += 1
         else:
-            raise RuntimeError("level doubling did not terminate")
-        if converged or aborted:
-            break
-    else:
-        logger.warning("outer iteration cap %d hit at epsilon %g", max_outer, eps)
+            logger.warning("outer iteration cap %d hit at epsilon %g",
+                           max_outer, eps)
+    except OracleError as exc:
+        raise OracleError("outer step t=%d, level index i=%d: %s"
+                          % (t, i, exc)) from exc
 
     x, final_f, final_gnorm = final
     if final_f is None:

@@ -181,10 +181,10 @@ def emit_report(reports, format="table", sink=None):
 
     buf = io.StringIO()
     if format == "table":
-        header = ("epsilon", "IT", "CO", "BGM-E", "BGM-IT", "BGM-A")
+        header = ("epsilon", "IT", "CO", "BGM-E", "BGM-IT", "BGM-A", "converged")
         rows = [
             ("%.0e" % r.epsilon, "%d" % r.IT, "%d" % r.CO,
-             "%d" % r.BGM_E, "%d" % r.BGM_IT, "%.4f" % r.BGM_A)
+             "%d" % r.BGM_E, "%d" % r.BGM_IT, "%.4f" % r.BGM_A, str(r.converged))
             for r in reports
         ]
         widths = [max(len(h), *(len(row[j]) for row in rows))

@@ -169,7 +169,7 @@ def secular_solve(eigvals, eigvecs, M, c, tol=1e-12):
     return h
 
 
-def bregman_step(anchor, oracle, composite, y, tol=1e-12):
+def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None):
     """One Bregman-gradient step of the inner solver from y.
 
     For the zero composite term the step's optimality condition collapses to
@@ -182,12 +182,14 @@ def bregman_step(anchor, oracle, composite, y, tol=1e-12):
     Returns ``(y_next, g_psi)`` where g_psi is the composite subgradient
     certificate  -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)];  for an
     exact step with psi = 0 it vanishes up to the secular tolerance.
+    ``gom`` is grad Omega(y) when the caller already has it.
     """
     if composite.kind != "zero":
         raise UnsupportedCompositeError(
             "no Bregman-step solver for composite kind %r" % composite.kind
         )
-    gom = omega_grad(anchor, oracle, y)
+    if gom is None:
+        gom = omega_grad(anchor, oracle, y)
     grho = rho_grad(anchor, y)
     c = grho - gom / 3.0
     h = secular_solve(anchor.eigvals, anchor.eigvecs, anchor.M, c, tol)
@@ -238,7 +240,8 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
     Runs Bregman-gradient steps from y_0 = anchor.x.  After every step the
-    composite model gradient norm G = ||grad Omega(y) + g_psi|| is tested:
+    composite model gradient norm G = ||grad Omega(y) + g_psi|| is tested
+    (grad Omega(y) then also starts the next step):
 
     * G <= epsilon / 7                      -> EPSILON_SMALL exit,
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
@@ -251,7 +254,8 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
     anchor : ModelAnchor
         Frozen oracle data and level M.
     oracle : SmoothOracle
-        Queried only for directional third derivatives (memoized per anchor).
+        Queried only for directional third derivatives, through the anchor's
+        oracle point.
     composite : CompositeTerm
         Only the zero kind ships.
     cfg : InnerConfig
@@ -271,10 +275,13 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
     eps_exit = cfg.epsilon / 7.0
     y = anchor.x
     zero_psi = np.zeros_like(anchor.x)
+    gom = None
 
     for k in range(cfg.max_inner):
-        y_next, g_psi = bregman_step(anchor, oracle, composite, y, cfg.secular_tol)
-        grad_model = omega_grad(anchor, oracle, y_next) + g_psi
+        y_next, g_psi = bregman_step(anchor, oracle, composite, y,
+                                     cfg.secular_tol, gom)
+        gom = omega_grad(anchor, oracle, y_next)
+        grad_model = gom + g_psi
         G = float(np.linalg.norm(grad_model))
         step_norm = float(np.linalg.norm(y_next - anchor.x))
 
@@ -300,5 +307,4 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
         y = y_next
 
     return InnerResult(y, zero_psi, False, cfg.max_inner,
-                       StopReason.ITERATION_CAP,
-                       float(np.linalg.norm(omega_grad(anchor, oracle, y))))
+                       StopReason.ITERATION_CAP, float(np.linalg.norm(gom)))

@@ -11,8 +11,8 @@ derivative T(h) = D3f(x)[h]^2, the pieces are
 rho is the scaling function relative to which Omega is smooth and convex; its
 Bregman divergence drives the inner solver.  All oracle data at the anchor is
 evaluated once and frozen; only the directional third derivative is queried
-per displacement, with a small memo so value+gradient at the same trial point
-cost a single oracle call.
+per displacement, through the anchor's oracle ``Point`` so that the oracle's
+intermediates at x are computed once.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .oracles import Point, as_point
+
 # Eigenvalues of the anchor Hessian below this are a convexity violation;
 # values in [-EIG_FLOOR, 0) are treated as rounding noise and clamped to 0.
 EIG_FLOOR = 1e-10
-
-_MEMO_CAP = 8
 
 
 class ConvexityError(RuntimeError):
@@ -56,9 +56,10 @@ class ModelAnchor:
     """Frozen oracle data of f at one anchor point, plus the level M.
 
     All cached quantities (value, gradient, Hessian, trace, spectral
-    factorization) belong to the same x.  ``with_m`` re-levels the anchor
-    without touching the cached data, so level escalations at a fixed anchor
-    cost no oracle calls.
+    factorization) belong to the same x, and ``point`` is the oracle point
+    they were queried through.  ``with_m`` re-levels the anchor without
+    touching the cached data, so level escalations at a fixed anchor cost no
+    oracle calls.
     """
 
     x: np.ndarray
@@ -69,24 +70,25 @@ class ModelAnchor:
     M: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    _third_memo: dict = field(default_factory=dict, repr=False)
+    point: Point = field(repr=False)
 
     @classmethod
     def from_oracle(cls, oracle, x, M, f_x=None, g_x=None):
         """Evaluate and freeze the anchor data of ``oracle`` at ``x``.
 
-        ``f_x`` / ``g_x`` may be passed in when the caller already evaluated
-        them at x (they are then not re-queried and not re-counted).
+        ``x`` is an array or an oracle ``Point``.  ``f_x`` / ``g_x`` may be
+        passed in when the caller already evaluated them at x (they are then
+        not re-queried and not re-counted).
         """
         if M <= 0.0:
             raise ValueError("regularization level M must be positive")
-        x = np.asarray(x, dtype=float)
+        p = as_point(x)
         if f_x is None:
-            f_x = oracle.value(x)
+            f_x = oracle.value(p)
         if g_x is None:
-            g_x = oracle.grad(x)
-        H = oracle.hessian(x)
-        trace_h = oracle.hessian_trace(x)
+            g_x = oracle.grad(p)
+        H = oracle.hessian(p)
+        trace_h = oracle.hessian_trace(p)
         w, q = np.linalg.eigh(H)
         if w.min() < -EIG_FLOOR:
             raise ConvexityError(
@@ -94,7 +96,7 @@ class ModelAnchor:
             )
         w = np.maximum(w, 0.0)
         return cls(
-            x=_frozen(x),
+            x=p.x,
             f_x=float(f_x),
             g_x=_frozen(g_x),
             H_x=_frozen(H),
@@ -102,6 +104,7 @@ class ModelAnchor:
             M=float(M),
             eigvals=_frozen(w),
             eigvecs=_frozen(q),
+            point=p,
         )
 
     def with_m(self, M):
@@ -111,25 +114,14 @@ class ModelAnchor:
         return replace(self, M=float(M))
 
     def third_at(self, oracle, h):
-        """Memoized D3f(x)[h]^2 at this anchor.
+        """D3f(x)[h]^2 at this anchor, queried through its oracle point.
 
-        The zero displacement is exact without an oracle call; otherwise
-        results are keyed by the bit pattern of h (the inner solver re-queries
-        the same trial displacement when it becomes the next iterate).
+        The zero displacement is exact without an oracle call.
         """
-        h = np.ascontiguousarray(h, dtype=float)
+        h = np.asarray(h, dtype=float)
         if not h.any():
             return np.zeros_like(self.x)
-        key = h.tobytes()
-        memo = self._third_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        t = oracle.third_directional(self.x, h)
-        if len(memo) >= _MEMO_CAP:
-            memo.pop(next(iter(memo)))
-        memo[key] = t
-        return t
+        return oracle.third_directional(self.point, h)
 
 
 def taylor3_value(anchor, oracle, y):

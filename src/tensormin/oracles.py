@@ -4,8 +4,16 @@ A smooth oracle exposes five entry points -- function value, gradient, Hessian,
 directional third derivative ``D3f(x)[h]^2`` (a vector; the full third-derivative
 tensor is never materialized), and Hessian trace.  Every entry-point invocation
 is counted, so solver-level oracle-call statistics can be read off the oracle
-afterwards.  Composite terms ``psi`` are kept separate from the smooth part;
-only the zero term ships here.
+afterwards, and every result is checked to be finite (``OracleError`` names
+the entry point otherwise).  Composite terms ``psi`` are kept separate from
+the smooth part; only the zero term ships here.
+
+Each entry point takes either an array or a ``Point``: a read-only copy of x
+plus the intermediates oracles computed there (for the logistic loss, the
+margins ``A x``, the sigmoid and its derivative weights).  Querying several
+entry points, or ``third_directional`` along many directions, through one
+``Point`` computes those intermediates once.  A point belongs to one run and
+one oracle; the oracle itself keeps no state besides its call counter.
 """
 
 from __future__ import annotations
@@ -60,13 +68,54 @@ class CallCounter:
         )
 
 
+class OracleError(RuntimeError):
+    """An oracle entry point returned a non-finite result."""
+
+
+class Point:
+    """A query point x and the intermediates oracles computed there.
+
+    ``x`` is a read-only copy of the array the point was built from;
+    ``data`` maps an intermediate's name to its value.  Oracles fill
+    ``data`` lazily through ``memo``.
+    """
+
+    __slots__ = ("x", "data")
+
+    def __init__(self, x):
+        x = np.array(x, dtype=float)
+        x.setflags(write=False)
+        self.x = x
+        self.data = {}
+
+    def memo(self, key, compute):
+        """``data[key]``, set to ``compute()`` on first use."""
+        try:
+            return self.data[key]
+        except KeyError:
+            value = self.data[key] = compute()
+            return value
+
+
+def as_point(x):
+    """``x`` itself when it is a ``Point``, else a new ``Point`` at ``x``."""
+    return x if isinstance(x, Point) else Point(x)
+
+
+def _finite(entry, out):
+    if not np.isfinite(out).all():
+        raise OracleError("%s returned a non-finite result" % entry)
+    return out
+
+
 class SmoothOracle(ABC):
     """Smooth convex objective queried through counted entry points.
 
-    Subclasses implement the underscore hooks; the public methods validate
-    dimensions and maintain ``self.calls``.  ``lipschitz_third`` optionally
-    reports a Lipschitz constant of the third derivative when one is known
-    in closed form, else ``None``.
+    Subclasses implement the underscore hooks, which receive the query as a
+    ``Point`` (and ``h`` as an array); the public methods validate
+    dimensions, maintain ``self.calls`` and check that results are finite.
+    ``lipschitz_third`` optionally reports a Lipschitz constant of the third
+    derivative when one is known in closed form, else ``None``.
 
     Attributes
     ----------
@@ -85,66 +134,70 @@ class SmoothOracle(ABC):
         self.calls = CallCounter()
         self.lipschitz_third = None
 
-    def _as_vector(self, x, name="x"):
-        x = np.asarray(x, dtype=float)
+    def _check_shape(self, x, name):
         if x.shape != (self.n,):
             raise ValueError(
                 "%s has shape %s, expected (%d,)" % (name, x.shape, self.n)
             )
         return x
 
+    def _as_point(self, x):
+        p = as_point(x)
+        self._check_shape(p.x, "x")
+        return p
+
     # -- counted entry points -------------------------------------------------
 
     def value(self, x):
         """Objective value f(x)."""
-        x = self._as_vector(x)
+        p = self._as_point(x)
         self.calls.bump("value")
-        return float(self._value(x))
+        return _finite("value", float(self._value(p)))
 
     def grad(self, x):
         """Gradient of f at x."""
-        x = self._as_vector(x)
+        p = self._as_point(x)
         self.calls.bump("grad")
-        return self._grad(x)
+        return _finite("grad", self._grad(p))
 
     def hessian(self, x):
         """Hessian of f at x as a symmetric (n, n) array."""
-        x = self._as_vector(x)
+        p = self._as_point(x)
         self.calls.bump("hessian")
-        return self._hessian(x)
+        return _finite("hessian", self._hessian(p))
 
     def third_directional(self, x, h):
         """The vector D3f(x)[h]^2: third derivative applied to (h, h).
 
         Only this directional form is ever exposed; no n**3 tensor is built.
         """
-        x = self._as_vector(x)
-        h = self._as_vector(h, name="h")
+        p = self._as_point(x)
+        h = self._check_shape(np.asarray(h, dtype=float), "h")
         self.calls.bump("third")
-        return self._third_directional(x, h)
+        return _finite("third_directional", self._third_directional(p, h))
 
     def hessian_trace(self, x):
         """trace of the Hessian at x, without materializing the matrix."""
-        x = self._as_vector(x)
+        p = self._as_point(x)
         self.calls.bump("trace")
-        return float(self._hessian_trace(x))
+        return _finite("hessian_trace", float(self._hessian_trace(p)))
 
     # -- hooks ----------------------------------------------------------------
 
     @abstractmethod
-    def _value(self, x): ...
+    def _value(self, p): ...
 
     @abstractmethod
-    def _grad(self, x): ...
+    def _grad(self, p): ...
 
     @abstractmethod
-    def _hessian(self, x): ...
+    def _hessian(self, p): ...
 
     @abstractmethod
-    def _third_directional(self, x, h): ...
+    def _third_directional(self, p, h): ...
 
     @abstractmethod
-    def _hessian_trace(self, x): ...
+    def _hessian_trace(self, p): ...
 
 
 # -- composite terms ----------------------------------------------------------
@@ -238,32 +291,38 @@ class LogisticOracle(SmoothOracle):
         self.dataset = dataset
         self._row_sq = np.einsum("ij,ij->i", dataset.features, dataset.features)
 
-    def _margins(self, x):
-        return self.dataset.features @ x
+    # Intermediates at a point, each computed once: the margins z = A x, the
+    # sigmoid s, the Hessian weights s (1 - s) and the third-derivative
+    # weights s (1 - s) (1 - 2 s).
+    def _margins(self, p):
+        return p.memo("z", lambda: self.dataset.features @ p.x)
 
-    def _value(self, x):
-        z = self._margins(x)
+    def _sigmoid(self, p):
+        return p.memo("s", lambda: expit(self._margins(p)))
+
+    def _weights(self, p):
+        return p.memo("w", lambda: self._sigmoid(p) * (1.0 - self._sigmoid(p)))
+
+    def _weights3(self, p):
+        return p.memo("w3", lambda: self._weights(p) * (1.0 - 2.0 * self._sigmoid(p)))
+
+    def _value(self, p):
+        z = self._margins(p)
         return float(np.sum(np.logaddexp(0.0, z) - self.dataset.labels * z))
 
-    def _grad(self, x):
-        s = expit(self._margins(x))
-        return self.dataset.features.T @ (s - self.dataset.labels)
+    def _grad(self, p):
+        return self.dataset.features.T @ (self._sigmoid(p) - self.dataset.labels)
 
-    def _hessian(self, x):
-        s = expit(self._margins(x))
-        w = s * (1.0 - s)
+    def _hessian(self, p):
         a = self.dataset.features
-        return a.T @ (w[:, None] * a)
+        return a.T @ (self._weights(p)[:, None] * a)
 
-    def _third_directional(self, x, h):
-        s = expit(self._margins(x))
-        w = s * (1.0 - s) * (1.0 - 2.0 * s)
+    def _third_directional(self, p, h):
         ah = self.dataset.features @ h
-        return self.dataset.features.T @ (w * ah * ah)
+        return self.dataset.features.T @ (self._weights3(p) * ah * ah)
 
-    def _hessian_trace(self, x):
-        s = expit(self._margins(x))
-        return float(np.dot(s * (1.0 - s), self._row_sq))
+    def _hessian_trace(self, p):
+        return float(np.dot(self._weights(p), self._row_sq))
 
 
 class QuarticOracle(SmoothOracle):
@@ -278,20 +337,20 @@ class QuarticOracle(SmoothOracle):
         self.lipschitz_third = 24.0
         self.minimizer = np.zeros(self.n)
 
-    def _value(self, x):
-        return float(np.sum(x**4))
+    def _value(self, p):
+        return float(np.sum(p.x**4))
 
-    def _grad(self, x):
-        return 4.0 * x**3
+    def _grad(self, p):
+        return 4.0 * p.x**3
 
-    def _hessian(self, x):
-        return np.diag(12.0 * x**2)
+    def _hessian(self, p):
+        return np.diag(12.0 * p.x**2)
 
-    def _third_directional(self, x, h):
-        return 24.0 * x * h * h
+    def _third_directional(self, p, h):
+        return 24.0 * p.x * h * h
 
-    def _hessian_trace(self, x):
-        return float(12.0 * np.sum(x**2))
+    def _hessian_trace(self, p):
+        return float(12.0 * np.sum(p.x**2))
 
 
 def logistic_oracle(dataset):
@@ -307,22 +366,31 @@ def quartic_oracle(n):
 # -- finite-difference third derivative ---------------------------------------
 
 
-def fd_third_directional(oracle, x, h, tau):
+def fd_third_directional(oracle, x, h, tau, g0=None):
     """Approximate D3f(x)[h]^2 by a second central difference of gradients.
 
         T_tau(h) = [grad f(x + tau h) + grad f(x - tau h) - 2 grad f(x)] / tau^2
 
     When the third derivative is Lipschitz with constant L, the error is at
-    most (L / 3) * tau * ||h||^3.  Costs three gradient calls.
+    most (L / 3) * tau * ||h||^3.  Costs three gradient calls, queried in
+    the order x + tau h, x - tau h, x; two when the gradient ``g0`` at x is
+    passed in.
     """
+    return _second_difference(oracle, x, h, tau, g0)[0]
+
+
+def _second_difference(oracle, x, h, tau, g0):
+    """``(T_tau(h), g0)``: the formula of ``fd_third_directional``, also
+    returning the gradient at x it used."""
     if tau <= 0.0:
         raise ValueError("tau must be positive, got %r" % (tau,))
-    x = np.asarray(x, dtype=float)
+    xv = as_point(x).x
     h = np.asarray(h, dtype=float)
-    gp = oracle.grad(x + tau * h)
-    gm = oracle.grad(x - tau * h)
-    g0 = oracle.grad(x)
-    return (gp + gm - 2.0 * g0) / tau**2
+    gp = oracle.grad(xv + tau * h)
+    gm = oracle.grad(xv - tau * h)
+    if g0 is None:
+        g0 = oracle.grad(x)
+    return (gp + gm - 2.0 * g0) / tau**2, g0
 
 
 class FdThirdOracle:
@@ -331,8 +399,10 @@ class FdThirdOracle:
 
     Value/gradient/Hessian/trace delegate to the base oracle (and count on its
     counter).  Each third_directional call costs three base gradient calls; the
-    gradient at the expansion point is cached, so repeated calls at the same x
-    cost two.
+    gradient at the last expansion point is cached, so repeated calls at the
+    same x cost two.  The cache is one ``(bytes of x, gradient)`` pair replaced
+    in a single assignment, so a wrapper shared across threads never pairs one
+    thread's x with another's gradient.
     """
 
     def __init__(self, base, tau):
@@ -340,8 +410,7 @@ class FdThirdOracle:
             raise ValueError("tau must be positive, got %r" % (tau,))
         self.base = base
         self.tau = float(tau)
-        self._cached_x = None
-        self._cached_g = None
+        self._g0 = None
 
     @property
     def n(self):
@@ -368,16 +437,13 @@ class FdThirdOracle:
         return self.base.hessian_trace(x)
 
     def third_directional(self, x, h):
-        x = np.asarray(x, dtype=float)
-        h = np.asarray(h, dtype=float)
-        tau = self.tau
-        gp = self.base.grad(x + tau * h)
-        gm = self.base.grad(x - tau * h)
-        key = x.tobytes()
-        if self._cached_x != key:
-            self._cached_g = self.base.grad(x)
-            self._cached_x = key
-        return (gp + gm - 2.0 * self._cached_g) / tau**2
+        p = as_point(x)
+        key = p.x.tobytes()
+        cached = self._g0
+        g0 = cached[1] if cached is not None and cached[0] == key else None
+        t, g0 = _second_difference(self.base, p, h, self.tau, g0)
+        self._g0 = (key, g0)
+        return t
 
 
 # -- derivative checks --------------------------------------------------------
@@ -445,7 +511,7 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
             float(np.linalg.norm(fd2 - ref2)) / (1.0 + float(np.linalg.norm(ref2))),
         )
 
-        fd3 = fd_third_directional(oracle, x, h, d3)
+        fd3 = fd_third_directional(oracle, x, h, d3, g0=g)
         ref3 = oracle.third_directional(x, h)
         err[3] = max(
             err[3],

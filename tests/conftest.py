@@ -19,19 +19,19 @@ class QuadraticOracle(SmoothOracle):
         self.P = P
         self.q = q
 
-    def _value(self, x):
-        return 0.5 * float(x @ self.P @ x) + float(np.dot(self.q, x))
+    def _value(self, p):
+        return 0.5 * float(p.x @ self.P @ p.x) + float(np.dot(self.q, p.x))
 
-    def _grad(self, x):
-        return self.P @ x + self.q
+    def _grad(self, p):
+        return self.P @ p.x + self.q
 
-    def _hessian(self, x):
+    def _hessian(self, p):
         return self.P.copy()
 
-    def _third_directional(self, x, h):
-        return np.zeros_like(x)
+    def _third_directional(self, p, h):
+        return np.zeros_like(p.x)
 
-    def _hessian_trace(self, x):
+    def _hessian_trace(self, p):
         return float(np.trace(self.P))
 
 

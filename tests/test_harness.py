@@ -236,8 +236,8 @@ def test_emit_report_table_layout():
     text = emit_report([sample_report()], format="table", sink=sink)
     assert text == sink.getvalue()
     lines = text.splitlines()
-    assert lines[0] == "epsilon  IT  CO  BGM-E  BGM-IT    BGM-A"
-    assert lines[1] == "  1e-02   4  20      5      62  12.4000"
+    assert lines[0] == "epsilon  IT  CO  BGM-E  BGM-IT    BGM-A  converged"
+    assert lines[1] == "  1e-02   4  20      5      62  12.4000       True"
 
 
 def test_emit_report_csv_layout_and_round_trip():
@@ -310,7 +310,9 @@ def test_cli_table_to_stdout(capsys):
     ])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["epsilon", "IT", "CO", "BGM-E", "BGM-IT", "BGM-A"]
+    assert lines[0].split() == ["epsilon", "IT", "CO", "BGM-E", "BGM-IT", "BGM-A",
+                                "converged"]
+    assert lines[1].split()[-1] == "True"
     assert len(lines) == 2
 
 

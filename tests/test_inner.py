@@ -307,6 +307,26 @@ def test_run_inner_iteration_cap():
     assert res.stop_reason is StopReason.ITERATION_CAP
     assert res.iterations == 1
     assert res.alpha is False
+    assert res.model_grad_norm == float(
+        np.linalg.norm(omega_grad(anchor, oracle, res.x_plus))
+    )
+
+
+def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
+    # The exit test's grad Omega(y_{k+1}) starts step k + 1, so a run of K
+    # steps evaluates it K + 1 times (once at y_0).
+    evaluated = []
+
+    def counting_omega_grad(*args):
+        evaluated.append(1)
+        return omega_grad(*args)
+
+    monkeypatch.setattr("tensormin.inner.omega_grad", counting_omega_grad)
+    anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
+    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
+                    float(np.linalg.norm(anchor.g_x)))
+    assert res.iterations > 1
+    assert len(evaluated) == res.iterations + 1
 
 
 def test_run_inner_trace_records():

@@ -389,7 +389,7 @@ def test_with_m_shares_anchor_data_without_oracle_calls():
     assert lifted.x is anchor.x
     assert lifted.H_x is anchor.H_x
     assert lifted.eigvecs is anchor.eigvecs
-    assert lifted._third_memo is anchor._third_memo
+    assert lifted.point is anchor.point
 
 
 def test_from_oracle_skips_passed_in_value_and_gradient():
@@ -406,26 +406,13 @@ def test_from_oracle_skips_passed_in_value_and_gradient():
     assert snap["trace"] == 1
 
 
-def test_third_directional_memo_hits_and_eviction():
+def test_third_at_zero_displacement_costs_no_call():
     oracle = quartic_oracle(2)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
     oracle.calls.reset()
-
-    h = np.array([0.5, -0.5])
-    t1 = anchor.third_at(oracle, h)
-    t2 = anchor.third_at(oracle, h)
-    assert oracle.calls.snapshot()["third"] == 1
-    assert np.array_equal(t1, t2)
-
-    # The zero displacement never costs a call.
     z = anchor.third_at(oracle, np.zeros(2))
     assert np.array_equal(z, np.zeros(2))
-    assert oracle.calls.snapshot()["third"] == 1
-
-    # Filling the memo past its capacity evicts the oldest entry, so querying
-    # the first displacement again costs a fresh call.
-    for k in range(8):
-        anchor.third_at(oracle, np.array([1.0 + k, 0.0]))
-    assert oracle.calls.snapshot()["third"] == 9
-    anchor.third_at(oracle, h)
-    assert oracle.calls.snapshot()["third"] == 10
+    assert oracle.calls.total() == 0
+    h = np.array([0.5, -0.5])
+    assert np.array_equal(anchor.third_at(oracle, h),
+                          oracle.third_directional(np.ones(2), h))

@@ -1,5 +1,7 @@
 """Oracle layer: derivative formulas, call counting, datasets, fd surrogate."""
 
+import itertools
+import sys
 import threading
 
 import numpy as np
@@ -13,6 +15,7 @@ from tensormin.oracles import (
     FdThirdOracle,
     QuarticOracle,
     ZeroComposite,
+    as_point,
     check_derivatives,
     fd_third_directional,
     logistic_oracle,
@@ -52,6 +55,30 @@ def test_logistic_single_sample_closed_forms():
     assert float(oracle.hessian(x)[0, 0]) == pytest.approx(0.25, abs=1e-15)
     assert oracle.third_directional(x, np.ones(1)) == pytest.approx([0.0], abs=1e-15)
     assert oracle.value(x) == pytest.approx(np.log(2.0), abs=1e-15)
+
+
+def test_logistic_entry_points_through_one_point_match_fresh_arrays():
+    # Whichever entry point fills a point's intermediates first, every entry
+    # point queried through that point returns exactly what it returns on a
+    # fresh array, and two directions share the point.
+    _, oracle = make_logistic(40, 3, seed=11)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(oracle.n)
+    h1, h2 = rng.standard_normal((2, oracle.n))
+    queries = {
+        "value": oracle.value,
+        "grad": oracle.grad,
+        "hessian": oracle.hessian,
+        "trace": oracle.hessian_trace,
+        "third_h1": lambda q: oracle.third_directional(q, h1),
+        "third_h2": lambda q: oracle.third_directional(q, h2),
+    }
+    fresh = {name: query(x.copy()) for name, query in queries.items()}
+    for order in itertools.permutations(queries):
+        p = as_point(x)
+        for name in order:
+            assert np.array_equal(queries[name](p), fresh[name]), (order, name)
+    assert as_point(p) is p
 
 
 def test_logistic_value_stable_for_extreme_margins():
@@ -138,6 +165,8 @@ def test_query_dimension_is_validated():
         oracle.grad(np.zeros(4))
     with pytest.raises(ValueError):
         oracle.third_directional(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError):
+        oracle.hessian(as_point(np.zeros(2)))
 
 
 def test_oracle_dimension_must_be_positive():
@@ -308,6 +337,40 @@ def test_fd_oracle_costs_three_gradients_then_two_on_same_point():
     assert base.calls.grad == 5
     oracle.third_directional(2 * x, np.array([1.0, 0.0]))  # new point
     assert base.calls.grad == 8
+
+
+def test_fd_oracle_shared_across_threads_matches_the_uncached_formula():
+    # Each thread has its own expansion point, so the shared wrapper's cached
+    # gradient keeps changing hands; a result built from another thread's
+    # gradient would differ from the uncached formula.
+    base = quartic_oracle(3)
+    fd = FdThirdOracle(base, 1e-3)
+    rng = np.random.default_rng(12)
+    points = rng.standard_normal((8, 3))
+    dirs = rng.standard_normal((40, 3))
+    expected = [[fd_third_directional(base, x, h, 1e-3) for h in dirs]
+                for x in points]
+    mismatches = []
+
+    def work(k):
+        for _ in range(5):
+            for j, h in enumerate(dirs):
+                if not np.array_equal(fd.third_directional(points[k], h),
+                                      expected[k][j]):
+                    mismatches.append((k, j))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []
 
 
 def test_fd_oracle_delegates_everything_else_to_the_base():

@@ -18,7 +18,7 @@ from tensormin.accel import (
 )
 from tensormin.basic import run_basic
 from tensormin.inner import StopReason
-from tensormin.oracles import ZeroComposite, quartic_oracle
+from tensormin.oracles import OracleError, QuarticOracle, ZeroComposite, quartic_oracle
 
 _SCALE = 18.0**3
 
@@ -310,6 +310,43 @@ def test_inner_cap_before_any_step_reports_start_values(solver):
     assert report.final_f == oracle.value(x0)
     assert report.final_grad_norm == float(np.linalg.norm(oracle.grad(x0)))
     json.dumps(asdict(report), allow_nan=False)
+
+
+class PoisonedQuartic(QuarticOracle):
+    """Quartic with NaN gradients away from ``x0`` (``entry="grad"``) or NaN
+    third derivatives everywhere (``entry="third"``)."""
+
+    def __init__(self, x0, entry):
+        super().__init__(len(x0))
+        self.x0 = x0
+        self.entry = entry
+
+    def _grad(self, p):
+        g = super()._grad(p)
+        if self.entry == "grad" and not np.array_equal(p.x, self.x0):
+            g = g * np.nan
+        return g
+
+    def _third_directional(self, p, h):
+        t = super()._third_directional(p, h)
+        return t * np.nan if self.entry == "third" else t
+
+
+@pytest.mark.parametrize("solver", [run_basic, run_accel])
+@pytest.mark.parametrize("entry, name", [("grad", "grad"),
+                                         ("third", "third_directional")])
+def test_non_finite_oracle_output_raises_oracle_error(solver, entry, name):
+    # Unchecked, a NaN trial gradient drives 200 level doublings and a NaN
+    # third derivative surfaces as a root finder's message; the error must
+    # stop the first trial and name the entry point, the outer step and the
+    # level index.
+    x0 = np.ones(2)
+    oracle = PoisonedQuartic(x0, entry)
+    with pytest.raises(OracleError) as info:
+        solver(oracle, ZeroComposite(), x0, 1.0, 1e-6)
+    message = str(info.value)
+    assert "t=0" in message and "i=1" in message
+    assert "%s returned a non-finite result" % name in message
 
 
 def test_run_accel_rejects_bad_parameters():

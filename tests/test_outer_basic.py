@@ -4,6 +4,7 @@ counters, and trace consistency."""
 import numpy as np
 import pytest
 
+from conftest import make_logistic
 from tensormin.basic import accept_test_basic, initial_level, run_basic
 from tensormin.inner import StopReason
 from tensormin.oracles import ZeroComposite, quartic_oracle
@@ -137,6 +138,16 @@ def test_run_basic_oracle_call_conservation():
     # one Hessian (and one trace) per outer anchor, levels share it
     assert snap["hessian"] == anchors
     assert snap["trace"] == anchors
+
+
+def test_run_basic_queries_third_once_per_inner_iteration():
+    # Each inner step needs D3f[h]^2 at one new displacement; the first
+    # step of an inner run starts at the anchor, where h = 0 costs nothing.
+    _, oracle = make_logistic(300, 5, seed=3)
+    _, report, _ = run_basic(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0, 1e-8)
+    assert report.converged is True
+    assert report.BGM_IT > report.BGM_E
+    assert oracle.calls.third == report.BGM_IT
 
 
 def test_run_basic_is_deterministic_except_wall_time():
