@@ -113,10 +113,16 @@ def load_dataset(path, has_header=False):
     return Dataset(features=features, labels=data[:, -1])
 
 
-def _build_oracle(cfg):
+def _load_data(cfg):
+    """The logistic dataset ``cfg`` names (None for the quartic)."""
+    if cfg.problem != "logistic":
+        return None
+    path = cfg.dataset_path if cfg.dataset_path is not None else bundled_dataset_path()
+    return load_dataset(path, has_header=cfg.has_header)
+
+
+def _build_oracle(cfg, data):
     if cfg.problem == "logistic":
-        path = cfg.dataset_path if cfg.dataset_path is not None else bundled_dataset_path()
-        data = load_dataset(path, has_header=cfg.has_header)
         oracle = logistic_oracle(data)
     else:
         oracle = quartic_oracle(cfg.n)
@@ -141,18 +147,23 @@ def _start_point(cfg, dim):
 def run_experiment(cfg, trace_sink=None):
     """Run the configured solver once per target accuracy on fresh counters.
 
-    Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
+    The dataset is read once per call; each accuracy gets a fresh oracle
+    built from it, so its counters (and any finite-difference cache) start
+    empty.  Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
     Solver exceptions are re-raised annotated with the failing accuracy.
     """
     solver = run_basic if cfg.solver == "basic" else run_accel
     composite = ZeroComposite()
     reports = []
+    data = None
     for eps in cfg.epsilons:
         sink = None
         if trace_sink is not None:
             sink = lambda row, _e=eps: trace_sink(dict(row, epsilon=_e))
         try:
-            oracle = _build_oracle(cfg)  # fresh oracle => fresh counters per entry
+            if data is None:  # first accuracy: load errors are annotated too
+                data = _load_data(cfg)
+            oracle = _build_oracle(cfg, data)
             x0 = _start_point(cfg, oracle.n)
             _, report, _ = solver(
                 oracle, composite, x0, cfg.m0, eps,

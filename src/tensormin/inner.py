@@ -169,7 +169,7 @@ def secular_solve(eigvals, eigvecs, M, c, tol=1e-12):
     return h
 
 
-def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None):
+def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None, grho=None):
     """One Bregman-gradient step of the inner solver from y.
 
     For the zero composite term the step's optimality condition collapses to
@@ -179,10 +179,12 @@ def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None):
     i.e. (H + (M / 2) ||h||^2 I) h = c' - grad rho terms folded in, with
     h = y_next - x; that system is solved exactly by ``secular_solve``.
 
-    Returns ``(y_next, g_psi)`` where g_psi is the composite subgradient
-    certificate  -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)];  for an
-    exact step with psi = 0 it vanishes up to the secular tolerance.
-    ``gom`` is grad Omega(y) when the caller already has it.
+    Returns ``(y_next, g_psi, grho_next)`` where g_psi is the composite
+    subgradient certificate  -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]
+    (for an exact step with psi = 0 it vanishes up to the secular tolerance)
+    and grho_next is grad rho(y_next), which starts the next step.  ``gom``
+    and ``grho`` are grad Omega(y) and grad rho(y) when the caller already
+    has them.
     """
     if composite.kind != "zero":
         raise UnsupportedCompositeError(
@@ -190,12 +192,14 @@ def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None):
         )
     if gom is None:
         gom = omega_grad(anchor, oracle, y)
-    grho = rho_grad(anchor, y)
+    if grho is None:
+        grho = rho_grad(anchor, y)
     c = grho - gom / 3.0
     h = secular_solve(anchor.eigvals, anchor.eigvecs, anchor.M, c, tol)
     y_next = anchor.x + h
-    g_psi = -gom + 3.0 * (grho - rho_grad(anchor, y_next))
-    return y_next, g_psi
+    grho_next = rho_grad(anchor, y_next)
+    g_psi = -gom + 3.0 * (grho - grho_next)
+    return y_next, g_psi, grho_next
 
 
 def slow_decay_violated(G, lips, beta, M, k):
@@ -241,7 +245,7 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
 
     Runs Bregman-gradient steps from y_0 = anchor.x.  After every step the
     composite model gradient norm G = ||grad Omega(y) + g_psi|| is tested
-    (grad Omega(y) then also starts the next step):
+    (grad Omega(y) and the step's grad rho(y) then also start the next step):
 
     * G <= epsilon / 7                      -> EPSILON_SMALL exit,
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
@@ -275,11 +279,11 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
     eps_exit = cfg.epsilon / 7.0
     y = anchor.x
     zero_psi = np.zeros_like(anchor.x)
-    gom = None
+    gom = grho = None
 
     for k in range(cfg.max_inner):
-        y_next, g_psi = bregman_step(anchor, oracle, composite, y,
-                                     cfg.secular_tol, gom)
+        y_next, g_psi, grho = bregman_step(anchor, oracle, composite, y,
+                                           cfg.secular_tol, gom, grho)
         gom = omega_grad(anchor, oracle, y_next)
         grad_model = gom + g_psi
         G = float(np.linalg.norm(grad_model))

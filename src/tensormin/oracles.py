@@ -23,6 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
 
@@ -281,7 +282,9 @@ class LogisticOracle(SmoothOracle):
         D3f(x)[h]^2  = A^T [ s * (1 - s) * (1 - 2 s) * (A h)^2 ]
 
     The value is computed in the log-sum-exp form above, which equals the
-    negative log-likelihood and is stable for large |<a_i, x>|.
+    negative log-likelihood and is stable for large |<a_i, x>|.  The Hessian
+    is formed as B^T B with B = diag(sqrt(s (1 - s))) A by a symmetric rank-m
+    update (BLAS ``dsyrk``): m n^2 flops, half those of a general product.
     """
 
     def __init__(self, dataset):
@@ -314,8 +317,15 @@ class LogisticOracle(SmoothOracle):
         return self.dataset.features.T @ (self._sigmoid(p) - self.dataset.labels)
 
     def _hessian(self, p):
-        a = self.dataset.features
-        return a.T @ (self._weights(p)[:, None] * a)
+        # The weights s (1 - s) are nonnegative, so B is real.  B.T of the
+        # C-ordered B is Fortran-ordered and reaches BLAS without a copy;
+        # dsyrk fills the lower triangle, mirrored here into the upper one
+        # once B is freed, so the peak memory is that of a general product.
+        b = np.sqrt(self._weights(p))[:, None] * self.dataset.features
+        h = dsyrk(1.0, b.T, lower=1)
+        del b
+        h += np.tril(h, -1).T
+        return h
 
     def _third_directional(self, p, h):
         ah = self.dataset.features @ h

@@ -168,6 +168,34 @@ def test_experiment_bundled_dataset_paper_counters():
         assert all(r.converged for r in reports)
 
 
+def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
+    # One load per call; each accuracy still gets a fresh oracle (zero
+    # counters, empty finite-difference cache) over the shared dataset.
+    import tensormin.harness as harness
+
+    loads, seen = [], []
+    real_load, real_solver = harness.load_dataset, harness.run_basic
+
+    def load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    def solver(oracle, *args, **kwargs):
+        seen.append((oracle, oracle.calls.total(), oracle._g0))
+        return real_solver(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_dataset", load)
+    monkeypatch.setattr(harness, "run_basic", solver)
+    reports = run_experiment(RunConfig(
+        problem="logistic", epsilons=[1e-2, 1e-3, 1e-4, 1e-5], fd_tau=1e-4,
+    ))
+    assert len(reports) == 4 and all(r.converged for r in reports)
+    assert len(loads) == 1
+    assert len({id(oracle) for oracle, _, _ in seen}) == 4
+    assert len({id(oracle.base.dataset) for oracle, _, _ in seen}) == 1
+    assert all(total == 0 and g0 is None for _, total, g0 in seen)
+
+
 def test_experiment_errors_annotated_with_accuracy(tmp_path):
     cfg = RunConfig(
         problem="logistic",

@@ -114,7 +114,7 @@ def test_secular_rejects_bad_inputs():
 def test_bregman_step_stationary_anchor_stays_put():
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([0.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    y1, g_psi = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
+    y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
     assert np.array_equal(y1, np.zeros(1))
     assert np.allclose(g_psi, 0.0, atol=1e-15)
 
@@ -124,7 +124,7 @@ def test_bregman_step_one_dimensional_point():
     # c = -(1/3) grad f(0) = 2, and the secular system gives y_1 = 1.
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([-6.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    y1, g_psi = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
+    y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
     assert y1 == pytest.approx([1.0], abs=1e-10)
     assert np.linalg.norm(g_psi) <= 1e-9
 
@@ -143,12 +143,13 @@ def test_bregman_step_optimality_along_runs():
     for anchor, oracle in cases:
         y = np.array(anchor.x)
         for _ in range(15):
-            y_next, g_psi = bregman_step(anchor, oracle, ZeroComposite(), y)
+            y_next, g_psi, grho_next = bregman_step(anchor, oracle, ZeroComposite(), y)
             gom = omega_grad(anchor, oracle, y)
             resid = gom + 3.0 * (rho_grad(anchor, y_next) - rho_grad(anchor, y))
             bound = 1e-12 * (1.0 + np.linalg.norm(gom))
             assert np.linalg.norm(resid) <= bound
             assert np.allclose(g_psi, -resid, atol=1e-15)
+            assert np.array_equal(grho_next, rho_grad(anchor, y_next))
             y = y_next
 
 
@@ -255,7 +256,7 @@ def test_run_inner_monotone_model_decrease():
         y = np.array(anchor.x)
         om = omega_value(anchor, oracle, y)
         for _ in range(20):
-            y, _ = bregman_step(anchor, oracle, ZeroComposite(), y)
+            y, _, _ = bregman_step(anchor, oracle, ZeroComposite(), y)
             om_next = omega_value(anchor, oracle, y)
             assert om_next <= om + 1e-10 * (1.0 + abs(om))
             om = om_next
@@ -313,20 +314,27 @@ def test_run_inner_iteration_cap():
 
 
 def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
-    # The exit test's grad Omega(y_{k+1}) starts step k + 1, so a run of K
-    # steps evaluates it K + 1 times (once at y_0).
-    evaluated = []
+    # The exit test's grad Omega(y_{k+1}) and the step's grad rho(y_{k+1})
+    # start step k + 1, so a run of K steps evaluates each K + 1 times
+    # (once at y_0).
+    evaluated = {"omega_grad": 0, "rho_grad": 0}
 
-    def counting_omega_grad(*args):
-        evaluated.append(1)
-        return omega_grad(*args)
+    def counting(name, fn):
+        def call(*args):
+            evaluated[name] += 1
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr("tensormin.inner.omega_grad", counting_omega_grad)
+    monkeypatch.setattr("tensormin.inner.omega_grad",
+                        counting("omega_grad", omega_grad))
+    monkeypatch.setattr("tensormin.inner.rho_grad",
+                        counting("rho_grad", rho_grad))
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
     res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
                     float(np.linalg.norm(anchor.g_x)))
     assert res.iterations > 1
-    assert len(evaluated) == res.iterations + 1
+    assert evaluated == {"omega_grad": res.iterations + 1,
+                         "rho_grad": res.iterations + 1}
 
 
 def test_run_inner_trace_records():

@@ -330,7 +330,7 @@ def test_sublevel_displacement_bound_during_inner_runs():
         cap = 96.0 * g_norm / anchor.M
         y = np.array(x)
         for _ in range(30):
-            y, _ = bregman_step(anchor, oracle, composite, y)
+            y, _, _ = bregman_step(anchor, oracle, composite, y)
             if omega_value(anchor, oracle, y) <= anchor.f_x:
                 disp = float(np.linalg.norm(y - x)) ** 3
                 assert disp <= cap * (1.0 + 1e-9)

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import QuadraticOracle, make_logistic
 from tensormin.oracles import (
@@ -150,11 +151,36 @@ def test_hessian_is_symmetric_and_psd_and_trace_matches():
         for _ in range(10):
             x = rng.standard_normal(oracle.n)
             H = oracle.hessian(x)
-            assert np.max(np.abs(H - H.T)) <= 1e-12 * (1 + np.max(np.abs(H)))
+            assert np.array_equal(H, H.T)
             assert np.linalg.eigvalsh(H).min() >= -1e-10
             assert abs(oracle.hessian_trace(x) - np.trace(H)) <= 1e-12 * (
                 1 + abs(np.trace(H))
             )
+
+
+def test_logistic_hessian_matches_the_general_product():
+    # The Hessian is formed as B^T B with B = diag(sqrt(w)) A by a symmetric
+    # rank-m update; the general product A^T diag(w) A is the reference.
+    rng = np.random.default_rng(31)
+    tall, _ = make_logistic(2000, 30, seed=32)
+    wide, _ = make_logistic(40, 120, seed=33)  # rank at most 40 of 121
+    sat, _ = make_logistic(200, 10, seed=34)
+    sat_features = sat.features.copy()
+    sat_features[:60, 1:] *= 1e3  # margins of order 1e3 saturate the sigmoid
+    sat = Dataset(sat_features, sat.labels)
+    for data in (tall, wide, sat):
+        oracle = logistic_oracle(data)
+        a = data.features
+        for _ in range(3):
+            x = rng.standard_normal(oracle.n)
+            s = expit(a @ x)
+            w = s * (1.0 - s)
+            if data is sat:
+                assert np.count_nonzero(w == 0.0) >= 30
+            ref = a.T @ (w[:, None] * a)
+            H = oracle.hessian(x)
+            assert np.array_equal(H, H.T)
+            assert np.linalg.norm(H - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_query_dimension_is_validated():
