@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import tensormin.harness as harness
 from tensormin.cli import main
 from tensormin.harness import (
     CSV_HEADER,
@@ -171,8 +172,6 @@ def test_experiment_bundled_dataset_paper_counters():
 def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
     # One load per call; each accuracy still gets a fresh oracle (zero
     # counters, empty finite-difference cache) over the shared dataset.
-    import tensormin.harness as harness
-
     loads, seen = [], []
     real_load, real_solver = harness.load_dataset, harness.run_basic
 
