@@ -27,8 +27,9 @@ print("=" * 40)
 # ---------------------------------------------------------------------------
 # Build the model at an anchor
 # ---------------------------------------------------------------------------
-# The anchor freezes f(x), its gradient, its Hessian eigendecomposition and
-# the Hessian trace at the current point.  The model adds a quartic penalty
+# The anchor freezes f(x), its gradient, its Hessian with the tridiagonal
+# factorization H = Q T Q^T that the secular solves use, and the Hessian
+# trace at the current point.  The model adds a quartic penalty
 # (M/2) * (1/4)||y - x||^4 on top of the third-order Taylor expansion.
 n = 6
 oracle = quartic_oracle(n)

@@ -38,6 +38,7 @@ from .inner import (
 from .model import (
     ConvexityError,
     ModelAnchor,
+    SecularSolveError,
     bregman_div,
     d4_grad,
     d4_value,
@@ -74,7 +75,7 @@ __all__ = [
     "AccelState", "CallCounter", "CompositeTerm", "ConvexityError", "Dataset",
     "DerivativeReport", "FdThirdOracle", "InnerConfig", "InnerResult",
     "LogisticOracle", "ModelAnchor", "OracleError", "Point", "QuarticOracle",
-    "RunConfig", "RunReport", "SmoothOracle", "StopReason",
+    "RunConfig", "RunReport", "SecularSolveError", "SmoothOracle", "StopReason",
     "UnsupportedCompositeError", "ZeroComposite", "accept_test_accel",
     "accept_test_basic", "as_point", "bregman_div", "bregman_step",
     "bundled_dataset_path", "check_derivatives", "d4_grad", "d4_value",

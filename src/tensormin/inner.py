@@ -20,10 +20,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg import lapack
 
-from .model import inner_constants, omega_grad, rho_grad
+from .model import (
+    SecularSolveError,
+    inner_constants,
+    lapack_check,
+    omega_grad,
+    rho_grad,
+)
 
+_EPS = np.finfo(float).eps
+_SECULAR_MAXIT = 100
 _LOG3 = math.log(3.0)
 _LOG65 = math.log(1.2)  # decay factor 6/5 of the slow-convergence certificate
 
@@ -77,30 +85,50 @@ class InnerResult:
     model_grad_norm: float
 
 
-def secular_solve(eigvals, eigvecs, M, c, tol=1e-12):
-    """Solve (H + (M / 2) ||h||^2 I) h = c for h, given H = Q diag(lam) Q^T.
+def secular_solve(d, q, M, c, tol=1e-12, e=None):
+    """Solve (H + (M / 2) ||h||^2 I) h = c for h, given H = Q T Q^T.
 
-    In the eigenbasis the solution is h_i = c_i / (lam_i + (M / 2) r^2) where
-    r = ||h|| is the unique nonnegative root of the scalar secular equation
+    T = tridiag(d, e) is symmetric positive semidefinite; ``e=None`` is the
+    diagonal case, T = diag(d), in which (d, Q) is an eigendecomposition.  In
+    the coordinates of Q, with c^ = Q^T c, the solution is h = Q h^(sigma)
+    where h^(sigma) = (T + sigma I)^{-1} c^ and sigma = (M / 2) ||h^||^2 is the
+    unique positive root of the secular equation
 
-        phi(r) := sum_i c_i^2 / (lam_i + (M / 2) r^2)^2  =  r^2.
+        phi(sigma) := 1 / ||h^(sigma)||  -  sqrt(M / (2 sigma))  =  0.
 
-    phi is strictly decreasing and r^2 strictly increasing, so the root is
-    bracketed and found by a safeguarded scalar search, then polished by
-    Newton steps.  The returned h satisfies
+    phi is increasing and concave (Moré and Sorensen, 1983), so Newton's
+    method approaches the root from below, and from above it lands below the
+    root.  Each evaluation factors T + sigma I = L D L^T once (``dpttrf``) and
+    solves with it twice (``dpttrs``): for h^ and for the derivative
+    phi'(sigma) = <h^, (T + sigma I)^{-1} h^> / ||h^||^3
+                  + (1/2) sqrt(M / 2) sigma^(-3/2).
+    A sigma at which the factorization breaks down lies left of the root.
+    Newton starts from the root of the isotropic model T = lambda I, with
+    lambda the Rayleigh quotient of c^, and stops when phi = 0 or a step
+    moves sigma by at most 4 eps sigma.  A step that leaves the bracket
 
-        || (H + (M / 2) ||h||^2 I) h - c ||  <=  tol * (1 + ||c||).
+        (M / 2) (||c|| / (lambda_max + sigma_hi))^2  <=  sigma  <=  sigma_hi,
+        sigma_hi = (M / 2) (2 ||c|| / M)^(2/3)
 
-    c = 0 returns h = 0 exactly; lam = 0 (zero Hessian) has the closed form
-    h = (2 / M)^(1/3) c / ||c||^(2/3), which the scalar search reproduces.
+    (lambda_max bounded by Gershgorin's theorem) is replaced by bisection; the
+    bracket's ends are checked, and widened if needed, only then.  The
+    returned h satisfies
+
+        || (H + (M / 2) ||h||^2 I) h - c ||  <=  tol * (1 + ||c||),
+
+    checked in the coordinates of Q with an O(n) product by T; a miss raises
+    SecularSolveError.  c = 0 returns h = 0 exactly; T = 0 (zero Hessian)
+    gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
-    lam = np.asarray(eigvals, dtype=float)
-    q = np.asarray(eigvecs, dtype=float)
+    d = np.asarray(d, dtype=float)
+    q = np.asarray(q, dtype=float)
     c = np.asarray(c, dtype=float)
     if M <= 0.0:
         raise ValueError("M must be positive")
-    if lam.min() < 0.0:
-        raise ValueError("eigenvalues must be nonnegative (clamp upstream)")
+    if d.min() < 0.0:
+        raise ValueError("diagonal of T must be nonnegative (shift upstream)")
+    n = d.size
+    e = np.zeros(n - 1) if e is None else np.asarray(e, dtype=float)
 
     ct = q.T @ c
     cnorm = float(np.linalg.norm(ct))
@@ -108,65 +136,117 @@ def secular_solve(eigvals, eigvecs, M, c, tol=1e-12):
         return np.zeros_like(c)
 
     half_m = 0.5 * M
+    root_half_m = math.sqrt(half_m)
+    # SciPy's dpttrf/dpttrs wrappers want an off-diagonal of length 1 at n = 1.
+    e_lapack = e if n > 1 else np.zeros(1)
 
-    def phi(r):
-        d = lam + half_m * r * r
-        u = ct / d
-        return float(np.dot(u, u))
+    def evaluate(sigma):
+        """(h^, ||h^||, phi, phi') at sigma > 0.
 
-    def psi(r):
-        return phi(r) - r * r
+        A breakdown of dpttrf (info > 0: T + sigma I is not numerically
+        positive definite, which a singular T allows for tiny sigma) puts
+        sigma left of the root; it is returned as phi = -inf with no h^.
+        """
+        ld, le, info = lapack.dpttrf(d + sigma, e_lapack)
+        if info > 0:
+            return None, 0.0, -math.inf, 1.0
+        lapack_check("dpttrf", info, sigma)
+        hh, info = lapack.dpttrs(ld, le, ct)
+        lapack_check("dpttrs", info, sigma)
+        w, info = lapack.dpttrs(ld, le, hh)
+        lapack_check("dpttrs", info, sigma)
+        hsq = float(np.dot(hh, hh))
+        hn = math.sqrt(hsq)
+        phi = 1.0 / hn - root_half_m / math.sqrt(sigma)
+        dphi = (float(np.dot(hh, w)) / (hsq * hn)
+                + 0.5 * root_half_m / (sigma * math.sqrt(sigma)))
+        return hh, hn, phi, dphi
+
+    def phi_at(sigma):
+        return evaluate(sigma)[2]
 
     # ||h|| <= (2 ||c|| / M)^(1/3) always, with equality exactly when H = 0;
     # a slightly inflated cube root is therefore a guaranteed upper bracket.
-    hi = (2.0 * cnorm / M) ** (1.0 / 3.0) * (1.0 + 1e-8)
-    guard = 0
-    while psi(hi) > 0.0:
-        hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise RuntimeError("secular upper bracket expansion failed")
-    # From r (lam_max + (M / 2) r^2) >= ||c|| at the root, a positive lower
-    # bracket in closed form:
-    lo = cnorm / (lam.max() + half_m * hi * hi) * (1.0 - 1e-8)
-    guard = 0
-    while psi(lo) <= 0.0:
-        lo *= 0.5
-        guard += 1
-        if guard > 1100:
-            raise RuntimeError("secular lower bracket expansion failed")
+    r_hi = (2.0 * cnorm / M) ** (1.0 / 3.0) * (1.0 + 1e-8)
+    hi = half_m * r_hi * r_hi
+    # From ||h|| (lambda_max + sigma) >= ||c|| at the root, a positive lower
+    # bracket in closed form, with Gershgorin's bound on lambda_max.
+    gersh = d.copy()
+    gersh[:-1] += np.abs(e)
+    gersh[1:] += np.abs(e)
+    r_lo = cnorm / (float(gersh.max()) + hi) * (1.0 - 1e-8)
+    lo = half_m * r_lo * r_lo
+    lo_seen = hi_seen = False  # whether an evaluation has confirmed the end
 
-    r = brentq(psi, lo, hi, xtol=max(hi * 1e-16, 5e-324), rtol=1e-15, maxiter=200)
+    # The isotropic model lambda r + (M / 2) r^3 = ||c||, with lambda the
+    # Rayleigh quotient of c^, is exact when c^ is an eigenvector of T.  Its
+    # root, in a cancellation-free form of Cardano's formula:
+    lam = max(float(np.dot(ct, tridiagonal_product(d, e, ct))) / (cnorm * cnorm),
+              0.0)
+    p3 = lam / (3.0 * half_m)
+    qh = 0.5 * cnorm / half_m
+    u = (qh + math.sqrt(qh * qh + p3 * p3 * p3)) ** (1.0 / 3.0)
+    v = p3 / u
+    r0 = 2.0 * qh / (u * u + u * v + v * v)
+    sigma = min(max(half_m * r0 * r0, lo), hi)
 
-    # Newton polish: drives |phi(r) - r^2| to rounding level, which keeps the
-    # fixed-point mismatch (the only residual source) at machine scale.
-    for _ in range(3):
-        d = lam + half_m * r * r
-        u = ct / d
-        val = float(np.dot(u, u)) - r * r
-        if val == 0.0:
+    for _ in range(_SECULAR_MAXIT):
+        hh, hn, phi, dphi = evaluate(sigma)
+        if phi == 0.0:
             break
-        dphi = -2.0 * M * r * float(np.dot(u * u, 1.0 / d))
-        slope = dphi - 2.0 * r
-        if slope == 0.0:
+        if phi < 0.0:
+            lo, lo_seen = sigma, True
+        else:
+            hi, hi_seen = sigma, True
+        new = sigma - phi / dphi
+        if not lo < new < hi:
+            # Bisect, once any closed-form end that no evaluation confirmed
+            # is checked: rounding could have put the root outside it.
+            if not hi_seen:
+                hi, hi_seen = _confirm_end(phi_at, hi, 4.0, 60, "upper"), True
+            if not lo_seen:
+                lo, lo_seen = _confirm_end(phi_at, lo, 0.25, 1100, "lower"), True
+            new = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        if abs(new - sigma) <= 4.0 * _EPS * sigma:
             break
-        step = val / slope
-        r_new = r - step
-        if not (lo <= r_new <= hi):
-            break
-        r = r_new
-        if abs(step) <= 1e-17 * r:
-            break
+        sigma = new
+    else:
+        raise SecularSolveError(
+            "secular Newton iteration did not converge in %d steps "
+            "(bracket [%.17g, %.17g])" % (_SECULAR_MAXIT, lo, hi))
+    if hh is None:  # stopped at a breakdown: report it
+        lapack_check("dpttrf", lapack.dpttrf(d + sigma, e_lapack)[2], sigma)
 
-    d = lam + half_m * r * r
-    h = q @ (ct / d)
-
-    res = float(np.linalg.norm((lam * (ct / d) + half_m * float(np.dot(h, h)) * (ct / d)) - ct))
+    res = float(np.linalg.norm(
+        tridiagonal_product(d, e, hh) + half_m * hn * hn * hh - ct))
     if res > tol * (1.0 + cnorm):
-        raise RuntimeError(
+        raise SecularSolveError(
             "secular residual %.3e exceeds %.3e" % (res, tol * (1.0 + cnorm))
         )
-    return h
+    return q @ hh
+
+
+def _confirm_end(phi_at, end, factor, limit, which):
+    """Move a bracket end outward by ``factor`` until phi has its sign there.
+
+    phi must be >= 0 at the upper end and < 0 at the lower one (or the lower
+    end 0).  The limits are those of the old search on ||h||: 60 doublings of
+    the upper end and 1100 halvings of the lower one.
+    """
+    upper = factor > 1.0
+    for _ in range(limit + 1):
+        if end == 0.0 or (phi_at(end) >= 0.0) == upper:
+            return end
+        end *= factor
+    raise SecularSolveError("secular %s bracket expansion failed" % which)
+
+
+def tridiagonal_product(d, e, x):
+    """T x for T = tridiag(d, e), in O(n)."""
+    y = d * x
+    y[:-1] += e * x[1:]
+    y[1:] += e * x[:-1]
+    return y
 
 
 def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None, grho=None):
@@ -195,7 +275,8 @@ def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None, grho=None):
     if grho is None:
         grho = rho_grad(anchor, y)
     c = grho - gom / 3.0
-    h = secular_solve(anchor.eigvals, anchor.eigvecs, anchor.M, c, tol)
+    h = secular_solve(anchor.tri_d, anchor.tri_q, anchor.M, c, tol,
+                      anchor.tri_e)
     y_next = anchor.x + h
     grho_next = rho_grad(anchor, y_next)
     g_psi = -gom + 3.0 * (grho - grho_next)

@@ -13,6 +13,11 @@ Bregman divergence drives the inner solver.  All oracle data at the anchor is
 evaluated once and frozen; only the directional third derivative is queried
 per displacement, through the anchor's oracle ``Point`` so that the oracle's
 intermediates at x are computed once.
+
+The inner solver needs products with H and solves with H + sigma I, never
+H's eigenvectors, so the anchor factors H by Householder tridiagonal
+reduction, H = Q T Q^T (LAPACK ``dsytrd`` and ``dorghr``), at a fraction of
+the cost of an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -20,16 +25,77 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .oracles import Point, as_point
 
-# Eigenvalues of the anchor Hessian below this are a convexity violation;
-# values in [-EIG_FLOOR, 0) are treated as rounding noise and clamped to 0.
+# A smallest Hessian eigenvalue below -EIG_FLOOR is a convexity violation; one
+# in [-EIG_FLOOR, 0) is rounding noise, and T is shifted by it up to 0.
 EIG_FLOOR = 1e-10
 
 
 class ConvexityError(RuntimeError):
-    """The anchor Hessian has an eigenvalue below -1e-10."""
+    """The anchor Hessian's smallest eigenvalue is below -EIG_FLOOR (-1e-10).
+
+    Smaller negative values are rounding noise: the anchor then shifts the
+    diagonal of its tridiagonal factor T by -lambda_min, which leaves T
+    positive semidefinite.
+    """
+
+
+class SecularSolveError(RuntimeError):
+    """The anchor factorization or a secular solve failed.
+
+    Raised when a LAPACK routine (``dsytrd``, ``dorghr``, ``dpttrf``,
+    ``dpttrs``) reports a nonzero ``info`` the solve cannot recover from,
+    when a bracket end cannot be widened or the iteration does not converge,
+    or when the solved step misses its residual bound.  The message names
+    the cause.
+    """
+
+
+def lapack_check(routine, info, sigma=None):
+    """Raise SecularSolveError for a nonzero LAPACK ``info``."""
+    if info != 0:
+        at = "" if sigma is None else " at sigma = %.17g" % sigma
+        raise SecularSolveError("LAPACK %s returned info = %d%s"
+                                % (routine, info, at))
+
+
+def tridiagonal_factor(H):
+    """H = Q T Q^T with T = tridiag(d, e), shifted to be positive semidefinite.
+
+    Returns ``(d, e, Q)`` with Q orthogonal.  The smallest eigenvalue of T
+    (and of H) is found by bisection on T in O(n); below -EIG_FLOOR it raises
+    ConvexityError, and otherwise d is shifted up by max(0, -lambda_min).
+    """
+    n = H.shape[0]
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    lapack_check("dsytrd_lwork", info)
+    # H is symmetric, so H.T is the same matrix; for a C-ordered H it is
+    # Fortran-ordered, and the copy f2py makes needs no transpose.  (dsytrd
+    # reads the lower triangle of H.T, i.e. the upper triangle of H.)
+    c, d, e, tau, info = lapack.dsytrd(H.T, lower=1, lwork=int(lwork))
+    lapack_check("dsytrd", info)
+    if n > 1:
+        # The reflectors are stored as dgehrd stores them, and an explicit
+        # workspace makes dorghr about twice as fast as its default one.
+        q, info = lapack.dorghr(c, tau, lo=0, hi=n - 1, lwork=64 * n,
+                                overwrite_a=1)
+        lapack_check("dorghr", info)
+    else:
+        q = np.ones((1, 1))
+    # lambda_min <= min(d) holds exactly; taking the smaller of the two keeps
+    # the shifted diagonal nonnegative whatever the rounding of the bisection.
+    lam_min = min(float(eigvalsh_tridiagonal(d, e, select="i",
+                                             select_range=(0, 0))[0]),
+                  float(d.min()))
+    if lam_min < -EIG_FLOOR:
+        raise ConvexityError(
+            "anchor Hessian has smallest eigenvalue lambda_min = %.3e < -%.0e"
+            % (lam_min, EIG_FLOOR)
+        )
+    return d + max(0.0, -lam_min), e, q
 
 
 def d4_value(h):
@@ -55,9 +121,10 @@ def _frozen(a):
 class ModelAnchor:
     """Frozen oracle data of f at one anchor point, plus the level M.
 
-    All cached quantities (value, gradient, Hessian, trace, spectral
-    factorization) belong to the same x, and ``point`` is the oracle point
-    they were queried through.  ``with_m`` re-levels the anchor without
+    All cached quantities (value, gradient, Hessian, trace, and the
+    tridiagonal factorization H = Q T Q^T with T = tridiag(tri_d, tri_e) and
+    Q = tri_q) belong to the same x, and ``point`` is the oracle point they
+    were queried through.  ``with_m`` re-levels the anchor without
     touching the cached data, so level escalations at a fixed anchor cost no
     oracle calls.
     """
@@ -68,8 +135,9 @@ class ModelAnchor:
     H_x: np.ndarray
     trace_H: float
     M: float
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
+    tri_d: np.ndarray
+    tri_e: np.ndarray
+    tri_q: np.ndarray
     point: Point = field(repr=False)
 
     @classmethod
@@ -89,12 +157,9 @@ class ModelAnchor:
             g_x = oracle.grad(p)
         H = oracle.hessian(p)
         trace_h = oracle.hessian_trace(p)
-        w, q = np.linalg.eigh(H)
-        if w.min() < -EIG_FLOOR:
-            raise ConvexityError(
-                "anchor Hessian has eigenvalue %.3e < -%.0e" % (w.min(), EIG_FLOOR)
-            )
-        w = np.maximum(w, 0.0)
+        d, e, q = tridiagonal_factor(H)
+        for a in (d, e, q):  # fresh arrays: frozen in place, not copied
+            a.setflags(write=False)
         return cls(
             x=p.x,
             f_x=float(f_x),
@@ -102,8 +167,9 @@ class ModelAnchor:
             H_x=_frozen(H),
             trace_H=float(trace_h),
             M=float(M),
-            eigvals=_frozen(w),
-            eigvecs=_frozen(q),
+            tri_d=d,
+            tri_e=e,
+            tri_q=q,
             point=p,
         )
 

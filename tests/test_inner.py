@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import QuadraticOracle, make_logistic
+from tensormin import inner
 from tensormin.inner import (
     InnerConfig,
     StopReason,
@@ -16,7 +17,15 @@ from tensormin.inner import (
     secular_solve,
     slow_decay_violated,
 )
-from tensormin.model import ModelAnchor, inner_constants, omega_grad, omega_value, rho_grad
+from tensormin.model import (
+    ModelAnchor,
+    SecularSolveError,
+    inner_constants,
+    omega_grad,
+    omega_value,
+    rho_grad,
+    tridiagonal_factor,
+)
 from tensormin.oracles import CompositeTerm, ZeroComposite, quartic_oracle
 
 
@@ -101,6 +110,54 @@ def test_secular_residuals_on_random_systems():
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
 
 
+def test_secular_residuals_on_random_tridiagonal_systems():
+    # The same systems as above, solved through a genuine tridiagonal T and
+    # the Q of dsytrd/dorghr, checked against the dense H.
+    rng = np.random.default_rng(124)
+    tridiagonal = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 21))
+        rows = max(1, n - 1) if rng.random() < 0.3 else n
+        B = rng.standard_normal((rows, n))
+        H = B.T @ B
+        H = 0.5 * (H + H.T)
+        d, e, q = tridiagonal_factor(H)
+        tridiagonal += bool(np.any(e))
+        M = float(10 ** rng.uniform(-3, 3))
+        c = rng.standard_normal(n) * float(10 ** rng.uniform(-3, 3))
+        h = secular_solve(d, q, M, c, e=e)
+        lhs = H @ h + 0.5 * M * float(np.dot(h, h)) * h
+        assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
+    assert tridiagonal >= 90
+
+
+def test_secular_residual_miss_raises_typed_error():
+    rng = np.random.default_rng(5)
+    H = rng.standard_normal((6, 6))
+    H = H.T @ H
+    d, e, q = tridiagonal_factor(0.5 * (H + H.T))
+    with pytest.raises(SecularSolveError, match="residual"):
+        secular_solve(d, q, 1.0, rng.standard_normal(6), tol=1e-300, e=e)
+
+
+def test_secular_bracket_expansion_failure_raises_typed_error():
+    # T = [[1, 1e40], [1e40, 1]] has a nonnegative diagonal but is far from
+    # PSD: T + sigma I breaks down for every sigma the upper end reaches.
+    with pytest.raises(SecularSolveError, match="upper bracket expansion failed"):
+        secular_solve(np.ones(2), np.eye(2), 1.0, np.ones(2), e=np.array([1e40]))
+
+
+def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
+    def failing_dpttrs(d, e, b):
+        return b, -3
+
+    monkeypatch.setattr(inner.lapack, "dpttrs", failing_dpttrs)
+    with pytest.raises(SecularSolveError,
+                       match="dpttrs returned info = -3 at sigma = "):
+        secular_solve(np.array([1.0, 2.0]), np.eye(2), 1.0, np.ones(2),
+                      e=np.array([0.5]))
+
+
 def test_secular_rejects_bad_inputs():
     with pytest.raises(ValueError):
         secular_solve(np.array([1.0]), np.eye(1), 0.0, np.array([1.0]))
@@ -117,6 +174,28 @@ def test_bregman_step_stationary_anchor_stays_put():
     y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
     assert np.array_equal(y1, np.zeros(1))
     assert np.allclose(g_psi, 0.0, atol=1e-15)
+
+
+def test_one_dimensional_anchor_through_step_and_run():
+    # n = 1: dsytrd returns an empty off-diagonal.  f(x) = x^2 - x from 0 at
+    # M = 6: c = 1/3, and (2 + 3 h^2) h = 1/3 has its root near 0.16.
+    oracle = QuadraticOracle(np.array([[2.0]]), np.array([-1.0]))
+    anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=6.0)
+    y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
+    h = float(y1[0])
+    assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
+    assert np.linalg.norm(g_psi) <= 1e-12
+    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
+                    float(np.linalg.norm(anchor.g_x)))
+    assert res.stop_reason in (StopReason.EPSILON_SMALL,
+                               StopReason.MODEL_STATIONARITY)
+
+    anchor, oracle = quartic_anchor(np.array([1.5]), M=96.0)
+    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
+                    float(np.linalg.norm(anchor.g_x)))
+    assert res.stop_reason in (StopReason.EPSILON_SMALL,
+                               StopReason.MODEL_STATIONARITY)
+    assert float(res.x_plus[0]) < 1.5
 
 
 def test_bregman_step_one_dimensional_point():

@@ -341,16 +341,57 @@ def test_sublevel_displacement_bound_during_inner_runs():
 # -- anchor construction and caching ----------------------------------------------
 
 
+def tridiag_dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def rotated(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q, exactly symmetric."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    h = (q * np.asarray(eigenvalues, dtype=float)) @ q.T
+    return 0.5 * (h + h.T)
+
+
 def test_anchor_rejects_nonconvex_hessian():
     oracle = QuadraticOracle(np.diag([-1.0, 1.0]), np.zeros(2))
     with pytest.raises(ConvexityError):
         ModelAnchor.from_oracle(oracle, np.zeros(2), M=1.0)
 
 
-def test_anchor_clamps_rounding_noise_eigenvalues():
+def test_anchor_rejects_rotated_nonconvex_hessian():
+    # A rotated diag(-1, 1, 2) has a genuinely tridiagonal T; the error names
+    # lambda_min.
+    for seed in range(5):
+        oracle = QuadraticOracle(rotated([-1.0, 1.0, 2.0], seed), np.zeros(3))
+        with pytest.raises(ConvexityError, match="lambda_min = -1.000e\\+00"):
+            ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
+
+
+def test_anchor_shifts_rounding_noise_eigenvalues():
     oracle = QuadraticOracle(np.diag([-5e-11, 1.0]), np.zeros(2))
     anchor = ModelAnchor.from_oracle(oracle, np.zeros(2), M=1.0)
-    assert anchor.eigvals.min() == 0.0
+    assert anchor.tri_d.min() == 0.0
+    assert np.array_equal(anchor.tri_d, [0.0, 1.0 + 5e-11])
+
+
+def test_anchor_accepts_rotated_rounding_noise_hessian():
+    # Rotated diag(-5e-11, 1, 2): accepted, T shifted to be PSD to rounding,
+    # and a Bregman step from it meets the secular residual bound on the
+    # shifted Hessian Q T Q^T (which differs from P by about 5e-11).
+    rng = np.random.default_rng(31)
+    for seed in range(5):
+        P = rotated([-5e-11, 1.0, 2.0], seed)
+        oracle = QuadraticOracle(P, rng.standard_normal(3))
+        anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
+        t = tridiag_dense(anchor.tri_d, anchor.tri_e)
+        assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(P, 2)
+        y1, _, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
+        h = y1 - anchor.x
+        c = -oracle.grad(anchor.x) / 3.0
+        shifted = anchor.tri_q @ t @ anchor.tri_q.T
+        lhs = shifted @ h + 0.5 * anchor.M * float(h @ h) * h
+        assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
 
 
 def test_anchor_rejects_nonpositive_m():
@@ -362,21 +403,33 @@ def test_anchor_rejects_nonpositive_m():
         anchor.with_m(-2.0)
 
 
-def test_anchor_eigendecomposition_reconstructs_hessian():
+def test_anchor_tridiagonal_factor_reconstructs_hessian():
     _, oracle = make_logistic(25, 4, seed=17)
     x = np.random.default_rng(18).standard_normal(oracle.n)
     anchor = ModelAnchor.from_oracle(oracle, x, M=1.0)
-    rebuilt = (anchor.eigvecs * anchor.eigvals) @ anchor.eigvecs.T
+    q = anchor.tri_q
+    rebuilt = q @ tridiag_dense(anchor.tri_d, anchor.tri_e) @ q.T
     scale = 1.0 + np.abs(anchor.H_x).max()
     assert np.abs(rebuilt - anchor.H_x).max() <= 1e-8 * scale
+    assert np.abs(q.T @ q - np.eye(oracle.n)).max() <= 1e-12
 
 
 def test_anchor_arrays_are_frozen():
     oracle = quartic_oracle(2)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
-    for arr in (anchor.x, anchor.g_x, anchor.H_x, anchor.eigvals, anchor.eigvecs):
+    for arr in (anchor.x, anchor.g_x, anchor.H_x, anchor.tri_d, anchor.tri_e,
+                anchor.tri_q):
         with pytest.raises(ValueError):
             arr[0] = 0.0 if arr.ndim == 1 else arr[0]
+
+
+def test_anchor_one_dimensional_factor():
+    # At n = 1 dsytrd returns an empty off-diagonal and there is no reflector.
+    oracle = QuadraticOracle(np.array([[2.0]]), np.array([-3.0]))
+    anchor = ModelAnchor.from_oracle(oracle, np.array([0.5]), M=4.0)
+    assert np.array_equal(anchor.tri_d, [2.0])
+    assert anchor.tri_e.shape == (0,)
+    assert np.array_equal(anchor.tri_q, [[1.0]])
 
 
 def test_with_m_shares_anchor_data_without_oracle_calls():
@@ -388,7 +441,9 @@ def test_with_m_shares_anchor_data_without_oracle_calls():
     assert lifted.M == 16.0
     assert lifted.x is anchor.x
     assert lifted.H_x is anchor.H_x
-    assert lifted.eigvecs is anchor.eigvecs
+    assert lifted.tri_d is anchor.tri_d
+    assert lifted.tri_e is anchor.tri_e
+    assert lifted.tri_q is anchor.tri_q
     assert lifted.point is anchor.point
 
 

@@ -1,0 +1,60 @@
+"""The benchmark's tracer still finds every name it rebinds.
+
+``perfbench/spans.py`` times layers by rebinding the names tensormin's
+callers look up (``secular_solve``, the ``from_oracle`` classmethod, ...).
+A refactor that inlines such a call or changes how a name is bound would
+make a traced benchmark run under-report a layer or fail.  These tests load
+``perfbench/`` as it is, trace one small solve through each outer loop, and
+require the span counts to reconcile with the program's own counters.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tensormin as tm
+from conftest import make_logistic
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans as module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+def test_every_rebind_target_resolves(spans):
+    for owner, attr, name in spans.rebind_targets(tm):
+        assert attr in owner.__dict__, (owner, attr, name)
+    raw = tm.model.ModelAnchor.__dict__["from_oracle"]
+    assert isinstance(raw, classmethod)
+
+
+@pytest.mark.parametrize("module, loop", [("basic", "run_basic"),
+                                          ("accel", "run_accel")])
+def test_traced_solve_reconciles(spans, module, loop):
+    _, oracle = make_logistic(300, 6, seed=41)
+    targets = spans.rebind_targets(tm)
+    shipped = [owner.__dict__[attr] for owner, attr, _ in targets]
+    tracer = spans.Tracer()
+    with tracer.installed(tm):
+        # Looked up inside the block, as the benchmark does, so the span
+        # wrapper is what runs.
+        solve = getattr(getattr(tm, module), loop)
+        _, report, _ = solve(oracle, tm.ZeroComposite(), np.zeros(oracle.n),
+                             1.0, 1e-6, max_outer=40)
+    totals = {"CO": report.CO, "BGM_E": report.BGM_E,
+              "BGM_IT": report.BGM_IT}
+    assert spans.reconcile(tracer, totals) == []
+    assert report.BGM_IT > 0
+    assert tracer.calls("model.anchor") > 0
+    # Every name is restored once the block exits.
+    for (owner, attr, _), raw in zip(targets, shipped):
+        assert owner.__dict__[attr] is raw
