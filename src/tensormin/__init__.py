@@ -17,7 +17,7 @@ from .accel import (
     solve_a,
     update_phi_and_v,
 )
-from .basic import accept_test_basic, initial_level, run_basic
+from .basic import LevelSearchError, accept_test_basic, initial_level, run_basic
 from .harness import (
     RunConfig,
     bundled_dataset_path,
@@ -74,14 +74,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelState", "CallCounter", "CompositeTerm", "ConvexityError", "Dataset",
     "DerivativeReport", "FdThirdOracle", "InnerConfig", "InnerResult",
-    "LogisticOracle", "ModelAnchor", "OracleError", "Point", "QuarticOracle",
-    "RunConfig", "RunReport", "SecularSolveError", "SmoothOracle", "StopReason",
-    "UnsupportedCompositeError", "ZeroComposite", "accept_test_accel",
-    "accept_test_basic", "as_point", "bregman_div", "bregman_step",
-    "bundled_dataset_path", "check_derivatives", "d4_grad", "d4_value",
-    "emit_report", "fd_third_directional", "initial_level", "inner_constants",
-    "load_dataset", "logistic_oracle", "mix_z", "omega_grad", "omega_value",
-    "parse_report_csv", "phi_min_value", "quartic_oracle", "rho_grad",
-    "rho_value", "run_accel", "run_basic", "run_experiment", "run_inner",
-    "secular_solve", "solve_a", "taylor3_value", "update_phi_and_v",
+    "LevelSearchError", "LogisticOracle", "ModelAnchor", "OracleError",
+    "Point", "QuarticOracle", "RunConfig", "RunReport", "SecularSolveError",
+    "SmoothOracle", "StopReason", "UnsupportedCompositeError", "ZeroComposite",
+    "accept_test_accel", "accept_test_basic", "as_point", "bregman_div",
+    "bregman_step", "bundled_dataset_path", "check_derivatives", "d4_grad",
+    "d4_value", "emit_report", "fd_third_directional", "initial_level",
+    "inner_constants", "load_dataset", "logistic_oracle", "mix_z",
+    "omega_grad", "omega_value", "parse_report_csv", "phi_min_value",
+    "quartic_oracle", "rho_grad", "rho_value", "run_accel", "run_basic",
+    "run_experiment", "run_inner", "secular_solve", "solve_a", "taylor3_value",
+    "update_phi_and_v",
 ]

@@ -18,21 +18,32 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basic import level_search
 from .inner import run_inner  # noqa: F401  (not called here; perfbench/spans.py rebinds it)
 from .model import ModelAnchor
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
+_MAX_NEWTON_STEPS = 200
+_STEP_RTOL = 4.0 * np.finfo(float).eps
 
 
 def solve_a(a_prev_total, m_level, tol=1e-12):
     """Positive root a of  18^3 M a^4 = 16 (A + a)^3  for A = a_prev_total.
 
-    a^4 / (A + a)^3 is strictly increasing on a > 0, so the root is unique.
-    A = 0 has the closed form a = 16 / (18^3 M).  The root satisfies
-    |18^3 M a^4 - 16 (A + a)^3| <= tol * (1 + 16 (A + a)^3).
+    a^4 / (A + a)^3 is strictly increasing on a > 0, so the root a* is
+    unique.  A = 0 has the closed form a = 16 / (18^3 M).
+
+    Otherwise Newton's method runs on u(a) = 18^3 M a^4 - 16 (A + a)^3 from
+    a bracket end hi with u(hi) > 0.  On [a*, inf) u is increasing and
+    convex: with s = A + a >= a, at the root u'' = 96 s (2 s^2 / a^2 - 1) > 0,
+    and u''' = 24 (18^3 M a - 4) > 0 there and beyond.  So Newton started
+    right of the root decreases monotonically to a* and never leaves
+    (0, hi].  It stops when u(a) <= 0 (rounding has reached the root) or
+    the step is at most 4 eps a, and raises RuntimeError after 200 steps.
+
+    The root satisfies |18^3 M a^4 - 16 (A + a)^3| <= tol * (1 + 16 (A + a)^3);
+    a miss raises RuntimeError.
     """
     A = float(a_prev_total)
     if A < 0.0:
@@ -55,22 +66,20 @@ def solve_a(a_prev_total, m_level, tol=1e-12):
         if guard > 400:
             raise RuntimeError("weight-equation bracket expansion failed")
 
-    a = brentq(u, 0.0, hi, xtol=max(hi * 1e-16, 1e-300), rtol=1e-15, maxiter=200)
-
-    for _ in range(3):  # Newton polish to rounding level
+    a = hi
+    for _ in range(_MAX_NEWTON_STEPS):
+        val = u(a)
+        if val <= 0.0:
+            break
         s = A + a
-        val = coef * a**4 - 16.0 * s**3
-        if val == 0.0:
+        step = val / (4.0 * coef * a**3 - 48.0 * s * s)
+        a -= step
+        if step <= _STEP_RTOL * a:
             break
-        slope = 4.0 * coef * a**3 - 48.0 * s * s
-        if slope <= 0.0:
-            break
-        a_new = a - val / slope
-        if not (0.0 < a_new <= hi):
-            break
-        if a_new == a:
-            break
-        a = a_new
+    else:
+        raise RuntimeError(
+            "weight-equation Newton iteration did not converge in %d steps "
+            "(A = %.17g, M = %.17g)" % (_MAX_NEWTON_STEPS, A, m_level))
 
     s = A + a
     res = abs(coef * a**4 - 16.0 * s**3)

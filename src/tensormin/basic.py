@@ -30,6 +30,16 @@ logger = logging.getLogger(__name__)
 _MAX_LEVEL_DOUBLINGS = 200
 
 
+class LevelSearchError(RuntimeError):
+    """Level doubling at one outer step did not reach an accepted trial.
+
+    The message names the outer step t, the first and last level M tried,
+    the last inner stop reason and, for the last trial that was evaluated,
+    its gradient norm against epsilon and its decrease f_x - f_trial (when
+    the method knows both values).
+    """
+
+
 def initial_level(m_t, m_0):
     """Smallest i >= 0 with 2^i m_t >= 2 m_0 (every trial level stays >= 2 m_0)."""
     if m_t <= 0.0 or m_0 <= 0.0:
@@ -134,6 +144,20 @@ class _BasicStep:
         return {}
 
 
+def _doubling_message(t, m_first, m_last, stop_reason, trial, f_x, eps):
+    msg = ("level doubling did not terminate at outer step t=%d: levels "
+           "M = %.3e .. %.3e, last stop reason %s; "
+           % (t, m_first, m_last, stop_reason))
+    if trial is None:
+        return msg + "no trial was evaluated"
+    gnorm, f_trial = trial
+    msg += ("last evaluated trial has gradient norm %.3e > epsilon %.3e"
+            % (gnorm, eps))
+    if f_x is None or f_trial is None:
+        return msg + " (its decrease was not evaluated)"
+    return msg + " and decrease f_x - f_trial = %.3e" % (f_x - f_trial)
+
+
 def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                  max_inner, secular_tol, trace_sink):
     """The adaptive level rule shared by the basic and accelerated methods.
@@ -144,7 +168,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     accepted level.  A trial whose composite gradient norm is <= epsilon
     ends the run.  Arguments and return value are those of ``run_basic``.
     An ``OracleError`` raised during outer step t at level index i is
-    re-raised with t and i added to its message.
+    re-raised with t and i added to its message.  A step whose 201 levels
+    all fail raises ``LevelSearchError``.
 
     ``make_step(oracle, composite, x0, m0, secular_tol)`` builds the method's
     part of the loop, an object with
@@ -186,6 +211,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     try:
         for t in range(max_outer):
             i = initial_level(m_t, m0)
+            m_first = m_t * 2.0**i
+            trial = None  # (gradient norm, value) of the last evaluated trial
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
                 anchor, gnorm_anchor, fields = step.anchor(m_level)
@@ -239,6 +266,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                         m_t = m_level / 2.0
                         row.update(step.update(p_plus, f_plus, g_smooth, g_plus,
                                                gnorm_plus, m_t))
+                trial = (gnorm_plus, f_plus)
                 row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
                            accepted=accepted, x_trial=np.array(x_plus))
                 emit(row)
@@ -246,7 +274,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     break
                 i += 1
             else:
-                raise RuntimeError("level doubling did not terminate")
+                raise LevelSearchError(_doubling_message(
+                    t, m_first, m_level, res.stop_reason.value, trial, step.f,
+                    eps))
             if converged or aborted:
                 break
         else:

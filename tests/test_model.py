@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import QuadraticOracle, make_logistic
+import tensormin.model
 from tensormin.inner import bregman_step
 from tensormin.model import (
+    EIG_FLOOR,
     ConvexityError,
     ModelAnchor,
     bregman_div,
@@ -18,6 +20,7 @@ from tensormin.model import (
     rho_grad,
     rho_value,
     taylor3_value,
+    tridiagonal_factor,
 )
 from tensormin.oracles import ZeroComposite, quartic_oracle
 
@@ -392,6 +395,36 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
         shifted = anchor.tri_q @ t @ anchor.tri_q.T
         lhs = shifted @ h + 0.5 * anchor.M * float(h @ h) * h
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
+
+
+def rank_deficient_psd(seed):
+    """B^T B for a random r-by-n B with r < n <= 30, scaled to 2-norm 1e6..1e7."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    b = rng.standard_normal((int(rng.integers(1, n)), n))
+    h = b.T @ b
+    h *= 10 ** rng.uniform(6, 7) / np.linalg.norm(h, 2)
+    return 0.5 * (h + h.T)
+
+
+def test_anchor_accepts_rank_deficient_psd_family(monkeypatch):
+    # Rounding alone pushes lambda_min of T for these PSD matrices to about
+    # -n eps max|T|, which at this scale is often below -EIG_FLOOR.
+    family = [rank_deficient_psd(seed) for seed in range(400)]
+    for h in family:
+        d, e, _ = tridiagonal_factor(h)
+        t = tridiag_dense(d, e)
+        assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(h, 2)
+    # With the absolute floor alone most of the family would be rejected.
+    monkeypatch.setattr(tensormin.model, "ROUNDING_C", 0.0)
+    rejected = 0
+    for h in family:
+        try:
+            tridiagonal_factor(h)
+        except ConvexityError as exc:
+            assert "< -%.3e" % EIG_FLOOR in str(exc)
+            rejected += 1
+    assert rejected >= 200
 
 
 def test_anchor_rejects_nonpositive_m():

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import tensormin.accel
 from tensormin.accel import (
     AccelState,
     accept_test_accel,
@@ -80,6 +81,64 @@ def test_solve_a_rejects_bad_inputs():
         solve_a(-1e-9, 1.0)
     with pytest.raises(ValueError):
         solve_a(1.0, 0.0)
+
+
+def reference_solve_a(A, M):
+    """Reference weight solve: SciPy's brentq on the same bracket, then up
+    to three Newton polishing steps."""
+    from scipy.optimize import brentq
+
+    coef = _SCALE * M
+
+    def u(a):
+        s = A + a
+        return coef * a**4 - 16.0 * s * s * s
+
+    hi = max(1.0, A, 32.0 / coef)
+    while u(hi) <= 0.0:
+        hi *= 2.0
+    a = brentq(u, 0.0, hi, xtol=max(hi * 1e-16, 1e-300), rtol=1e-15, maxiter=200)
+    for _ in range(3):
+        s = A + a
+        val = coef * a**4 - 16.0 * s**3
+        if val == 0.0:
+            break
+        slope = 4.0 * coef * a**3 - 48.0 * s * s
+        if slope <= 0.0:
+            break
+        a_new = a - val / slope
+        if not (0.0 < a_new <= hi) or a_new == a:
+            break
+        a = a_new
+    return a
+
+
+def weight_cases(count=2000, seed=41):
+    rng = np.random.default_rng(seed)
+    return zip(10 ** rng.uniform(-10, 10, count), 10 ** rng.uniform(-8, 8, count))
+
+
+def test_solve_a_matches_brentq_reference():
+    eps = np.finfo(float).eps
+    for A, M in weight_cases():
+        a = solve_a(A, M)
+        assert abs(a - reference_solve_a(A, M)) <= 4.0 * eps * a
+
+
+def test_solve_a_residual_bound_over_wide_range():
+    for A, M in weight_cases():
+        a = solve_a(A, M)
+        s = A + a
+        res = abs(_SCALE * M * a**4 - 16.0 * s**3)
+        assert res <= 1e-12 * (1.0 + 16.0 * s**3)
+
+
+def test_solve_a_newton_cap_raises(monkeypatch):
+    # From the bracket end hi = 1 down to a* ~ 2.7e-11 takes 85 iterations.
+    assert solve_a(1e-10, 1e8) > 0.0
+    monkeypatch.setattr(tensormin.accel, "_MAX_NEWTON_STEPS", 3)
+    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+        solve_a(1e-10, 1e8)
 
 
 # -- mixture and acceptance test ------------------------------------------------------

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import make_logistic
-from tensormin.basic import accept_test_basic, initial_level, run_basic
+import tensormin
+from tensormin.basic import (
+    LevelSearchError,
+    accept_test_basic,
+    initial_level,
+    run_basic,
+)
 from tensormin.inner import StopReason
-from tensormin.oracles import ZeroComposite, quartic_oracle
+from tensormin.oracles import SmoothOracle, ZeroComposite, quartic_oracle
 
 
 def run_quartic(n, x0, m0, epsilon, **kw):
@@ -229,3 +235,38 @@ def test_run_basic_rejects_bad_parameters():
         run_basic(oracle, ZeroComposite(), np.ones(2), 1.0, 0.0)
     with pytest.raises(ValueError):
         run_basic(oracle, ZeroComposite(), np.ones(2), -1.0, 1e-6)
+
+
+class _NoDecreaseOracle(SmoothOracle):
+    """Constant value, unit gradient, Hessian 1e6 I: no trial ever decreases
+    f, and every trial's gradient norm stays 1, so every level is rejected."""
+
+    def _value(self, p):
+        return 0.0
+
+    def _grad(self, p):
+        return np.full(self.n, 1.0 / np.sqrt(self.n))
+
+    def _hessian(self, p):
+        return 1e6 * np.eye(self.n)
+
+    def _third_directional(self, p, h):
+        return np.zeros(self.n)
+
+    def _hessian_trace(self, p):
+        return 1e6 * self.n
+
+
+def test_run_basic_level_doubling_failure_is_typed_and_named():
+    oracle = _NoDecreaseOracle(3)
+    with pytest.raises(LevelSearchError) as info:
+        run_basic(oracle, ZeroComposite(), np.zeros(3), 1.0, 1e-6)
+    assert tensormin.LevelSearchError is LevelSearchError
+    assert isinstance(info.value, RuntimeError)
+    msg = str(info.value)
+    # Levels 2^1 .. 2^201 (the first is the smallest 2^i >= 2 m0).
+    assert msg.startswith("level doubling did not terminate at outer step t=0")
+    assert "M = 2.000e+00 .. %.3e" % 2.0**201 in msg
+    assert "last stop reason %s" % StopReason.MODEL_STATIONARITY.value in msg
+    assert "gradient norm 1.000e+00 > epsilon 1.000e-06" in msg
+    assert "decrease f_x - f_trial = 0.000e+00" in msg
