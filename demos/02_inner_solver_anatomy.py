@@ -11,7 +11,7 @@ or provably-too-slow decay at an underestimated regularization level.
 
 import numpy as np
 
-from tensormin.inner import InnerConfig, run_inner
+from tensormin.inner import StopReason, run_inner
 from tensormin.model import (
     ModelAnchor,
     inner_constants,
@@ -52,10 +52,9 @@ print(f"\nrelative-smoothness constants: L = {lips:.3f}, beta = {beta:.3f}")
 # Watch the Bregman iteration converge
 # ---------------------------------------------------------------------------
 rows = []
-cfg = InnerConfig(epsilon=1e-6)
-result = run_inner(
-    anchor, oracle, ZeroComposite(), cfg, gnorm, trace=rows.append
-)
+epsilon = 1e-6
+result = run_inner(anchor, oracle, ZeroComposite(), epsilon, gnorm,
+                   trace=rows.append)
 
 print("\nper-iteration trace (model gradient norm, step length):")
 print(f"  {'k':>3}  {'model grad':>12}  {'step norm':>12}")
@@ -66,18 +65,21 @@ print(f"final model gradient norm : {result.model_grad_norm:.3e}")
 step = float(np.linalg.norm(result.x_plus - x))
 print(f"stationarity threshold    : {96.0 / 6.0 * step ** 3:.3e}"
       f"  (one sixth of M times step^3)")
-print(f"accuracy threshold        : {cfg.epsilon / 7.0:.3e}  (epsilon / 7)")
+print(f"accuracy threshold        : {epsilon / 7.0:.3e}  (epsilon / 7)")
 
 # ---------------------------------------------------------------------------
 # The certificate that a level is too small
 # ---------------------------------------------------------------------------
 # At a regularization level far below the Hessian's Lipschitz constant the
 # model gradient cannot decay at the guaranteed geometric rate.  The inner
-# loop detects this and returns alpha=True so the outer loop can double the
-# level instead of wasting iterations.
+# loop detects this and stops with reason SlowConvergence (the outer loop's
+# alpha flag) so the outer loop can double the level instead of wasting
+# iterations.
 low = ModelAnchor.from_oracle(quartic_oracle(n), x, 1e-4)
 low_gnorm = float(np.linalg.norm(low.g_x))
-low_result = run_inner(low, quartic_oracle(n), ZeroComposite(), cfg, low_gnorm)
-print(f"\nat level M = 1e-4: alpha = {low_result.alpha}, "
+low_result = run_inner(low, quartic_oracle(n), ZeroComposite(), epsilon,
+                       low_gnorm)
+alpha = low_result.stop_reason is StopReason.SLOW_CONVERGENCE
+print(f"\nat level M = 1e-4: alpha = {alpha}, "
       f"exit = {low_result.stop_reason.value}, "
       f"iterations = {low_result.iterations}")

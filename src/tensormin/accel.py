@@ -26,9 +26,11 @@ from .model import ModelAnchor
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 _MAX_NEWTON_STEPS = 200
 _STEP_RTOL = 4.0 * np.finfo(float).eps
+# Residual bound of the weight equation, relative to 1 + 16 (A + a)^3.
+_WEIGHT_TOL = 1e-12
 
 
-def solve_a(a_prev_total, m_level, tol=1e-12):
+def solve_a(a_prev_total, m_level):
     """Positive root a of  18^3 M a^4 = 16 (A + a)^3  for A = a_prev_total.
 
     a^4 / (A + a)^3 is strictly increasing on a > 0, so the root a* is
@@ -42,8 +44,9 @@ def solve_a(a_prev_total, m_level, tol=1e-12):
     (0, hi].  It stops when u(a) <= 0 (rounding has reached the root) or
     the step is at most 4 eps a, and raises RuntimeError after 200 steps.
 
-    The root satisfies |18^3 M a^4 - 16 (A + a)^3| <= tol * (1 + 16 (A + a)^3);
-    a miss raises RuntimeError.
+    The root satisfies |18^3 M a^4 - 16 (A + a)^3| <= 1e-12 (1 + 16 (A + a)^3);
+    a miss raises RuntimeError, as does a u(a) beyond float range (A or M
+    so large that the bracket end overflows a^4).
     """
     A = float(a_prev_total)
     if A < 0.0:
@@ -56,7 +59,12 @@ def solve_a(a_prev_total, m_level, tol=1e-12):
 
     def u(a):
         s = A + a
-        return coef * a**4 - 16.0 * s * s * s
+        try:
+            return coef * a**4 - 16.0 * s * s * s
+        except OverflowError:
+            raise RuntimeError(
+                "weight equation overflows float range at a = %.17g "
+                "(A = %.17g, M = %.17g)" % (a, A, m_level)) from None
 
     hi = max(1.0, A, 32.0 / coef)
     guard = 0
@@ -83,7 +91,7 @@ def solve_a(a_prev_total, m_level, tol=1e-12):
 
     s = A + a
     res = abs(coef * a**4 - 16.0 * s**3)
-    if res > tol * (1.0 + 16.0 * s**3):
+    if res > _WEIGHT_TOL * (1.0 + 16.0 * s**3):
         raise RuntimeError("weight-equation residual %.3e exceeds tolerance" % res)
     return a
 
@@ -119,11 +127,9 @@ class AccelState:
     lin_acc: np.ndarray
     phi_const: float
     a_total: float
-    m: float
-    t: int
 
     @classmethod
-    def fresh(cls, x0, m0):
+    def fresh(cls, x0):
         x0 = np.asarray(x0, dtype=float).copy()
         return cls(
             x0=x0,
@@ -132,8 +138,6 @@ class AccelState:
             lin_acc=np.zeros_like(x0),
             phi_const=0.0,
             a_total=0.0,
-            m=float(m0),
-            t=0,
         )
 
 
@@ -169,7 +173,6 @@ def update_phi_and_v(state, a_t, grad_xnext, f_xnext, x_next):
         lin_acc=lin,
         phi_const=const,
         a_total=state.a_total + a_t,
-        t=state.t + 1,
     )
 
 
@@ -181,7 +184,6 @@ def run_accel(
     epsilon,
     max_outer=100000,
     max_inner=10000,
-    secular_tol=1e-12,
     trace_sink=None,
 ):
     """Accelerated minimization of f + psi to gradient norm <= epsilon.
@@ -196,7 +198,7 @@ def run_accel(
     point (``x_trial``), as in ``run_basic``.
     """
     return level_search(_AccelStep, oracle, composite, x0, m0, epsilon,
-                        max_outer, max_inner, secular_tol, trace_sink)
+                        max_outer, max_inner, trace_sink)
 
 
 class _AccelStep:
@@ -209,15 +211,14 @@ class _AccelStep:
 
     f = gnorm = None
 
-    def __init__(self, oracle, composite, x0, m0, secular_tol):
+    def __init__(self, oracle, composite, x0):
         self.oracle = oracle
         self.composite = composite
-        self.secular_tol = secular_tol
-        self.state = AccelState.fresh(x0, m0)
+        self.state = AccelState.fresh(x0)
 
     def anchor(self, m_level):
         state = self.state
-        self._a = solve_a(state.a_total, m_level, tol=self.secular_tol)
+        self._a = solve_a(state.a_total, m_level)
         self._z = mix_z(state.x, state.v, state.a_total, self._a)
         anchor = ModelAnchor.from_oracle(self.oracle, self._z, m_level)
         fields = {
@@ -231,10 +232,9 @@ class _AccelStep:
     def accept(self, p_plus, g_plus, gnorm_plus, m_level):
         return accept_test_accel(g_plus, self._z, p_plus.x, m_level), None
 
-    def update(self, p_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
+    def update(self, p_plus, f_plus, g_plus, gnorm_plus):
         f_smooth = f_plus - self.composite.value(p_plus.x)
-        state = update_phi_and_v(self.state, self._a, g_smooth, f_smooth,
-                                 p_plus.x)
-        self.state = replace(state, m=m_next)
+        self.state = update_phi_and_v(self.state, self._a, g_plus, f_smooth,
+                                      p_plus.x)
         return {"a_total_next": self.state.a_total,
                 "phi_star_next": phi_min_value(self.state)}

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .inner import InnerConfig, StopReason, run_inner
+from .inner import StopReason, run_inner
 from .model import ModelAnchor
 from .oracles import OracleError, as_point
 from .reports import RunReport
@@ -69,7 +69,6 @@ def run_basic(
     epsilon,
     max_outer=100000,
     max_inner=10000,
-    secular_tol=1e-12,
     trace_sink=None,
 ):
     """Minimize f + psi to gradient norm <= epsilon with the adaptive method.
@@ -88,8 +87,6 @@ def run_basic(
         Target composite gradient norm.
     max_outer, max_inner : int
         Iteration caps; hitting either aborts the run with ``converged=False``.
-    secular_tol : float
-        Residual tolerance of the inner solver's step subproblems.
     trace_sink : callable, optional
         Receives one dict per inner iteration and per outer trial, tagged
         with ``kind``.
@@ -106,7 +103,7 @@ def run_basic(
         and no ``x_trial`` (the algorithm never evaluates them).
     """
     return level_search(_BasicStep, oracle, composite, x0, m0, epsilon,
-                        max_outer, max_inner, secular_tol, trace_sink)
+                        max_outer, max_inner, trace_sink)
 
 
 class _BasicStep:
@@ -118,7 +115,7 @@ class _BasicStep:
     level.
     """
 
-    def __init__(self, oracle, composite, x0, m0, secular_tol):
+    def __init__(self, oracle, composite, x0):
         self.oracle = oracle
         self.composite = composite
         self.p = as_point(x0)
@@ -138,7 +135,7 @@ class _BasicStep:
         f_plus = self.oracle.value(p_plus) + self.composite.value(p_plus.x)
         return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
 
-    def update(self, p_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next):
+    def update(self, p_plus, f_plus, g_plus, gnorm_plus):
         self.p, self.f, self.g, self.gnorm = p_plus, f_plus, g_plus, gnorm_plus
         self._anchor = None
         return {}
@@ -159,7 +156,7 @@ def _doubling_message(t, m_first, m_last, stop_reason, trial, f_x, eps):
 
 
 def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
-                 max_inner, secular_tol, trace_sink):
+                 max_inner, trace_sink):
     """The adaptive level rule shared by the basic and accelerated methods.
 
     Each outer step t runs the inner solver at levels 2^i M_t from
@@ -171,7 +168,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     re-raised with t and i added to its message.  A step whose 201 levels
     all fail raises ``LevelSearchError``.
 
-    ``make_step(oracle, composite, x0, m0, secular_tol)`` builds the method's
+    ``make_step(oracle, composite, x0)`` builds the method's
     part of the loop, an object with
 
     * ``f``, ``gnorm``: the objective and gradient norm at x0 if the method
@@ -180,8 +177,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     * ``accept(p_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
       where ``p_plus`` is the trial's oracle point and ``f_plus`` is None
       when the test did not need the trial value;
-    * ``update(p_plus, f_plus, g_smooth, g_plus, gnorm_plus, m_next)``,
-      called on acceptance, returning the row fields it adds.
+    * ``update(p_plus, f_plus, g_plus, gnorm_plus)``, called on acceptance,
+      returning the row fields it adds.
     """
     t_start = time.perf_counter()
     calls_start = oracle.calls.total()
@@ -192,9 +189,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     eps = float(epsilon)
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
-    cfg = InnerConfig(epsilon=eps, max_inner=max_inner, secular_tol=secular_tol)
 
-    step = make_step(oracle, composite, x0, m0, secular_tol)
+    step = make_step(oracle, composite, x0)
     final = (x0, step.f, step.gnorm)
     m_t = float(m0)
     it = 0
@@ -221,11 +217,12 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     inner_trace = lambda r, _t=t, _i=i: trace_sink(
                         dict(r, kind="inner", t=_t, i=_i)
                     )
-                res = run_inner(anchor, oracle, composite, cfg, gnorm_anchor,
-                                trace=inner_trace)
+                res = run_inner(anchor, oracle, composite, eps, gnorm_anchor,
+                                max_inner, inner_trace)
                 bgm_e += 1
                 bgm_it += res.iterations
-                row = {"t": t, "i": i, "M_level": m_level, "alpha": res.alpha,
+                alpha = res.stop_reason is StopReason.SLOW_CONVERGENCE
+                row = {"t": t, "i": i, "M_level": m_level, "alpha": alpha,
                        "inner_iters": res.iterations, **fields, "f_trial": None,
                        "grad_norm_trial": None, "accepted": False,
                        "stop_reason": res.stop_reason.value}
@@ -238,18 +235,19 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     )
                     emit(row)
                     break
-                if res.alpha:
+                if alpha:
                     # Level certified too small; never evaluate this trial.
                     emit(row)
                     i += 1
                     continue
 
                 # One point for the trial's gradient and value, and for the
-                # next anchor if the trial is accepted.
+                # next anchor if the trial is accepted.  With the zero
+                # composite (the only kind the inner solver steps on) the
+                # smooth gradient is the composite gradient.
                 x_plus = res.x_plus
                 p_plus = as_point(x_plus)
-                g_smooth = oracle.grad(p_plus)
-                g_plus = g_smooth + res.g_psi
+                g_plus = oracle.grad(p_plus)
                 gnorm_plus = float(np.linalg.norm(g_plus))
                 converged = gnorm_plus <= eps
                 if converged:
@@ -264,8 +262,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     final = (x_plus, f_plus, gnorm_plus)
                     if not converged:
                         m_t = m_level / 2.0
-                        row.update(step.update(p_plus, f_plus, g_smooth, g_plus,
-                                               gnorm_plus, m_t))
+                        row.update(step.update(p_plus, f_plus, g_plus,
+                                               gnorm_plus))
                 trial = (gnorm_plus, f_plus)
                 row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
                            accepted=accepted, x_trial=np.array(x_plus))

@@ -179,12 +179,10 @@ def run_experiment(cfg, trace_sink=None):
 def emit_report(reports, format="table", sink=None):
     """Render run reports as an aligned table, CSV, or JSON lines.
 
-    Counters print as integers and BGM_A with four decimals in all formats;
-    ``json-lines`` is accepted as an alias for ``jsonl``.  Writes to ``sink``
-    (a text stream; stdout when omitted) and also returns the rendered text.
+    Counters print as integers and BGM_A with four decimals in all formats.
+    Writes to ``sink`` (a text stream; stdout when omitted) and also returns
+    the rendered text.
     """
-    if format == "json-lines":
-        format = "jsonl"
     if format not in _FORMATS:
         raise ValueError("format must be one of %s" % (_FORMATS,))
     if not reports:

@@ -16,7 +16,7 @@ too small and must be doubled).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,6 +29,9 @@ from .model import (
     omega_grad,
     rho_grad,
 )
+
+# Residual bound of every secular solve, relative to 1 + ||c||.
+SECULAR_TOL = 1e-12
 
 _EPS = np.finfo(float).eps
 _SECULAR_MAXIT = 100
@@ -50,42 +53,22 @@ class StopReason(Enum):
 
 
 @dataclass
-class InnerConfig:
-    """Tolerances and caps for one inner run."""
-
-    epsilon: float
-    max_inner: int = 10000
-    secular_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
-        if self.secular_tol <= 0.0:
-            raise ValueError("secular_tol must be positive")
-
-
-@dataclass
 class InnerResult:
     """Outcome of one inner run.
 
-    ``alpha`` is the slow-convergence flag: True means the run certified the
-    level M too small rather than producing a useful trial point.  ``g_psi``
-    is the composite subgradient at ``x_plus`` (exactly zero for the zero
-    term).  ``model_grad_norm`` is the final composite model gradient norm
+    ``stop_reason`` SLOW_CONVERGENCE is the slow-convergence flag: the run
+    certified the level M too small rather than producing a useful trial
+    point.  ``model_grad_norm`` is the final composite model gradient norm
     G = ||grad Omega(x_plus) + g_psi||.
     """
 
     x_plus: np.ndarray
-    g_psi: np.ndarray
-    alpha: bool
     iterations: int
     stop_reason: StopReason
     model_grad_norm: float
 
 
-def secular_solve(d, q, M, c, tol=1e-12, e=None):
+def secular_solve(d, q, M, c, e=None):
     """Solve (H + (M / 2) ||h||^2 I) h = c for h, given H = Q T Q^T.
 
     T = tridiag(d, e) is symmetric positive semidefinite; ``e=None`` is the
@@ -114,7 +97,7 @@ def secular_solve(d, q, M, c, tol=1e-12, e=None):
     bracket's ends are checked, and widened if needed, only then.  The
     returned h satisfies
 
-        || (H + (M / 2) ||h||^2 I) h - c ||  <=  tol * (1 + ||c||),
+        || (H + (M / 2) ||h||^2 I) h - c ||  <=  SECULAR_TOL * (1 + ||c||),
 
     checked in the coordinates of Q with an O(n) product by T; a miss raises
     SecularSolveError.  c = 0 returns h = 0 exactly; T = 0 (zero Hessian)
@@ -219,10 +202,10 @@ def secular_solve(d, q, M, c, tol=1e-12, e=None):
 
     res = float(np.linalg.norm(
         tridiagonal_product(d, e, hh) + half_m * hn * hn * hh - ct))
-    if res > tol * (1.0 + cnorm):
+    bound = SECULAR_TOL * (1.0 + cnorm)
+    if res > bound:
         raise SecularSolveError(
-            "secular residual %.3e exceeds %.3e" % (res, tol * (1.0 + cnorm))
-        )
+            "secular residual %.3e exceeds %.3e" % (res, bound))
     return q @ hh
 
 
@@ -249,7 +232,7 @@ def tridiagonal_product(d, e, x):
     return y
 
 
-def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None, grho=None):
+def bregman_step(anchor, oracle, composite, y, gom=None, grho=None):
     """One Bregman-gradient step of the inner solver from y.
 
     For the zero composite term the step's optimality condition collapses to
@@ -275,12 +258,19 @@ def bregman_step(anchor, oracle, composite, y, tol=1e-12, gom=None, grho=None):
     if grho is None:
         grho = rho_grad(anchor, y)
     c = grho - gom / 3.0
-    h = secular_solve(anchor.tri_d, anchor.tri_q, anchor.M, c, tol,
-                      anchor.tri_e)
+    h = secular_solve(anchor.tri_d, anchor.tri_q, anchor.M, c, anchor.tri_e)
     y_next = anchor.x + h
     grho_next = rho_grad(anchor, y_next)
     g_psi = -gom + 3.0 * (grho - grho_next)
     return y_next, g_psi, grho_next
+
+
+def _log_envelope(lips, beta, M, k):
+    """log(3^8 L^4 beta / (2 M (6/5)^k)); -inf when L or beta is not positive."""
+    if beta <= 0.0 or lips <= 0.0:
+        return -math.inf
+    return (8.0 * _LOG3 + 4.0 * math.log(lips) + math.log(beta)
+            - math.log(2.0 * M) - k * _LOG65)
 
 
 def slow_decay_violated(G, lips, beta, M, k):
@@ -291,37 +281,17 @@ def slow_decay_violated(G, lips, beta, M, k):
     needs, so the outer loop must double it.  Compared in log space: the
     envelope underflows/overflows for large k or extreme constants.
     """
-    if G <= 0.0:
-        return False
-    if beta <= 0.0 or lips <= 0.0:
-        return True
-    log_rhs = (
-        8.0 * _LOG3
-        + 4.0 * math.log(lips)
-        + math.log(beta)
-        - math.log(2.0 * M)
-        - k * _LOG65
-    )
-    return 4.0 * math.log(G) > log_rhs
+    return G > 0.0 and 4.0 * math.log(G) > _log_envelope(lips, beta, M, k)
 
 
 def _slow_rhs(lips, beta, M, k):
     """The certificate envelope itself (for traces), clamped to float range."""
-    if beta <= 0.0 or lips <= 0.0:
-        return 0.0
-    log_rhs = (
-        8.0 * _LOG3
-        + 4.0 * math.log(lips)
-        + math.log(beta)
-        - math.log(2.0 * M)
-        - k * _LOG65
-    )
-    if log_rhs > 709.0:
-        return math.inf
-    return math.exp(log_rhs)
+    log_rhs = _log_envelope(lips, beta, M, k)
+    return math.inf if log_rhs > 709.0 else math.exp(log_rhs)
 
 
-def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
+def run_inner(anchor, oracle, composite, epsilon, grad_tilde_norm,
+              max_inner=10000, trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
     Runs Bregman-gradient steps from y_0 = anchor.x.  After every step the
@@ -330,9 +300,9 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
 
     * G <= epsilon / 7                      -> EPSILON_SMALL exit,
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
-    * G^4 above the geometric decay envelope -> SLOW_CONVERGENCE exit with
-      alpha = True (the level-doubling certificate),
-    * otherwise iterate, up to ``cfg.max_inner`` (ITERATION_CAP, run abort).
+    * G^4 above the geometric decay envelope -> SLOW_CONVERGENCE exit (the
+      level-doubling certificate),
+    * otherwise iterate, up to ``max_inner`` steps (ITERATION_CAP, run abort).
 
     Parameters
     ----------
@@ -343,11 +313,13 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
         oracle point.
     composite : CompositeTerm
         Only the zero kind ships.
-    cfg : InnerConfig
-        epsilon, iteration cap, and secular tolerance.
+    epsilon : float
+        Target gradient norm of the outer run (positive).
     grad_tilde_norm : float
         Composite gradient norm at the anchor (enters the certificate
         constants).
+    max_inner : int
+        Iteration cap (at least 1).
     trace : callable, optional
         Called with a dict per iteration: k, model gradient norm, step norm
         from the anchor, and the certificate envelope.
@@ -356,15 +328,18 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
     -------
     InnerResult
     """
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    if max_inner < 1:
+        raise ValueError("max_inner must be at least 1")
     lips, beta = inner_constants(anchor, grad_tilde_norm)
-    eps_exit = cfg.epsilon / 7.0
+    eps_exit = epsilon / 7.0
     y = anchor.x
-    zero_psi = np.zeros_like(anchor.x)
     gom = grho = None
 
-    for k in range(cfg.max_inner):
+    for k in range(max_inner):
         y_next, g_psi, grho = bregman_step(anchor, oracle, composite, y,
-                                           cfg.secular_tol, gom, grho)
+                                           gom, grho)
         gom = omega_grad(anchor, oracle, y_next)
         grad_model = gom + g_psi
         G = float(np.linalg.norm(grad_model))
@@ -381,15 +356,12 @@ def run_inner(anchor, oracle, composite, cfg, grad_tilde_norm, trace=None):
             )
 
         if G <= eps_exit:
-            return InnerResult(y_next, zero_psi, False, k + 1,
-                               StopReason.EPSILON_SMALL, G)
+            return InnerResult(y_next, k + 1, StopReason.EPSILON_SMALL, G)
         if G <= anchor.M / 6.0 * step_norm**3:
-            return InnerResult(y_next, zero_psi, False, k + 1,
-                               StopReason.MODEL_STATIONARITY, G)
+            return InnerResult(y_next, k + 1, StopReason.MODEL_STATIONARITY, G)
         if slow_decay_violated(G, lips, beta, anchor.M, k):
-            return InnerResult(y_next, zero_psi, True, k + 1,
-                               StopReason.SLOW_CONVERGENCE, G)
+            return InnerResult(y_next, k + 1, StopReason.SLOW_CONVERGENCE, G)
         y = y_next
 
-    return InnerResult(y, zero_psi, False, cfg.max_inner,
-                       StopReason.ITERATION_CAP, float(np.linalg.norm(gom)))
+    return InnerResult(y, max_inner, StopReason.ITERATION_CAP,
+                       float(np.linalg.norm(gom)))

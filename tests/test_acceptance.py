@@ -14,7 +14,7 @@ import numpy as np
 from tensormin.accel import run_accel
 from tensormin.basic import run_basic
 from tensormin.harness import RunConfig, run_experiment
-from tensormin.inner import InnerConfig, StopReason, run_inner, secular_solve
+from tensormin.inner import StopReason, run_inner, secular_solve
 from tensormin.model import ModelAnchor, inner_constants
 from tensormin.oracles import (
     Dataset,
@@ -90,7 +90,6 @@ def test_a3_inner_solver_exits_cleanly_within_iteration_ceiling():
     """Criterion 3: at a safe level the inner loop never flags slow decay."""
     rng = np.random.default_rng(11)
     eps = 1e-6
-    cfg = InnerConfig(epsilon=eps)
     composite = ZeroComposite()
     worst_ratio = 0.0
     reasons = {}
@@ -101,8 +100,7 @@ def test_a3_inner_solver_exits_cleanly_within_iteration_ceiling():
         x = scale * rng.standard_normal(n)
         anchor = ModelAnchor.from_oracle(oracle, x, 96.0)
         gnorm = float(np.linalg.norm(anchor.g_x))
-        result = run_inner(anchor, oracle, composite, cfg, gnorm)
-        assert not result.alpha, trial
+        result = run_inner(anchor, oracle, composite, eps, gnorm)
         assert result.stop_reason in (
             StopReason.EPSILON_SMALL,
             StopReason.MODEL_STATIONARITY,

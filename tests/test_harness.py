@@ -304,8 +304,9 @@ def test_emit_report_json_lines_and_alias():
     assert record["epsilon"] == 1e-2
     assert record["IT"] == 4
     assert record["BGM_A"] == 12.4
-    alias = emit_report([sample_report()], format="json-lines", sink=io.StringIO())
-    assert alias == text
+    # The former alias is no longer an accepted format value.
+    with pytest.raises(ValueError):
+        emit_report([sample_report()], format="json-lines", sink=io.StringIO())
 
 
 def test_emit_report_rejects_bad_calls():

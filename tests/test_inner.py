@@ -9,7 +9,6 @@ import pytest
 from conftest import QuadraticOracle, make_logistic
 from tensormin import inner
 from tensormin.inner import (
-    InnerConfig,
     StopReason,
     UnsupportedCompositeError,
     bregman_step,
@@ -59,9 +58,7 @@ def high_level_runs():
         x = scale * rng.standard_normal(n)
         anchor, oracle = quartic_anchor(x, M=96.0)
         g_norm = float(np.linalg.norm(anchor.g_x))
-        res = run_inner(
-            anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-6), g_norm
-        )
+        res = run_inner(anchor, oracle, ZeroComposite(), 1e-6, g_norm)
         runs.append((anchor, oracle, res, g_norm))
     return runs
 
@@ -131,13 +128,14 @@ def test_secular_residuals_on_random_tridiagonal_systems():
     assert tridiagonal >= 90
 
 
-def test_secular_residual_miss_raises_typed_error():
+def test_secular_residual_miss_raises_typed_error(monkeypatch):
+    monkeypatch.setattr("tensormin.inner.SECULAR_TOL", 1e-300)
     rng = np.random.default_rng(5)
     H = rng.standard_normal((6, 6))
     H = H.T @ H
     d, e, q = tridiagonal_factor(0.5 * (H + H.T))
     with pytest.raises(SecularSolveError, match="residual"):
-        secular_solve(d, q, 1.0, rng.standard_normal(6), tol=1e-300, e=e)
+        secular_solve(d, q, 1.0, rng.standard_normal(6), e=e)
 
 
 def test_secular_bracket_expansion_failure_raises_typed_error():
@@ -185,13 +183,13 @@ def test_one_dimensional_anchor_through_step_and_run():
     h = float(y1[0])
     assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
     assert np.linalg.norm(g_psi) <= 1e-12
-    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
+    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8,
                     float(np.linalg.norm(anchor.g_x)))
     assert res.stop_reason in (StopReason.EPSILON_SMALL,
                                StopReason.MODEL_STATIONARITY)
 
     anchor, oracle = quartic_anchor(np.array([1.5]), M=96.0)
-    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
+    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8,
                     float(np.linalg.norm(anchor.g_x)))
     assert res.stop_reason in (StopReason.EPSILON_SMALL,
                                StopReason.MODEL_STATIONARITY)
@@ -245,18 +243,15 @@ def test_run_inner_stationary_anchor_exits_immediately():
     # Zero gradient at the anchor: the first step stays put and the zero
     # model gradient passes the absolute test at once.
     anchor, oracle = quartic_anchor(np.zeros(3), M=96.0)
-    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8), 0.0)
+    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8, 0.0)
     assert res.stop_reason is StopReason.EPSILON_SMALL
     assert res.iterations == 1
     assert res.model_grad_norm == 0.0
     assert np.array_equal(res.x_plus, anchor.x)
-    assert np.array_equal(res.g_psi, np.zeros(3))
-    assert res.alpha is False
 
 
 def test_run_inner_high_level_never_certifies_slow(high_level_runs):
     for _, _, res, _ in high_level_runs:
-        assert res.alpha is False
         assert res.stop_reason in (
             StopReason.EPSILON_SMALL,
             StopReason.MODEL_STATIONARITY,
@@ -267,7 +262,7 @@ def test_run_inner_exit_inequalities_recomputed(high_level_runs):
     # The reported stop reason's defining inequality must hold when the model
     # gradient is recomputed from scratch at the returned point.
     for anchor, oracle, res, _ in high_level_runs:
-        G = float(np.linalg.norm(omega_grad(anchor, oracle, res.x_plus) + res.g_psi))
+        G = float(np.linalg.norm(omega_grad(anchor, oracle, res.x_plus)))
         assert abs(G - res.model_grad_norm) <= 1e-9 * (1.0 + res.model_grad_norm)
         if res.stop_reason is StopReason.EPSILON_SMALL:
             assert G <= (1e-6 / 7.0) * (1.0 + 1e-6)
@@ -292,22 +287,6 @@ def test_run_inner_model_stationarity_satisfies_descent_inequality(high_level_ru
     assert checked >= 30
 
 
-def test_run_inner_alpha_iff_slow_reason(high_level_runs):
-    results = [res for _, _, res, _ in high_level_runs]
-    anchor, oracle = quartic_anchor(3.0 * np.ones(3), M=1e-6)
-    results.append(
-        run_inner(
-            anchor,
-            oracle,
-            ZeroComposite(),
-            InnerConfig(epsilon=1e-8),
-            float(np.linalg.norm(anchor.g_x)),
-        )
-    )
-    for res in results:
-        assert res.alpha is (res.stop_reason is StopReason.SLOW_CONVERGENCE)
-
-
 def test_run_inner_slow_certificate_at_tiny_level():
     # A level far below the problem's curvature must trip the
     # slow-convergence certificate, and the certificate inequality must hold
@@ -315,10 +294,7 @@ def test_run_inner_slow_certificate_at_tiny_level():
     for M in (1e-6, 1e-4):
         anchor, oracle = quartic_anchor(3.0 * np.ones(3), M=M)
         g_norm = float(np.linalg.norm(anchor.g_x))
-        res = run_inner(
-            anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8), g_norm
-        )
-        assert res.alpha is True
+        res = run_inner(anchor, oracle, ZeroComposite(), 1e-8, g_norm)
         assert res.stop_reason is StopReason.SLOW_CONVERGENCE
         lips, beta = inner_constants(anchor, g_norm)
         k_exit = res.iterations - 1
@@ -363,16 +339,13 @@ def test_slow_decay_certificate_unit_cases():
     assert slow_decay_violated(G, lips, beta, M, k) is direct
 
 
-def test_inner_config_validation():
-    cfg = InnerConfig(epsilon=1e-6)
-    assert cfg.max_inner == 10000
-    assert cfg.secular_tol == 1e-12
-    with pytest.raises(ValueError):
-        InnerConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(epsilon=1e-6, max_inner=0)
-    with pytest.raises(ValueError):
-        InnerConfig(epsilon=1e-6, secular_tol=0.0)
+def test_run_inner_validation():
+    anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
+    g_norm = float(np.linalg.norm(anchor.g_x))
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        run_inner(anchor, oracle, ZeroComposite(), 0.0, g_norm)
+    with pytest.raises(ValueError, match="max_inner must be at least 1"):
+        run_inner(anchor, oracle, ZeroComposite(), 1e-6, g_norm, max_inner=0)
 
 
 def test_run_inner_iteration_cap():
@@ -381,12 +354,12 @@ def test_run_inner_iteration_cap():
         anchor,
         oracle,
         ZeroComposite(),
-        InnerConfig(epsilon=1e-10, max_inner=1),
+        1e-10,
         float(np.linalg.norm(anchor.g_x)),
+        max_inner=1,
     )
     assert res.stop_reason is StopReason.ITERATION_CAP
     assert res.iterations == 1
-    assert res.alpha is False
     assert res.model_grad_norm == float(
         np.linalg.norm(omega_grad(anchor, oracle, res.x_plus))
     )
@@ -409,7 +382,7 @@ def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
     monkeypatch.setattr("tensormin.inner.rho_grad",
                         counting("rho_grad", rho_grad))
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    res = run_inner(anchor, oracle, ZeroComposite(), InnerConfig(epsilon=1e-8),
+    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8,
                     float(np.linalg.norm(anchor.g_x)))
     assert res.iterations > 1
     assert evaluated == {"omega_grad": res.iterations + 1,
@@ -423,7 +396,7 @@ def test_run_inner_trace_records():
         anchor,
         oracle,
         ZeroComposite(),
-        InnerConfig(epsilon=1e-6),
+        1e-6,
         float(np.linalg.norm(anchor.g_x)),
         trace=rows.append,
     )

@@ -2,6 +2,7 @@
 and the directional acceptance test."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -141,6 +142,16 @@ def test_solve_a_newton_cap_raises(monkeypatch):
         solve_a(1e-10, 1e8)
 
 
+def test_solve_a_overflow_raises_typed_error():
+    # The root is representable (solve_a(1e76, 1) ~ 2.3e56), but the bracket
+    # end hi = A makes a^4 leave float range.
+    assert 0.0 < solve_a(1e76, 1.0) < np.inf
+    for A, M in ((1e80, 1.0), (1e100, 1e8)):
+        named = re.escape("A = %.17g, M = %.17g" % (A, M))
+        with pytest.raises(RuntimeError, match=named):
+            solve_a(A, M)
+
+
 # -- mixture and acceptance test ------------------------------------------------------
 
 
@@ -169,10 +180,8 @@ def test_accept_test_accel_points_and_boundary():
 
 def test_accel_state_fresh_invariants():
     x0 = np.array([2.0, -1.0])
-    state = AccelState.fresh(x0, 3.0)
+    state = AccelState.fresh(x0)
     assert state.a_total == 0.0
-    assert state.t == 0
-    assert state.m == 3.0
     assert np.array_equal(state.v, x0)
     assert np.array_equal(state.x, x0)
     assert np.array_equal(state.lin_acc, np.zeros(2))
@@ -182,7 +191,7 @@ def test_accel_state_fresh_invariants():
 
 
 def test_update_phi_one_step_closed_form():
-    state = AccelState.fresh(np.zeros(2), 1.0)
+    state = AccelState.fresh(np.zeros(2))
     nxt = update_phi_and_v(
         state, 1.0, np.array([8.0, 0.0]), 0.0, np.array([0.0, 0.0])
     )
@@ -196,11 +205,10 @@ def test_update_phi_one_step_closed_form():
     assert np.linalg.norm(d) ** 3 == pytest.approx(np.linalg.norm(nxt.lin_acc), rel=1e-12)
     assert phi_min_value(nxt) == pytest.approx(-12.0, abs=1e-12)
     assert nxt.a_total == 1.0
-    assert nxt.t == 1
 
 
 def test_update_phi_zero_gradient_keeps_center():
-    state = AccelState.fresh(np.array([1.0, 1.0]), 1.0)
+    state = AccelState.fresh(np.array([1.0, 1.0]))
     nxt = update_phi_and_v(state, 2.0, np.zeros(2), 5.0, np.array([0.5, 0.5]))
     assert np.array_equal(nxt.v, state.x0)
     assert nxt.a_total == 2.0
@@ -208,7 +216,7 @@ def test_update_phi_zero_gradient_keeps_center():
 
 def test_update_phi_chained_minimizer_identities():
     rng = np.random.default_rng(41)
-    state = AccelState.fresh(rng.standard_normal(3), 1.0)
+    state = AccelState.fresh(rng.standard_normal(3))
     for _ in range(10):
         state = update_phi_and_v(
             state,

@@ -124,11 +124,11 @@ def test_run_basic_trace_levels_are_contiguous_doublings():
         if group[-1]["accepted"]:
             m_t = group[-1]["M_level"] / 2.0
         for r in group:
+            assert r["alpha"] is (r["stop_reason"] == "SlowConvergence")
             if r["alpha"]:
                 assert r["f_trial"] is None
                 assert r["grad_norm_trial"] is None
                 assert "x_trial" not in r
-                assert r["stop_reason"] == "SlowConvergence"
 
 
 def test_run_basic_oracle_call_conservation():
