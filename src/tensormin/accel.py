@@ -15,6 +15,7 @@ estimating-sequence rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,74 +27,56 @@ from .model import ModelAnchor
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 _MAX_NEWTON_STEPS = 200
 _STEP_RTOL = 4.0 * np.finfo(float).eps
-# Residual bound of the weight equation, relative to 1 + 16 (A + a)^3.
+# Residual bound of the weight equation in gamma form, relative to k + A gamma^4.
 _WEIGHT_TOL = 1e-12
 
 
 def solve_a(a_prev_total, m_level):
     """Positive root a of  18^3 M a^4 = 16 (A + a)^3  for A = a_prev_total.
 
-    a^4 / (A + a)^3 is strictly increasing on a > 0, so the root a* is
-    unique.  A = 0 has the closed form a = 16 / (18^3 M).
+    With k = 16 / (18^3 M) and gamma = a / (A + a) the equation reads
 
-    Otherwise Newton's method runs on u(a) = 18^3 M a^4 - 16 (A + a)^3 from
-    a bracket end hi with u(hi) > 0.  On [a*, inf) u is increasing and
-    convex: with s = A + a >= a, at the root u'' = 96 s (2 s^2 / a^2 - 1) > 0,
-    and u''' = 24 (18^3 M a - 4) > 0 there and beyond.  So Newton started
-    right of the root decreases monotonically to a* and never leaves
-    (0, hi].  It stops when u(a) <= 0 (rounding has reached the root) or
-    the step is at most 4 eps a, and raises RuntimeError after 200 steps.
+        p(gamma) = A gamma^4 + k gamma - k = 0,      a = k / gamma^3,
 
-    The root satisfies |18^3 M a^4 - 16 (A + a)^3| <= 1e-12 (1 + 16 (A + a)^3);
-    a miss raises RuntimeError, as does a u(a) beyond float range (A or M
-    so large that the bracket end overflows a^4).
+    on (0, 1].  p is increasing and convex there, p(0) = -k < 0, and
+    p >= 0 at gamma_0 = min(1, (k / A)^(1/4)), so the root is unique and
+    Newton's method started at gamma_0 decreases monotonically to it.  It
+    stops when p(gamma) <= 0 (rounding has reached the root) or the step is
+    at most 4 eps gamma, and raises RuntimeError after 200 steps.  A = 0
+    gives gamma = 1 and a = k exactly.  gamma_0 is formed from fourth roots
+    of k and A separately, so no A or M in float range overflows.
+
+    The root satisfies |p(gamma)| <= 1e-12 (k + A gamma^4); a miss raises
+    RuntimeError.
     """
     A = float(a_prev_total)
     if A < 0.0:
         raise ValueError("accumulated weight A must be nonnegative")
     if m_level <= 0.0:
         raise ValueError("level M must be positive")
-    coef = _SCALE * m_level
-    if A == 0.0:
-        return 16.0 / coef
+    k = 16.0 / (_SCALE * m_level)
 
-    def u(a):
-        s = A + a
-        try:
-            return coef * a**4 - 16.0 * s * s * s
-        except OverflowError:
-            raise RuntimeError(
-                "weight equation overflows float range at a = %.17g "
-                "(A = %.17g, M = %.17g)" % (a, A, m_level)) from None
+    def p(g):
+        return A * g**4 - k * (1.0 - g)
 
-    hi = max(1.0, A, 32.0 / coef)
-    guard = 0
-    while u(hi) <= 0.0:
-        hi *= 2.0
-        guard += 1
-        if guard > 400:
-            raise RuntimeError("weight-equation bracket expansion failed")
-
-    a = hi
+    g = 1.0 if A <= k else math.sqrt(math.sqrt(k)) / math.sqrt(math.sqrt(A))
     for _ in range(_MAX_NEWTON_STEPS):
-        val = u(a)
+        val = p(g)
         if val <= 0.0:
             break
-        s = A + a
-        step = val / (4.0 * coef * a**3 - 48.0 * s * s)
-        a -= step
-        if step <= _STEP_RTOL * a:
+        step = val / (4.0 * A * g**3 + k)
+        g -= step
+        if step <= _STEP_RTOL * g:
             break
     else:
         raise RuntimeError(
             "weight-equation Newton iteration did not converge in %d steps "
             "(A = %.17g, M = %.17g)" % (_MAX_NEWTON_STEPS, A, m_level))
 
-    s = A + a
-    res = abs(coef * a**4 - 16.0 * s**3)
-    if res > _WEIGHT_TOL * (1.0 + 16.0 * s**3):
+    res = abs(p(g))
+    if res > _WEIGHT_TOL * (k + A * g**4):
         raise RuntimeError("weight-equation residual %.3e exceeds tolerance" % res)
-    return a
+    return k / g**3
 
 
 def mix_z(x_t, v_t, a_total, a_t):

@@ -14,6 +14,7 @@ with its own anchor, acceptance test and update.
 from __future__ import annotations
 
 import logging
+import math
 import time
 
 import numpy as np
@@ -38,21 +39,6 @@ class LevelSearchError(RuntimeError):
     its gradient norm against epsilon and its decrease f_x - f_trial (when
     the method knows both values).
     """
-
-
-def initial_level(m_t, m_0):
-    """Smallest i >= 0 with 2^i m_t >= 2 m_0 (every trial level stays >= 2 m_0)."""
-    if m_t <= 0.0 or m_0 <= 0.0:
-        raise ValueError("levels must be positive")
-    i = 0
-    level = float(m_t)
-    target = 2.0 * float(m_0)
-    while level < target:
-        level *= 2.0
-        i += 1
-        if i > _MAX_LEVEL_DOUBLINGS:
-            raise RuntimeError("initial level search did not terminate")
-    return i
 
 
 def accept_test_basic(f_x, f_trial, grad_norm_trial, m_level):
@@ -82,9 +68,10 @@ def run_basic(
     x0 : array
         Starting point (must lie in the composite domain).
     m0 : float
-        Initial level estimate; every trial level is kept >= 2 m0.
+        Initial level estimate (finite, positive); every trial level is kept
+        >= 2 m0.
     epsilon : float
-        Target composite gradient norm.
+        Target composite gradient norm (finite, positive).
     max_outer, max_inner : int
         Iteration caps; hitting either aborts the run with ``converged=False``.
     trace_sink : callable, optional
@@ -159,12 +146,16 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                  max_inner, trace_sink):
     """The adaptive level rule shared by the basic and accelerated methods.
 
-    Each outer step t runs the inner solver at levels 2^i M_t from
-    ``initial_level(M_t, m0)`` upwards, doubling while the solver certifies
-    slow progress or the trial is rejected, and sets M_{t+1} to half the
-    accepted level.  A trial whose composite gradient norm is <= epsilon
-    ends the run.  Arguments and return value are those of ``run_basic``.
-    An ``OracleError`` raised during outer step t at level index i is
+    Each outer step t runs the inner solver at levels 2^i M_t, doubling
+    while the solver certifies slow progress or the trial is rejected, and
+    sets M_{t+1} to half the accepted level.  M_0 = m0 and every accepted
+    level is >= 2 m0, so each M_t is m0 2^k (k >= 0) exactly in floating
+    point, and the first index i, the smallest that keeps the trial level
+    >= 2 m0, is 1 when M_t = m0 and 0 otherwise.  A trial whose composite
+    gradient norm is <= epsilon ends the run.  Arguments and return value
+    are those of ``run_basic``; a non-finite or nonpositive ``m0`` or
+    ``epsilon`` raises ValueError before any oracle call.  An
+    ``OracleError`` raised during outer step t at level index i is
     re-raised with t and i added to its message.  A step whose 201 levels
     all fail raises ``LevelSearchError``.
 
@@ -187,12 +178,15 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     if not composite.in_domain(x0):
         raise ValueError("x0 lies outside the composite term's domain")
     eps = float(epsilon)
-    if eps <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("epsilon must be finite and positive, got %r" % eps)
+    m0 = float(m0)
+    if not 0.0 < m0 < math.inf:
+        raise ValueError("m0 must be finite and positive, got %r" % m0)
 
     step = make_step(oracle, composite, x0)
     final = (x0, step.f, step.gnorm)
-    m_t = float(m0)
+    m_t = m0
     it = 0
     bgm_e = 0
     bgm_it = 0
@@ -206,7 +200,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     try:
         for t in range(max_outer):
-            i = initial_level(m_t, m0)
+            i = 0 if m_t >= 2.0 * m0 else 1
             m_first = m_t * 2.0**i
             trial = None  # (gradient norm, value) of the last evaluated trial
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):

@@ -38,8 +38,8 @@ def _eps_list(text):
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("accuracies must be comma-separated floats")
-    if not values or any(v <= 0.0 for v in values):
-        raise argparse.ArgumentTypeError("accuracies must be positive")
+    if not values:
+        raise argparse.ArgumentTypeError("no accuracies given")
     return values
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -53,16 +54,16 @@ class RunConfig:
             raise ValueError("solver must be 'basic' or 'accel'")
         if not self.epsilons:
             raise ValueError("at least one target accuracy is required")
-        if any(e <= 0.0 for e in self.epsilons):
-            raise ValueError("target accuracies must be positive")
-        if self.m0 <= 0.0:
-            raise ValueError("m0 must be positive")
+        if not all(0.0 < e < math.inf for e in self.epsilons):
+            raise ValueError("target accuracies must be finite and positive")
+        if not 0.0 < self.m0 < math.inf:
+            raise ValueError("m0 must be finite and positive")
         if self.problem == "quartic" and (self.n is None or self.n < 1):
             raise ValueError("quartic problem needs a positive dimension n")
         if self.problem == "quartic" and self.dataset_path is not None:
             raise ValueError("dataset_path only applies to the logistic problem")
-        if self.fd_tau is not None and self.fd_tau <= 0.0:
-            raise ValueError("fd_tau must be positive")
+        if self.fd_tau is not None and not 0.0 < self.fd_tau < math.inf:
+            raise ValueError("fd_tau must be finite and positive")
 
 
 def bundled_dataset_path():

@@ -68,14 +68,15 @@ class InnerResult:
     model_grad_norm: float
 
 
-def secular_solve(d, q, M, c, e=None):
+def secular_solve(factor, M, c):
     """Solve (H + (M / 2) ||h||^2 I) h = c for h, given H = Q T Q^T.
 
-    T = tridiag(d, e) is symmetric positive semidefinite; ``e=None`` is the
-    diagonal case, T = diag(d), in which (d, Q) is an eigendecomposition.  In
-    the coordinates of Q, with c^ = Q^T c, the solution is h = Q h^(sigma)
-    where h^(sigma) = (T + sigma I)^{-1} c^ and sigma = (M / 2) ||h^||^2 is the
-    unique positive root of the secular equation
+    ``factor`` is the anchor's ``HessianFactor``, with T = tridiag(d, e)
+    symmetric positive semidefinite (e = 0 makes (d, Q) an
+    eigendecomposition).  In the coordinates of Q, with c^ = Q^T c, the
+    solution is h = Q h^(sigma) where h^(sigma) = (T + sigma I)^{-1} c^ and
+    sigma = (M / 2) ||h^||^2 is the unique positive root of the secular
+    equation
 
         phi(sigma) := 1 / ||h^(sigma)||  -  sqrt(M / (2 sigma))  =  0.
 
@@ -103,15 +104,11 @@ def secular_solve(d, q, M, c, e=None):
     SecularSolveError.  c = 0 returns h = 0 exactly; T = 0 (zero Hessian)
     gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
-    d = np.asarray(d, dtype=float)
-    q = np.asarray(q, dtype=float)
-    c = np.asarray(c, dtype=float)
+    d, e, q = factor
     if M <= 0.0:
         raise ValueError("M must be positive")
     if d.min() < 0.0:
         raise ValueError("diagonal of T must be nonnegative (shift upstream)")
-    n = d.size
-    e = np.zeros(n - 1) if e is None else np.asarray(e, dtype=float)
 
     ct = q.T @ c
     cnorm = float(np.linalg.norm(ct))
@@ -121,7 +118,7 @@ def secular_solve(d, q, M, c, e=None):
     half_m = 0.5 * M
     root_half_m = math.sqrt(half_m)
     # SciPy's dpttrf/dpttrs wrappers want an off-diagonal of length 1 at n = 1.
-    e_lapack = e if n > 1 else np.zeros(1)
+    e_lapack = e if d.size > 1 else np.zeros(1)
 
     def evaluate(sigma):
         """(h^, ||h^||, phi, phi') at sigma > 0.
@@ -164,8 +161,7 @@ def secular_solve(d, q, M, c, e=None):
     # The isotropic model lambda r + (M / 2) r^3 = ||c||, with lambda the
     # Rayleigh quotient of c^, is exact when c^ is an eigenvector of T.  Its
     # root, in a cancellation-free form of Cardano's formula:
-    lam = max(float(np.dot(ct, tridiagonal_product(d, e, ct))) / (cnorm * cnorm),
-              0.0)
+    lam = max(float(np.dot(ct, factor.tri(ct))) / (cnorm * cnorm), 0.0)
     p3 = lam / (3.0 * half_m)
     qh = 0.5 * cnorm / half_m
     u = (qh + math.sqrt(qh * qh + p3 * p3 * p3)) ** (1.0 / 3.0)
@@ -201,7 +197,7 @@ def secular_solve(d, q, M, c, e=None):
         lapack_check("dpttrf", lapack.dpttrf(d + sigma, e_lapack)[2], sigma)
 
     res = float(np.linalg.norm(
-        tridiagonal_product(d, e, hh) + half_m * hn * hn * hh - ct))
+        factor.tri(hh) + half_m * hn * hn * hh - ct))
     bound = SECULAR_TOL * (1.0 + cnorm)
     if res > bound:
         raise SecularSolveError(
@@ -222,14 +218,6 @@ def _confirm_end(phi_at, end, factor, limit, which):
             return end
         end *= factor
     raise SecularSolveError("secular %s bracket expansion failed" % which)
-
-
-def tridiagonal_product(d, e, x):
-    """T x for T = tridiag(d, e), in O(n)."""
-    y = d * x
-    y[:-1] += e * x[1:]
-    y[1:] += e * x[:-1]
-    return y
 
 
 def bregman_step(anchor, oracle, composite, y, gom=None, grho=None):
@@ -258,7 +246,7 @@ def bregman_step(anchor, oracle, composite, y, gom=None, grho=None):
     if grho is None:
         grho = rho_grad(anchor, y)
     c = grho - gom / 3.0
-    h = secular_solve(anchor.tri_d, anchor.tri_q, anchor.M, c, anchor.tri_e)
+    h = secular_solve(anchor.factor, anchor.M, c)
     y_next = anchor.x + h
     grho_next = rho_grad(anchor, y_next)
     g_psi = -gom + 3.0 * (grho - grho_next)

@@ -17,12 +17,13 @@ intermediates at x are computed once.
 The inner solver needs products with H and solves with H + sigma I, never
 H's eigenvectors, so the anchor factors H by Householder tridiagonal
 reduction, H = Q T Q^T (LAPACK ``dsytrd`` and ``dorghr``), at a fraction of
-the cost of an eigendecomposition.
+the cost of an eigendecomposition, and keeps H only as that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
@@ -67,13 +68,33 @@ def lapack_check(routine, info, sigma=None):
                                 % (routine, info, at))
 
 
+class HessianFactor(NamedTuple):
+    """H = Q T Q^T with T = tridiag(d, e) and Q = q orthogonal."""
+
+    d: np.ndarray
+    e: np.ndarray
+    q: np.ndarray
+
+    def tri(self, x):
+        """T x, in O(n)."""
+        y = self.d * x
+        y[:-1] += self.e * x[1:]
+        y[1:] += self.e * x[:-1]
+        return y
+
+    def apply(self, h):
+        """H h = Q T Q^T h."""
+        return self.q @ self.tri(self.q.T @ h)
+
+
 def tridiagonal_factor(H):
     """H = Q T Q^T with T = tridiag(d, e), shifted to be positive semidefinite.
 
-    Returns ``(d, e, Q)`` with Q orthogonal.  The smallest eigenvalue of T
-    (and of H) is found by bisection on T in O(n); below the convexity floor
-    (see ConvexityError) it raises ConvexityError, and otherwise d is shifted
-    up by max(0, -lambda_min).
+    Returns a ``HessianFactor`` whose arrays are read-only.  The smallest
+    eigenvalue of T (and of H) is found by bisection on T in O(n); below the
+    convexity floor (see ConvexityError) it raises ConvexityError, and
+    otherwise d is shifted up by max(0, -lambda_min).  The shifted factor is
+    the anchor's only Hessian.
     """
     n = H.shape[0]
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
@@ -106,7 +127,10 @@ def tridiagonal_factor(H):
             "anchor Hessian has smallest eigenvalue lambda_min = %.3e < -%.3e"
             % (lam_min, floor)
         )
-    return d + max(0.0, -lam_min), e, q
+    factor = HessianFactor(d + max(0.0, -lam_min), e, q)
+    for a in factor:  # fresh arrays: frozen in place, not copied
+        a.setflags(write=False)
+    return factor
 
 
 def d4_value(h):
@@ -122,33 +146,25 @@ def d4_grad(h):
     return float(np.dot(h, h)) * h
 
 
-def _frozen(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(eq=False)
 class ModelAnchor:
     """Frozen oracle data of f at one anchor point, plus the level M.
 
-    All cached quantities (value, gradient, Hessian, trace, and the
-    tridiagonal factorization H = Q T Q^T with T = tridiag(tri_d, tri_e) and
-    Q = tri_q) belong to the same x, and ``point`` is the oracle point they
-    were queried through.  ``with_m`` re-levels the anchor without
-    touching the cached data, so level escalations at a fixed anchor cost no
-    oracle calls.
+    All cached quantities (value, gradient, Hessian trace, and the Hessian
+    itself, kept only as its ``HessianFactor`` H = Q T Q^T after the
+    convexity shift) belong to the same x, and ``point`` is the oracle point
+    they were queried through.  The model, the scaling function and the
+    secular solves all use that one factor.  ``with_m`` re-levels the anchor
+    without touching the cached data, so level escalations at a fixed anchor
+    cost no oracle calls.
     """
 
     x: np.ndarray
     f_x: float
     g_x: np.ndarray
-    H_x: np.ndarray
+    factor: HessianFactor
     trace_H: float
     M: float
-    tri_d: np.ndarray
-    tri_e: np.ndarray
-    tri_q: np.ndarray
     point: Point = field(repr=False)
 
     @classmethod
@@ -166,21 +182,17 @@ class ModelAnchor:
             f_x = oracle.value(p)
         if g_x is None:
             g_x = oracle.grad(p)
+        g_x = np.asarray(g_x, dtype=float)
+        g_x.setflags(write=False)  # frozen in place, not copied
         H = oracle.hessian(p)
         trace_h = oracle.hessian_trace(p)
-        d, e, q = tridiagonal_factor(H)
-        for a in (d, e, q):  # fresh arrays: frozen in place, not copied
-            a.setflags(write=False)
         return cls(
             x=p.x,
             f_x=float(f_x),
-            g_x=_frozen(g_x),
-            H_x=_frozen(H),
+            g_x=g_x,
+            factor=tridiagonal_factor(H),
             trace_H=float(trace_h),
             M=float(M),
-            tri_d=d,
-            tri_e=e,
-            tri_q=q,
             point=p,
         )
 
@@ -208,7 +220,7 @@ def taylor3_value(anchor, oracle, y):
     return (
         anchor.f_x
         + float(np.dot(anchor.g_x, h))
-        + 0.5 * float(h @ anchor.H_x @ h)
+        + 0.5 * float(np.dot(anchor.factor.apply(h), h))
         + float(np.dot(t, h)) / 6.0
     )
 
@@ -230,19 +242,19 @@ def omega_grad(anchor, oracle, y):
     """
     h = np.asarray(y, dtype=float) - anchor.x
     t = anchor.third_at(oracle, h)
-    return anchor.g_x + anchor.H_x @ h + 0.5 * t + 0.5 * anchor.M * d4_grad(h)
+    return anchor.g_x + anchor.factor.apply(h) + 0.5 * t + 0.5 * anchor.M * d4_grad(h)
 
 
 def rho_value(anchor, y):
     """Scaling function rho(y) = 1/2 <H h, h> + (M / 2) d4(h)."""
     h = np.asarray(y, dtype=float) - anchor.x
-    return 0.5 * float(h @ anchor.H_x @ h) + 0.5 * anchor.M * d4_value(h)
+    return 0.5 * float(np.dot(anchor.factor.apply(h), h)) + 0.5 * anchor.M * d4_value(h)
 
 
 def rho_grad(anchor, y):
     """Gradient H h + (M / 2) ||h||^2 h of the scaling function."""
     h = np.asarray(y, dtype=float) - anchor.x
-    return anchor.H_x @ h + 0.5 * anchor.M * d4_grad(h)
+    return anchor.factor.apply(h) + 0.5 * anchor.M * d4_grad(h)
 
 
 def bregman_div(anchor, u, v):

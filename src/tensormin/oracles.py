@@ -386,12 +386,6 @@ def fd_third_directional(oracle, x, h, tau, g0=None):
     the order x + tau h, x - tau h, x; two when the gradient ``g0`` at x is
     passed in.
     """
-    return _second_difference(oracle, x, h, tau, g0)[0]
-
-
-def _second_difference(oracle, x, h, tau, g0):
-    """``(T_tau(h), g0)``: the formula of ``fd_third_directional``, also
-    returning the gradient at x it used."""
     if tau <= 0.0:
         raise ValueError("tau must be positive, got %r" % (tau,))
     xv = as_point(x).x
@@ -400,7 +394,7 @@ def _second_difference(oracle, x, h, tau, g0):
     gm = oracle.grad(xv - tau * h)
     if g0 is None:
         g0 = oracle.grad(x)
-    return (gp + gm - 2.0 * g0) / tau**2, g0
+    return (gp + gm - 2.0 * g0) / tau**2
 
 
 class FdThirdOracle:
@@ -450,10 +444,12 @@ class FdThirdOracle:
         p = as_point(x)
         key = p.x.tobytes()
         cached = self._g0
-        g0 = cached[1] if cached is not None and cached[0] == key else None
-        t, g0 = _second_difference(self.base, p, h, self.tau, g0)
-        self._g0 = (key, g0)
-        return t
+        if cached is not None and cached[0] == key:
+            g0 = cached[1]
+        else:
+            g0 = self.base.grad(p)
+            self._g0 = (key, g0)
+        return fd_third_directional(self.base, p, h, self.tau, g0)
 
 
 # -- derivative checks --------------------------------------------------------

@@ -15,7 +15,7 @@ from tensormin.accel import run_accel
 from tensormin.basic import run_basic
 from tensormin.harness import RunConfig, run_experiment
 from tensormin.inner import StopReason, run_inner, secular_solve
-from tensormin.model import ModelAnchor, inner_constants
+from tensormin.model import HessianFactor, ModelAnchor, inner_constants
 from tensormin.oracles import (
     Dataset,
     FdThirdOracle,
@@ -71,7 +71,7 @@ def test_a2_secular_solver_residuals():
         w = np.clip(w, 0.0, None)
         m_reg = 10.0 ** rng.uniform(-3.0, 3.0)
         c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-        h = secular_solve(w, v, m_reg, c)
+        h = secular_solve(HessianFactor(w, np.zeros(n - 1), v), m_reg, c)
         resid = np.linalg.norm(
             h_mat @ h + 0.5 * m_reg * float(h @ h) * h - c
         )

@@ -88,6 +88,11 @@ def test_run_config_validation():
         RunConfig(problem="quartic", n=2, epsilons=[1e-2, 0.0])
     with pytest.raises(ValueError):
         RunConfig(problem="quartic", n=2, m0=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="m0 must be finite and positive"):
+            RunConfig(problem="quartic", n=2, m0=bad)
+        with pytest.raises(ValueError, match="accuracies must be finite"):
+            RunConfig(problem="quartic", n=2, epsilons=[1e-2, bad])
     with pytest.raises(ValueError):
         RunConfig(problem="quartic")  # missing dimension
     with pytest.raises(ValueError):
@@ -364,6 +369,18 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
                  "--eps", "1e-2", "--dataset",
                  str(tmp_path / "nope.csv")]) == 1
     capsys.readouterr()  # drain the error messages
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--m0", "--fd-tau"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_cli_nonfinite_or_nonpositive_parameters_exit_one(flag, bad, capsys):
+    argv = ["solve", "--problem", "quartic", "--n", "2", "--solver", "basic",
+            "--eps", "1e-2"]
+    code = main(argv + [flag, bad])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("tensormin: error:")
+    assert "finite and positive" in err
 
 
 def test_cli_zero_start_immediate_success(tmp_path):

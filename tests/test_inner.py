@@ -17,6 +17,7 @@ from tensormin.inner import (
     slow_decay_violated,
 )
 from tensormin.model import (
+    HessianFactor,
     ModelAnchor,
     SecularSolveError,
     inner_constants,
@@ -38,6 +39,13 @@ class AbsComposite(CompositeTerm):
 
     def in_domain(self, x):
         return True
+
+
+def diagonal(d, q=None):
+    """The factor of H = Q diag(d) Q^T (Q = I by default)."""
+    d = np.asarray(d, dtype=float)
+    return HessianFactor(d, np.zeros(d.size - 1),
+                         np.eye(d.size) if q is None else q)
 
 
 def quartic_anchor(x, M):
@@ -67,7 +75,7 @@ def high_level_runs():
 
 
 def test_secular_zero_rhs_returns_zero():
-    h = secular_solve(np.array([1.0, 2.0]), np.eye(2), 3.0, np.zeros(2))
+    h = secular_solve(diagonal([1.0, 2.0]), 3.0, np.zeros(2))
     assert np.array_equal(h, np.zeros(2))
 
 
@@ -79,7 +87,7 @@ def test_secular_rank_zero_hessian_closed_form():
         n = int(rng.integers(1, 7))
         c = rng.standard_normal(n) * float(10 ** rng.uniform(-2, 2))
         M = float(10 ** rng.uniform(-2, 2))
-        h = secular_solve(np.zeros(n), np.eye(n), M, c)
+        h = secular_solve(diagonal(np.zeros(n)), M, c)
         cnorm = np.linalg.norm(c)
         expected = (2.0 / M) ** (1.0 / 3.0) * c / cnorm ** (2.0 / 3.0)
         assert np.allclose(h, expected, rtol=1e-10, atol=1e-12)
@@ -87,7 +95,7 @@ def test_secular_rank_zero_hessian_closed_form():
 
 def test_secular_one_dimensional_cubic_root():
     # (1 + r^2) r = 2 has the unique real root r = 1.
-    h = secular_solve(np.array([1.0]), np.eye(1), 2.0, np.array([2.0]))
+    h = secular_solve(diagonal([1.0]), 2.0, np.array([2.0]))
     assert h == pytest.approx([1.0], abs=1e-12)
 
 
@@ -102,7 +110,7 @@ def test_secular_residuals_on_random_systems():
         w = np.clip(w, 0.0, None)
         M = float(10 ** rng.uniform(-3, 3))
         c = rng.standard_normal(n) * float(10 ** rng.uniform(-3, 3))
-        h = secular_solve(w, q, M, c)
+        h = secular_solve(diagonal(w, q), M, c)
         lhs = H @ h + 0.5 * M * float(np.dot(h, h)) * h
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
 
@@ -118,11 +126,11 @@ def test_secular_residuals_on_random_tridiagonal_systems():
         B = rng.standard_normal((rows, n))
         H = B.T @ B
         H = 0.5 * (H + H.T)
-        d, e, q = tridiagonal_factor(H)
-        tridiagonal += bool(np.any(e))
+        factor = tridiagonal_factor(H)
+        tridiagonal += bool(np.any(factor.e))
         M = float(10 ** rng.uniform(-3, 3))
         c = rng.standard_normal(n) * float(10 ** rng.uniform(-3, 3))
-        h = secular_solve(d, q, M, c, e=e)
+        h = secular_solve(factor, M, c)
         lhs = H @ h + 0.5 * M * float(np.dot(h, h)) * h
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
     assert tridiagonal >= 90
@@ -133,16 +141,17 @@ def test_secular_residual_miss_raises_typed_error(monkeypatch):
     rng = np.random.default_rng(5)
     H = rng.standard_normal((6, 6))
     H = H.T @ H
-    d, e, q = tridiagonal_factor(0.5 * (H + H.T))
+    factor = tridiagonal_factor(0.5 * (H + H.T))
     with pytest.raises(SecularSolveError, match="residual"):
-        secular_solve(d, q, 1.0, rng.standard_normal(6), e=e)
+        secular_solve(factor, 1.0, rng.standard_normal(6))
 
 
 def test_secular_bracket_expansion_failure_raises_typed_error():
     # T = [[1, 1e40], [1e40, 1]] has a nonnegative diagonal but is far from
     # PSD: T + sigma I breaks down for every sigma the upper end reaches.
     with pytest.raises(SecularSolveError, match="upper bracket expansion failed"):
-        secular_solve(np.ones(2), np.eye(2), 1.0, np.ones(2), e=np.array([1e40]))
+        secular_solve(HessianFactor(np.ones(2), np.array([1e40]), np.eye(2)),
+                      1.0, np.ones(2))
 
 
 def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
@@ -152,15 +161,15 @@ def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
     monkeypatch.setattr(inner.lapack, "dpttrs", failing_dpttrs)
     with pytest.raises(SecularSolveError,
                        match="dpttrs returned info = -3 at sigma = "):
-        secular_solve(np.array([1.0, 2.0]), np.eye(2), 1.0, np.ones(2),
-                      e=np.array([0.5]))
+        secular_solve(HessianFactor(np.array([1.0, 2.0]), np.array([0.5]),
+                                    np.eye(2)), 1.0, np.ones(2))
 
 
 def test_secular_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        secular_solve(np.array([1.0]), np.eye(1), 0.0, np.array([1.0]))
+        secular_solve(diagonal([1.0]), 0.0, np.array([1.0]))
     with pytest.raises(ValueError):
-        secular_solve(np.array([-0.5, 1.0]), np.eye(2), 1.0, np.ones(2))
+        secular_solve(diagonal([-0.5, 1.0]), 1.0, np.ones(2))
 
 
 # -- Bregman step ----------------------------------------------------------------

@@ -374,8 +374,8 @@ def test_anchor_rejects_rotated_nonconvex_hessian():
 def test_anchor_shifts_rounding_noise_eigenvalues():
     oracle = QuadraticOracle(np.diag([-5e-11, 1.0]), np.zeros(2))
     anchor = ModelAnchor.from_oracle(oracle, np.zeros(2), M=1.0)
-    assert anchor.tri_d.min() == 0.0
-    assert np.array_equal(anchor.tri_d, [0.0, 1.0 + 5e-11])
+    assert anchor.factor.d.min() == 0.0
+    assert np.array_equal(anchor.factor.d, [0.0, 1.0 + 5e-11])
 
 
 def test_anchor_accepts_rotated_rounding_noise_hessian():
@@ -387,14 +387,30 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
         P = rotated([-5e-11, 1.0, 2.0], seed)
         oracle = QuadraticOracle(P, rng.standard_normal(3))
         anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
-        t = tridiag_dense(anchor.tri_d, anchor.tri_e)
+        d, e, q = anchor.factor
+        t = tridiag_dense(d, e)
         assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(P, 2)
         y1, _, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
         h = y1 - anchor.x
         c = -oracle.grad(anchor.x) / 3.0
-        shifted = anchor.tri_q @ t @ anchor.tri_q.T
+        shifted = q @ t @ q.T
         lhs = shifted @ h + 0.5 * anchor.M * float(h @ h) * h
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
+
+
+def test_rounding_noise_anchor_step_certificate_vanishes():
+    # The model, the scaling function and the secular solve share the one
+    # shifted Hessian Q T Q^T, so the first Bregman step's certificate
+    # g_psi (zero for an exact step) vanishes to the secular tolerance even
+    # where T was shifted by about 5e-11.
+    rng = np.random.default_rng(31)
+    for seed in range(5):
+        P = rotated([-5e-11, 1.0, 2.0], seed)
+        oracle = QuadraticOracle(P, rng.standard_normal(3))
+        anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
+        _, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
+        gnorm = np.linalg.norm(oracle.grad(anchor.x))
+        assert np.linalg.norm(g_psi) <= 1e-12 * (1.0 + gnorm)
 
 
 def rank_deficient_psd(seed):
@@ -440,18 +456,18 @@ def test_anchor_tridiagonal_factor_reconstructs_hessian():
     _, oracle = make_logistic(25, 4, seed=17)
     x = np.random.default_rng(18).standard_normal(oracle.n)
     anchor = ModelAnchor.from_oracle(oracle, x, M=1.0)
-    q = anchor.tri_q
-    rebuilt = q @ tridiag_dense(anchor.tri_d, anchor.tri_e) @ q.T
-    scale = 1.0 + np.abs(anchor.H_x).max()
-    assert np.abs(rebuilt - anchor.H_x).max() <= 1e-8 * scale
+    d, e, q = anchor.factor
+    rebuilt = q @ tridiag_dense(d, e) @ q.T
+    H = oracle.hessian(x)
+    scale = 1.0 + np.abs(H).max()
+    assert np.abs(rebuilt - H).max() <= 1e-8 * scale
     assert np.abs(q.T @ q - np.eye(oracle.n)).max() <= 1e-12
 
 
 def test_anchor_arrays_are_frozen():
     oracle = quartic_oracle(2)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
-    for arr in (anchor.x, anchor.g_x, anchor.H_x, anchor.tri_d, anchor.tri_e,
-                anchor.tri_q):
+    for arr in (anchor.x, anchor.g_x, *anchor.factor):
         with pytest.raises(ValueError):
             arr[0] = 0.0 if arr.ndim == 1 else arr[0]
 
@@ -460,9 +476,9 @@ def test_anchor_one_dimensional_factor():
     # At n = 1 dsytrd returns an empty off-diagonal and there is no reflector.
     oracle = QuadraticOracle(np.array([[2.0]]), np.array([-3.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.5]), M=4.0)
-    assert np.array_equal(anchor.tri_d, [2.0])
-    assert anchor.tri_e.shape == (0,)
-    assert np.array_equal(anchor.tri_q, [[1.0]])
+    assert np.array_equal(anchor.factor.d, [2.0])
+    assert anchor.factor.e.shape == (0,)
+    assert np.array_equal(anchor.factor.q, [[1.0]])
 
 
 def test_with_m_shares_anchor_data_without_oracle_calls():
@@ -473,10 +489,7 @@ def test_with_m_shares_anchor_data_without_oracle_calls():
     assert oracle.calls.total() == before
     assert lifted.M == 16.0
     assert lifted.x is anchor.x
-    assert lifted.H_x is anchor.H_x
-    assert lifted.tri_d is anchor.tri_d
-    assert lifted.tri_e is anchor.tri_e
-    assert lifted.tri_q is anchor.tri_q
+    assert lifted.factor is anchor.factor
     assert lifted.point is anchor.point
 
 

@@ -2,7 +2,7 @@
 and the directional acceptance test."""
 
 import json
-import re
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -135,21 +135,24 @@ def test_solve_a_residual_bound_over_wide_range():
 
 
 def test_solve_a_newton_cap_raises(monkeypatch):
-    # From the bracket end hi = 1 down to a* ~ 2.7e-11 takes 85 iterations.
+    # From gamma_0 = (k / A)^(1/4) ~ 0.72 the iteration makes 5 Newton steps
+    # and stops on the sixth evaluation.
     assert solve_a(1e-10, 1e8) > 0.0
     monkeypatch.setattr(tensormin.accel, "_MAX_NEWTON_STEPS", 3)
     with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
         solve_a(1e-10, 1e8)
 
 
-def test_solve_a_overflow_raises_typed_error():
-    # The root is representable (solve_a(1e76, 1) ~ 2.3e56), but the bracket
-    # end hi = A makes a^4 leave float range.
-    assert 0.0 < solve_a(1e76, 1.0) < np.inf
-    for A, M in ((1e80, 1.0), (1e100, 1e8)):
-        named = re.escape("A = %.17g, M = %.17g" % (A, M))
-        with pytest.raises(RuntimeError, match=named):
-            solve_a(A, M)
+def test_solve_a_roots_where_a_to_the_fourth_overflows():
+    # For A >= 1e77 the root is representable but a^4 is not, so the
+    # equation is checked in logarithms: 4 log a = log k + 3 log(A + a).
+    for A, M in ((1e76, 1.0), (1e80, 1.0), (1e100, 1e8), (1e300, 1.0),
+                 (1e300, 1e8), (1e300, 1e-8)):
+        a = solve_a(A, M)
+        assert 0.0 < a < np.inf
+        lhs = 4.0 * math.log(a)
+        rhs = math.log(16.0 / (_SCALE * M)) + 3.0 * math.log(A + a)
+        assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
 
 
 # -- mixture and acceptance test ------------------------------------------------------

@@ -6,12 +6,8 @@ import pytest
 
 from conftest import make_logistic
 import tensormin
-from tensormin.basic import (
-    LevelSearchError,
-    accept_test_basic,
-    initial_level,
-    run_basic,
-)
+from tensormin.accel import run_accel
+from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
 from tensormin.inner import StopReason
 from tensormin.oracles import SmoothOracle, ZeroComposite, quartic_oracle
 
@@ -27,15 +23,16 @@ def run_quartic(n, x0, m0, epsilon, **kw):
 # -- level selection and acceptance test ------------------------------------------
 
 
-def test_initial_level_points():
-    assert initial_level(1.0, 1.0) == 1
-    assert initial_level(2.0, 1.0) == 0
-    assert initial_level(1.5, 1.0) == 1
-    assert initial_level(0.25, 1.0) == 3
-    with pytest.raises(ValueError):
-        initial_level(0.0, 1.0)
-    with pytest.raises(ValueError):
-        initial_level(1.0, -2.0)
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+@pytest.mark.parametrize("name", ["m0", "epsilon"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_nonfinite_or_nonpositive_m0_and_epsilon_fail_before_any_call(
+        solve, name, bad):
+    oracle = quartic_oracle(2)
+    args = {"m0": 1.0, "epsilon": 1e-6, name: bad}
+    with pytest.raises(ValueError, match="%s must be finite and positive" % name):
+        solve(oracle, ZeroComposite(), np.ones(2), **args)
+    assert oracle.calls.total() == 0
 
 
 def test_accept_test_points_and_boundary():
@@ -115,7 +112,10 @@ def test_run_basic_trace_levels_are_contiguous_doublings():
         by_t.setdefault(row["t"], []).append(row)
     for t in sorted(by_t):
         group = by_t[t]
-        start = initial_level(m_t, 1.0)
+        # The first level is the smallest m_t 2^i that is >= 2 m0 = 2.
+        start = group[0]["i"]
+        assert m_t * 2.0**start >= 2.0
+        assert start == 0 or m_t * 2.0 ** (start - 1) < 2.0
         assert [r["i"] for r in group] == list(range(start, start + len(group)))
         for r in group:
             assert r["M_level"] == pytest.approx(m_t * 2.0 ** r["i"], rel=1e-12)

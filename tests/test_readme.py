@@ -1,4 +1,5 @@
-"""Every `tensormin solve` command in README.md runs and exits 0."""
+"""The README's code runs: its Python quick start, and every `tensormin solve`
+command, which must exit 0."""
 
 import shlex
 from pathlib import Path
@@ -11,26 +12,48 @@ from tensormin.harness import bundled_dataset_path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_blocks(language):
+    """The lines of each fenced README block tagged ``language``."""
+    blocks = []
+    block = None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            if block is not None:
+                blocks.append(block)
+                block = None
+            elif line.strip() == "```" + language:
+                block = []
+            continue
+        if block is not None:
+            block.append(line)
+    return blocks
+
+
 def readme_solve_commands():
     """The `tensormin solve` lines of the README's bash blocks, with
     backslash continuations joined."""
     commands = []
-    in_bash = False
     line_so_far = ""
-    for line in README.read_text().splitlines():
-        if line.startswith("```"):
-            in_bash = line.strip() == "```bash"
-            continue
-        if not in_bash or line.lstrip().startswith("#"):
-            continue
-        line_so_far += line.strip()
-        if line_so_far.endswith("\\"):
-            line_so_far = line_so_far[:-1].rstrip() + " "
-            continue
-        if line_so_far.startswith("tensormin solve"):
-            commands.append(line_so_far)
-        line_so_far = ""
+    for block in readme_blocks("bash"):
+        for line in block:
+            if line.lstrip().startswith("#"):
+                continue
+            line_so_far += line.strip()
+            if line_so_far.endswith("\\"):
+                line_so_far = line_so_far[:-1].rstrip() + " "
+                continue
+            if line_so_far.startswith("tensormin solve"):
+                commands.append(line_so_far)
+            line_so_far = ""
     return commands
+
+
+def test_readme_python_quick_start_runs(capsys):
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile("\n".join(block), str(README), "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_readme_shows_solve_commands():
