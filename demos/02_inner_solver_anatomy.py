@@ -19,7 +19,7 @@ from tensormin.model import (
     rho_value,
     taylor3_value,
 )
-from tensormin.oracles import ZeroComposite, quartic_oracle
+from tensormin.oracles import quartic_oracle
 
 print("Inner solver anatomy")
 print("=" * 40)
@@ -54,8 +54,7 @@ print(f"\nrelative-smoothness constants: L = {lips:.3f}, beta = {beta:.3f}")
 # ---------------------------------------------------------------------------
 rows = []
 epsilon = 1e-6
-result = run_inner(anchor, oracle, ZeroComposite(), epsilon, gnorm,
-                   trace=rows.append)
+result = run_inner(anchor, oracle, epsilon, gnorm, trace=rows.append)
 
 print("\nper-iteration trace (model gradient norm, step length):")
 print(f"  {'k':>3}  {'model grad':>12}  {'step norm':>12}")
@@ -78,8 +77,7 @@ print(f"accuracy threshold        : {epsilon / 7.0:.3e}  (epsilon / 7)")
 # iterations.
 low = ModelAnchor.from_oracle(quartic_oracle(n), x, 1e-4)
 low_gnorm = float(np.linalg.norm(low.g_x))
-low_result = run_inner(low, quartic_oracle(n), ZeroComposite(), epsilon,
-                       low_gnorm)
+low_result = run_inner(low, quartic_oracle(n), epsilon, low_gnorm)
 alpha = low_result.stop_reason is StopReason.SLOW_CONVERGENCE
 print(f"\nat level M = 1e-4: alpha = {alpha}, "
       f"exit = {low_result.stop_reason.value}, "

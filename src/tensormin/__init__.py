@@ -1,7 +1,7 @@
 """Adaptive third-order methods for composite convex minimization.
 
 The package minimizes f(x) + psi(x) where f is convex with a Lipschitz third
-derivative and psi is a simple convex term (the zero term ships).  Each outer
+derivative and psi is zero, passed as the ``ZeroComposite`` token.  Each outer
 step minimizes a quartically regularized third-order Taylor model with a
 Bregman-gradient inner solver whose only tuning knob, the regularization
 level M, is adapted automatically by doubling on a slow-convergence
@@ -18,10 +18,8 @@ from .harness import (
     parse_report_csv,
     run_experiment,
 )
-from .inner import UnsupportedCompositeError
 from .model import ConvexityError, SecularSolveError
 from .oracles import (
-    CompositeTerm,
     Dataset,
     DerivativeReport,
     FdThirdOracle,
@@ -41,11 +39,10 @@ __version__ = "0.1.0"
 # The public API; the building blocks (anchors, the inner solver, the
 # estimating sequence) stay importable from their modules.
 __all__ = [
-    "CompositeTerm", "ConvexityError", "Dataset", "DerivativeReport",
-    "FdThirdOracle", "LevelSearchError", "LogisticOracle", "OracleError",
-    "QuarticOracle", "RunConfig", "RunReport", "SecularSolveError",
-    "SmoothOracle", "UnsupportedCompositeError", "ZeroComposite",
-    "bundled_dataset_path", "check_derivatives", "emit_report",
+    "ConvexityError", "Dataset", "DerivativeReport", "FdThirdOracle",
+    "LevelSearchError", "LogisticOracle", "OracleError", "QuarticOracle",
+    "RunConfig", "RunReport", "SecularSolveError", "SmoothOracle",
+    "ZeroComposite", "bundled_dataset_path", "check_derivatives", "emit_report",
     "load_dataset", "logistic_oracle", "parse_report_csv", "quartic_oracle",
     "run_accel", "run_basic", "run_experiment",
 ]

@@ -194,9 +194,8 @@ class _AccelStep:
 
     f = gnorm = None
 
-    def __init__(self, oracle, composite, x0):
+    def __init__(self, oracle, x0):
         self.oracle = oracle
-        self.composite = composite
         self.state = AccelState.fresh(x0)
 
     def anchor(self, m_level):
@@ -216,8 +215,7 @@ class _AccelStep:
         return accept_test_accel(g_plus, self._z, p_plus.x, m_level), None
 
     def update(self, p_plus, f_plus, g_plus, gnorm_plus):
-        f_smooth = f_plus - self.composite.value(p_plus.x)
-        self.state = update_phi_and_v(self.state, self._a, g_plus, f_smooth,
+        self.state = update_phi_and_v(self.state, self._a, g_plus, f_plus,
                                       p_plus.x)
         return {"a_total_next": self.state.a_total,
                 "phi_star_next": phi_min_value(self.state)}

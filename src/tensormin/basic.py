@@ -21,7 +21,7 @@ import numpy as np
 
 from .inner import StopReason, run_inner
 from .model import ModelAnchor
-from .oracles import OracleError, as_point
+from .oracles import OracleError, ZeroComposite, as_point
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -63,15 +63,15 @@ def run_basic(
     ----------
     oracle : SmoothOracle
         Smooth part (convex, third derivative Lipschitz).
-    composite : CompositeTerm
-        Simple convex term; only the zero kind ships.
+    composite : ZeroComposite
+        The composite term psi; zero is the only one.
     x0 : array
-        Starting point (must lie in the composite domain).
+        Starting point (finite).
     m0 : float
         Initial level estimate (finite, positive); every trial level is kept
         >= 2 m0.
     epsilon : float
-        Target composite gradient norm (finite, positive).
+        Target gradient norm (finite, positive).
     max_outer, max_inner : int
         Iteration caps; hitting either aborts the run with ``converged=False``.
     trace_sink : callable, optional
@@ -96,17 +96,15 @@ def run_basic(
 class _BasicStep:
     """Anchor at the iterate, accept on sufficient decrease.
 
-    ``f``, ``g`` and ``gnorm`` are the objective, the composite gradient and
-    its norm at the iterate, whose oracle point is ``p``; one anchor per
-    outer step is built from them at ``p`` and re-levelled for each trial
-    level.
+    ``f``, ``g`` and ``gnorm`` are the objective, the gradient and its norm
+    at the iterate, whose oracle point is ``p``; one anchor per outer step
+    is built from them at ``p`` and re-levelled for each trial level.
     """
 
-    def __init__(self, oracle, composite, x0):
+    def __init__(self, oracle, x0):
         self.oracle = oracle
-        self.composite = composite
         self.p = as_point(x0)
-        self.f = oracle.value(self.p) + composite.value(x0)
+        self.f = oracle.value(self.p)
         self.g = oracle.grad(self.p)
         self.gnorm = float(np.linalg.norm(self.g))
         self._anchor = None
@@ -119,7 +117,7 @@ class _BasicStep:
         return self._anchor.with_m(m_level), self.gnorm, {}
 
     def accept(self, p_plus, g_plus, gnorm_plus, m_level):
-        f_plus = self.oracle.value(p_plus) + self.composite.value(p_plus.x)
+        f_plus = self.oracle.value(p_plus)
         return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
 
     def update(self, p_plus, f_plus, g_plus, gnorm_plus):
@@ -151,16 +149,18 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     sets M_{t+1} to half the accepted level.  M_0 = m0 and every accepted
     level is >= 2 m0, so each M_t is m0 2^k (k >= 0) exactly in floating
     point, and the first index i, the smallest that keeps the trial level
-    >= 2 m0, is 1 when M_t = m0 and 0 otherwise.  A trial whose composite
-    gradient norm is <= epsilon ends the run.  Arguments and return value
-    are those of ``run_basic``; a non-finite or nonpositive ``m0`` or
-    ``epsilon`` raises ValueError before any oracle call.  An
-    ``OracleError`` raised during outer step t at level index i is
-    re-raised with t and i added to its message.  A step whose 201 levels
-    all fail raises ``LevelSearchError``.
+    >= 2 m0, is 1 when M_t = m0 and 0 otherwise.  A trial whose gradient
+    norm is <= epsilon ends the run.  Arguments and return value are those
+    of ``run_basic``.  Before any oracle call, a ``composite`` other than a
+    ``ZeroComposite`` raises TypeError, and a non-finite ``x0`` or a
+    non-finite or nonpositive ``m0`` or ``epsilon`` raises ValueError;
+    nothing below these checks refers to psi.  An ``OracleError`` raised
+    during outer step t at level index i is re-raised with t and i added to
+    its message.  A step whose 201 levels all fail raises
+    ``LevelSearchError``.
 
-    ``make_step(oracle, composite, x0)`` builds the method's
-    part of the loop, an object with
+    ``make_step(oracle, x0)`` builds the method's part of the loop, an
+    object with
 
     * ``f``, ``gnorm``: the objective and gradient norm at x0 if the method
       evaluated them there, else None;
@@ -174,9 +174,14 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     t_start = time.perf_counter()
     calls_start = oracle.calls.total()
 
+    if not isinstance(composite, ZeroComposite):
+        raise TypeError("composite must be ZeroComposite (the only composite "
+                        "term), got %s" % type(composite).__name__)
     x0 = np.asarray(x0, dtype=float).copy()
-    if not composite.in_domain(x0):
-        raise ValueError("x0 lies outside the composite term's domain")
+    bad = ~np.isfinite(x0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError("x0 must be finite, got x0[%d] = %g" % (i, x0.flat[i]))
     eps = float(epsilon)
     if not 0.0 < eps < math.inf:
         raise ValueError("epsilon must be finite and positive, got %r" % eps)
@@ -184,7 +189,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     if not 0.0 < m0 < math.inf:
         raise ValueError("m0 must be finite and positive, got %r" % m0)
 
-    step = make_step(oracle, composite, x0)
+    step = make_step(oracle, x0)
     final = (x0, step.f, step.gnorm)
     m_t = m0
     it = 0
@@ -211,8 +216,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     inner_trace = lambda r, _t=t, _i=i: trace_sink(
                         dict(r, kind="inner", t=_t, i=_i)
                     )
-                res = run_inner(anchor, oracle, composite, eps, gnorm_anchor,
-                                max_inner, inner_trace)
+                res = run_inner(anchor, oracle, eps, gnorm_anchor, max_inner,
+                                inner_trace)
                 bgm_e += 1
                 bgm_it += res.iterations
                 alpha = res.stop_reason is StopReason.SLOW_CONVERGENCE
@@ -236,9 +241,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     continue
 
                 # One point for the trial's gradient and value, and for the
-                # next anchor if the trial is accepted.  With the zero
-                # composite (the only kind the inner solver steps on) the
-                # smooth gradient is the composite gradient.
+                # next anchor if the trial is accepted.
                 x_plus = res.x_plus
                 p_plus = as_point(x_plus)
                 g_plus = oracle.grad(p_plus)
@@ -252,7 +255,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 if accepted:
                     it += 1
                     if f_plus is None:
-                        f_plus = oracle.value(p_plus) + composite.value(x_plus)
+                        f_plus = oracle.value(p_plus)
                     final = (x_plus, f_plus, gnorm_plus)
                     if not converged:
                         m_t = m_level / 2.0
@@ -280,7 +283,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     x, final_f, final_gnorm = final
     if final_f is None:
-        final_f = oracle.value(x) + composite.value(x)
+        final_f = oracle.value(x)
         final_gnorm = float(np.linalg.norm(oracle.grad(x)))
     report = RunReport(
         epsilon=eps,

@@ -75,8 +75,8 @@ def load_dataset(path, has_header=False):
     """Read a CSV of feature columns with a final {0,1} label column.
 
     An all-ones intercept column is prepended to the features.  Malformed
-    rows, ragged rows, and non-binary labels are reported with their row
-    number (1-based, counting the header if present).
+    rows, ragged rows, non-finite cells and non-binary labels are reported
+    with their row number (1-based, counting the header if present).
     """
     rows = []
     width = None
@@ -102,6 +102,8 @@ def load_dataset(path, has_header=False):
                 vals = [float(cell) for cell in record]
             except ValueError:
                 raise ValueError("row %d contains a non-numeric cell" % lineno) from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("row %d contains a non-finite cell" % lineno)
             if vals[-1] not in (0.0, 1.0):
                 raise ValueError(
                     "row %d label %r is not 0 or 1" % (lineno, record[-1])

@@ -1,13 +1,13 @@
 """Bregman-gradient inner solver for the quartic-regularized third-order model.
 
 Each outer iteration hands this module a frozen anchor and a level M.  The
-inner solver approximately minimizes Omega(y) (+ psi) by repeated Bregman
-steps relative to the scaling function rho,
+inner solver approximately minimizes Omega(y) by repeated Bregman steps
+relative to the scaling function rho,
 
-    y_{k+1} = argmin_y  <grad Omega(y_k), y - y_k> + 3 beta_rho(y_k, y) + psi(y),
+    y_{k+1} = argmin_y  <grad Omega(y_k), y - y_k> + 3 beta_rho(y_k, y),
 
-which for psi = 0 reduces to one n-dimensional linear solve with a scalar
-secular equation on the step norm.  It exits when the model gradient is small
+each of which is one n-dimensional linear solve with a scalar secular
+equation on the step norm.  It exits when the model gradient is small
 in absolute terms, small relative to the cube of the step from the anchor, or
 provably decaying too slowly for the current level (the certificate that M is
 too small and must be doubled).
@@ -39,10 +39,6 @@ _LOG3 = math.log(3.0)
 _LOG65 = math.log(1.2)  # decay factor 6/5 of the slow-convergence certificate
 
 
-class UnsupportedCompositeError(NotImplementedError):
-    """The composite term's kind has no shipped Bregman-step solver."""
-
-
 class StopReason(Enum):
     """Why an inner run ended."""
 
@@ -58,8 +54,8 @@ class InnerResult:
 
     ``stop_reason`` SLOW_CONVERGENCE is the slow-convergence flag: the run
     certified the level M too small rather than producing a useful trial
-    point.  ``model_grad_norm`` is the final composite model gradient norm
-    G = ||grad Omega(x_plus) + g_psi||.
+    point.  ``model_grad_norm`` is the final model gradient norm
+    G = ||grad Omega(x_plus) + r||, with r the last step's residual.
     """
 
     x_plus: np.ndarray
@@ -220,27 +216,22 @@ def _confirm_end(phi_at, end, factor, limit, which):
     raise SecularSolveError("secular %s bracket expansion failed" % which)
 
 
-def bregman_step(anchor, oracle, composite, y, gom=None, grho=None):
+def bregman_step(anchor, oracle, y, gom=None, grho=None):
     """One Bregman-gradient step of the inner solver from y.
 
-    For the zero composite term the step's optimality condition collapses to
+    The step's optimality condition is
 
         grad rho(y_next) = grad rho(y) - (1/3) grad Omega(y) =: c',
 
-    i.e. (H + (M / 2) ||h||^2 I) h = c' - grad rho terms folded in, with
-    h = y_next - x; that system is solved exactly by ``secular_solve``.
+    i.e. (H + (M / 2) ||h||^2 I) h = c', with h = y_next - x; that system is
+    solved exactly by ``secular_solve``.
 
-    Returns ``(y_next, g_psi, grho_next)`` where g_psi is the composite
-    subgradient certificate  -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]
-    (for an exact step with psi = 0 it vanishes up to the secular tolerance)
-    and grho_next is grad rho(y_next), which starts the next step.  ``gom``
-    and ``grho`` are grad Omega(y) and grad rho(y) when the caller already
-    has them.
+    Returns ``(y_next, r, grho_next)`` where r is the step's optimality
+    residual  -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]  (for an
+    exact step it vanishes up to the secular tolerance) and grho_next is
+    grad rho(y_next), which starts the next step.  ``gom`` and ``grho`` are
+    grad Omega(y) and grad rho(y) when the caller already has them.
     """
-    if composite.kind != "zero":
-        raise UnsupportedCompositeError(
-            "no Bregman-step solver for composite kind %r" % composite.kind
-        )
     if gom is None:
         gom = omega_grad(anchor, oracle, y)
     if grho is None:
@@ -249,8 +240,8 @@ def bregman_step(anchor, oracle, composite, y, gom=None, grho=None):
     h = secular_solve(anchor.factor, anchor.M, c)
     y_next = anchor.x + h
     grho_next = rho_grad(anchor, y_next)
-    g_psi = -gom + 3.0 * (grho - grho_next)
-    return y_next, g_psi, grho_next
+    r = -gom + 3.0 * (grho - grho_next)
+    return y_next, r, grho_next
 
 
 def _log_envelope(lips, beta, M, k):
@@ -278,13 +269,14 @@ def _slow_rhs(lips, beta, M, k):
     return math.inf if log_rhs > 709.0 else math.exp(log_rhs)
 
 
-def run_inner(anchor, oracle, composite, epsilon, grad_tilde_norm,
-              max_inner=10000, trace=None):
+def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
+              trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
     Runs Bregman-gradient steps from y_0 = anchor.x.  After every step the
-    composite model gradient norm G = ||grad Omega(y) + g_psi|| is tested
-    (grad Omega(y) and the step's grad rho(y) then also start the next step):
+    model gradient norm G = ||grad Omega(y) + r||, r the step's residual from
+    ``bregman_step``, is tested (grad Omega(y) and the step's grad rho(y)
+    then also start the next step):
 
     * G <= epsilon / 7                      -> EPSILON_SMALL exit,
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
@@ -299,13 +291,10 @@ def run_inner(anchor, oracle, composite, epsilon, grad_tilde_norm,
     oracle : SmoothOracle
         Queried only for directional third derivatives, through the anchor's
         oracle point.
-    composite : CompositeTerm
-        Only the zero kind ships.
     epsilon : float
         Target gradient norm of the outer run (positive).
     grad_tilde_norm : float
-        Composite gradient norm at the anchor (enters the certificate
-        constants).
+        Gradient norm at the anchor (enters the certificate constants).
     max_inner : int
         Iteration cap (at least 1).
     trace : callable, optional
@@ -326,10 +315,9 @@ def run_inner(anchor, oracle, composite, epsilon, grad_tilde_norm,
     gom = grho = None
 
     for k in range(max_inner):
-        y_next, g_psi, grho = bregman_step(anchor, oracle, composite, y,
-                                           gom, grho)
+        y_next, r, grho = bregman_step(anchor, oracle, y, gom, grho)
         gom = omega_grad(anchor, oracle, y_next)
-        grad_model = gom + g_psi
+        grad_model = gom + r
         G = float(np.linalg.norm(grad_model))
         step_norm = float(np.linalg.norm(y_next - anchor.x))
 

@@ -272,7 +272,7 @@ def bregman_div(anchor, u, v):
 def inner_constants(anchor, grad_tilde_norm):
     """Smoothness and divergence constants used by the inner solver.
 
-    With g = ||grad of the composite objective at the anchor|| and
+    With g = ||grad f at the anchor|| and
     B = (96 g / M)^(2/3):
 
         L    = trace(H) + (3 M / 2) B

@@ -5,8 +5,8 @@ directional third derivative ``D3f(x)[h]^2`` (a vector; the full third-derivativ
 tensor is never materialized), and Hessian trace.  Every entry-point invocation
 is counted, so solver-level oracle-call statistics can be read off the oracle
 afterwards, and every result is checked to be finite (``OracleError`` names
-the entry point otherwise).  Composite terms ``psi`` are kept separate from
-the smooth part; only the zero term ships here.
+the entry point otherwise).  The composite term ``psi`` is zero, and
+``ZeroComposite`` is the token the solvers accept for it.
 
 Each entry point takes either an array or a ``Point``: a read-only copy of x
 plus the intermediates oracles computed there (for the logistic loss, the
@@ -18,6 +18,7 @@ one oracle; the oracle itself keeps no state besides its call counter.
 
 from __future__ import annotations
 
+import math
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -201,34 +202,11 @@ class SmoothOracle(ABC):
     def _hessian_trace(self, p): ...
 
 
-# -- composite terms ----------------------------------------------------------
+# -- composite term -----------------------------------------------------------
 
 
-class CompositeTerm(ABC):
-    """Simple convex term psi added to the smooth objective.
-
-    ``kind`` tags the term so solvers can dispatch on the cases they support.
-    """
-
-    kind = "abstract"
-
-    @abstractmethod
-    def value(self, x): ...
-
-    @abstractmethod
-    def in_domain(self, x): ...
-
-
-class ZeroComposite(CompositeTerm):
-    """psi identically zero on all of R^n (the shipped composite term)."""
-
-    kind = "zero"
-
-    def value(self, x):
-        return 0.0
-
-    def in_domain(self, x):
-        return True
+class ZeroComposite:
+    """The token for psi = 0, the only composite term; solvers check for it."""
 
 
 # -- datasets -----------------------------------------------------------------
@@ -238,8 +216,8 @@ class ZeroComposite(CompositeTerm):
 class Dataset:
     """Binary-classification data for the logistic objective.
 
-    ``features`` is (m, n+1) with an all-ones intercept column first;
-    ``labels`` is (m,) with entries in {0, 1}.
+    ``features`` is a finite (m, n+1) array with an all-ones intercept
+    column first; ``labels`` is (m,) with entries in {0, 1}.
     """
 
     features: np.ndarray
@@ -257,6 +235,8 @@ class Dataset:
             )
         if m == 0:
             raise ValueError("dataset is empty")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("features must be finite")
         if not np.all(self.features[:, 0] == 1.0):
             raise ValueError("first feature column must be the all-ones intercept")
         if not np.all((self.labels == 0.0) | (self.labels == 1.0)):
@@ -386,8 +366,8 @@ def fd_third_directional(oracle, x, h, tau, g0=None):
     the order x + tau h, x - tau h, x; two when the gradient ``g0`` at x is
     passed in.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive, got %r" % (tau,))
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive, got %r" % (tau,))
     xv = as_point(x).x
     h = np.asarray(h, dtype=float)
     gp = oracle.grad(xv + tau * h)
@@ -410,8 +390,8 @@ class FdThirdOracle:
     """
 
     def __init__(self, base, tau):
-        if tau <= 0.0:
-            raise ValueError("tau must be positive, got %r" % (tau,))
+        if not 0.0 < tau < math.inf:
+            raise ValueError("tau must be finite and positive, got %r" % (tau,))
         self.base = base
         self.tau = float(tau)
         self._g0 = None

@@ -90,7 +90,6 @@ def test_a3_inner_solver_exits_cleanly_within_iteration_ceiling():
     """Criterion 3: at a safe level the inner loop never flags slow decay."""
     rng = np.random.default_rng(11)
     eps = 1e-6
-    composite = ZeroComposite()
     worst_ratio = 0.0
     reasons = {}
     for trial in range(200):
@@ -100,7 +99,7 @@ def test_a3_inner_solver_exits_cleanly_within_iteration_ceiling():
         x = scale * rng.standard_normal(n)
         anchor = ModelAnchor.from_oracle(oracle, x, 96.0)
         gnorm = float(np.linalg.norm(anchor.g_x))
-        result = run_inner(anchor, oracle, composite, eps, gnorm)
+        result = run_inner(anchor, oracle, eps, gnorm)
         assert result.stop_reason in (
             StopReason.EPSILON_SMALL,
             StopReason.MODEL_STATIONARITY,

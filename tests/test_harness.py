@@ -52,6 +52,10 @@ def test_load_dataset_skips_blank_lines(tmp_path):
     assert data.n_samples == 2
 
 
+# A nan feature on row 2 and an overflowing one (1e400 reads as inf) on row 3.
+NON_FINITE_CSV = "1.0,2.0,1\nnan,0.5,0\n0.3,1e400,1\n"
+
+
 def test_load_dataset_error_diagnostics(tmp_path):
     with pytest.raises(ValueError, match="row 2 label"):
         load_dataset(write(tmp_path, "lab.csv", "1,0\n1,2\n"))
@@ -63,6 +67,10 @@ def test_load_dataset_error_diagnostics(tmp_path):
         load_dataset(write(tmp_path, "thin.csv", "1\n0\n"))
     with pytest.raises(ValueError, match="no data rows"):
         load_dataset(write(tmp_path, "empty.csv", "\n\n"))
+    with pytest.raises(ValueError, match="row 2 contains a non-finite cell"):
+        load_dataset(write(tmp_path, "nan.csv", NON_FINITE_CSV))
+    with pytest.raises(ValueError, match="row 1 contains a non-finite cell"):
+        load_dataset(write(tmp_path, "inf.csv", NON_FINITE_CSV.split("\n", 2)[2]))
 
 
 def test_bundled_dataset_loads():
@@ -369,6 +377,16 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
                  "--eps", "1e-2", "--dataset",
                  str(tmp_path / "nope.csv")]) == 1
     capsys.readouterr()  # drain the error messages
+
+
+def test_cli_non_finite_dataset_cell_exits_one(tmp_path, capsys):
+    code = main(["solve", "--problem", "logistic", "--solver", "basic",
+                 "--eps", "1e-2", "--dataset",
+                 write(tmp_path, "bad.csv", NON_FINITE_CSV)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("tensormin: error:")
+    assert "row 2 contains a non-finite cell" in err
 
 
 @pytest.mark.parametrize("flag", ["--eps", "--m0", "--fd-tau"])

@@ -10,7 +10,6 @@ from conftest import QuadraticOracle, make_logistic
 from tensormin import inner
 from tensormin.inner import (
     StopReason,
-    UnsupportedCompositeError,
     bregman_step,
     run_inner,
     secular_solve,
@@ -26,19 +25,7 @@ from tensormin.model import (
     rho_grad,
     tridiagonal_factor,
 )
-from tensormin.oracles import CompositeTerm, ZeroComposite, quartic_oracle
-
-
-class AbsComposite(CompositeTerm):
-    """An ell-1 term; present only to exercise the unsupported-kind path."""
-
-    kind = "l1"
-
-    def value(self, x):
-        return float(np.abs(np.asarray(x)).sum())
-
-    def in_domain(self, x):
-        return True
+from tensormin.oracles import quartic_oracle
 
 
 def diagonal(d, q=None):
@@ -66,7 +53,7 @@ def high_level_runs():
         x = scale * rng.standard_normal(n)
         anchor, oracle = quartic_anchor(x, M=96.0)
         g_norm = float(np.linalg.norm(anchor.g_x))
-        res = run_inner(anchor, oracle, ZeroComposite(), 1e-6, g_norm)
+        res = run_inner(anchor, oracle, 1e-6, g_norm)
         runs.append((anchor, oracle, res, g_norm))
     return runs
 
@@ -178,9 +165,9 @@ def test_secular_rejects_bad_inputs():
 def test_bregman_step_stationary_anchor_stays_put():
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([0.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
+    y1, r, _ = bregman_step(anchor, oracle, np.array([0.0]))
     assert np.array_equal(y1, np.zeros(1))
-    assert np.allclose(g_psi, 0.0, atol=1e-15)
+    assert np.allclose(r, 0.0, atol=1e-15)
 
 
 def test_one_dimensional_anchor_through_step_and_run():
@@ -188,17 +175,17 @@ def test_one_dimensional_anchor_through_step_and_run():
     # M = 6: c = 1/3, and (2 + 3 h^2) h = 1/3 has its root near 0.16.
     oracle = QuadraticOracle(np.array([[2.0]]), np.array([-1.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=6.0)
-    y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
+    y1, r, _ = bregman_step(anchor, oracle, anchor.x)
     h = float(y1[0])
     assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
-    assert np.linalg.norm(g_psi) <= 1e-12
-    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8,
+    assert np.linalg.norm(r) <= 1e-12
+    res = run_inner(anchor, oracle, 1e-8,
                     float(np.linalg.norm(anchor.g_x)))
     assert res.stop_reason in (StopReason.EPSILON_SMALL,
                                StopReason.MODEL_STATIONARITY)
 
     anchor, oracle = quartic_anchor(np.array([1.5]), M=96.0)
-    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8,
+    res = run_inner(anchor, oracle, 1e-8,
                     float(np.linalg.norm(anchor.g_x)))
     assert res.stop_reason in (StopReason.EPSILON_SMALL,
                                StopReason.MODEL_STATIONARITY)
@@ -210,9 +197,9 @@ def test_bregman_step_one_dimensional_point():
     # c = -(1/3) grad f(0) = 2, and the secular system gives y_1 = 1.
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([-6.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    y1, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), np.array([0.0]))
+    y1, r, _ = bregman_step(anchor, oracle, np.array([0.0]))
     assert y1 == pytest.approx([1.0], abs=1e-10)
-    assert np.linalg.norm(g_psi) <= 1e-9
+    assert np.linalg.norm(r) <= 1e-9
 
 
 def test_bregman_step_optimality_along_runs():
@@ -229,20 +216,14 @@ def test_bregman_step_optimality_along_runs():
     for anchor, oracle in cases:
         y = np.array(anchor.x)
         for _ in range(15):
-            y_next, g_psi, grho_next = bregman_step(anchor, oracle, ZeroComposite(), y)
+            y_next, r, grho_next = bregman_step(anchor, oracle, y)
             gom = omega_grad(anchor, oracle, y)
             resid = gom + 3.0 * (rho_grad(anchor, y_next) - rho_grad(anchor, y))
             bound = 1e-12 * (1.0 + np.linalg.norm(gom))
             assert np.linalg.norm(resid) <= bound
-            assert np.allclose(g_psi, -resid, atol=1e-15)
+            assert np.allclose(r, -resid, atol=1e-15)
             assert np.array_equal(grho_next, rho_grad(anchor, y_next))
             y = y_next
-
-
-def test_bregman_step_rejects_other_composites():
-    anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    with pytest.raises(UnsupportedCompositeError):
-        bregman_step(anchor, oracle, AbsComposite(), np.ones(2))
 
 
 # -- run_inner: exits and certificates ---------------------------------------------
@@ -252,7 +233,7 @@ def test_run_inner_stationary_anchor_exits_immediately():
     # Zero gradient at the anchor: the first step stays put and the zero
     # model gradient passes the absolute test at once.
     anchor, oracle = quartic_anchor(np.zeros(3), M=96.0)
-    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8, 0.0)
+    res = run_inner(anchor, oracle, 1e-8, 0.0)
     assert res.stop_reason is StopReason.EPSILON_SMALL
     assert res.iterations == 1
     assert res.model_grad_norm == 0.0
@@ -303,7 +284,7 @@ def test_run_inner_slow_certificate_at_tiny_level():
     for M in (1e-6, 1e-4):
         anchor, oracle = quartic_anchor(3.0 * np.ones(3), M=M)
         g_norm = float(np.linalg.norm(anchor.g_x))
-        res = run_inner(anchor, oracle, ZeroComposite(), 1e-8, g_norm)
+        res = run_inner(anchor, oracle, 1e-8, g_norm)
         assert res.stop_reason is StopReason.SLOW_CONVERGENCE
         lips, beta = inner_constants(anchor, g_norm)
         k_exit = res.iterations - 1
@@ -320,7 +301,7 @@ def test_run_inner_monotone_model_decrease():
         y = np.array(anchor.x)
         om = omega_value(anchor, oracle, y)
         for _ in range(20):
-            y, _, _ = bregman_step(anchor, oracle, ZeroComposite(), y)
+            y, _, _ = bregman_step(anchor, oracle, y)
             om_next = omega_value(anchor, oracle, y)
             assert om_next <= om + 1e-10 * (1.0 + abs(om))
             om = om_next
@@ -352,9 +333,9 @@ def test_run_inner_validation():
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
     g_norm = float(np.linalg.norm(anchor.g_x))
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        run_inner(anchor, oracle, ZeroComposite(), 0.0, g_norm)
+        run_inner(anchor, oracle, 0.0, g_norm)
     with pytest.raises(ValueError, match="max_inner must be at least 1"):
-        run_inner(anchor, oracle, ZeroComposite(), 1e-6, g_norm, max_inner=0)
+        run_inner(anchor, oracle, 1e-6, g_norm, max_inner=0)
 
 
 def test_run_inner_iteration_cap():
@@ -362,7 +343,6 @@ def test_run_inner_iteration_cap():
     res = run_inner(
         anchor,
         oracle,
-        ZeroComposite(),
         1e-10,
         float(np.linalg.norm(anchor.g_x)),
         max_inner=1,
@@ -391,7 +371,7 @@ def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
     monkeypatch.setattr("tensormin.inner.rho_grad",
                         counting("rho_grad", rho_grad))
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    res = run_inner(anchor, oracle, ZeroComposite(), 1e-8,
+    res = run_inner(anchor, oracle, 1e-8,
                     float(np.linalg.norm(anchor.g_x)))
     assert res.iterations > 1
     assert evaluated == {"omega_grad": res.iterations + 1,
@@ -404,7 +384,6 @@ def test_run_inner_trace_records():
     res = run_inner(
         anchor,
         oracle,
-        ZeroComposite(),
         1e-6,
         float(np.linalg.norm(anchor.g_x)),
         trace=rows.append,

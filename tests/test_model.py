@@ -22,7 +22,7 @@ from tensormin.model import (
     taylor3_value,
     tridiagonal_factor,
 )
-from tensormin.oracles import ZeroComposite, quartic_oracle
+from tensormin.oracles import quartic_oracle
 
 
 def quad_anchor(P, q, x, M):
@@ -322,7 +322,6 @@ def test_sublevel_displacement_bound_during_inner_runs():
     # displacement obeys ||y - x||^3 <= 96 ||grad f(x)|| / M.
     rng = np.random.default_rng(16)
     oracle = quartic_oracle(3)
-    composite = ZeroComposite()
     checks = 0
     for trial in range(20):
         x = rng.uniform(-2.0, 2.0, size=3)
@@ -333,7 +332,7 @@ def test_sublevel_displacement_bound_during_inner_runs():
         cap = 96.0 * g_norm / anchor.M
         y = np.array(x)
         for _ in range(30):
-            y, _, _ = bregman_step(anchor, oracle, composite, y)
+            y, _, _ = bregman_step(anchor, oracle, y)
             if omega_value(anchor, oracle, y) <= anchor.f_x:
                 disp = float(np.linalg.norm(y - x)) ** 3
                 assert disp <= cap * (1.0 + 1e-9)
@@ -390,7 +389,7 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
         d, e, q = anchor.factor
         t = tridiag_dense(d, e)
         assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(P, 2)
-        y1, _, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
+        y1, _, _ = bregman_step(anchor, oracle, anchor.x)
         h = y1 - anchor.x
         c = -oracle.grad(anchor.x) / 3.0
         shifted = q @ t @ q.T
@@ -400,17 +399,17 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
 
 def test_rounding_noise_anchor_step_certificate_vanishes():
     # The model, the scaling function and the secular solve share the one
-    # shifted Hessian Q T Q^T, so the first Bregman step's certificate
-    # g_psi (zero for an exact step) vanishes to the secular tolerance even
+    # shifted Hessian Q T Q^T, so the first Bregman step's residual r
+    # (zero for an exact step) vanishes to the secular tolerance even
     # where T was shifted by about 5e-11.
     rng = np.random.default_rng(31)
     for seed in range(5):
         P = rotated([-5e-11, 1.0, 2.0], seed)
         oracle = QuadraticOracle(P, rng.standard_normal(3))
         anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
-        _, g_psi, _ = bregman_step(anchor, oracle, ZeroComposite(), anchor.x)
+        _, r, _ = bregman_step(anchor, oracle, anchor.x)
         gnorm = np.linalg.norm(oracle.grad(anchor.x))
-        assert np.linalg.norm(g_psi) <= 1e-12 * (1.0 + gnorm)
+        assert np.linalg.norm(r) <= 1e-12 * (1.0 + gnorm)
 
 
 def rank_deficient_psd(seed):

@@ -274,17 +274,6 @@ def test_call_counter_is_thread_safe():
     assert counter.grad == 8 * per_thread
 
 
-# -- composite terms -----------------------------------------------------------
-
-
-def test_zero_composite_is_zero_everywhere():
-    psi = ZeroComposite()
-    assert psi.kind == "zero"
-    for x in (np.zeros(3), np.full(5, 1e8), np.array([-2.0])):
-        assert psi.value(x) == 0.0
-        assert psi.in_domain(x)
-
-
 # -- dataset validation --------------------------------------------------------
 
 
@@ -306,6 +295,9 @@ def test_dataset_rejects_bad_inputs():
         Dataset(np.ones((0, 2)), np.zeros(0))  # empty
     with pytest.raises(ValueError):
         Dataset(np.ones(4), np.zeros(4))  # not 2-d
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="features must be finite"):
+            Dataset(np.array([[1.0, bad], [1.0, 0.0]]), np.array([0.0, 1.0]))
 
 
 # -- finite-difference third derivative ----------------------------------------
@@ -351,6 +343,11 @@ def test_fd_third_rejects_nonpositive_tau():
         fd_third_directional(oracle, np.zeros(1), np.ones(1), 0.0)
     with pytest.raises(ValueError):
         FdThirdOracle(oracle, -1e-3)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            fd_third_directional(oracle, np.zeros(1), np.ones(1), tau)
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            FdThirdOracle(oracle, tau)
 
 
 def test_fd_oracle_costs_three_gradients_then_two_on_same_point():

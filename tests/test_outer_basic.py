@@ -23,15 +23,37 @@ def run_quartic(n, x0, m0, epsilon, **kw):
 # -- level selection and acceptance test ------------------------------------------
 
 
+class AbsComposite:
+    """Stands for an ell-1 term psi = ||x||_1, which no solver supports."""
+
+
+BAD_ENTRY_ARGUMENTS = [
+    *[pytest.param({name: bad}, ValueError,
+                   "%s must be finite and positive" % name, id="%s-%s" % (name, bad))
+      for name in ("m0", "epsilon") for bad in (np.nan, np.inf, 0.0, -1.0)],
+    pytest.param({"x0": np.array([np.nan, 1.0])}, ValueError,
+                 r"x0 must be finite, got x0\[0\] = nan", id="x0-nan"),
+    pytest.param({"x0": np.array([1.0, -np.inf])}, ValueError,
+                 r"x0 must be finite, got x0\[1\] = -inf", id="x0-inf"),
+    pytest.param({"composite": AbsComposite()}, TypeError,
+                 "composite must be ZeroComposite .*, got AbsComposite",
+                 id="composite-l1"),
+    pytest.param({"composite": None}, TypeError,
+                 "composite must be ZeroComposite .*, got NoneType",
+                 id="composite-none"),
+]
+
+
 @pytest.mark.parametrize("solve", [run_basic, run_accel])
-@pytest.mark.parametrize("name", ["m0", "epsilon"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad, error, match", BAD_ENTRY_ARGUMENTS)
 def test_nonfinite_or_nonpositive_m0_and_epsilon_fail_before_any_call(
-        solve, name, bad):
+        solve, bad, error, match):
+    # Also a non-finite x0 and any composite other than ZeroComposite.
     oracle = quartic_oracle(2)
-    args = {"m0": 1.0, "epsilon": 1e-6, name: bad}
-    with pytest.raises(ValueError, match="%s must be finite and positive" % name):
-        solve(oracle, ZeroComposite(), np.ones(2), **args)
+    args = {"composite": ZeroComposite(), "x0": np.ones(2), "m0": 1.0,
+            "epsilon": 1e-6, **bad}
+    with pytest.raises(error, match=match):
+        solve(oracle, **args)
     assert oracle.calls.total() == 0
 
 

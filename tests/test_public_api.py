@@ -8,13 +8,12 @@ PUBLIC = {
     # experiment harness
     "RunConfig", "bundled_dataset_path", "emit_report", "load_dataset",
     "parse_report_csv", "run_experiment",
-    # oracles, data and composite terms
+    # oracles, data and the zero composite term
     "SmoothOracle", "LogisticOracle", "QuarticOracle", "FdThirdOracle",
-    "Dataset", "CompositeTerm", "ZeroComposite", "logistic_oracle",
-    "quartic_oracle", "check_derivatives", "DerivativeReport",
+    "Dataset", "ZeroComposite", "logistic_oracle", "quartic_oracle",
+    "check_derivatives", "DerivativeReport",
     # errors
     "ConvexityError", "LevelSearchError", "OracleError", "SecularSolveError",
-    "UnsupportedCompositeError",
 }
 
 
