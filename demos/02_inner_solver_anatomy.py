@@ -27,10 +27,10 @@ print("=" * 40)
 # ---------------------------------------------------------------------------
 # Build the model at an anchor
 # ---------------------------------------------------------------------------
-# The anchor freezes f(x), its gradient and the Hessian trace at the current
-# point, and keeps the Hessian only as its tridiagonal factorization
-# H = Q T Q^T, which the model, the scaling function and the secular solves
-# all use.  The model adds a quartic penalty
+# The anchor freezes the gradient at the current point and keeps the Hessian
+# only as its tridiagonal factorization H = Q T Q^T (which also holds the
+# Hessian trace); the model, the scaling function and the secular solves all
+# use it.  The model adds a quartic penalty
 # (M/2) * (1/4)||y - x||^4 on top of the third-order Taylor expansion.
 n = 6
 oracle = quartic_oracle(n)
@@ -39,7 +39,7 @@ x = rng.standard_normal(n)
 anchor = ModelAnchor.from_oracle(oracle, x, 96.0)
 
 y_probe = x + 0.1 * rng.standard_normal(n)
-print(f"\nanchor point f(x)          : {anchor.f_x: .6f}")
+print(f"\nanchor point f(x)          : {oracle.value(x): .6f}")
 print(f"taylor model at probe      : {taylor3_value(anchor, oracle, y_probe): .6f}")
 print(f"regularized model at probe : {omega_value(anchor, oracle, y_probe): .6f}")
 print(f"true f at probe            : {oracle.value(y_probe): .6f}")

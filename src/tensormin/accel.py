@@ -188,8 +188,8 @@ class _AccelStep:
     """Anchor at the mixture z(a), accept on the angle test, and fold every
     accepted step into the estimating sequence.
 
-    The objective is evaluated only at accepted trials, so ``f`` and
-    ``gnorm`` at the start point are unknown.
+    The objective is evaluated only at accepted trials, never at an anchor,
+    so ``f`` and ``gnorm`` at the start point are unknown.
     """
 
     f = gnorm = None

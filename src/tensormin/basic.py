@@ -32,7 +32,9 @@ _MAX_LEVEL_DOUBLINGS = 200
 
 
 class LevelSearchError(RuntimeError):
-    """Level doubling at one outer step did not reach an accepted trial.
+    """Level doubling at one outer step did not reach an accepted trial, or
+    stalled on a trial that a higher level repeated bit for bit with zero
+    decrease.
 
     The message names the outer step t, the first and last level M tried,
     the last inner stop reason and, for the last trial that was evaluated,
@@ -98,7 +100,8 @@ class _BasicStep:
 
     ``f``, ``g`` and ``gnorm`` are the objective, the gradient and its norm
     at the iterate, whose oracle point is ``p``; one anchor per outer step
-    is built from them at ``p`` and re-levelled for each trial level.
+    is built from ``p`` and ``g`` and re-levelled for each trial level;
+    ``f`` serves the decrease test.
     """
 
     def __init__(self, oracle, x0):
@@ -111,9 +114,8 @@ class _BasicStep:
 
     def anchor(self, m_level):
         if self._anchor is None:
-            self._anchor = ModelAnchor.from_oracle(
-                self.oracle, self.p, m_level, f_x=self.f, g_x=self.g
-            )
+            self._anchor = ModelAnchor.from_oracle(self.oracle, self.p,
+                                                   m_level, g_x=self.g)
         return self._anchor.with_m(m_level), self.gnorm, {}
 
     def accept(self, p_plus, g_plus, gnorm_plus, m_level):
@@ -132,7 +134,7 @@ def _doubling_message(t, m_first, m_last, stop_reason, trial, f_x, eps):
            % (t, m_first, m_last, stop_reason))
     if trial is None:
         return msg + "no trial was evaluated"
-    gnorm, f_trial = trial
+    gnorm, f_trial, _ = trial
     msg += ("last evaluated trial has gradient norm %.3e > epsilon %.3e"
             % (gnorm, eps))
     if f_x is None or f_trial is None:
@@ -157,7 +159,10 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     nothing below these checks refers to psi.  An ``OracleError`` raised
     during outer step t at level index i is re-raised with t and i added to
     its message.  A step whose 201 levels all fail raises
-    ``LevelSearchError``.
+    ``LevelSearchError``, and so does one whose evaluated trial repeats the
+    previous evaluated trial's point bit for bit with a decrease
+    f_x - f_trial of exactly 0 (a method that does not evaluate rejected
+    trials never meets this test).
 
     ``make_step(oracle, x0)`` builds the method's part of the loop, an
     object with
@@ -207,7 +212,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         for t in range(max_outer):
             i = 0 if m_t >= 2.0 * m0 else 1
             m_first = m_t * 2.0**i
-            trial = None  # (gradient norm, value) of the last evaluated trial
+            # (gradient norm, value, point) of the last evaluated trial
+            trial = None
+            accepted = False
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
                 anchor, gnorm_anchor, fields = step.anchor(m_level)
@@ -261,14 +268,21 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                         m_t = m_level / 2.0
                         row.update(step.update(p_plus, f_plus, g_plus,
                                                gnorm_plus))
-                trial = (gnorm_plus, f_plus)
                 row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
                            accepted=accepted, x_trial=np.array(x_plus))
                 emit(row)
                 if accepted:
                     break
+                repeated = (f_plus is not None and step.f - f_plus == 0.0
+                            and trial is not None
+                            and np.array_equal(x_plus, trial[2]))
+                trial = (gnorm_plus, f_plus, x_plus)
+                if repeated:
+                    # Doubling the level moved neither the trial nor f, so
+                    # the doublings left would only repeat it.
+                    break
                 i += 1
-            else:
+            if not (accepted or aborted):
                 raise LevelSearchError(_doubling_message(
                     t, m_first, m_level, res.stop_reason.value, trial, step.f,
                     eps))

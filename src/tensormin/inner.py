@@ -65,69 +65,66 @@ class InnerResult:
 
 
 def secular_solve(factor, M, c):
-    """Solve (H + (M / 2) ||h||^2 I) h = c for h, given H = Q T Q^T.
+    """Solve (T + (M / 2) ||h||^2 I) h = c for h, in the coordinates of Q.
 
-    ``factor`` is the anchor's ``HessianFactor``, with T = tridiag(d, e)
-    symmetric positive semidefinite (e = 0 makes (d, Q) an
-    eigendecomposition).  In the coordinates of Q, with c^ = Q^T c, the
-    solution is h = Q h^(sigma) where h^(sigma) = (T + sigma I)^{-1} c^ and
-    sigma = (M / 2) ||h^||^2 is the unique positive root of the secular
+    ``factor`` is the anchor's ``HessianFactor`` H = Q T Q^T, with
+    T = tridiag(d, e) symmetric positive semidefinite, and c = Q^T c' for the
+    right-hand side c' of (H + (M / 2) ||h'||^2 I) h' = c', whose solution is
+    h' = Q h.  Q is never applied here: every operation is O(n) on T.  The
+    solution is h = h(sigma) = (T + sigma I)^{-1} c, where
+    sigma = (M / 2) ||h||^2 is the unique positive root of the secular
     equation
 
-        phi(sigma) := 1 / ||h^(sigma)||  -  sqrt(M / (2 sigma))  =  0.
+        phi(sigma) := 1 / ||h(sigma)||  -  sqrt(M / (2 sigma))  =  0.
 
     phi is increasing and concave (Moré and Sorensen, 1983), so Newton's
     method approaches the root from below, and from above it lands below the
     root.  Each evaluation factors T + sigma I = L D L^T once (``dpttrf``) and
-    solves with it twice (``dpttrs``): for h^ and for the derivative
-    phi'(sigma) = <h^, (T + sigma I)^{-1} h^> / ||h^||^3
+    solves with it twice (``dpttrs``): for h and for the derivative
+    phi'(sigma) = <h, (T + sigma I)^{-1} h> / ||h||^3
                   + (1/2) sqrt(M / 2) sigma^(-3/2).
     A sigma at which the factorization breaks down lies left of the root.
     Newton starts from the root of the isotropic model T = lambda I, with
-    lambda the Rayleigh quotient of c^, and stops when phi = 0 or a step
+    lambda the Rayleigh quotient of c, and stops when phi = 0 or a step
     moves sigma by at most 4 eps sigma.  A step that leaves the bracket
 
         (M / 2) (||c|| / (lambda_max + sigma_hi))^2  <=  sigma  <=  sigma_hi,
         sigma_hi = (M / 2) (2 ||c|| / M)^(2/3)
 
-    (lambda_max bounded by Gershgorin's theorem) is replaced by bisection; the
-    bracket's ends are checked, and widened if needed, only then.  The
-    returned h satisfies
+    (lambda_max bounded by the factor's Gershgorin bound) is replaced by
+    bisection; the bracket's ends are checked, and widened if needed, only
+    then.  The returned h satisfies
 
-        || (H + (M / 2) ||h||^2 I) h - c ||  <=  SECULAR_TOL * (1 + ||c||),
+        || (T + (M / 2) ||h||^2 I) h - c ||  <=  SECULAR_TOL * (1 + ||c||),
 
-    checked in the coordinates of Q with an O(n) product by T; a miss raises
+    which Q carries over unchanged to h' and c'; a miss raises
     SecularSolveError.  c = 0 returns h = 0 exactly; T = 0 (zero Hessian)
     gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
-    d, e, q = factor
     if M <= 0.0:
         raise ValueError("M must be positive")
-    if d.min() < 0.0:
-        raise ValueError("diagonal of T must be nonnegative (shift upstream)")
+    d = factor.d
+    e_lapack = factor.e_lapack
 
-    ct = q.T @ c
-    cnorm = float(np.linalg.norm(ct))
+    cnorm = math.sqrt(np.dot(c, c))
     if cnorm == 0.0 or cnorm < 1e-300:
         return np.zeros_like(c)
 
     half_m = 0.5 * M
     root_half_m = math.sqrt(half_m)
-    # SciPy's dpttrf/dpttrs wrappers want an off-diagonal of length 1 at n = 1.
-    e_lapack = e if d.size > 1 else np.zeros(1)
 
     def evaluate(sigma):
-        """(h^, ||h^||, phi, phi') at sigma > 0.
+        """(h, ||h||, phi, phi') at sigma > 0.
 
         A breakdown of dpttrf (info > 0: T + sigma I is not numerically
         positive definite, which a singular T allows for tiny sigma) puts
-        sigma left of the root; it is returned as phi = -inf with no h^.
+        sigma left of the root; it is returned as phi = -inf with no h.
         """
         ld, le, info = lapack.dpttrf(d + sigma, e_lapack)
         if info > 0:
             return None, 0.0, -math.inf, 1.0
         lapack_check("dpttrf", info, sigma)
-        hh, info = lapack.dpttrs(ld, le, ct)
+        hh, info = lapack.dpttrs(ld, le, c)
         lapack_check("dpttrs", info, sigma)
         w, info = lapack.dpttrs(ld, le, hh)
         lapack_check("dpttrs", info, sigma)
@@ -146,18 +143,15 @@ def secular_solve(factor, M, c):
     r_hi = (2.0 * cnorm / M) ** (1.0 / 3.0) * (1.0 + 1e-8)
     hi = half_m * r_hi * r_hi
     # From ||h|| (lambda_max + sigma) >= ||c|| at the root, a positive lower
-    # bracket in closed form, with Gershgorin's bound on lambda_max.
-    gersh = d.copy()
-    gersh[:-1] += np.abs(e)
-    gersh[1:] += np.abs(e)
-    r_lo = cnorm / (float(gersh.max()) + hi) * (1.0 - 1e-8)
+    # bracket in closed form.
+    r_lo = cnorm / (factor.gershgorin + hi) * (1.0 - 1e-8)
     lo = half_m * r_lo * r_lo
     lo_seen = hi_seen = False  # whether an evaluation has confirmed the end
 
     # The isotropic model lambda r + (M / 2) r^3 = ||c||, with lambda the
-    # Rayleigh quotient of c^, is exact when c^ is an eigenvector of T.  Its
+    # Rayleigh quotient of c, is exact when c is an eigenvector of T.  Its
     # root, in a cancellation-free form of Cardano's formula:
-    lam = max(float(np.dot(ct, factor.tri(ct))) / (cnorm * cnorm), 0.0)
+    lam = max(float(np.dot(c, factor.tri(c))) / (cnorm * cnorm), 0.0)
     p3 = lam / (3.0 * half_m)
     qh = 0.5 * cnorm / half_m
     u = (qh + math.sqrt(qh * qh + p3 * p3 * p3)) ** (1.0 / 3.0)
@@ -192,13 +186,13 @@ def secular_solve(factor, M, c):
     if hh is None:  # stopped at a breakdown: report it
         lapack_check("dpttrf", lapack.dpttrf(d + sigma, e_lapack)[2], sigma)
 
-    res = float(np.linalg.norm(
-        factor.tri(hh) + half_m * hn * hn * hh - ct))
+    res = factor.tri(hh) + half_m * hn * hn * hh - c
+    res = math.sqrt(np.dot(res, res))
     bound = SECULAR_TOL * (1.0 + cnorm)
     if res > bound:
         raise SecularSolveError(
             "secular residual %.3e exceeds %.3e" % (res, bound))
-    return q @ hh
+    return hh
 
 
 def _confirm_end(phi_at, end, factor, limit, which):
@@ -216,32 +210,34 @@ def _confirm_end(phi_at, end, factor, limit, which):
     raise SecularSolveError("secular %s bracket expansion failed" % which)
 
 
-def bregman_step(anchor, oracle, y, gom=None, grho=None):
-    """One Bregman-gradient step of the inner solver from y.
+def bregman_step(anchor, oracle, hh, gom=None, grho=None):
+    """One Bregman-gradient step of the inner solver from y = x + Q hh.
 
     The step's optimality condition is
 
         grad rho(y_next) = grad rho(y) - (1/3) grad Omega(y) =: c',
 
     i.e. (H + (M / 2) ||h||^2 I) h = c', with h = y_next - x; that system is
-    solved exactly by ``secular_solve``.
+    solved exactly by ``secular_solve`` in the coordinates of Q.  Points,
+    gradients and residuals are all in those coordinates: ``hh`` is
+    Q^T (y - x), and the gradients are Q^T grad.
 
-    Returns ``(y_next, r, grho_next)`` where r is the step's optimality
-    residual  -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]  (for an
-    exact step it vanishes up to the secular tolerance) and grho_next is
+    Returns ``(hh_next, r, grho_next)`` where hh_next = Q^T (y_next - x), r is
+    the step's optimality residual
+    -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]  (for an exact step
+    it vanishes up to the secular tolerance) and grho_next is
     grad rho(y_next), which starts the next step.  ``gom`` and ``grho`` are
     grad Omega(y) and grad rho(y) when the caller already has them.
     """
     if gom is None:
-        gom = omega_grad(anchor, oracle, y)
+        gom = omega_grad(anchor, oracle, hh)
     if grho is None:
-        grho = rho_grad(anchor, y)
+        grho = rho_grad(anchor, hh)
     c = grho - gom / 3.0
-    h = secular_solve(anchor.factor, anchor.M, c)
-    y_next = anchor.x + h
-    grho_next = rho_grad(anchor, y_next)
+    hh_next = secular_solve(anchor.factor, anchor.M, c)
+    grho_next = rho_grad(anchor, hh_next)
     r = -gom + 3.0 * (grho - grho_next)
-    return y_next, r, grho_next
+    return hh_next, r, grho_next
 
 
 def _log_envelope(lips, beta, M, k):
@@ -273,7 +269,10 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
               trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
-    Runs Bregman-gradient steps from y_0 = anchor.x.  After every step the
+    Runs Bregman-gradient steps from y_0 = anchor.x, in the coordinates of Q
+    (see ``bregman_step``): each step applies Q twice, to query and map back
+    the directional third derivative, and the trial point
+    x_plus = x + Q h^ is formed once, at the exit.  After every step the
     model gradient norm G = ||grad Omega(y) + r||, r the step's residual from
     ``bregman_step``, is tested (grad Omega(y) and the step's grad rho(y)
     then also start the next step):
@@ -283,6 +282,8 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
     * G^4 above the geometric decay envelope -> SLOW_CONVERGENCE exit (the
       level-doubling certificate),
     * otherwise iterate, up to ``max_inner`` steps (ITERATION_CAP, run abort).
+
+    G and ||y - x|| are the same in the coordinates of Q.
 
     Parameters
     ----------
@@ -311,15 +312,19 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
         raise ValueError("max_inner must be at least 1")
     lips, beta = inner_constants(anchor, grad_tilde_norm)
     eps_exit = epsilon / 7.0
-    y = anchor.x
+    hh = np.zeros_like(anchor.x)
     gom = grho = None
 
+    def result(iterations, reason, G):
+        return InnerResult(anchor.x + anchor.factor.q(hh), iterations, reason,
+                           G)
+
     for k in range(max_inner):
-        y_next, r, grho = bregman_step(anchor, oracle, y, gom, grho)
-        gom = omega_grad(anchor, oracle, y_next)
+        hh_next, r, grho = bregman_step(anchor, oracle, hh, gom, grho)
+        gom = omega_grad(anchor, oracle, hh_next)
         grad_model = gom + r
-        G = float(np.linalg.norm(grad_model))
-        step_norm = float(np.linalg.norm(y_next - anchor.x))
+        G = math.sqrt(np.dot(grad_model, grad_model))
+        step_norm = math.sqrt(np.dot(hh_next, hh_next))
 
         if trace is not None:
             trace(
@@ -331,13 +336,13 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
                 }
             )
 
+        hh = hh_next
         if G <= eps_exit:
-            return InnerResult(y_next, k + 1, StopReason.EPSILON_SMALL, G)
+            return result(k + 1, StopReason.EPSILON_SMALL, G)
         if G <= anchor.M / 6.0 * step_norm**3:
-            return InnerResult(y_next, k + 1, StopReason.MODEL_STATIONARITY, G)
+            return result(k + 1, StopReason.MODEL_STATIONARITY, G)
         if slow_decay_violated(G, lips, beta, anchor.M, k):
-            return InnerResult(y_next, k + 1, StopReason.SLOW_CONVERGENCE, G)
-        y = y_next
+            return result(k + 1, StopReason.SLOW_CONVERGENCE, G)
 
-    return InnerResult(y, max_inner, StopReason.ITERATION_CAP,
-                       float(np.linalg.norm(gom)))
+    return result(max_inner, StopReason.ITERATION_CAP,
+                  math.sqrt(np.dot(gom, gom)))

@@ -16,14 +16,22 @@ intermediates at x are computed once.
 
 The inner solver needs products with H and solves with H + sigma I, never
 H's eigenvectors, so the anchor factors H by Householder tridiagonal
-reduction, H = Q T Q^T (LAPACK ``dsytrd`` and ``dorghr``), at a fraction of
-the cost of an eigendecomposition, and keeps H only as that factor.
+reduction, H = Q T Q^T (LAPACK ``dsytrd``), at a fraction of the cost of an
+eigendecomposition, and keeps H only as that factor: T, and Q as the
+reduction's reflectors, applied to one vector at a time (``dormqr``).  The
+factor also holds trace(H), so the anchor asks the oracle for the gradient
+and the Hessian only.
+
+The inner solver works in the coordinates of Q.  ``omega_grad``, ``rho_grad``
+(and the inner module's steps) take the displacement as h^ = Q^T (y - x) and
+return gradients as Q^T grad; there H is T, an O(n) product, and only the
+third derivative needs Q, once each way.  The values ``taylor3_value``,
+``omega_value``, ``rho_value`` and ``bregman_div`` take points y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
@@ -50,9 +58,9 @@ class ConvexityError(RuntimeError):
 
 
 class SecularSolveError(RuntimeError):
-    """The anchor factorization or a secular solve failed.
+    """The anchor factorization, a product with Q or a secular solve failed.
 
-    Raised when a LAPACK routine (``dsytrd``, ``dorghr``, ``dpttrf``,
+    Raised when a LAPACK routine (``dsytrd``, ``dormqr``, ``dpttrf``,
     ``dpttrs``) reports a nonzero ``info`` the solve cannot recover from,
     when a bracket end cannot be widened or the iteration does not converge,
     or when the solved step misses its residual bound.  The message names
@@ -68,12 +76,61 @@ def lapack_check(routine, info, sigma=None):
                                 % (routine, info, at))
 
 
-class HessianFactor(NamedTuple):
-    """H = Q T Q^T with T = tridiag(d, e) and Q = q orthogonal."""
+class HessianFactor:
+    """H = Q T Q^T with T = tridiag(d, e) and Q kept as Householder reflectors.
 
-    d: np.ndarray
-    e: np.ndarray
-    q: np.ndarray
+    Q = diag(1, Q1), where Q1 = P(1) ... P(n-1) is a product of reflectors
+    stored as ``dgeqrf`` stores the Q of a QR factorization: ``reflectors``
+    is an (n, n-1) Fortran-ordered array whose first n-1 rows hold the
+    reflector vectors below their unit diagonal (its last row is never
+    read), and ``tau`` their scalars.  Reflectors with tau = 0 are
+    identities, so zero reflectors and tau give the factor of T itself.
+
+    The diagonal d must be nonnegative (T positive semidefinite; the
+    convexity shift is made upstream), else ValueError.  Besides products
+    with Q^T, Q, T and H, the factor holds the per-anchor constants of the
+    secular solves: ``trace`` = trace(T) = trace(H), ``gershgorin`` >=
+    lambda_max(T) by Gershgorin's theorem, and ``e_lapack``, the off-diagonal
+    as SciPy's ``dpttrf`` wrapper wants it (length 1 at n = 1).
+    """
+
+    __slots__ = ("d", "e", "reflectors", "tau", "trace", "gershgorin",
+                 "e_lapack")
+
+    def __init__(self, d, e, reflectors, tau):
+        if d.min() < 0.0:
+            raise ValueError("diagonal of T must be nonnegative "
+                             "(shift upstream)")
+        self.d = d
+        self.e = e
+        self.reflectors = reflectors
+        self.tau = tau
+        self.trace = float(d.sum())
+        bound = d.copy()
+        bound[:-1] += np.abs(e)
+        bound[1:] += np.abs(e)
+        self.gershgorin = float(bound.max())
+        self.e_lapack = e if d.size > 1 else np.zeros(1)
+
+    def qt(self, v):
+        """Q^T v, in O(n^2) without forming Q."""
+        return self._reflect("T", v)
+
+    def q(self, v):
+        """Q v, in O(n^2) without forming Q."""
+        return self._reflect("N", v)
+
+    def _reflect(self, trans, v):
+        out = np.array(v, dtype=float)
+        if self.tau.size:  # n = 1 has no reflector: Q = 1
+            # One vector: lwork = n selects the unblocked dorm2r, the
+            # fastest for a single column.
+            cq, _, info = lapack.dormqr("L", trans, self.reflectors, self.tau,
+                                        out[1:, None], out.size,
+                                        overwrite_c=1)
+            lapack_check("dormqr", info)
+            out[1:] = cq[:, 0]  # cq is out[1:] itself unless f2py copied
+        return out
 
     def tri(self, x):
         """T x, in O(n)."""
@@ -84,37 +141,35 @@ class HessianFactor(NamedTuple):
 
     def apply(self, h):
         """H h = Q T Q^T h."""
-        return self.q @ self.tri(self.q.T @ h)
+        return self.q(self.tri(self.qt(h)))
 
 
 def tridiagonal_factor(H):
     """H = Q T Q^T with T = tridiag(d, e), shifted to be positive semidefinite.
 
-    Returns a ``HessianFactor`` whose arrays are read-only.  The smallest
+    Returns a ``HessianFactor`` whose arrays are read-only.  H must be
+    symmetric; a C- or Fortran-ordered H is overwritten (its storage then
+    holds Q's reflectors), any other layout is copied first.  The smallest
     eigenvalue of T (and of H) is found by bisection on T in O(n); below the
     convexity floor (see ConvexityError) it raises ConvexityError, and
-    otherwise d is shifted up by max(0, -lambda_min).  The shifted factor is
-    the anchor's only Hessian.
+    otherwise d is shifted up by max(0, -lambda_min), which moves the
+    factor's trace by n times that shift.  The shifted factor is the anchor's
+    only Hessian.
     """
     n = H.shape[0]
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     lapack_check("dsytrd_lwork", info)
-    # H is symmetric, so H.T is the same matrix.  (dsytrd reads the lower
-    # triangle of H.T, i.e. the upper triangle of H.)  The logistic Hessian
-    # from dsyrk is Fortran-ordered, so H.T is C-ordered and f2py copies it
-    # with a transpose.  At n = 501 (one BLAS thread) dsytrd(H) and
-    # dsytrd(H.T) both take 10-12 ms, so the order makes no material
-    # difference.
-    c, d, e, tau, info = lapack.dsytrd(H.T, lower=1, lwork=int(lwork))
+    # H is symmetric, so H.T is H: whichever of the two is Fortran-ordered
+    # reaches dsytrd without a copy.
+    a = H if H.flags.f_contiguous else np.asfortranarray(H.T, dtype=float)
+    c, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork),
+                                       overwrite_a=1)
     lapack_check("dsytrd", info)
-    if n > 1:
-        # The reflectors are stored as dgehrd stores them, and an explicit
-        # workspace makes dorghr about twice as fast as its default one.
-        q, info = lapack.dorghr(c, tau, lo=0, hi=n - 1, lwork=64 * n,
-                                overwrite_a=1)
-        lapack_check("dorghr", info)
-    else:
-        q = np.ones((1, 1))
+    # The reflectors sit in c[1:, :n-1]; viewed with c's leading dimension n
+    # that block is the first n-1 rows of a Fortran-ordered (n, n-1) array,
+    # which dormqr takes as it is.
+    reflectors = c.reshape(-1, order="F")[1:1 + n * (n - 1)].reshape(
+        (n, n - 1), order="F")
     # lambda_min <= min(d) holds exactly; taking the smaller of the two keeps
     # the shifted diagonal nonnegative whatever the rounding of the bisection.
     lam_min = min(float(eigvalsh_tridiagonal(d, e, select="i",
@@ -127,10 +182,10 @@ def tridiagonal_factor(H):
             "anchor Hessian has smallest eigenvalue lambda_min = %.3e < -%.3e"
             % (lam_min, floor)
         )
-    factor = HessianFactor(d + max(0.0, -lam_min), e, q)
-    for a in factor:  # fresh arrays: frozen in place, not copied
-        a.setflags(write=False)
-    return factor
+    d = d + max(0.0, -lam_min)
+    for arr in (d, e, reflectors, tau):  # frozen in place, not copied
+        arr.setflags(write=False)
+    return HessianFactor(d, e, reflectors, tau)
 
 
 def d4_value(h):
@@ -150,51 +205,46 @@ def d4_grad(h):
 class ModelAnchor:
     """Frozen oracle data of f at one anchor point, plus the level M.
 
-    All cached quantities (value, gradient, Hessian trace, and the Hessian
-    itself, kept only as its ``HessianFactor`` H = Q T Q^T after the
-    convexity shift) belong to the same x, and ``point`` is the oracle point
-    they were queried through.  The model, the scaling function and the
-    secular solves all use that one factor.  ``with_m`` re-levels the anchor
-    without touching the cached data, so level escalations at a fixed anchor
-    cost no oracle calls.
+    All cached quantities (the gradient ``g_x``, its image ``g_hat`` = Q^T g
+    in the coordinates of Q, and the Hessian, kept only as its
+    ``HessianFactor`` H = Q T Q^T after the convexity shift) belong to the
+    same x, and ``point`` is the oracle point they were queried through.
+    The model, the scaling function and the secular solves all use that one
+    factor.  ``with_m`` re-levels the anchor without touching the cached
+    data, so level escalations at a fixed anchor cost no oracle calls.
     """
 
     x: np.ndarray
-    f_x: float
     g_x: np.ndarray
+    g_hat: np.ndarray
     factor: HessianFactor
-    trace_H: float
     M: float
     point: Point = field(repr=False)
 
     @classmethod
-    def from_oracle(cls, oracle, x, M, f_x=None, g_x=None):
+    def from_oracle(cls, oracle, x, M, g_x=None):
         """Evaluate and freeze the anchor data of ``oracle`` at ``x``.
 
-        ``x`` is an array or an oracle ``Point``.  ``f_x`` / ``g_x`` may be
-        passed in when the caller already evaluated them at x (they are then
-        not re-queried and not re-counted).
+        ``x`` is an array or an oracle ``Point``.  Costs one Hessian call,
+        plus one gradient call unless ``g_x``, the gradient at x, is passed
+        in.  The value f(x) and trace(H) are not queried: nothing in the
+        solvers reads f(x) at an anchor, and the factor holds the trace.
+        The Hessian array the oracle returns is factored in place (see
+        ``tridiagonal_factor``), so an oracle must return a fresh array, as
+        the shipped ones do.
         """
         if M <= 0.0:
             raise ValueError("regularization level M must be positive")
         p = as_point(x)
-        if f_x is None:
-            f_x = oracle.value(p)
         if g_x is None:
             g_x = oracle.grad(p)
         g_x = np.asarray(g_x, dtype=float)
         g_x.setflags(write=False)  # frozen in place, not copied
-        H = oracle.hessian(p)
-        trace_h = oracle.hessian_trace(p)
-        return cls(
-            x=p.x,
-            f_x=float(f_x),
-            g_x=g_x,
-            factor=tridiagonal_factor(H),
-            trace_H=float(trace_h),
-            M=float(M),
-            point=p,
-        )
+        factor = tridiagonal_factor(oracle.hessian(p))
+        g_hat = factor.qt(g_x)
+        g_hat.setflags(write=False)
+        return cls(x=p.x, g_x=g_x, g_hat=g_hat, factor=factor, M=float(M),
+                   point=p)
 
     def with_m(self, M):
         """Same anchor data at a different level M (no oracle calls)."""
@@ -214,11 +264,14 @@ class ModelAnchor:
 
 
 def taylor3_value(anchor, oracle, y):
-    """Third-order Taylor polynomial Phi(y) of f around the anchor."""
+    """Third-order Taylor polynomial Phi(y) of f around the anchor.
+
+    Queries f at the anchor point, which the anchor does not cache.
+    """
     h = np.asarray(y, dtype=float) - anchor.x
     t = anchor.third_at(oracle, h)
     return (
-        anchor.f_x
+        oracle.value(anchor.point)
         + float(np.dot(anchor.g_x, h))
         + 0.5 * float(np.dot(anchor.factor.apply(h), h))
         + float(np.dot(t, h)) / 6.0
@@ -231,18 +284,21 @@ def omega_value(anchor, oracle, y):
     return taylor3_value(anchor, oracle, y) + 0.5 * anchor.M * d4_value(h)
 
 
-def omega_grad(anchor, oracle, y):
-    """Gradient of the regularized model,
+def omega_grad(anchor, oracle, hh):
+    """Gradient of the regularized model in the coordinates of Q,
 
-        grad Omega(y) = g + H h + 1/2 D3f(x)[h]^2 + (M / 2) ||h||^2 h.
+        Q^T grad Omega(y) = g^ + T h^ + 1/2 Q^T D3f(x)[h]^2
+                            + (M / 2) ||h^||^2 h^
 
-    The 1/2 on the directional third derivative is what calculus gives for
-    the 1/6 <T(h), h> term of Phi; a finite-difference consistency test pins
-    it down.
+    at y = x + h with h = Q h^, T here being the factor's tridiagonal
+    matrix.  The 1/2 on the directional third derivative is what calculus
+    gives for the 1/6 <D3f(x)[h]^2, h> term of Phi; a finite-difference
+    consistency test pins it down.
     """
-    h = np.asarray(y, dtype=float) - anchor.x
-    t = anchor.third_at(oracle, h)
-    return anchor.g_x + anchor.factor.apply(h) + 0.5 * t + 0.5 * anchor.M * d4_grad(h)
+    f = anchor.factor
+    t = anchor.third_at(oracle, f.q(hh))
+    return (anchor.g_hat + f.tri(hh) + 0.5 * f.qt(t)
+            + 0.5 * anchor.M * d4_grad(hh))
 
 
 def rho_value(anchor, y):
@@ -251,10 +307,10 @@ def rho_value(anchor, y):
     return 0.5 * float(np.dot(anchor.factor.apply(h), h)) + 0.5 * anchor.M * d4_value(h)
 
 
-def rho_grad(anchor, y):
-    """Gradient H h + (M / 2) ||h||^2 h of the scaling function."""
-    h = np.asarray(y, dtype=float) - anchor.x
-    return anchor.factor.apply(h) + 0.5 * anchor.M * d4_grad(h)
+def rho_grad(anchor, hh):
+    """Gradient T h^ + (M / 2) ||h^||^2 h^ of the scaling function in the
+    coordinates of Q, at y = x + Q h^."""
+    return anchor.factor.tri(hh) + 0.5 * anchor.M * d4_grad(hh)
 
 
 def bregman_div(anchor, u, v):
@@ -264,16 +320,17 @@ def bregman_div(anchor, u, v):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    qt = anchor.factor.qt
     return rho_value(anchor, v) - rho_value(anchor, u) - float(
-        np.dot(rho_grad(anchor, u), v - u)
+        np.dot(rho_grad(anchor, qt(u - anchor.x)), qt(v - u))
     )
 
 
 def inner_constants(anchor, grad_tilde_norm):
     """Smoothness and divergence constants used by the inner solver.
 
-    With g = ||grad f at the anchor|| and
-    B = (96 g / M)^(2/3):
+    With g = ||grad f at the anchor||, trace(H) read from the anchor's
+    factor and B = (96 g / M)^(2/3):
 
         L    = trace(H) + (3 M / 2) B
         beta = 1/2 trace(H) B + (M / 8) B^2
@@ -287,6 +344,7 @@ def inner_constants(anchor, grad_tilde_norm):
     if g < 0.0:
         raise ValueError("gradient norm must be nonnegative")
     bracket = (96.0 * g / anchor.M) ** (2.0 / 3.0)
-    lips = anchor.trace_H + 1.5 * anchor.M * bracket
-    beta = 0.5 * anchor.trace_H * bracket + anchor.M / 8.0 * bracket**2
+    trace_h = anchor.factor.trace
+    lips = trace_h + 1.5 * anchor.M * bracket
+    beta = 0.5 * trace_h * bracket + anchor.M / 8.0 * bracket**2
     return lips, beta

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from tensormin.model import HessianFactor, omega_grad, rho_grad
 from tensormin.oracles import Dataset, SmoothOracle, logistic_oracle
 
 
@@ -49,3 +50,33 @@ def make_logistic(m, n_raw_features, seed, separable_shift=0.0):
     labels = (rng.random(m) < p).astype(float)
     data = Dataset(features=features, labels=labels)
     return data, logistic_oracle(data)
+
+
+def tri_factor(d, e=None):
+    """The ``HessianFactor`` of T = tridiag(d, e) itself (Q = I: zero
+    reflectors); e defaults to zeros, i.e. T = diag(d)."""
+    d = np.asarray(d, dtype=float)
+    n = d.size
+    e = np.zeros(n - 1) if e is None else np.asarray(e, dtype=float)
+    return HessianFactor(d, e, np.zeros((n, n - 1), order="F"),
+                         np.zeros(n - 1))
+
+
+def dense_q(factor):
+    """The factor's Q as a dense matrix, one column per product Q e_j."""
+    return np.column_stack([factor.q(col) for col in np.eye(factor.d.size)])
+
+
+def hat(anchor, y):
+    """h^ = Q^T (y - x): the point y in the inner solver's coordinates."""
+    return anchor.factor.qt(np.asarray(y, dtype=float) - anchor.x)
+
+
+def omega_grad_at(anchor, oracle, y):
+    """grad Omega(y) in the original coordinates."""
+    return anchor.factor.q(omega_grad(anchor, oracle, hat(anchor, y)))
+
+
+def rho_grad_at(anchor, y):
+    """grad rho(y) in the original coordinates."""
+    return anchor.factor.q(rho_grad(anchor, hat(anchor, y)))

@@ -162,14 +162,14 @@ def test_experiment_bundled_dataset_paper_counters():
     # change the work done without this test noticing.
     expected = {
         "basic": [
-            (1e-2, (3, 47, 3, 33)),
-            (1e-4, (3, 59, 3, 45)),
-            (1e-6, (4, 79, 4, 61)),
-            (1e-8, (4, 90, 4, 72)),
+            (1e-2, (3, 44, 3, 33)),
+            (1e-4, (3, 56, 3, 45)),
+            (1e-6, (4, 75, 4, 61)),
+            (1e-8, (4, 86, 4, 72)),
         ],
         "accel": [
-            (1e-2, (31, 662, 31, 476)),
-            (1e-4, (127, 3545, 127, 2783)),
+            (1e-2, (31, 600, 31, 476)),
+            (1e-4, (127, 3291, 127, 2783)),
         ],
     }
     for solver, cases in expected.items():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle, make_logistic
+from conftest import QuadraticOracle, hat, make_logistic, tri_factor
 from tensormin import inner
 from tensormin.inner import (
     StopReason,
@@ -16,7 +16,6 @@ from tensormin.inner import (
     slow_decay_violated,
 )
 from tensormin.model import (
-    HessianFactor,
     ModelAnchor,
     SecularSolveError,
     inner_constants,
@@ -26,13 +25,6 @@ from tensormin.model import (
     tridiagonal_factor,
 )
 from tensormin.oracles import quartic_oracle
-
-
-def diagonal(d, q=None):
-    """The factor of H = Q diag(d) Q^T (Q = I by default)."""
-    d = np.asarray(d, dtype=float)
-    return HessianFactor(d, np.zeros(d.size - 1),
-                         np.eye(d.size) if q is None else q)
 
 
 def quartic_anchor(x, M):
@@ -62,7 +54,7 @@ def high_level_runs():
 
 
 def test_secular_zero_rhs_returns_zero():
-    h = secular_solve(diagonal([1.0, 2.0]), 3.0, np.zeros(2))
+    h = secular_solve(tri_factor([1.0, 2.0]), 3.0, np.zeros(2))
     assert np.array_equal(h, np.zeros(2))
 
 
@@ -74,7 +66,7 @@ def test_secular_rank_zero_hessian_closed_form():
         n = int(rng.integers(1, 7))
         c = rng.standard_normal(n) * float(10 ** rng.uniform(-2, 2))
         M = float(10 ** rng.uniform(-2, 2))
-        h = secular_solve(diagonal(np.zeros(n)), M, c)
+        h = secular_solve(tri_factor(np.zeros(n)), M, c)
         cnorm = np.linalg.norm(c)
         expected = (2.0 / M) ** (1.0 / 3.0) * c / cnorm ** (2.0 / 3.0)
         assert np.allclose(h, expected, rtol=1e-10, atol=1e-12)
@@ -82,7 +74,7 @@ def test_secular_rank_zero_hessian_closed_form():
 
 def test_secular_one_dimensional_cubic_root():
     # (1 + r^2) r = 2 has the unique real root r = 1.
-    h = secular_solve(diagonal([1.0]), 2.0, np.array([2.0]))
+    h = secular_solve(tri_factor([1.0]), 2.0, np.array([2.0]))
     assert h == pytest.approx([1.0], abs=1e-12)
 
 
@@ -97,14 +89,15 @@ def test_secular_residuals_on_random_systems():
         w = np.clip(w, 0.0, None)
         M = float(10 ** rng.uniform(-3, 3))
         c = rng.standard_normal(n) * float(10 ** rng.uniform(-3, 3))
-        h = secular_solve(diagonal(w, q), M, c)
+        # H = q diag(w) q^T: solve in the coordinates of q.
+        h = q @ secular_solve(tri_factor(w), M, q.T @ c)
         lhs = H @ h + 0.5 * M * float(np.dot(h, h)) * h
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
 
 
 def test_secular_residuals_on_random_tridiagonal_systems():
     # The same systems as above, solved through a genuine tridiagonal T and
-    # the Q of dsytrd/dorghr, checked against the dense H.
+    # the reflectors of dsytrd, checked against the dense H.
     rng = np.random.default_rng(124)
     tridiagonal = 0
     for _ in range(100):
@@ -113,11 +106,11 @@ def test_secular_residuals_on_random_tridiagonal_systems():
         B = rng.standard_normal((rows, n))
         H = B.T @ B
         H = 0.5 * (H + H.T)
-        factor = tridiagonal_factor(H)
+        factor = tridiagonal_factor(H.copy())
         tridiagonal += bool(np.any(factor.e))
         M = float(10 ** rng.uniform(-3, 3))
         c = rng.standard_normal(n) * float(10 ** rng.uniform(-3, 3))
-        h = secular_solve(factor, M, c)
+        h = factor.q(secular_solve(factor, M, factor.qt(c)))
         lhs = H @ h + 0.5 * M * float(np.dot(h, h)) * h
         assert np.linalg.norm(lhs - c) <= 1e-12 * (1.0 + np.linalg.norm(c))
     assert tridiagonal >= 90
@@ -137,8 +130,7 @@ def test_secular_bracket_expansion_failure_raises_typed_error():
     # T = [[1, 1e40], [1e40, 1]] has a nonnegative diagonal but is far from
     # PSD: T + sigma I breaks down for every sigma the upper end reaches.
     with pytest.raises(SecularSolveError, match="upper bracket expansion failed"):
-        secular_solve(HessianFactor(np.ones(2), np.array([1e40]), np.eye(2)),
-                      1.0, np.ones(2))
+        secular_solve(tri_factor(np.ones(2), [1e40]), 1.0, np.ones(2))
 
 
 def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
@@ -148,15 +140,14 @@ def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
     monkeypatch.setattr(inner.lapack, "dpttrs", failing_dpttrs)
     with pytest.raises(SecularSolveError,
                        match="dpttrs returned info = -3 at sigma = "):
-        secular_solve(HessianFactor(np.array([1.0, 2.0]), np.array([0.5]),
-                                    np.eye(2)), 1.0, np.ones(2))
+        secular_solve(tri_factor([1.0, 2.0], [0.5]), 1.0, np.ones(2))
 
 
 def test_secular_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        secular_solve(diagonal([1.0]), 0.0, np.array([1.0]))
+        secular_solve(tri_factor([1.0]), 0.0, np.array([1.0]))
     with pytest.raises(ValueError):
-        secular_solve(diagonal([-0.5, 1.0]), 1.0, np.ones(2))
+        secular_solve(tri_factor([-0.5, 1.0]), 1.0, np.ones(2))
 
 
 # -- Bregman step ----------------------------------------------------------------
@@ -165,8 +156,8 @@ def test_secular_rejects_bad_inputs():
 def test_bregman_step_stationary_anchor_stays_put():
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([0.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    y1, r, _ = bregman_step(anchor, oracle, np.array([0.0]))
-    assert np.array_equal(y1, np.zeros(1))
+    h1, r, _ = bregman_step(anchor, oracle, np.zeros(1))
+    assert np.array_equal(h1, np.zeros(1))
     assert np.allclose(r, 0.0, atol=1e-15)
 
 
@@ -175,8 +166,8 @@ def test_one_dimensional_anchor_through_step_and_run():
     # M = 6: c = 1/3, and (2 + 3 h^2) h = 1/3 has its root near 0.16.
     oracle = QuadraticOracle(np.array([[2.0]]), np.array([-1.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=6.0)
-    y1, r, _ = bregman_step(anchor, oracle, anchor.x)
-    h = float(y1[0])
+    h1, r, _ = bregman_step(anchor, oracle, np.zeros(1))
+    h = float(h1[0])  # n = 1: Q = 1
     assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
     assert np.linalg.norm(r) <= 1e-12
     res = run_inner(anchor, oracle, 1e-8,
@@ -197,15 +188,16 @@ def test_bregman_step_one_dimensional_point():
     # c = -(1/3) grad f(0) = 2, and the secular system gives y_1 = 1.
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([-6.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    y1, r, _ = bregman_step(anchor, oracle, np.array([0.0]))
-    assert y1 == pytest.approx([1.0], abs=1e-10)
+    h1, r, _ = bregman_step(anchor, oracle, np.zeros(1))
+    assert h1 == pytest.approx([1.0], abs=1e-10)  # x = 0 and Q = 1
     assert np.linalg.norm(r) <= 1e-9
 
 
 def test_bregman_step_optimality_along_runs():
     # The step's first-order optimality condition, recomputed from scratch:
     # grad Omega(y_k) + 3 [grad rho(y_{k+1}) - grad rho(y_k)] vanishes to the
-    # secular tolerance, scaled by the local gradient size.
+    # secular tolerance, scaled by the local gradient size.  Q^T preserves
+    # norms, so the check runs in the coordinates of Q.
     cases = []
     anchor_q, oracle_q = quartic_anchor(np.array([1.0, -2.0, 0.5]), M=96.0)
     cases.append((anchor_q, oracle_q))
@@ -214,16 +206,17 @@ def test_bregman_step_optimality_along_runs():
     cases.append((ModelAnchor.from_oracle(oracle_l, x, M=5.0), oracle_l))
 
     for anchor, oracle in cases:
-        y = np.array(anchor.x)
+        hh = np.zeros(oracle.n)
         for _ in range(15):
-            y_next, r, grho_next = bregman_step(anchor, oracle, y)
-            gom = omega_grad(anchor, oracle, y)
-            resid = gom + 3.0 * (rho_grad(anchor, y_next) - rho_grad(anchor, y))
+            hh_next, r, grho_next = bregman_step(anchor, oracle, hh)
+            gom = omega_grad(anchor, oracle, hh)
+            resid = gom + 3.0 * (rho_grad(anchor, hh_next)
+                                 - rho_grad(anchor, hh))
             bound = 1e-12 * (1.0 + np.linalg.norm(gom))
             assert np.linalg.norm(resid) <= bound
             assert np.allclose(r, -resid, atol=1e-15)
-            assert np.array_equal(grho_next, rho_grad(anchor, y_next))
-            y = y_next
+            assert np.array_equal(grho_next, rho_grad(anchor, hh_next))
+            hh = hh_next
 
 
 # -- run_inner: exits and certificates ---------------------------------------------
@@ -252,7 +245,8 @@ def test_run_inner_exit_inequalities_recomputed(high_level_runs):
     # The reported stop reason's defining inequality must hold when the model
     # gradient is recomputed from scratch at the returned point.
     for anchor, oracle, res, _ in high_level_runs:
-        G = float(np.linalg.norm(omega_grad(anchor, oracle, res.x_plus)))
+        G = float(np.linalg.norm(omega_grad(anchor, oracle,
+                                            hat(anchor, res.x_plus))))
         assert abs(G - res.model_grad_norm) <= 1e-9 * (1.0 + res.model_grad_norm)
         if res.stop_reason is StopReason.EPSILON_SMALL:
             assert G <= (1e-6 / 7.0) * (1.0 + 1e-6)
@@ -288,7 +282,8 @@ def test_run_inner_slow_certificate_at_tiny_level():
         assert res.stop_reason is StopReason.SLOW_CONVERGENCE
         lips, beta = inner_constants(anchor, g_norm)
         k_exit = res.iterations - 1
-        G = float(np.linalg.norm(omega_grad(anchor, oracle, res.x_plus)))
+        G = float(np.linalg.norm(omega_grad(anchor, oracle,
+                                            hat(anchor, res.x_plus))))
         assert slow_decay_violated(G, lips, beta, anchor.M, k_exit)
 
 
@@ -298,11 +293,11 @@ def test_run_inner_monotone_model_decrease():
     rng = np.random.default_rng(23)
     for _ in range(5):
         anchor, oracle = quartic_anchor(rng.uniform(-2.0, 2.0, size=4), M=96.0)
-        y = np.array(anchor.x)
-        om = omega_value(anchor, oracle, y)
+        hh = np.zeros(oracle.n)
+        om = omega_value(anchor, oracle, anchor.x)
         for _ in range(20):
-            y, _, _ = bregman_step(anchor, oracle, y)
-            om_next = omega_value(anchor, oracle, y)
+            hh, _, _ = bregman_step(anchor, oracle, hh)
+            om_next = omega_value(anchor, oracle, anchor.x + anchor.factor.q(hh))
             assert om_next <= om + 1e-10 * (1.0 + abs(om))
             om = om_next
 
@@ -349,8 +344,11 @@ def test_run_inner_iteration_cap():
     )
     assert res.stop_reason is StopReason.ITERATION_CAP
     assert res.iterations == 1
+    # The one step, retraced in the coordinates of Q.
+    h1, _, _ = bregman_step(anchor, oracle, np.zeros(2))
+    assert np.array_equal(res.x_plus, anchor.x + anchor.factor.q(h1))
     assert res.model_grad_norm == float(
-        np.linalg.norm(omega_grad(anchor, oracle, res.x_plus))
+        np.linalg.norm(omega_grad(anchor, oracle, h1))
     )
 
 

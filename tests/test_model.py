@@ -3,8 +3,15 @@ Bregman divergence, anchor caching, and the inner-solver constants."""
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from conftest import QuadraticOracle, make_logistic
+from conftest import (
+    QuadraticOracle,
+    dense_q,
+    make_logistic,
+    omega_grad_at,
+    rho_grad_at,
+)
 import tensormin.model
 from tensormin.inner import bregman_step
 from tensormin.model import (
@@ -17,7 +24,6 @@ from tensormin.model import (
     inner_constants,
     omega_grad,
     omega_value,
-    rho_grad,
     rho_value,
     taylor3_value,
     tridiagonal_factor,
@@ -101,7 +107,7 @@ def test_omega_quartic_one_dimensional_point():
     anchor = ModelAnchor.from_oracle(oracle, np.array([1.0]), M=24.0)
     y = np.array([2.0])
     assert omega_value(anchor, oracle, y) == pytest.approx(18.0, abs=1e-12)
-    grad = omega_grad(anchor, oracle, y)
+    grad = omega_grad_at(anchor, oracle, y)
     assert grad == pytest.approx([40.0], abs=1e-12)
 
 
@@ -111,7 +117,10 @@ def test_omega_at_anchor_reduces_to_f_and_grad_f():
     x = rng.standard_normal(oracle.n)
     anchor = ModelAnchor.from_oracle(oracle, x, M=3.0)
     assert omega_value(anchor, oracle, x) == pytest.approx(oracle.value(x), rel=1e-14)
-    assert np.allclose(omega_grad(anchor, oracle, x), oracle.grad(x), atol=1e-14)
+    assert np.allclose(omega_grad_at(anchor, oracle, x), oracle.grad(x),
+                       atol=1e-14)
+    assert np.array_equal(omega_grad(anchor, oracle, np.zeros(oracle.n)),
+                          anchor.g_hat)
 
 
 def test_omega_is_taylor_plus_scaled_regularizer():
@@ -138,7 +147,7 @@ def test_omega_grad_quadratic_oracle_is_exact_gradient_plus_regularizer():
         y = rng.standard_normal(2)
         h = y - anchor.x
         expected = oracle.grad(y) + 2.0 * d4_grad(h)
-        assert np.allclose(omega_grad(anchor, oracle, y), expected, atol=1e-12)
+        assert np.allclose(omega_grad_at(anchor, oracle, y), expected, atol=1e-12)
 
 
 def test_model_gradients_match_finite_differences():
@@ -158,8 +167,9 @@ def test_model_gradients_match_finite_differences():
             y = x + rng.standard_normal(oracle.n)
             delta = 1e-5 * (1.0 + np.linalg.norm(y))
             for fn_val, fn_grad in (
-                (lambda z: omega_value(anchor, oracle, z), omega_grad(anchor, oracle, y)),
-                (lambda z: rho_value(anchor, z), rho_grad(anchor, y)),
+                (lambda z: omega_value(anchor, oracle, z),
+                 omega_grad_at(anchor, oracle, y)),
+                (lambda z: rho_value(anchor, z), rho_grad_at(anchor, y)),
             ):
                 u = rng.standard_normal(oracle.n)
                 u /= np.linalg.norm(u)
@@ -179,7 +189,7 @@ def test_rho_one_dimensional_closed_form():
     anchor, _ = quad_anchor([[1.0]], [0.0], [0.0], 2.0)
     y = np.array([1.0])
     assert rho_value(anchor, y) == pytest.approx(0.75, abs=1e-15)
-    assert rho_grad(anchor, y) == pytest.approx([2.0], abs=1e-15)
+    assert rho_grad_at(anchor, y) == pytest.approx([2.0], abs=1e-15)
 
 
 def test_rho_vanishes_at_anchor():
@@ -187,7 +197,7 @@ def test_rho_vanishes_at_anchor():
     x = np.random.default_rng(10).standard_normal(oracle.n)
     anchor = ModelAnchor.from_oracle(oracle, x, M=7.0)
     assert rho_value(anchor, x) == 0.0
-    assert np.array_equal(rho_grad(anchor, x), np.zeros(oracle.n))
+    assert np.array_equal(rho_grad_at(anchor, x), np.zeros(oracle.n))
 
 
 def test_bregman_divergence_nonnegative_and_zero_on_diagonal():
@@ -229,7 +239,7 @@ def test_inner_constants_closed_form_point():
 def test_inner_constants_zero_gradient():
     anchor, _ = quad_anchor([[4.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1.0, -1.0], 3.0)
     lips, beta = inner_constants(anchor, 0.0)
-    assert lips == pytest.approx(anchor.trace_H, abs=1e-15)
+    assert lips == pytest.approx(anchor.factor.trace, abs=1e-15)
     assert beta == 0.0
 
 
@@ -240,7 +250,7 @@ def test_inner_constants_bracket_shrinks_as_m_grows():
     for M in (1.0, 2.0, 4.0, 8.0):
         lev = anchor.with_m(M)
         lips, _ = inner_constants(lev, g)
-        bracket = (lips - lev.trace_H) / (1.5 * M)
+        bracket = (lips - lev.factor.trace) / (1.5 * M)
         if prev_excess is not None:
             assert bracket < prev_excess
         prev_excess = bracket
@@ -310,7 +320,8 @@ def test_gradient_monotonicity_quartic_growth():
         w = x + rng.uniform(-2.0, 2.0, size=3)
         lhs = float(
             np.dot(
-                omega_grad(anchor, oracle, z) - omega_grad(anchor, oracle, w), z - w
+                omega_grad_at(anchor, oracle, z) - omega_grad_at(anchor, oracle, w),
+                z - w,
             )
         )
         rhs = (anchor.M / 12.0) * np.linalg.norm(z - w) ** 4
@@ -330,10 +341,12 @@ def test_sublevel_displacement_bound_during_inner_runs():
         anchor = ModelAnchor.from_oracle(oracle, x, M=96.0)
         g_norm = float(np.linalg.norm(anchor.g_x))
         cap = 96.0 * g_norm / anchor.M
-        y = np.array(x)
+        f_x = oracle.value(x)
+        hh = np.zeros(3)
         for _ in range(30):
-            y, _, _ = bregman_step(anchor, oracle, y)
-            if omega_value(anchor, oracle, y) <= anchor.f_x:
+            hh, _, _ = bregman_step(anchor, oracle, hh)
+            y = x + anchor.factor.q(hh)
+            if omega_value(anchor, oracle, y) <= f_x:
                 disp = float(np.linalg.norm(y - x)) ** 3
                 assert disp <= cap * (1.0 + 1e-9)
                 checks += 1
@@ -386,11 +399,11 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
         P = rotated([-5e-11, 1.0, 2.0], seed)
         oracle = QuadraticOracle(P, rng.standard_normal(3))
         anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
-        d, e, q = anchor.factor
-        t = tridiag_dense(d, e)
+        q = dense_q(anchor.factor)
+        t = tridiag_dense(anchor.factor.d, anchor.factor.e)
         assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(P, 2)
-        y1, _, _ = bregman_step(anchor, oracle, anchor.x)
-        h = y1 - anchor.x
+        h1, _, _ = bregman_step(anchor, oracle, np.zeros(3))
+        h = q @ h1
         c = -oracle.grad(anchor.x) / 3.0
         shifted = q @ t @ q.T
         lhs = shifted @ h + 0.5 * anchor.M * float(h @ h) * h
@@ -407,7 +420,7 @@ def test_rounding_noise_anchor_step_certificate_vanishes():
         P = rotated([-5e-11, 1.0, 2.0], seed)
         oracle = QuadraticOracle(P, rng.standard_normal(3))
         anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
-        _, r, _ = bregman_step(anchor, oracle, anchor.x)
+        _, r, _ = bregman_step(anchor, oracle, np.zeros(3))
         gnorm = np.linalg.norm(oracle.grad(anchor.x))
         assert np.linalg.norm(r) <= 1e-12 * (1.0 + gnorm)
 
@@ -427,15 +440,15 @@ def test_anchor_accepts_rank_deficient_psd_family(monkeypatch):
     # -n eps max|T|, which at this scale is often below -EIG_FLOOR.
     family = [rank_deficient_psd(seed) for seed in range(400)]
     for h in family:
-        d, e, _ = tridiagonal_factor(h)
-        t = tridiag_dense(d, e)
+        factor = tridiagonal_factor(h.copy())
+        t = tridiag_dense(factor.d, factor.e)
         assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(h, 2)
     # With the absolute floor alone most of the family would be rejected.
     monkeypatch.setattr(tensormin.model, "ROUNDING_C", 0.0)
     rejected = 0
     for h in family:
         try:
-            tridiagonal_factor(h)
+            tridiagonal_factor(h.copy())
         except ConvexityError as exc:
             assert "< -%.3e" % EIG_FLOOR in str(exc)
             rejected += 1
@@ -455,18 +468,79 @@ def test_anchor_tridiagonal_factor_reconstructs_hessian():
     _, oracle = make_logistic(25, 4, seed=17)
     x = np.random.default_rng(18).standard_normal(oracle.n)
     anchor = ModelAnchor.from_oracle(oracle, x, M=1.0)
-    d, e, q = anchor.factor
-    rebuilt = q @ tridiag_dense(d, e) @ q.T
+    q = dense_q(anchor.factor)
+    rebuilt = q @ tridiag_dense(anchor.factor.d, anchor.factor.e) @ q.T
     H = oracle.hessian(x)
     scale = 1.0 + np.abs(H).max()
     assert np.abs(rebuilt - H).max() <= 1e-8 * scale
     assert np.abs(q.T @ q - np.eye(oracle.n)).max() <= 1e-12
 
 
+def unshifted_reduction(H):
+    """(d, Q) of the reduction tridiagonal_factor makes of H, before the
+    convexity shift, with Q formed densely by LAPACK dorghr."""
+    n = H.shape[0]
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, _, tau, info = lapack.dsytrd(np.asfortranarray(H), lower=1,
+                                       lwork=lwork)
+    assert info == 0
+    if n == 1:
+        return d, np.ones((1, 1))
+    q, info = lapack.dorghr(c, tau, lo=0, hi=n - 1)
+    assert info == 0
+    return d, q
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 200, 501])
+def test_factor_products_match_dense_q(n):
+    # Q^T v and Q v applied by the reflectors agree with the dense Q that
+    # dorghr forms from the same reduction; T v agrees with the dense T.
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n + 3, n))
+    H = b.T @ b
+    H = 0.5 * (H + H.T)
+    _, q = unshifted_reduction(H)
+    factor = tridiagonal_factor(H.copy())
+    t = tridiag_dense(factor.d, factor.e)
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        tol = 1e-14 * np.linalg.norm(v)
+        assert np.linalg.norm(factor.qt(v) - q.T @ v) <= tol
+        assert np.linalg.norm(factor.q(v) - q @ v) <= tol
+        assert np.linalg.norm(factor.tri(v) - t @ v) <= tol * np.abs(t).max()
+        # The products leave their argument alone.
+        w = v.copy()
+        factor.qt(v)
+        factor.q(v)
+        assert np.array_equal(v, w)
+
+
+def test_factor_trace_matches_hessian_trace():
+    # trace(T) equals trace(H) up to rounding, plus n times the convexity
+    # shift; the rank-deficient family makes the shift nonzero.
+    cases = [rank_deficient_psd(seed) for seed in range(40)]
+    for seed in range(5):
+        _, oracle = make_logistic(60, 1 + 4 * seed, seed=seed)
+        x = np.random.default_rng(seed).standard_normal(oracle.n)
+        cases.append(oracle.hessian(x))
+    shifted = 0
+    for H in cases:
+        n = H.shape[0]
+        tr = float(np.trace(H))
+        d0, _ = unshifted_reduction(H)
+        factor = tridiagonal_factor(H.copy())
+        shift = float((factor.d - d0).max())
+        shifted += shift > 0.0
+        assert abs(factor.trace - tr) <= 1e-12 * (1.0 + abs(tr)) + n * shift
+    assert shifted >= 5
+
+
 def test_anchor_arrays_are_frozen():
     oracle = quartic_oracle(2)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
-    for arr in (anchor.x, anchor.g_x, *anchor.factor):
+    f = anchor.factor
+    for arr in (anchor.x, anchor.g_x, anchor.g_hat, f.d, f.e, f.reflectors,
+                f.tau):
         with pytest.raises(ValueError):
             arr[0] = 0.0 if arr.ndim == 1 else arr[0]
 
@@ -477,7 +551,9 @@ def test_anchor_one_dimensional_factor():
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.5]), M=4.0)
     assert np.array_equal(anchor.factor.d, [2.0])
     assert anchor.factor.e.shape == (0,)
-    assert np.array_equal(anchor.factor.q, [[1.0]])
+    assert anchor.factor.tau.shape == (0,)
+    assert np.array_equal(anchor.factor.q(np.array([3.0])), [3.0])
+    assert np.array_equal(anchor.factor.qt(np.array([3.0])), [3.0])
 
 
 def test_with_m_shares_anchor_data_without_oracle_calls():
@@ -493,17 +569,18 @@ def test_with_m_shares_anchor_data_without_oracle_calls():
 
 
 def test_from_oracle_skips_passed_in_value_and_gradient():
+    # The anchor never queries f or the trace; a passed-in gradient is not
+    # queried again, so the Hessian is the one call left.
     oracle = quartic_oracle(2)
     x = np.array([1.0, 2.0])
-    f_x = oracle.value(x)
     g_x = oracle.grad(x)
     oracle.calls.reset()
-    ModelAnchor.from_oracle(oracle, x, M=1.0, f_x=f_x, g_x=g_x)
-    snap = oracle.calls.snapshot()
-    assert snap["value"] == 0
-    assert snap["grad"] == 0
-    assert snap["hessian"] == 1
-    assert snap["trace"] == 1
+    ModelAnchor.from_oracle(oracle, x, M=1.0, g_x=g_x)
+    assert oracle.calls.snapshot() == {"value": 0, "grad": 0, "hessian": 1,
+                                       "third": 0, "trace": 0}
+    ModelAnchor.from_oracle(oracle, x, M=1.0)
+    assert oracle.calls.snapshot() == {"value": 0, "grad": 1, "hessian": 2,
+                                       "third": 0, "trace": 0}
 
 
 def test_third_at_zero_displacement_costs_no_call():

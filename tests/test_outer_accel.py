@@ -329,13 +329,13 @@ def test_run_accel_oracle_call_conservation():
     oracle, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-3)
     snap = oracle.calls.snapshot()
     assert report.CO == oracle.calls.total() == sum(snap.values())
-    # one anchor (value+grad+hessian+trace at z) per trial row
+    # one anchor (grad+hessian at z, no value or trace) per trial row
     assert snap["hessian"] == len(rows)
-    assert snap["trace"] == len(rows)
+    assert snap["trace"] == 0
     evaluated = sum(1 for r in rows if r["grad_norm_trial"] is not None)
     accepted = sum(1 for r in rows if r["accepted"])
     assert snap["grad"] == len(rows) + evaluated
-    assert snap["value"] == len(rows) + accepted
+    assert snap["value"] == accepted
 
 
 def test_run_accel_is_deterministic_except_wall_time():

@@ -163,9 +163,10 @@ def test_run_basic_oracle_call_conservation():
     assert snap["value"] == 1 + evaluated
     # gradients likewise; all other gradient uses reuse anchor data
     assert snap["grad"] == 1 + evaluated
-    # one Hessian (and one trace) per outer anchor, levels share it
+    # one Hessian per outer anchor, levels share it; the factor holds the
+    # trace
     assert snap["hessian"] == anchors
-    assert snap["trace"] == anchors
+    assert snap["trace"] == 0
 
 
 def test_run_basic_queries_third_once_per_inner_iteration():
@@ -176,6 +177,25 @@ def test_run_basic_queries_third_once_per_inner_iteration():
     assert report.converged is True
     assert report.BGM_IT > report.BGM_E
     assert oracle.calls.third == report.BGM_IT
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_logistic_solves_make_no_trace_and_no_anchor_value_calls(solve):
+    # The anchor's factor holds the trace, and no anchor queries f: basic
+    # evaluates f at x_0 and at each evaluated trial, accel only at accepted
+    # trials.
+    _, oracle = make_logistic(300, 6, seed=41)
+    _, report, rows = solve(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0,
+                            1e-6, max_outer=40)
+    snap = oracle.calls.snapshot()
+    assert report.BGM_E > 0
+    assert snap["trace"] == 0
+    evaluated = sum(1 for r in rows if r["grad_norm_trial"] is not None)
+    accepted = sum(1 for r in rows if r["accepted"])
+    if solve is run_basic:
+        assert snap["value"] == 1 + evaluated
+    else:
+        assert snap["value"] == accepted
 
 
 def test_run_basic_is_deterministic_except_wall_time():
@@ -286,9 +306,12 @@ def test_run_basic_level_doubling_failure_is_typed_and_named():
     assert tensormin.LevelSearchError is LevelSearchError
     assert isinstance(info.value, RuntimeError)
     msg = str(info.value)
-    # Levels 2^1 .. 2^201 (the first is the smallest 2^i >= 2 m0).
+    # The trial at level 2^2 repeats the one at 2^1 (the first is the
+    # smallest 2^i >= 2 m0) bit for bit, with zero decrease: the search
+    # stops there instead of doubling on to 2^201.
     assert msg.startswith("level doubling did not terminate at outer step t=0")
-    assert "M = 2.000e+00 .. %.3e" % 2.0**201 in msg
-    assert "last stop reason %s" % StopReason.MODEL_STATIONARITY.value in msg
+    assert "M = 2.000e+00 .. 4.000e+00" in msg
+    assert "last stop reason %s" % StopReason.EPSILON_SMALL.value in msg
+    assert oracle.calls.total() < 100
     assert "gradient norm 1.000e+00 > epsilon 1.000e-06" in msg
     assert "decrease f_x - f_trial = 0.000e+00" in msg

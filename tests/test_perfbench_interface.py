@@ -54,7 +54,12 @@ def test_traced_solve_reconciles(spans, module, loop):
               "BGM_IT": report.BGM_IT}
     assert spans.reconcile(tracer, totals) == []
     assert report.BGM_IT > 0
-    assert tracer.calls("model.anchor") > 0
+    # Every layer the benchmark reports records calls, so a refactor cannot
+    # silently zero one; the trace entry point is no longer used.
+    for span in ("model.anchor", "model.omega_grad", "model.rho_grad",
+                 "inner.secular_solve", "model.third_at", "oracles.hessian"):
+        assert tracer.calls(span) > 0, span
+    assert tracer.calls("oracles.trace") == 0
     # Every name is restored once the block exits.
     for (owner, attr, _), raw in zip(targets, shipped):
         assert owner.__dict__[attr] is raw
