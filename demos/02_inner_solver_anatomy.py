@@ -27,10 +27,10 @@ print("=" * 40)
 # ---------------------------------------------------------------------------
 # Build the model at an anchor
 # ---------------------------------------------------------------------------
-# The anchor freezes the gradient at the current point and keeps the Hessian
-# only as its tridiagonal factorization H = Q T Q^T (which also holds the
-# Hessian trace); the model, the scaling function and the secular solves all
-# use it.  The model adds a quartic penalty
+# The anchor freezes the gradient at the current point (as its norm and its
+# image in the coordinates of Q) and keeps the Hessian only as its
+# tridiagonal factorization H = Q T Q^T (which also holds the Hessian
+# trace); the model, the scaling function and the secular solves all use it.  The model adds a quartic penalty
 # (M/2) * (1/4)||y - x||^4 on top of the third-order Taylor expansion.
 n = 6
 oracle = quartic_oracle(n)
@@ -45,16 +45,16 @@ print(f"regularized model at probe : {omega_value(anchor, oracle, y_probe): .6f}
 print(f"true f at probe            : {oracle.value(y_probe): .6f}")
 print(f"scaling function at probe  : {rho_value(anchor, y_probe): .6f}")
 
-gnorm = float(np.linalg.norm(anchor.g_x))
-lips, beta = inner_constants(anchor, gnorm)
-print(f"\nrelative-smoothness constants: L = {lips:.3f}, beta = {beta:.3f}")
+lips, beta = inner_constants(anchor)
+print(f"\nanchor gradient norm         : {anchor.grad_norm:.3f}")
+print(f"relative-smoothness constants: L = {lips:.3f}, beta = {beta:.3f}")
 
 # ---------------------------------------------------------------------------
 # Watch the Bregman iteration converge
 # ---------------------------------------------------------------------------
 rows = []
 epsilon = 1e-6
-result = run_inner(anchor, oracle, epsilon, gnorm, trace=rows.append)
+result = run_inner(anchor, oracle, epsilon, trace=rows.append)
 
 print("\nper-iteration trace (model gradient norm, step length):")
 print(f"  {'k':>3}  {'model grad':>12}  {'step norm':>12}")
@@ -76,8 +76,7 @@ print(f"accuracy threshold        : {epsilon / 7.0:.3e}  (epsilon / 7)")
 # alpha flag) so the outer loop can double the level instead of wasting
 # iterations.
 low = ModelAnchor.from_oracle(quartic_oracle(n), x, 1e-4)
-low_gnorm = float(np.linalg.norm(low.g_x))
-low_result = run_inner(low, quartic_oracle(n), epsilon, low_gnorm)
+low_result = run_inner(low, quartic_oracle(n), epsilon)
 alpha = low_result.stop_reason is StopReason.SLOW_CONVERGENCE
 print(f"\nat level M = 1e-4: alpha = {alpha}, "
       f"exit = {low_result.stop_reason.value}, "

@@ -209,7 +209,7 @@ class _AccelStep:
             "v_dist": float(np.linalg.norm(state.v - state.x0)),
             "phi_star": phi_min_value(state),
         }
-        return anchor, float(np.linalg.norm(anchor.g_x)), fields
+        return anchor, fields
 
     def accept(self, p_plus, g_plus, gnorm_plus, m_level):
         return accept_test_accel(g_plus, self._z, p_plus.x, m_level), None

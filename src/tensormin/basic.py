@@ -98,10 +98,10 @@ def run_basic(
 class _BasicStep:
     """Anchor at the iterate, accept on sufficient decrease.
 
-    ``f``, ``g`` and ``gnorm`` are the objective, the gradient and its norm
-    at the iterate, whose oracle point is ``p``; one anchor per outer step
-    is built from ``p`` and ``g`` and re-levelled for each trial level;
-    ``f`` serves the decrease test.
+    ``f`` and ``g`` are the objective and the gradient at the iterate, whose
+    oracle point is ``p``; one anchor per outer step is built from ``p`` and
+    ``g`` and re-levelled for each trial level; ``f`` serves the decrease
+    test.  ``gnorm`` is the gradient norm at the start point only.
     """
 
     def __init__(self, oracle, x0):
@@ -116,14 +116,14 @@ class _BasicStep:
         if self._anchor is None:
             self._anchor = ModelAnchor.from_oracle(self.oracle, self.p,
                                                    m_level, g_x=self.g)
-        return self._anchor.with_m(m_level), self.gnorm, {}
+        return self._anchor.with_m(m_level), {}
 
     def accept(self, p_plus, g_plus, gnorm_plus, m_level):
         f_plus = self.oracle.value(p_plus)
         return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
 
     def update(self, p_plus, f_plus, g_plus, gnorm_plus):
-        self.p, self.f, self.g, self.gnorm = p_plus, f_plus, g_plus, gnorm_plus
+        self.p, self.f, self.g = p_plus, f_plus, g_plus
         self._anchor = None
         return {}
 
@@ -169,7 +169,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     * ``f``, ``gnorm``: the objective and gradient norm at x0 if the method
       evaluated them there, else None;
-    * ``anchor(m_level) -> (ModelAnchor, gradient norm there, row fields)``;
+    * ``anchor(m_level) -> (ModelAnchor, row fields)``;
     * ``accept(p_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
       where ``p_plus`` is the trial's oracle point and ``f_plus`` is None
       when the test did not need the trial value;
@@ -217,14 +217,13 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
             accepted = False
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
-                anchor, gnorm_anchor, fields = step.anchor(m_level)
+                anchor, fields = step.anchor(m_level)
                 inner_trace = None
                 if trace_sink is not None:
                     inner_trace = lambda r, _t=t, _i=i: trace_sink(
                         dict(r, kind="inner", t=_t, i=_i)
                     )
-                res = run_inner(anchor, oracle, eps, gnorm_anchor, max_inner,
-                                inner_trace)
+                res = run_inner(anchor, oracle, eps, max_inner, inner_trace)
                 bgm_e += 1
                 bgm_it += res.iterations
                 alpha = res.stop_reason is StopReason.SLOW_CONVERGENCE

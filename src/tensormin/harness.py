@@ -76,39 +76,45 @@ def load_dataset(path, has_header=False):
 
     An all-ones intercept column is prepended to the features.  Malformed
     rows, ragged rows, non-finite cells and non-binary labels are reported
-    with their row number (1-based, counting the header if present).
+    with their row number (1-based, counting the header if present), and a
+    file that is not UTF-8 text by the offset of its first undecodable byte.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                "dataset %s is not UTF-8 text (byte 0x%02x at offset %d)"
+                % (path, exc.object[exc.start], exc.start)) from None
     rows = []
     width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if lineno == 1 and has_header:
-                continue
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if width is None:
-                width = len(record)
-                if width < 2:
-                    raise ValueError(
-                        "row %d has %d columns; need at least one feature "
-                        "and a label" % (lineno, width)
-                    )
-            elif len(record) != width:
+    for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if lineno == 1 and has_header:
+            continue
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        if width is None:
+            width = len(record)
+            if width < 2:
                 raise ValueError(
-                    "row %d has %d columns, expected %d" % (lineno, len(record), width)
+                    "row %d has %d columns; need at least one feature "
+                    "and a label" % (lineno, width)
                 )
-            try:
-                vals = [float(cell) for cell in record]
-            except ValueError:
-                raise ValueError("row %d contains a non-numeric cell" % lineno) from None
-            if not all(map(math.isfinite, vals)):
-                raise ValueError("row %d contains a non-finite cell" % lineno)
-            if vals[-1] not in (0.0, 1.0):
-                raise ValueError(
-                    "row %d label %r is not 0 or 1" % (lineno, record[-1])
-                )
-            rows.append(vals)
+        elif len(record) != width:
+            raise ValueError(
+                "row %d has %d columns, expected %d" % (lineno, len(record), width)
+            )
+        try:
+            vals = [float(cell) for cell in record]
+        except ValueError:
+            raise ValueError("row %d contains a non-numeric cell" % lineno) from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("row %d contains a non-finite cell" % lineno)
+        if vals[-1] not in (0.0, 1.0):
+            raise ValueError(
+                "row %d label %r is not 0 or 1" % (lineno, record[-1])
+            )
+        rows.append(vals)
     if not rows:
         raise ValueError("dataset %s contains no data rows" % path)
     data = np.asarray(rows, dtype=float)
@@ -153,7 +159,8 @@ def run_experiment(cfg, trace_sink=None):
     The dataset is read once per call; each accuracy gets a fresh oracle
     built from it, so its counters (and any finite-difference cache) start
     empty.  Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
-    Solver exceptions are re-raised annotated with the failing accuracy.
+    Solver exceptions are re-raised annotated with the failing accuracy (as a
+    note when their type cannot be rebuilt from one message).
     """
     solver = run_basic if cfg.solver == "basic" else run_accel
     composite = ZeroComposite()
@@ -174,7 +181,15 @@ def run_experiment(cfg, trace_sink=None):
                 trace_sink=sink,
             )
         except Exception as exc:
-            raise type(exc)("epsilon=%g: %s" % (eps, exc)) from exc
+            msg = "epsilon=%g: %s" % (eps, exc)
+            try:
+                annotated = type(exc)(msg)
+            except TypeError:  # the type's constructor takes other arguments
+                annotated = None
+            if annotated is None:
+                exc.add_note(msg)
+                raise
+            raise annotated from exc
         reports.append(report)
     return reports
 

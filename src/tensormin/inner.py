@@ -265,8 +265,7 @@ def _slow_rhs(lips, beta, M, k):
     return math.inf if log_rhs > 709.0 else math.exp(log_rhs)
 
 
-def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
-              trace=None):
+def run_inner(anchor, oracle, epsilon, max_inner=10000, trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
     Runs Bregman-gradient steps from y_0 = anchor.x, in the coordinates of Q
@@ -283,7 +282,9 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
       level-doubling certificate),
     * otherwise iterate, up to ``max_inner`` steps (ITERATION_CAP, run abort).
 
-    G and ||y - x|| are the same in the coordinates of Q.
+    Every exit reports the last tested G; G and ||y - x|| are the same in
+    the coordinates of Q.  The first step starts from the anchor's
+    grad Omega(y_0) = g^ and grad rho(y_0) = 0.
 
     Parameters
     ----------
@@ -294,8 +295,6 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
         oracle point.
     epsilon : float
         Target gradient norm of the outer run (positive).
-    grad_tilde_norm : float
-        Gradient norm at the anchor (enters the certificate constants).
     max_inner : int
         Iteration cap (at least 1).
     trace : callable, optional
@@ -310,10 +309,10 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
         raise ValueError("epsilon must be positive")
     if max_inner < 1:
         raise ValueError("max_inner must be at least 1")
-    lips, beta = inner_constants(anchor, grad_tilde_norm)
+    lips, beta = inner_constants(anchor)
     eps_exit = epsilon / 7.0
     hh = np.zeros_like(anchor.x)
-    gom = grho = None
+    gom, grho = anchor.g_hat, 0.0
 
     def result(iterations, reason, G):
         return InnerResult(anchor.x + anchor.factor.q(hh), iterations, reason,
@@ -344,5 +343,4 @@ def run_inner(anchor, oracle, epsilon, grad_tilde_norm, max_inner=10000,
         if slow_decay_violated(G, lips, beta, anchor.M, k):
             return result(k + 1, StopReason.SLOW_CONVERGENCE, G)
 
-    return result(max_inner, StopReason.ITERATION_CAP,
-                  math.sqrt(np.dot(gom, gom)))
+    return result(max_inner, StopReason.ITERATION_CAP, G)

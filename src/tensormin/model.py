@@ -19,8 +19,8 @@ H's eigenvectors, so the anchor factors H by Householder tridiagonal
 reduction, H = Q T Q^T (LAPACK ``dsytrd``), at a fraction of the cost of an
 eigendecomposition, and keeps H only as that factor: T, and Q as the
 reduction's reflectors, applied to one vector at a time (``dormqr``).  The
-factor also holds trace(H), so the anchor asks the oracle for the gradient
-and the Hessian only.
+factor also holds trace(H) and the anchor keeps only ||g|| and g^ = Q^T g,
+so the anchor asks the oracle for the gradient and the Hessian only.
 
 The inner solver works in the coordinates of Q.  ``omega_grad``, ``rho_grad``
 (and the inner module's steps) take the displacement as h^ = Q^T (y - x) and
@@ -88,7 +88,7 @@ class HessianFactor:
 
     The diagonal d must be nonnegative (T positive semidefinite; the
     convexity shift is made upstream), else ValueError.  Besides products
-    with Q^T, Q, T and H, the factor holds the per-anchor constants of the
+    with Q^T, Q and T, the factor holds the per-anchor constants of the
     secular solves: ``trace`` = trace(T) = trace(H), ``gershgorin`` >=
     lambda_max(T) by Gershgorin's theorem, and ``e_lapack``, the off-diagonal
     as SciPy's ``dpttrf`` wrapper wants it (length 1 at n = 1).
@@ -138,10 +138,6 @@ class HessianFactor:
         y[:-1] += self.e * x[1:]
         y[1:] += self.e * x[:-1]
         return y
-
-    def apply(self, h):
-        """H h = Q T Q^T h."""
-        return self.q(self.tri(self.qt(h)))
 
 
 def tridiagonal_factor(H):
@@ -205,17 +201,17 @@ def d4_grad(h):
 class ModelAnchor:
     """Frozen oracle data of f at one anchor point, plus the level M.
 
-    All cached quantities (the gradient ``g_x``, its image ``g_hat`` = Q^T g
-    in the coordinates of Q, and the Hessian, kept only as its
-    ``HessianFactor`` H = Q T Q^T after the convexity shift) belong to the
-    same x, and ``point`` is the oracle point they were queried through.
-    The model, the scaling function and the secular solves all use that one
-    factor.  ``with_m`` re-levels the anchor without touching the cached
-    data, so level escalations at a fixed anchor cost no oracle calls.
+    All cached quantities belong to the same x, queried through the oracle
+    ``point``: the gradient g only as its norm ``grad_norm`` and its image
+    ``g_hat`` = Q^T g, the Hessian only as its ``HessianFactor``
+    H = Q T Q^T after the convexity shift (which holds trace(H)), used by the
+    model, the scaling function and the secular solves alike.  ``with_m``
+    re-levels the anchor without touching the cached data, so level
+    escalations at a fixed anchor cost no oracle calls.
     """
 
     x: np.ndarray
-    g_x: np.ndarray
+    grad_norm: float
     g_hat: np.ndarray
     factor: HessianFactor
     M: float
@@ -227,24 +223,22 @@ class ModelAnchor:
 
         ``x`` is an array or an oracle ``Point``.  Costs one Hessian call,
         plus one gradient call unless ``g_x``, the gradient at x, is passed
-        in.  The value f(x) and trace(H) are not queried: nothing in the
-        solvers reads f(x) at an anchor, and the factor holds the trace.
-        The Hessian array the oracle returns is factored in place (see
-        ``tridiagonal_factor``), so an oracle must return a fresh array, as
-        the shipped ones do.
+        in; only ||g_x|| and Q^T g_x are kept.  Neither f(x) nor trace(H) is
+        queried: no solver reads f(x) at an anchor, and the factor holds the
+        trace.  The Hessian array the oracle returns is factored in place
+        (see ``tridiagonal_factor``), so an oracle must return a fresh array,
+        as the shipped ones do.
         """
         if M <= 0.0:
             raise ValueError("regularization level M must be positive")
         p = as_point(x)
         if g_x is None:
             g_x = oracle.grad(p)
-        g_x = np.asarray(g_x, dtype=float)
-        g_x.setflags(write=False)  # frozen in place, not copied
         factor = tridiagonal_factor(oracle.hessian(p))
         g_hat = factor.qt(g_x)
         g_hat.setflags(write=False)
-        return cls(x=p.x, g_x=g_x, g_hat=g_hat, factor=factor, M=float(M),
-                   point=p)
+        return cls(x=p.x, grad_norm=float(np.linalg.norm(g_x)), g_hat=g_hat,
+                   factor=factor, M=float(M), point=p)
 
     def with_m(self, M):
         """Same anchor data at a different level M (no oracle calls)."""
@@ -269,11 +263,12 @@ def taylor3_value(anchor, oracle, y):
     Queries f at the anchor point, which the anchor does not cache.
     """
     h = np.asarray(y, dtype=float) - anchor.x
+    hh = anchor.factor.qt(h)
     t = anchor.third_at(oracle, h)
     return (
         oracle.value(anchor.point)
-        + float(np.dot(anchor.g_x, h))
-        + 0.5 * float(np.dot(anchor.factor.apply(h), h))
+        + float(np.dot(anchor.g_hat, hh))
+        + 0.5 * float(np.dot(anchor.factor.tri(hh), hh))
         + float(np.dot(t, h)) / 6.0
     )
 
@@ -303,8 +298,8 @@ def omega_grad(anchor, oracle, hh):
 
 def rho_value(anchor, y):
     """Scaling function rho(y) = 1/2 <H h, h> + (M / 2) d4(h)."""
-    h = np.asarray(y, dtype=float) - anchor.x
-    return 0.5 * float(np.dot(anchor.factor.apply(h), h)) + 0.5 * anchor.M * d4_value(h)
+    hh = anchor.factor.qt(np.asarray(y, dtype=float) - anchor.x)
+    return 0.5 * float(np.dot(anchor.factor.tri(hh), hh)) + 0.5 * anchor.M * d4_value(hh)
 
 
 def rho_grad(anchor, hh):
@@ -326,11 +321,11 @@ def bregman_div(anchor, u, v):
     )
 
 
-def inner_constants(anchor, grad_tilde_norm):
+def inner_constants(anchor):
     """Smoothness and divergence constants used by the inner solver.
 
-    With g = ||grad f at the anchor||, trace(H) read from the anchor's
-    factor and B = (96 g / M)^(2/3):
+    With g = ||grad f at the anchor|| and trace(H) read from the anchor and
+    its factor, and B = (96 g / M)^(2/3):
 
         L    = trace(H) + (3 M / 2) B
         beta = 1/2 trace(H) B + (M / 8) B^2
@@ -340,10 +335,7 @@ def inner_constants(anchor, grad_tilde_norm):
     model minimizer.  Both are what the slow-convergence certificate compares
     against.
     """
-    g = float(grad_tilde_norm)
-    if g < 0.0:
-        raise ValueError("gradient norm must be nonnegative")
-    bracket = (96.0 * g / anchor.M) ** (2.0 / 3.0)
+    bracket = (96.0 * anchor.grad_norm / anchor.M) ** (2.0 / 3.0)
     trace_h = anchor.factor.trace
     lips = trace_h + 1.5 * anchor.M * bracket
     beta = 0.5 * trace_h * bracket + anchor.M / 8.0 * bracket**2

@@ -1,12 +1,13 @@
 """Problem oracles: smooth convex objectives with derivatives up to third order.
 
-A smooth oracle exposes five entry points -- function value, gradient, Hessian,
-directional third derivative ``D3f(x)[h]^2`` (a vector; the full third-derivative
-tensor is never materialized), and Hessian trace.  Every entry-point invocation
-is counted, so solver-level oracle-call statistics can be read off the oracle
-afterwards, and every result is checked to be finite (``OracleError`` names
-the entry point otherwise).  The composite term ``psi`` is zero, and
-``ZeroComposite`` is the token the solvers accept for it.
+A smooth oracle exposes five entry points on four hooks -- function value,
+gradient, Hessian, directional third derivative ``D3f(x)[h]^2`` (a vector; the
+full third-derivative tensor is never materialized), and the Hessian trace,
+taken from the Hessian hook.  Every entry-point invocation is counted, so
+solver-level oracle-call statistics can be read off the oracle afterwards, and
+every result is checked to be finite (``OracleError`` names the entry point
+otherwise).  The composite term ``psi`` is zero, and ``ZeroComposite`` is the
+token the solvers accept for it.
 
 Each entry point takes either an array or a ``Point``: a read-only copy of x
 plus the intermediates oracles computed there (for the logistic loss, the
@@ -113,11 +114,12 @@ def _finite(entry, out):
 class SmoothOracle(ABC):
     """Smooth convex objective queried through counted entry points.
 
-    Subclasses implement the underscore hooks, which receive the query as a
-    ``Point`` (and ``h`` as an array); the public methods validate
-    dimensions, maintain ``self.calls`` and check that results are finite.
-    ``lipschitz_third`` optionally reports a Lipschitz constant of the third
-    derivative when one is known in closed form, else ``None``.
+    Subclasses implement the four hooks ``_value``, ``_grad``, ``_hessian``
+    and ``_third_directional``, which receive the query as a ``Point`` (and
+    ``h`` as an array); the public methods validate dimensions, maintain
+    ``self.calls`` and check that results are finite.  ``lipschitz_third``
+    optionally reports a Lipschitz constant of the third derivative when one
+    is known in closed form, else ``None``.
 
     Attributes
     ----------
@@ -179,10 +181,10 @@ class SmoothOracle(ABC):
         return _finite("third_directional", self._third_directional(p, h))
 
     def hessian_trace(self, x):
-        """trace of the Hessian at x, without materializing the matrix."""
+        """Trace of the Hessian at x, that of the ``_hessian`` matrix."""
         p = self._as_point(x)
         self.calls.bump("trace")
-        return _finite("hessian_trace", float(self._hessian_trace(p)))
+        return _finite("hessian_trace", float(np.trace(self._hessian(p))))
 
     # -- hooks ----------------------------------------------------------------
 
@@ -197,9 +199,6 @@ class SmoothOracle(ABC):
 
     @abstractmethod
     def _third_directional(self, p, h): ...
-
-    @abstractmethod
-    def _hessian_trace(self, p): ...
 
 
 # -- composite term -----------------------------------------------------------
@@ -272,7 +271,6 @@ class LogisticOracle(SmoothOracle):
             dataset = Dataset(*dataset)
         super().__init__(dataset.dim)
         self.dataset = dataset
-        self._row_sq = np.einsum("ij,ij->i", dataset.features, dataset.features)
 
     # Intermediates at a point, each computed once: the margins z = A x, the
     # sigmoid s, the Hessian weights s (1 - s) and the third-derivative
@@ -311,9 +309,6 @@ class LogisticOracle(SmoothOracle):
         ah = self.dataset.features @ h
         return self.dataset.features.T @ (self._weights3(p) * ah * ah)
 
-    def _hessian_trace(self, p):
-        return float(np.dot(self._weights(p), self._row_sq))
-
 
 class QuarticOracle(SmoothOracle):
     """Separable quartic f(x) = sum_i x_i^4.
@@ -338,9 +333,6 @@ class QuarticOracle(SmoothOracle):
 
     def _third_directional(self, p, h):
         return 24.0 * p.x * h * h
-
-    def _hessian_trace(self, p):
-        return float(12.0 * np.sum(p.x**2))
 
 
 def logistic_oracle(dataset):

@@ -32,9 +32,6 @@ class QuadraticOracle(SmoothOracle):
     def _third_directional(self, p, h):
         return np.zeros_like(p.x)
 
-    def _hessian_trace(self, p):
-        return float(np.trace(self.P))
-
 
 def make_logistic(m, n_raw_features, seed, separable_shift=0.0):
     """Random logistic problem: m samples, intercept + n_raw_features columns.

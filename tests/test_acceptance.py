@@ -100,8 +100,7 @@ def test_a3_inner_solver_exits_cleanly_within_iteration_ceiling():
         oracle = quartic_oracle(n)
         x = scale * rng.standard_normal(n)
         anchor = ModelAnchor.from_oracle(oracle, x, 96.0)
-        gnorm = float(np.linalg.norm(anchor.g_x))
-        result = run_inner(anchor, oracle, eps, gnorm)
+        result = run_inner(anchor, oracle, eps)
         assert result.stop_reason in (
             StopReason.EPSILON_SMALL,
             StopReason.MODEL_STATIONARITY,
@@ -109,7 +108,7 @@ def test_a3_inner_solver_exits_cleanly_within_iteration_ceiling():
         reasons[result.stop_reason.value] = (
             reasons.get(result.stop_reason.value, 0) + 1
         )
-        lips, beta = inner_constants(anchor, gnorm)
+        lips, beta = inner_constants(anchor)
         ceiling = 1.0 + (
             8.0 * math.log(3.0)
             + 4.0 * math.log(7.0 * lips)

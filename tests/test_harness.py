@@ -54,6 +54,14 @@ def test_load_dataset_skips_blank_lines(tmp_path):
 
 # A nan feature on row 2 and an overflowing one (1e400 reads as inf) on row 3.
 NON_FINITE_CSV = "1.0,2.0,1\nnan,0.5,0\n0.3,1e400,1\n"
+# A Latin-1 byte pair where a UTF-8 reader expects a feature.
+NON_UTF8_CSV = b"1.0,\xff\xfe,1\n"
+
+
+def write_bytes(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return str(p)
 
 
 def test_load_dataset_error_diagnostics(tmp_path):
@@ -71,6 +79,8 @@ def test_load_dataset_error_diagnostics(tmp_path):
         load_dataset(write(tmp_path, "nan.csv", NON_FINITE_CSV))
     with pytest.raises(ValueError, match="row 1 contains a non-finite cell"):
         load_dataset(write(tmp_path, "inf.csv", NON_FINITE_CSV.split("\n", 2)[2]))
+    with pytest.raises(ValueError, match="is not UTF-8 text .*byte 0xff"):
+        load_dataset(write_bytes(tmp_path, "latin1.csv", NON_UTF8_CSV))
 
 
 def test_bundled_dataset_loads():
@@ -208,7 +218,7 @@ def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
     assert all(total == 0 and g0 is None for _, total, g0 in seen)
 
 
-def test_experiment_errors_annotated_with_accuracy(tmp_path):
+def test_experiment_errors_annotated_with_accuracy(tmp_path, monkeypatch):
     cfg = RunConfig(
         problem="logistic",
         dataset_path=str(tmp_path / "missing.csv"),
@@ -219,6 +229,19 @@ def test_experiment_errors_annotated_with_accuracy(tmp_path):
     bad_x0 = RunConfig(problem="quartic", n=3, x0=np.zeros(2), epsilons=[1e-2])
     with pytest.raises(ValueError, match="epsilon=0.01"):
         run_experiment(bad_x0)
+    # UnicodeDecodeError's constructor takes five arguments, so no annotated
+    # copy can be built: the original is re-raised with the accuracy added
+    # as a note.
+    original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def fail(cfg):
+        raise original
+
+    monkeypatch.setattr(harness, "_load_data", fail)
+    with pytest.raises(UnicodeDecodeError) as info:
+        run_experiment(RunConfig(problem="logistic", epsilons=[1e-2]))
+    assert info.value is original
+    assert info.value.__notes__ == ["epsilon=0.01: %s" % original]
 
 
 def test_experiment_start_point_policies():
@@ -387,6 +410,15 @@ def test_cli_non_finite_dataset_cell_exits_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("tensormin: error:")
     assert "row 2 contains a non-finite cell" in err
+
+    code = main(["solve", "--problem", "logistic", "--solver", "basic",
+                 "--eps", "1e-2", "--dataset",
+                 write_bytes(tmp_path, "latin1.csv", NON_UTF8_CSV)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("tensormin: error:")
+    assert err.count("\n") == 1
+    assert "is not UTF-8 text" in err
 
 
 @pytest.mark.parametrize("flag", ["--eps", "--m0", "--fd-tau"])

@@ -44,9 +44,8 @@ def high_level_runs():
         scale = (0.1, 1.0, 3.0)[trial % 3]
         x = scale * rng.standard_normal(n)
         anchor, oracle = quartic_anchor(x, M=96.0)
-        g_norm = float(np.linalg.norm(anchor.g_x))
-        res = run_inner(anchor, oracle, 1e-6, g_norm)
-        runs.append((anchor, oracle, res, g_norm))
+        res = run_inner(anchor, oracle, 1e-6)
+        runs.append((anchor, oracle, res))
     return runs
 
 
@@ -170,14 +169,12 @@ def test_one_dimensional_anchor_through_step_and_run():
     h = float(h1[0])  # n = 1: Q = 1
     assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
     assert np.linalg.norm(r) <= 1e-12
-    res = run_inner(anchor, oracle, 1e-8,
-                    float(np.linalg.norm(anchor.g_x)))
+    res = run_inner(anchor, oracle, 1e-8)
     assert res.stop_reason in (StopReason.EPSILON_SMALL,
                                StopReason.MODEL_STATIONARITY)
 
     anchor, oracle = quartic_anchor(np.array([1.5]), M=96.0)
-    res = run_inner(anchor, oracle, 1e-8,
-                    float(np.linalg.norm(anchor.g_x)))
+    res = run_inner(anchor, oracle, 1e-8)
     assert res.stop_reason in (StopReason.EPSILON_SMALL,
                                StopReason.MODEL_STATIONARITY)
     assert float(res.x_plus[0]) < 1.5
@@ -226,7 +223,7 @@ def test_run_inner_stationary_anchor_exits_immediately():
     # Zero gradient at the anchor: the first step stays put and the zero
     # model gradient passes the absolute test at once.
     anchor, oracle = quartic_anchor(np.zeros(3), M=96.0)
-    res = run_inner(anchor, oracle, 1e-8, 0.0)
+    res = run_inner(anchor, oracle, 1e-8)
     assert res.stop_reason is StopReason.EPSILON_SMALL
     assert res.iterations == 1
     assert res.model_grad_norm == 0.0
@@ -234,7 +231,7 @@ def test_run_inner_stationary_anchor_exits_immediately():
 
 
 def test_run_inner_high_level_never_certifies_slow(high_level_runs):
-    for _, _, res, _ in high_level_runs:
+    for _, _, res in high_level_runs:
         assert res.stop_reason in (
             StopReason.EPSILON_SMALL,
             StopReason.MODEL_STATIONARITY,
@@ -244,7 +241,7 @@ def test_run_inner_high_level_never_certifies_slow(high_level_runs):
 def test_run_inner_exit_inequalities_recomputed(high_level_runs):
     # The reported stop reason's defining inequality must hold when the model
     # gradient is recomputed from scratch at the returned point.
-    for anchor, oracle, res, _ in high_level_runs:
+    for anchor, oracle, res in high_level_runs:
         G = float(np.linalg.norm(omega_grad(anchor, oracle,
                                             hat(anchor, res.x_plus))))
         assert abs(G - res.model_grad_norm) <= 1e-9 * (1.0 + res.model_grad_norm)
@@ -260,7 +257,7 @@ def test_run_inner_model_stationarity_satisfies_descent_inequality(high_level_ru
     # gradient at the accepted point makes progress against the anchor,
     # <grad f(x+), x - x+> >= ||grad f(x+)||^(4/3) / (6 M^(1/3)).
     checked = 0
-    for anchor, oracle, res, _ in high_level_runs:
+    for anchor, oracle, res in high_level_runs:
         if res.stop_reason is not StopReason.MODEL_STATIONARITY:
             continue
         g_plus = oracle.grad(res.x_plus)
@@ -277,10 +274,9 @@ def test_run_inner_slow_certificate_at_tiny_level():
     # when recomputed independently at the exit iterate.
     for M in (1e-6, 1e-4):
         anchor, oracle = quartic_anchor(3.0 * np.ones(3), M=M)
-        g_norm = float(np.linalg.norm(anchor.g_x))
-        res = run_inner(anchor, oracle, 1e-8, g_norm)
+        res = run_inner(anchor, oracle, 1e-8)
         assert res.stop_reason is StopReason.SLOW_CONVERGENCE
-        lips, beta = inner_constants(anchor, g_norm)
+        lips, beta = inner_constants(anchor)
         k_exit = res.iterations - 1
         G = float(np.linalg.norm(omega_grad(anchor, oracle,
                                             hat(anchor, res.x_plus))))
@@ -326,36 +322,31 @@ def test_slow_decay_certificate_unit_cases():
 
 def test_run_inner_validation():
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    g_norm = float(np.linalg.norm(anchor.g_x))
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        run_inner(anchor, oracle, 0.0, g_norm)
+        run_inner(anchor, oracle, 0.0)
     with pytest.raises(ValueError, match="max_inner must be at least 1"):
-        run_inner(anchor, oracle, 1e-6, g_norm, max_inner=0)
+        run_inner(anchor, oracle, 1e-6, max_inner=0)
 
 
 def test_run_inner_iteration_cap():
     anchor, oracle = quartic_anchor(np.ones(2), M=30.0)
-    res = run_inner(
-        anchor,
-        oracle,
-        1e-10,
-        float(np.linalg.norm(anchor.g_x)),
-        max_inner=1,
-    )
+    res = run_inner(anchor, oracle, 1e-10, max_inner=1)
     assert res.stop_reason is StopReason.ITERATION_CAP
     assert res.iterations == 1
-    # The one step, retraced in the coordinates of Q.
-    h1, _, _ = bregman_step(anchor, oracle, np.zeros(2))
+    # The one step, retraced in the coordinates of Q from the anchor's
+    # grad Omega(x) = g^ and grad rho(x) = 0; the cap exit reports the
+    # tested G = ||grad Omega(y_1) + r|| like every other exit.
+    h1, r, _ = bregman_step(anchor, oracle, np.zeros(2), anchor.g_hat, 0.0)
     assert np.array_equal(res.x_plus, anchor.x + anchor.factor.q(h1))
     assert res.model_grad_norm == float(
-        np.linalg.norm(omega_grad(anchor, oracle, h1))
+        np.linalg.norm(omega_grad(anchor, oracle, h1) + r)
     )
 
 
 def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
     # The exit test's grad Omega(y_{k+1}) and the step's grad rho(y_{k+1})
-    # start step k + 1, so a run of K steps evaluates each K + 1 times
-    # (once at y_0).
+    # start step k + 1, and the first step reads both at y_0 from the
+    # anchor, so a run of K steps evaluates each K times.
     evaluated = {"omega_grad": 0, "rho_grad": 0}
 
     def counting(name, fn):
@@ -369,23 +360,16 @@ def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
     monkeypatch.setattr("tensormin.inner.rho_grad",
                         counting("rho_grad", rho_grad))
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    res = run_inner(anchor, oracle, 1e-8,
-                    float(np.linalg.norm(anchor.g_x)))
+    res = run_inner(anchor, oracle, 1e-8)
     assert res.iterations > 1
-    assert evaluated == {"omega_grad": res.iterations + 1,
-                         "rho_grad": res.iterations + 1}
+    assert evaluated == {"omega_grad": res.iterations,
+                         "rho_grad": res.iterations}
 
 
 def test_run_inner_trace_records():
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
     rows = []
-    res = run_inner(
-        anchor,
-        oracle,
-        1e-6,
-        float(np.linalg.norm(anchor.g_x)),
-        trace=rows.append,
-    )
+    res = run_inner(anchor, oracle, 1e-6, trace=rows.append)
     assert len(rows) == res.iterations
     assert [r["k"] for r in rows] == list(range(res.iterations))
     for r in rows:

@@ -1,6 +1,8 @@
 """Model layer: Taylor polynomial, quartic regularizer, scaling function,
 Bregman divergence, anchor caching, and the inner-solver constants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -231,35 +233,29 @@ def test_inner_constants_closed_form_point():
     # trace H = 2, M = 96, gradient norm 1: bracket (96/96)^(2/3) = 1,
     # L = 2 + 144 = 146, beta = 1 + 12 = 13.
     anchor, _ = quad_anchor(np.eye(2), [0.0, 0.0], [0.0, 0.0], 96.0)
-    lips, beta = inner_constants(anchor, 1.0)
+    lips, beta = inner_constants(replace(anchor, grad_norm=1.0))
     assert lips == pytest.approx(146.0, abs=1e-12)
     assert beta == pytest.approx(13.0, abs=1e-12)
 
 
 def test_inner_constants_zero_gradient():
     anchor, _ = quad_anchor([[4.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1.0, -1.0], 3.0)
-    lips, beta = inner_constants(anchor, 0.0)
+    lips, beta = inner_constants(replace(anchor, grad_norm=0.0))
     assert lips == pytest.approx(anchor.factor.trace, abs=1e-15)
     assert beta == 0.0
 
 
 def test_inner_constants_bracket_shrinks_as_m_grows():
     anchor, _ = quad_anchor(np.eye(3), np.zeros(3), np.zeros(3), 1.0)
-    g = 2.5
+    anchor = replace(anchor, grad_norm=2.5)
     prev_excess = None
     for M in (1.0, 2.0, 4.0, 8.0):
         lev = anchor.with_m(M)
-        lips, _ = inner_constants(lev, g)
+        lips, _ = inner_constants(lev)
         bracket = (lips - lev.factor.trace) / (1.5 * M)
         if prev_excess is not None:
             assert bracket < prev_excess
         prev_excess = bracket
-
-
-def test_inner_constants_reject_negative_gradient_norm():
-    anchor, _ = quad_anchor([[1.0]], [0.0], [0.0], 1.0)
-    with pytest.raises(ValueError):
-        inner_constants(anchor, -1e-9)
 
 
 # -- model-vs-function inequalities ----------------------------------------------
@@ -286,8 +282,7 @@ def test_relative_smoothness_second_difference_ratio():
     oracle = quartic_oracle(3)
     x = np.array([0.5, -0.25, 0.75])
     anchor = ModelAnchor.from_oracle(oracle, x, M=96.0)
-    g_norm = float(np.linalg.norm(anchor.g_x))
-    radius = (96.0 * g_norm / anchor.M) ** (1.0 / 3.0)
+    radius = (96.0 * anchor.grad_norm / anchor.M) ** (1.0 / 3.0)
     for _ in range(60):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
@@ -339,8 +334,7 @@ def test_sublevel_displacement_bound_during_inner_runs():
         if not x.any():
             x[0] = 1.0
         anchor = ModelAnchor.from_oracle(oracle, x, M=96.0)
-        g_norm = float(np.linalg.norm(anchor.g_x))
-        cap = 96.0 * g_norm / anchor.M
+        cap = 96.0 * anchor.grad_norm / anchor.M
         f_x = oracle.value(x)
         hh = np.zeros(3)
         for _ in range(30):
@@ -539,8 +533,7 @@ def test_anchor_arrays_are_frozen():
     oracle = quartic_oracle(2)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
     f = anchor.factor
-    for arr in (anchor.x, anchor.g_x, anchor.g_hat, f.d, f.e, f.reflectors,
-                f.tau):
+    for arr in (anchor.x, anchor.g_hat, f.d, f.e, f.reflectors, f.tau):
         with pytest.raises(ValueError):
             arr[0] = 0.0 if arr.ndim == 1 else arr[0]
 
@@ -570,17 +563,21 @@ def test_with_m_shares_anchor_data_without_oracle_calls():
 
 def test_from_oracle_skips_passed_in_value_and_gradient():
     # The anchor never queries f or the trace; a passed-in gradient is not
-    # queried again, so the Hessian is the one call left.
+    # queried again, so the Hessian is the one call left.  Either way the
+    # anchor keeps the gradient's norm, computed once.
     oracle = quartic_oracle(2)
     x = np.array([1.0, 2.0])
     g_x = oracle.grad(x)
+    grad_norm = float(np.linalg.norm(g_x))
     oracle.calls.reset()
-    ModelAnchor.from_oracle(oracle, x, M=1.0, g_x=g_x)
+    passed = ModelAnchor.from_oracle(oracle, x, M=1.0, g_x=g_x)
     assert oracle.calls.snapshot() == {"value": 0, "grad": 0, "hessian": 1,
                                        "third": 0, "trace": 0}
-    ModelAnchor.from_oracle(oracle, x, M=1.0)
+    queried = ModelAnchor.from_oracle(oracle, x, M=1.0)
     assert oracle.calls.snapshot() == {"value": 0, "grad": 1, "hessian": 2,
                                        "third": 0, "trace": 0}
+    assert passed.grad_norm == grad_norm
+    assert queried.grad_norm == grad_norm
 
 
 def test_third_at_zero_displacement_costs_no_call():

@@ -295,9 +295,6 @@ class _NoDecreaseOracle(SmoothOracle):
     def _third_directional(self, p, h):
         return np.zeros(self.n)
 
-    def _hessian_trace(self, p):
-        return 1e6 * self.n
-
 
 def test_run_basic_level_doubling_failure_is_typed_and_named():
     oracle = _NoDecreaseOracle(3)

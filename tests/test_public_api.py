@@ -1,6 +1,7 @@
 """The package namespace exports exactly the public API."""
 
 import tensormin
+from tensormin.oracles import SmoothOracle
 
 PUBLIC = {
     # solvers and their report
@@ -22,3 +23,9 @@ def test_all_is_the_public_api_and_resolves():
     assert set(tensormin.__all__) == PUBLIC
     for name in tensormin.__all__:
         assert getattr(tensormin, name) is not None, name
+
+
+def test_smooth_oracle_contract_is_four_hooks():
+    # The Hessian trace is derived from the Hessian hook, not a fifth hook.
+    assert SmoothOracle.__abstractmethods__ == {
+        "_value", "_grad", "_hessian", "_third_directional"}
