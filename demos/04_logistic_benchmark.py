@@ -17,12 +17,8 @@ the report in all three formats, and round-trips the CSV form.
 
 import io
 
-from tensormin.harness import (
-    RunConfig,
-    emit_report,
-    parse_report_csv,
-    run_experiment,
-)
+from tensormin.harness import RunConfig, run_experiment
+from tensormin.reports import emit_report, parse_report_csv
 
 print("Logistic benchmark (bundled dataset, basic solver)")
 print("=" * 60)

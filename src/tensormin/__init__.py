@@ -10,14 +10,7 @@ certificate and halving after accepted steps.
 
 from .accel import run_accel
 from .basic import LevelSearchError, run_basic
-from .harness import (
-    RunConfig,
-    bundled_dataset_path,
-    emit_report,
-    load_dataset,
-    parse_report_csv,
-    run_experiment,
-)
+from .harness import RunConfig, bundled_dataset_path, load_dataset, run_experiment
 from .model import ConvexityError, SecularSolveError
 from .oracles import (
     Dataset,
@@ -32,7 +25,7 @@ from .oracles import (
     logistic_oracle,
     quartic_oracle,
 )
-from .reports import RunReport
+from .reports import RunReport, emit_report, parse_report_csv
 
 __version__ = "0.1.0"
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basic import level_search
-from .inner import run_inner  # noqa: F401  (not called here; perfbench/spans.py rebinds it)
+from .basic import MAX_OUTER, level_search
+from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
 from .model import ModelAnchor
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
@@ -165,20 +165,16 @@ def run_accel(
     x0,
     m0,
     epsilon,
-    max_outer=100000,
-    max_inner=10000,
+    max_outer=MAX_OUTER,
+    max_inner=MAX_INNER,
     trace_sink=None,
 ):
     """Accelerated minimization of f + psi to gradient norm <= epsilon.
 
     Same contract as ``run_basic``; trial anchors are the mixtures z rather
     than the iterate, and every accepted step also updates the estimating
-    sequence.  Trial rows additionally carry the weight a, the mixture
-    coefficient gamma, the dual-center distance ||v - x0||, and the
-    estimating-function minimum before the step (``phi_star``) plus, on
-    accepted rows, the post-step total weight and minimum
-    (``a_total_next``, ``phi_star_next``).  Evaluated trials carry the trial
-    point (``x_trial``), as in ``run_basic``.
+    sequence, whose weights and minimum the trial rows add (see the README's
+    trace schema).
     """
     return level_search(_AccelStep, oracle, composite, x0, m0, epsilon,
                         max_outer, max_inner, trace_sink)

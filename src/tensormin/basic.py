@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .inner import StopReason, run_inner
+from .inner import MAX_INNER, StopReason, run_inner
 from .model import ModelAnchor
 from .oracles import OracleError, ZeroComposite, as_point
 from .reports import RunReport
@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 # A level loop that doubles this many times without resolution indicates an
 # oracle violating the convexity/smoothness contract.
 _MAX_LEVEL_DOUBLINGS = 200
+# Default cap on the outer steps of one run.
+MAX_OUTER = 100000
 
 
 class LevelSearchError(RuntimeError):
@@ -55,8 +57,8 @@ def run_basic(
     x0,
     m0,
     epsilon,
-    max_outer=100000,
-    max_inner=10000,
+    max_outer=MAX_OUTER,
+    max_inner=MAX_INNER,
     trace_sink=None,
 ):
     """Minimize f + psi to gradient norm <= epsilon with the adaptive method.
@@ -83,13 +85,10 @@ def run_basic(
     Returns
     -------
     (x, report, rows) : (ndarray, RunReport, list of dict)
-        Final iterate, run counters, and the outer trial rows: one dict per
-        level attempt with the level, flag, inner iteration count, trial
-        objective/gradient data, and whether the trial was accepted.
-        Evaluated trials also carry the trial point itself (``x_trial``) so
-        tests can recompute the acceptance inequality from scratch.
-        Slow-convergence trials carry ``f_trial = grad_norm_trial = None``
-        and no ``x_trial`` (the algorithm never evaluates them).
+        Final iterate, run counters, and the outer trial rows, one per level
+        attempt: the README's outer trace lines without ``kind`` and
+        ``epsilon``.  Only evaluated trials carry their point (read-only) as
+        ``x_trial``; the others have ``f_trial = grad_norm_trial = None``.
     """
     return level_search(_BasicStep, oracle, composite, x0, m0, epsilon,
                         max_outer, max_inner, trace_sink)
@@ -128,15 +127,15 @@ class _BasicStep:
         return {}
 
 
-def _doubling_message(t, m_first, m_last, stop_reason, trial, f_x, eps):
+def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
     msg = ("level doubling did not terminate at outer step t=%d: levels "
            "M = %.3e .. %.3e, last stop reason %s; "
            % (t, m_first, m_last, stop_reason))
-    if trial is None:
+    if last is None:
         return msg + "no trial was evaluated"
-    gnorm, f_trial, _ = trial
+    f_trial = last["f_trial"]
     msg += ("last evaluated trial has gradient norm %.3e > epsilon %.3e"
-            % (gnorm, eps))
+            % (last["grad_norm_trial"], eps))
     if f_x is None or f_trial is None:
         return msg + " (its decrease was not evaluated)"
     return msg + " and decrease f_x - f_trial = %.3e" % (f_x - f_trial)
@@ -212,8 +211,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         for t in range(max_outer):
             i = 0 if m_t >= 2.0 * m0 else 1
             m_first = m_t * 2.0**i
-            # (gradient norm, value, point) of the last evaluated trial
-            trial = None
+            last = None  # the row of the last evaluated trial
             accepted = False
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
@@ -226,8 +224,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 res = run_inner(anchor, oracle, eps, max_inner, inner_trace)
                 bgm_e += 1
                 bgm_it += res.iterations
-                alpha = res.stop_reason is StopReason.SLOW_CONVERGENCE
-                row = {"t": t, "i": i, "M_level": m_level, "alpha": alpha,
+                row = {"t": t, "i": i, "M_level": m_level,
                        "inner_iters": res.iterations, **fields, "f_trial": None,
                        "grad_norm_trial": None, "accepted": False,
                        "stop_reason": res.stop_reason.value}
@@ -240,7 +237,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     )
                     emit(row)
                     break
-                if alpha:
+                if res.stop_reason is StopReason.SLOW_CONVERGENCE:
                     # Level certified too small; never evaluate this trial.
                     emit(row)
                     i += 1
@@ -248,8 +245,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
                 # One point for the trial's gradient and value, and for the
                 # next anchor if the trial is accepted.
-                x_plus = res.x_plus
-                p_plus = as_point(x_plus)
+                p_plus = as_point(res.x_plus)
                 g_plus = oracle.grad(p_plus)
                 gnorm_plus = float(np.linalg.norm(g_plus))
                 converged = gnorm_plus <= eps
@@ -262,20 +258,20 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     it += 1
                     if f_plus is None:
                         f_plus = oracle.value(p_plus)
-                    final = (x_plus, f_plus, gnorm_plus)
+                    final = (res.x_plus, f_plus, gnorm_plus)
                     if not converged:
                         m_t = m_level / 2.0
                         row.update(step.update(p_plus, f_plus, g_plus,
                                                gnorm_plus))
                 row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
-                           accepted=accepted, x_trial=np.array(x_plus))
+                           accepted=accepted, x_trial=p_plus.x)
                 emit(row)
                 if accepted:
                     break
                 repeated = (f_plus is not None and step.f - f_plus == 0.0
-                            and trial is not None
-                            and np.array_equal(x_plus, trial[2]))
-                trial = (gnorm_plus, f_plus, x_plus)
+                            and last is not None
+                            and np.array_equal(p_plus.x, last["x_trial"]))
+                last = row
                 if repeated:
                     # Doubling the level moved neither the trial nor f, so
                     # the doublings left would only repeat it.
@@ -283,7 +279,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 i += 1
             if not (accepted or aborted):
                 raise LevelSearchError(_doubling_message(
-                    t, m_first, m_level, res.stop_reason.value, trial, step.f,
+                    t, m_first, m_level, res.stop_reason.value, last, step.f,
                     eps))
             if converged or aborted:
                 break
@@ -304,7 +300,6 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         CO=oracle.calls.total() - calls_start,
         BGM_E=bgm_e,
         BGM_IT=bgm_it,
-        BGM_A=bgm_it / bgm_e if bgm_e else 0.0,
         final_grad_norm=final_gnorm,
         final_f=final_f,
         wall_time_s=time.perf_counter() - t_start,

@@ -11,10 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .harness import RunConfig, emit_report, run_experiment
+from .basic import MAX_OUTER
+from .harness import RunConfig, run_experiment
+from .inner import MAX_INNER
+from .reports import emit_report
 
 
 def _jsonable(value):
@@ -49,12 +53,14 @@ def build_parser():
 
     solve = sub.add_parser("solve", help="run a solver over an accuracy sweep")
     solve.add_argument("--problem", required=True, choices=("logistic", "quartic"))
-    solve.add_argument("--dataset", help="CSV path (logistic)")
+    solve.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
+                       help="CSV path (logistic)")
     solve.add_argument("--has-header", action="store_true",
                        help="skip the first CSV row")
     solve.add_argument("--n", type=int, help="dimension (quartic)")
     solve.add_argument("--solver", required=True, choices=("basic", "accel"))
-    solve.add_argument("--eps", required=True, type=_eps_list, metavar="E1,E2,...",
+    solve.add_argument("--eps", dest="epsilons", required=True, type=_eps_list,
+                       metavar="E1,E2,...",
                        help="comma-separated target gradient norms")
     solve.add_argument("--m0", type=float, default=1.0,
                        help="initial level estimate (default 1)")
@@ -63,8 +69,8 @@ def build_parser():
     solve.add_argument("--fd-tau", type=float, default=None,
                        help="replace third derivatives by gradient differences "
                             "with this step")
-    solve.add_argument("--max-outer", type=int, default=100000)
-    solve.add_argument("--max-inner", type=int, default=10000)
+    solve.add_argument("--max-outer", type=int, default=MAX_OUTER)
+    solve.add_argument("--max-inner", type=int, default=MAX_INNER)
     solve.add_argument("--trace", metavar="PATH",
                        help="write per-iteration JSON lines here")
     solve.add_argument("--format", choices=("table", "csv", "jsonl"),
@@ -81,43 +87,24 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 1
 
-    try:
-        cfg = RunConfig(
-            problem=args.problem,
-            solver=args.solver,
-            epsilons=args.eps,
-            dataset_path=args.dataset,
-            has_header=args.has_header,
-            n=args.n,
-            m0=args.m0,
-            x0=args.x0,
-            fd_tau=args.fd_tau,
-            max_outer=args.max_outer,
-            max_inner=args.max_inner,
-        )
-    except ValueError as exc:
-        sys.stderr.write("tensormin: error: %s\n" % exc)
-        return 1
-
     trace_fh = None
     trace_sink = None
     try:
+        # The solve options are stored under the names of RunConfig's fields.
+        cfg = RunConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(RunConfig)})
         if args.trace:
             trace_fh = open(args.trace, "w")
             trace_sink = lambda row: trace_fh.write(
                 json.dumps(row, default=_jsonable) + "\n"
             )
-        try:
-            reports = run_experiment(cfg, trace_sink=trace_sink)
-        except (OSError, ValueError) as exc:
-            sys.stderr.write("tensormin: error: %s\n" % exc)
-            return 1
+        reports = run_experiment(cfg, trace_sink=trace_sink)
         if args.out:
             with open(args.out, "w") as fh:
                 emit_report(reports, format=args.format, sink=fh)
         else:
             emit_report(reports, format=args.format)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write("tensormin: error: %s\n" % exc)
         return 1
     finally:

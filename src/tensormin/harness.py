@@ -1,34 +1,24 @@
-"""Experiment harness: dataset loading, accuracy sweeps, report formatting.
+"""Experiment harness: dataset loading and accuracy sweeps.
 
 Reproduces the benchmarking protocol used throughout: start from the all-ones
-vector with level estimate 1, sweep target accuracies, and report per-accuracy
-counters (outer steps IT, oracle calls CO, inner executions BGM-E, inner
-iterations BGM-IT, and their ratio BGM-A).
+vector with level estimate 1, sweep target accuracies, and return one
+``RunReport`` of counters per accuracy.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .accel import run_accel
-from .basic import run_basic
+from .basic import MAX_OUTER, run_basic
+from .inner import MAX_INNER
 from .oracles import Dataset, FdThirdOracle, ZeroComposite, logistic_oracle, quartic_oracle
-from .reports import RunReport
-
-CSV_HEADER = [
-    "epsilon", "IT", "CO", "BGM_E", "BGM_IT", "BGM_A",
-    "final_grad_norm", "final_f", "wall_time_s", "converged",
-]
-
-_FORMATS = ("table", "csv", "jsonl")
 
 
 @dataclass
@@ -44,8 +34,8 @@ class RunConfig:
     m0: float = 1.0
     x0: str | np.ndarray = "ones"     # "ones" | "zeros" | explicit vector
     fd_tau: float | None = None       # replace third derivatives by differences
-    max_outer: int = 100000
-    max_inner: int = 10000
+    max_outer: int = MAX_OUTER
+    max_inner: int = MAX_INNER
 
     def __post_init__(self):
         if self.problem not in ("logistic", "quartic"):
@@ -191,72 +181,4 @@ def run_experiment(cfg, trace_sink=None):
                 raise
             raise annotated from exc
         reports.append(report)
-    return reports
-
-
-def emit_report(reports, format="table", sink=None):
-    """Render run reports as an aligned table, CSV, or JSON lines.
-
-    Counters print as integers and BGM_A with four decimals in all formats.
-    Writes to ``sink`` (a text stream; stdout when omitted) and also returns
-    the rendered text.
-    """
-    if format not in _FORMATS:
-        raise ValueError("format must be one of %s" % (_FORMATS,))
-    if not reports:
-        raise ValueError("no reports to emit")
-
-    buf = io.StringIO()
-    if format == "table":
-        header = ("epsilon", "IT", "CO", "BGM-E", "BGM-IT", "BGM-A", "converged")
-        rows = [
-            ("%.0e" % r.epsilon, "%d" % r.IT, "%d" % r.CO,
-             "%d" % r.BGM_E, "%d" % r.BGM_IT, "%.4f" % r.BGM_A, str(r.converged))
-            for r in reports
-        ]
-        widths = [max(len(h), *(len(row[j]) for row in rows))
-                  for j, h in enumerate(header)]
-        buf.write("  ".join(h.rjust(w) for h, w in zip(header, widths)) + "\n")
-        for row in rows:
-            buf.write("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n")
-    elif format == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerow([
-                repr(r.epsilon), "%d" % r.IT, "%d" % r.CO, "%d" % r.BGM_E,
-                "%d" % r.BGM_IT, "%.4f" % r.BGM_A,
-                repr(r.final_grad_norm), repr(r.final_f), repr(r.wall_time_s),
-                str(r.converged),
-            ])
-    else:
-        for r in reports:
-            record = asdict(r)
-            record["BGM_A"] = round(r.BGM_A, 4)
-            buf.write(json.dumps(record) + "\n")
-
-    text = buf.getvalue()
-    out = sink if sink is not None else sys.stdout
-    out.write(text)
-    return text
-
-
-def parse_report_csv(text):
-    """Parse ``emit_report(..., format='csv')`` output back into RunReports."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise ValueError("unexpected CSV header %r" % (header,))
-    reports = []
-    for row in reader:
-        if not row:
-            continue
-        if row[9] not in ("True", "False"):
-            raise ValueError("converged must be True or False, got %r" % (row[9],))
-        reports.append(RunReport(
-            epsilon=float(row[0]), IT=int(row[1]), CO=int(row[2]),
-            BGM_E=int(row[3]), BGM_IT=int(row[4]), BGM_A=float(row[5]),
-            final_grad_norm=float(row[6]), final_f=float(row[7]),
-            wall_time_s=float(row[8]), converged=row[9] == "True",
-        ))
     return reports

@@ -33,6 +33,9 @@ from .model import (
 # Residual bound of every secular solve, relative to 1 + ||c||.
 SECULAR_TOL = 1e-12
 
+# Default cap on the Bregman steps of one inner run.
+MAX_INNER = 10000
+
 _EPS = np.finfo(float).eps
 _SECULAR_MAXIT = 100
 _LOG3 = math.log(3.0)
@@ -210,8 +213,8 @@ def _confirm_end(phi_at, end, factor, limit, which):
     raise SecularSolveError("secular %s bracket expansion failed" % which)
 
 
-def bregman_step(anchor, oracle, hh, gom=None, grho=None):
-    """One Bregman-gradient step of the inner solver from y = x + Q hh.
+def bregman_step(anchor, gom, grho):
+    """One Bregman-gradient step of the inner solver from y = x + Q h^.
 
     The step's optimality condition is
 
@@ -219,20 +222,16 @@ def bregman_step(anchor, oracle, hh, gom=None, grho=None):
 
     i.e. (H + (M / 2) ||h||^2 I) h = c', with h = y_next - x; that system is
     solved exactly by ``secular_solve`` in the coordinates of Q.  Points,
-    gradients and residuals are all in those coordinates: ``hh`` is
-    Q^T (y - x), and the gradients are Q^T grad.
+    gradients and residuals are all in those coordinates: h^ is Q^T (y - x),
+    and the gradients are Q^T grad.  ``gom`` and ``grho`` are
+    grad Omega(y) and grad rho(y).
 
     Returns ``(hh_next, r, grho_next)`` where hh_next = Q^T (y_next - x), r is
     the step's optimality residual
     -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]  (for an exact step
     it vanishes up to the secular tolerance) and grho_next is
-    grad rho(y_next), which starts the next step.  ``gom`` and ``grho`` are
-    grad Omega(y) and grad rho(y) when the caller already has them.
+    grad rho(y_next), which starts the next step.
     """
-    if gom is None:
-        gom = omega_grad(anchor, oracle, hh)
-    if grho is None:
-        grho = rho_grad(anchor, hh)
     c = grho - gom / 3.0
     hh_next = secular_solve(anchor.factor, anchor.M, c)
     grho_next = rho_grad(anchor, hh_next)
@@ -265,7 +264,7 @@ def _slow_rhs(lips, beta, M, k):
     return math.inf if log_rhs > 709.0 else math.exp(log_rhs)
 
 
-def run_inner(anchor, oracle, epsilon, max_inner=10000, trace=None):
+def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
     Runs Bregman-gradient steps from y_0 = anchor.x, in the coordinates of Q
@@ -319,7 +318,7 @@ def run_inner(anchor, oracle, epsilon, max_inner=10000, trace=None):
                            G)
 
     for k in range(max_inner):
-        hh_next, r, grho = bregman_step(anchor, oracle, hh, gom, grho)
+        hh_next, r, grho = bregman_step(anchor, gom, grho)
         gom = omega_grad(anchor, oracle, hh_next)
         grad_model = gom + r
         G = math.sqrt(np.dot(grad_model, grad_model))

@@ -10,15 +10,12 @@ import pytest
 import tensormin.harness as harness
 from tensormin.cli import main
 from tensormin.harness import (
-    CSV_HEADER,
     RunConfig,
     bundled_dataset_path,
-    emit_report,
     load_dataset,
-    parse_report_csv,
     run_experiment,
 )
-from tensormin.reports import RunReport
+from tensormin.reports import CSV_HEADER, RunReport, emit_report, parse_report_csv
 
 
 def write(tmp_path, name, text):
@@ -289,7 +286,7 @@ def test_experiment_trace_rows_tagged_with_accuracy():
 
 def sample_report():
     return RunReport(
-        epsilon=1e-2, IT=4, CO=20, BGM_E=5, BGM_IT=62, BGM_A=12.4,
+        epsilon=1e-2, IT=4, CO=20, BGM_E=5, BGM_IT=62,
         final_grad_norm=0.009, final_f=1.5, wall_time_s=0.01,
     )
 
@@ -310,14 +307,13 @@ def test_emit_report_csv_layout_and_round_trip():
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1] == "0.01,4,20,5,62,12.4000,0.009,1.5,0.01,True"
 
-    # Round-trip through the parser: everything reproduces exactly except
-    # BGM_A, which is serialized with four decimals by design.
+    # Round-trip through the parser: every field reproduces exactly.
     converged = RunReport(
-        epsilon=1e-6, IT=13, CO=77, BGM_E=14, BGM_IT=201, BGM_A=201 / 14,
+        epsilon=1e-6, IT=13, CO=77, BGM_E=14, BGM_IT=201,
         final_grad_norm=3.4e-7, final_f=62.0884421, wall_time_s=0.1234,
     )
     capped = RunReport(
-        epsilon=1e-8, IT=2, CO=31, BGM_E=3, BGM_IT=40, BGM_A=40 / 3,
+        epsilon=1e-8, IT=2, CO=31, BGM_E=3, BGM_IT=40,
         final_grad_norm=2.5e-3, final_f=1.75, wall_time_s=0.02, converged=False,
     )
     originals = [converged, capped]
@@ -331,7 +327,28 @@ def test_emit_report_csv_layout_and_round_trip():
         assert r.final_f == original.final_f
         assert r.wall_time_s == original.wall_time_s
         assert r.converged is original.converged
-        assert abs(r.BGM_A - original.BGM_A) <= 5e-5
+        assert r.BGM_A == original.BGM_A
+    assert back == originals
+
+
+def test_parse_report_csv_rejects_inconsistent_rows():
+    good = emit_report([sample_report()], format="csv", sink=io.StringIO())
+    header, row = good.splitlines()
+    # BGM_A is derived from BGM_IT / BGM_E; a cell that disagrees is refused.
+    bad = header + "\n" + row.replace("12.4000", "12.5000") + "\n"
+    with pytest.raises(ValueError, match="row 2: BGM_A 12.5000 disagrees"):
+        parse_report_csv(bad)
+    with pytest.raises(ValueError, match="row 2 has 9 columns, expected 10"):
+        parse_report_csv(header + "\n" + row.rsplit(",", 1)[0] + "\n")
+    with pytest.raises(ValueError, match="converged must be True or False"):
+        parse_report_csv(header + "\n" + row.replace("True", "yes") + "\n")
+    # No iterations at all: BGM_A is 0.0, and round-trips as such.
+    empty = RunReport(epsilon=1e-2, IT=0, CO=2, BGM_E=0, BGM_IT=0,
+                      final_grad_norm=1.0, final_f=2.0, wall_time_s=0.0,
+                      converged=False)
+    assert empty.BGM_A == 0.0
+    text = emit_report([empty], format="csv", sink=io.StringIO())
+    assert parse_report_csv(text) == [empty]
 
 
 def test_emit_report_json_lines_and_alias():

@@ -155,7 +155,9 @@ def test_secular_rejects_bad_inputs():
 def test_bregman_step_stationary_anchor_stays_put():
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([0.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    h1, r, _ = bregman_step(anchor, oracle, np.zeros(1))
+    h0 = np.zeros(1)
+    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
+                            rho_grad(anchor, h0))
     assert np.array_equal(h1, np.zeros(1))
     assert np.allclose(r, 0.0, atol=1e-15)
 
@@ -165,7 +167,9 @@ def test_one_dimensional_anchor_through_step_and_run():
     # M = 6: c = 1/3, and (2 + 3 h^2) h = 1/3 has its root near 0.16.
     oracle = QuadraticOracle(np.array([[2.0]]), np.array([-1.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=6.0)
-    h1, r, _ = bregman_step(anchor, oracle, np.zeros(1))
+    h0 = np.zeros(1)
+    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
+                            rho_grad(anchor, h0))
     h = float(h1[0])  # n = 1: Q = 1
     assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
     assert np.linalg.norm(r) <= 1e-12
@@ -185,7 +189,9 @@ def test_bregman_step_one_dimensional_point():
     # c = -(1/3) grad f(0) = 2, and the secular system gives y_1 = 1.
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([-6.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
-    h1, r, _ = bregman_step(anchor, oracle, np.zeros(1))
+    h0 = np.zeros(1)
+    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
+                            rho_grad(anchor, h0))
     assert h1 == pytest.approx([1.0], abs=1e-10)  # x = 0 and Q = 1
     assert np.linalg.norm(r) <= 1e-9
 
@@ -205,8 +211,9 @@ def test_bregman_step_optimality_along_runs():
     for anchor, oracle in cases:
         hh = np.zeros(oracle.n)
         for _ in range(15):
-            hh_next, r, grho_next = bregman_step(anchor, oracle, hh)
             gom = omega_grad(anchor, oracle, hh)
+            hh_next, r, grho_next = bregman_step(anchor, gom,
+                                                 rho_grad(anchor, hh))
             resid = gom + 3.0 * (rho_grad(anchor, hh_next)
                                  - rho_grad(anchor, hh))
             bound = 1e-12 * (1.0 + np.linalg.norm(gom))
@@ -292,7 +299,8 @@ def test_run_inner_monotone_model_decrease():
         hh = np.zeros(oracle.n)
         om = omega_value(anchor, oracle, anchor.x)
         for _ in range(20):
-            hh, _, _ = bregman_step(anchor, oracle, hh)
+            hh, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, hh),
+                                    rho_grad(anchor, hh))
             om_next = omega_value(anchor, oracle, anchor.x + anchor.factor.q(hh))
             assert om_next <= om + 1e-10 * (1.0 + abs(om))
             om = om_next
@@ -336,7 +344,7 @@ def test_run_inner_iteration_cap():
     # The one step, retraced in the coordinates of Q from the anchor's
     # grad Omega(x) = g^ and grad rho(x) = 0; the cap exit reports the
     # tested G = ||grad Omega(y_1) + r|| like every other exit.
-    h1, r, _ = bregman_step(anchor, oracle, np.zeros(2), anchor.g_hat, 0.0)
+    h1, r, _ = bregman_step(anchor, anchor.g_hat, 0.0)
     assert np.array_equal(res.x_plus, anchor.x + anchor.factor.q(h1))
     assert res.model_grad_norm == float(
         np.linalg.norm(omega_grad(anchor, oracle, h1) + r)

@@ -26,6 +26,7 @@ from tensormin.model import (
     inner_constants,
     omega_grad,
     omega_value,
+    rho_grad,
     rho_value,
     taylor3_value,
     tridiagonal_factor,
@@ -338,7 +339,8 @@ def test_sublevel_displacement_bound_during_inner_runs():
         f_x = oracle.value(x)
         hh = np.zeros(3)
         for _ in range(30):
-            hh, _, _ = bregman_step(anchor, oracle, hh)
+            hh, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, hh),
+                                    rho_grad(anchor, hh))
             y = x + anchor.factor.q(hh)
             if omega_value(anchor, oracle, y) <= f_x:
                 disp = float(np.linalg.norm(y - x)) ** 3
@@ -396,7 +398,9 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
         q = dense_q(anchor.factor)
         t = tridiag_dense(anchor.factor.d, anchor.factor.e)
         assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(P, 2)
-        h1, _, _ = bregman_step(anchor, oracle, np.zeros(3))
+        h0 = np.zeros(3)
+        h1, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
+                                rho_grad(anchor, h0))
         h = q @ h1
         c = -oracle.grad(anchor.x) / 3.0
         shifted = q @ t @ q.T
@@ -414,7 +418,9 @@ def test_rounding_noise_anchor_step_certificate_vanishes():
         P = rotated([-5e-11, 1.0, 2.0], seed)
         oracle = QuadraticOracle(P, rng.standard_normal(3))
         anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
-        _, r, _ = bregman_step(anchor, oracle, np.zeros(3))
+        h0 = np.zeros(3)
+        _, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
+                               rho_grad(anchor, h0))
         gnorm = np.linalg.norm(oracle.grad(anchor.x))
         assert np.linalg.norm(r) <= 1e-12 * (1.0 + gnorm)
 

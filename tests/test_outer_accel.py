@@ -278,7 +278,7 @@ def test_run_accel_quartic_estimating_sequence_run():
         lower = row["a_total"] * oracle.value(x_t)
         assert lower <= row["phi_star"] + 1e-8 * (1.0 + abs(row["phi_star"]))
         assert row["phi_star"] <= upper_cap + 1e-8
-        if row["alpha"]:
+        if row["stop_reason"] == "SlowConvergence":
             assert row["f_trial"] is None
             assert row["grad_norm_trial"] is None
             assert "x_trial" not in row

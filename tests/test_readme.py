@@ -1,6 +1,8 @@
 """The README's code runs: its Python quick start, and every `tensormin solve`
-command, which must exit 0."""
+command, which must exit 0; and `--trace` writes the keys its schema lists."""
 
+import json
+import re
 import shlex
 from pathlib import Path
 
@@ -68,3 +70,42 @@ def test_readme_command_exits_zero(command, tmp_path, monkeypatch):
     data.write_text("x1,x2,x3,label\n" + Path(bundled_dataset_path()).read_text())
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)[1:]) == 0
+
+
+def documented_trace_keys():
+    """Label -> key set of each bullet of the README's trace schema: the
+    backticked names after the bullet's last colon."""
+    section = README.read_text().split("## Trace schema", 1)[1].split("\n## ")[0]
+    keys = {}
+    for label, names in re.findall(r"^- \*\*(.+?)\*\*.*: (.*)$", section, re.M):
+        keys[label] = set(re.findall(r"`(\w+)`", names))
+    return keys
+
+
+@pytest.mark.parametrize("solver", ["basic", "accel"])
+def test_trace_lines_have_the_documented_keys(solver, tmp_path):
+    schema = documented_trace_keys()
+    trace = tmp_path / "trace.jsonl"
+    assert main(["solve", "--problem", "quartic", "--n", "3", "--solver", solver,
+                 "--eps", "1e-6", "--m0", "0.01", "--trace", str(trace),
+                 "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    outer = [line for line in lines if line["kind"] == "outer"]
+    seen = set()
+    for line in lines:
+        if line["kind"] == "inner":
+            expected = schema["inner"]
+        else:
+            expected = set(schema["outer"])
+            evaluated = line["stop_reason"] in ("EpsilonSmall",
+                                                "ModelStationarity")
+            if evaluated:
+                expected |= schema["evaluated"]
+            if solver == "accel":
+                expected |= schema["accel"]
+                if line["accepted"] and line is not outer[-1]:
+                    expected |= schema["accel accepted"]
+            seen.add((evaluated, line["accepted"]))
+        assert set(line) == expected, line["kind"]
+    # Slow-convergence, rejected and accepted trials all occurred.
+    assert {(False, False), (True, False), (True, True)} <= seen
