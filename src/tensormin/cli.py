@@ -3,7 +3,9 @@
     tensormin solve --problem quartic --n 10 --solver accel --eps 1e-2,1e-4
 
 Exit status: 0 when every accuracy target was reached, 2 when any run hit an
-iteration cap, 1 on usage or I/O errors.
+iteration cap, 1 on usage or I/O errors and on a run's typed failure
+(``OracleError``, ``ConvexityError``, ``SecularSolveError``,
+``LevelSearchError``), each reported in one line.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from dataclasses import fields
 
 import numpy as np
 
-from .basic import MAX_OUTER
+from .basic import MAX_OUTER, LevelSearchError
 from .harness import RunConfig, run_experiment
 from .inner import MAX_INNER
-from .reports import emit_report
+from .model import ConvexityError, SecularSolveError
+from .oracles import OracleError
+from .reports import FORMATS, emit_report
 
 
 def _jsonable(value):
@@ -73,8 +77,7 @@ def build_parser():
     solve.add_argument("--max-inner", type=int, default=MAX_INNER)
     solve.add_argument("--trace", metavar="PATH",
                        help="write per-iteration JSON lines here")
-    solve.add_argument("--format", choices=("table", "csv", "jsonl"),
-                       default="table")
+    solve.add_argument("--format", choices=FORMATS, default="table")
     solve.add_argument("--out", metavar="PATH",
                        help="write the report here instead of stdout")
     return parser
@@ -104,7 +107,8 @@ def main(argv=None):
                 emit_report(reports, format=args.format, sink=fh)
         else:
             emit_report(reports, format=args.format)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OracleError, ConvexityError,
+            SecularSolveError, LevelSearchError) as exc:
         sys.stderr.write("tensormin: error: %s\n" % exc)
         return 1
     finally:

@@ -147,8 +147,7 @@ def run_experiment(cfg, trace_sink=None):
     """Run the configured solver once per target accuracy on fresh counters.
 
     The dataset is read once per call; each accuracy gets a fresh oracle
-    built from it, so its counters (and any finite-difference cache) start
-    empty.  Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
+    built from it, so its counters start at zero.  Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
     Solver exceptions are re-raised annotated with the failing accuracy (as a
     note when their type cannot be rebuilt from one message).
     """

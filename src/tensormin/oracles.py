@@ -25,7 +25,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
 
@@ -117,9 +116,11 @@ class SmoothOracle(ABC):
     Subclasses implement the four hooks ``_value``, ``_grad``, ``_hessian``
     and ``_third_directional``, which receive the query as a ``Point`` (and
     ``h`` as an array); the public methods validate dimensions, maintain
-    ``self.calls`` and check that results are finite.  ``lipschitz_third``
-    optionally reports a Lipschitz constant of the third derivative when one
-    is known in closed form, else ``None``.
+    ``self.calls`` and check that results are finite.  ``_hessian`` must
+    return a fresh array, because the anchor factors it in place (see
+    ``ModelAnchor.from_oracle``).  ``lipschitz_third`` optionally reports a
+    Lipschitz constant of the third derivative when one is known in closed
+    form, else ``None``.
 
     Attributes
     ----------
@@ -262,8 +263,9 @@ class LogisticOracle(SmoothOracle):
 
     The value is computed in the log-sum-exp form above, which equals the
     negative log-likelihood and is stable for large |<a_i, x>|.  The Hessian
-    is formed as B^T B with B = diag(sqrt(s (1 - s))) A by a symmetric rank-m
-    update (BLAS ``dsyrk``): m n^2 flops, half those of a general product.
+    is formed as B^T B with B = diag(sqrt(s (1 - s))) A, which NumPy runs as a
+    symmetric rank-m update (BLAS syrk): m n^2 flops, half those of a general
+    product.
     """
 
     def __init__(self, dataset):
@@ -295,15 +297,11 @@ class LogisticOracle(SmoothOracle):
         return self.dataset.features.T @ (self._sigmoid(p) - self.dataset.labels)
 
     def _hessian(self, p):
-        # The weights s (1 - s) are nonnegative, so B is real.  B.T of the
-        # C-ordered B is Fortran-ordered and reaches BLAS without a copy;
-        # dsyrk fills the lower triangle, mirrored here into the upper one
-        # once B is freed, so the peak memory is that of a general product.
+        # The weights s (1 - s) are nonnegative, so B is real.  NumPy runs
+        # the product of an array with its own transpose as a syrk and
+        # mirrors the triangle itself, so the result is exactly symmetric.
         b = np.sqrt(self._weights(p))[:, None] * self.dataset.features
-        h = dsyrk(1.0, b.T, lower=1)
-        del b
-        h += np.tril(h, -1).T
-        return h
+        return b.T @ b
 
     def _third_directional(self, p, h):
         ah = self.dataset.features @ h
@@ -369,59 +367,49 @@ def fd_third_directional(oracle, x, h, tau, g0=None):
     return (gp + gm - 2.0 * g0) / tau**2
 
 
-class FdThirdOracle:
-    """Wrap a smooth oracle, replacing third_directional by its finite-difference
-    surrogate T_tau with a fixed step ``tau``.
+class FdThirdOracle(SmoothOracle):
+    """A ``SmoothOracle`` whose third derivative is the finite-difference
+    surrogate T_tau of a base oracle's gradients, with a fixed step ``tau``.
 
-    Value/gradient/Hessian/trace delegate to the base oracle (and count on its
-    counter).  Each third_directional call costs three base gradient calls; the
-    gradient at the last expansion point is cached, so repeated calls at the
-    same x cost two.  The cache is one ``(bytes of x, gradient)`` pair replaced
-    in a single assignment, so a wrapper shared across threads never pairs one
-    thread's x with another's gradient.
+    The value, gradient and Hessian hooks are the base's, and the counter is
+    the base's.  ``third_directional`` makes three counted gradient calls and
+    is not counted as ``third``; the gradient at the expansion point is kept
+    in the query ``Point``, so later queries through that point cost two.
     """
 
     def __init__(self, base, tau):
         if not 0.0 < tau < math.inf:
             raise ValueError("tau must be finite and positive, got %r" % (tau,))
+        super().__init__(base.n)
+        self.calls = base.calls
+        self.lipschitz_third = base.lipschitz_third
         self.base = base
         self.tau = float(tau)
-        self._g0 = None
-
-    @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def calls(self):
-        return self.base.calls
-
-    @property
-    def lipschitz_third(self):
-        return self.base.lipschitz_third
-
-    def value(self, x):
-        return self.base.value(x)
-
-    def grad(self, x):
-        return self.base.grad(x)
-
-    def hessian(self, x):
-        return self.base.hessian(x)
-
-    def hessian_trace(self, x):
-        return self.base.hessian_trace(x)
 
     def third_directional(self, x, h):
-        p = as_point(x)
-        key = p.x.tobytes()
-        cached = self._g0
-        if cached is not None and cached[0] == key:
-            g0 = cached[1]
-        else:
-            g0 = self.base.grad(p)
-            self._g0 = (key, g0)
-        return fd_third_directional(self.base, p, h, self.tau, g0)
+        """T_tau(h) at x, in place of D3f(x)[h]^2.
+
+        A non-finite T_tau (tau^2 underflowing, say) raises an
+        ``OracleError`` naming tau, without NumPy warnings.
+        """
+        p = self._as_point(x)
+        h = self._check_shape(np.asarray(h, dtype=float), "h")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = self._third_directional(p, h)
+        return _finite("third_directional (tau=%r)" % self.tau, t)
+
+    def _value(self, p):
+        return self.base._value(p)
+
+    def _grad(self, p):
+        return self.base._grad(p)
+
+    def _hessian(self, p):
+        return self.base._hessian(p)
+
+    def _third_directional(self, p, h):
+        g0 = p.memo("fd_g0", lambda: self.grad(p))
+        return fd_third_directional(self, p, h, self.tau, g0)
 
 
 # -- derivative checks --------------------------------------------------------

@@ -45,7 +45,7 @@ _TYPES = get_type_hints(RunReport)
 CSV_HEADER = list(_TYPES)
 CSV_HEADER.insert(CSV_HEADER.index("BGM_IT") + 1, "BGM_A")
 _CSV_ONLY = ("final_grad_norm", "final_f", "wall_time_s")  # not in the table
-_FORMATS = ("table", "csv", "jsonl")
+FORMATS = ("table", "csv", "jsonl")  # every emit_report format
 
 
 def _cell(report, name):
@@ -57,12 +57,17 @@ def _cell(report, name):
     return repr(value) if _TYPES[name] is float else str(value)
 
 
-def _parse_cell(name, cell):
-    if _TYPES[name] is not bool:
-        return _TYPES[name](cell)
-    if cell not in ("True", "False"):
-        raise ValueError("%s must be True or False, got %r" % (name, cell))
-    return cell == "True"
+def _parse_cell(line, name, cell):
+    """The value of the cell in column ``name`` of CSV row ``line``."""
+    kind = _TYPES[name]
+    try:
+        if kind is bool:
+            return {"True": True, "False": False}[cell]
+        return kind(cell)
+    except (KeyError, ValueError):
+        want = "True or False" if kind is bool else kind.__name__
+        raise ValueError("row %d: %s must be %s, got %r"
+                         % (line, name, want, cell)) from None
 
 
 def emit_report(reports, format="table", sink=None):
@@ -73,8 +78,8 @@ def emit_report(reports, format="table", sink=None):
     to ``sink`` (a text stream; stdout when omitted) and also returns the
     rendered text.
     """
-    if format not in _FORMATS:
-        raise ValueError("format must be one of %s" % (_FORMATS,))
+    if format not in FORMATS:
+        raise ValueError("format must be one of %s" % (FORMATS,))
     if not reports:
         raise ValueError("no reports to emit")
 
@@ -108,9 +113,9 @@ def parse_report_csv(text):
     """Parse ``emit_report(..., format='csv')`` output back into RunReports.
 
     Every stored field is rebuilt exactly.  A row with the wrong number of
-    cells, or whose BGM_A cell disagrees with its four-decimal
-    BGM_IT / BGM_E, raises ValueError naming the row (1-based, counting the
-    header).
+    cells, a cell that does not parse as its column's type, or a BGM_A cell
+    that disagrees with its four-decimal BGM_IT / BGM_E raises ValueError
+    naming the row (1-based, counting the header).
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -126,7 +131,7 @@ def parse_report_csv(text):
                              % (line, len(row), len(CSV_HEADER)))
         cells = dict(zip(CSV_HEADER, row))
         bgm_a = cells.pop("BGM_A")
-        report = RunReport(**{k: _parse_cell(k, v) for k, v in cells.items()})
+        report = RunReport(**{k: _parse_cell(line, k, v) for k, v in cells.items()})
         if bgm_a != _cell(report, "BGM_A"):
             raise ValueError("row %d: BGM_A %s disagrees with BGM_IT / BGM_E = "
                              "%.4f" % (line, bgm_a, report.BGM_A))

@@ -3,6 +3,7 @@ exit codes."""
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from tensormin.harness import (
     load_dataset,
     run_experiment,
 )
-from tensormin.reports import CSV_HEADER, RunReport, emit_report, parse_report_csv
+from tensormin.reports import (
+    CSV_HEADER,
+    FORMATS,
+    RunReport,
+    emit_report,
+    parse_report_csv,
+)
 
 
 def write(tmp_path, name, text):
@@ -191,7 +198,7 @@ def test_experiment_bundled_dataset_paper_counters():
 
 def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
     # One load per call; each accuracy still gets a fresh oracle (zero
-    # counters, empty finite-difference cache) over the shared dataset.
+    # counters) over the shared dataset.
     loads, seen = [], []
     real_load, real_solver = harness.load_dataset, harness.run_basic
 
@@ -200,7 +207,7 @@ def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
         return real_load(*args, **kwargs)
 
     def solver(oracle, *args, **kwargs):
-        seen.append((oracle, oracle.calls.total(), oracle._g0))
+        seen.append((oracle, oracle.calls.total()))
         return real_solver(oracle, *args, **kwargs)
 
     monkeypatch.setattr(harness, "load_dataset", load)
@@ -210,9 +217,9 @@ def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
     ))
     assert len(reports) == 4 and all(r.converged for r in reports)
     assert len(loads) == 1
-    assert len({id(oracle) for oracle, _, _ in seen}) == 4
-    assert len({id(oracle.base.dataset) for oracle, _, _ in seen}) == 1
-    assert all(total == 0 and g0 is None for _, total, g0 in seen)
+    assert len({id(oracle) for oracle, _ in seen}) == 4
+    assert len({id(oracle.base.dataset) for oracle, _ in seen}) == 1
+    assert all(total == 0 for _, total in seen)
 
 
 def test_experiment_errors_annotated_with_accuracy(tmp_path, monkeypatch):
@@ -342,6 +349,11 @@ def test_parse_report_csv_rejects_inconsistent_rows():
         parse_report_csv(header + "\n" + row.rsplit(",", 1)[0] + "\n")
     with pytest.raises(ValueError, match="converged must be True or False"):
         parse_report_csv(header + "\n" + row.replace("True", "yes") + "\n")
+    # A numeric cell that does not parse names its row and column.
+    cells = row.split(",")
+    cells[CSV_HEADER.index("CO")] = "many"
+    with pytest.raises(ValueError, match="row 2: CO must be int, got 'many'"):
+        parse_report_csv(header + "\n" + ",".join(cells) + "\n")
     # No iterations at all: BGM_A is 0.0, and round-trips as such.
     empty = RunReport(epsilon=1e-2, IT=0, CO=2, BGM_E=0, BGM_IT=0,
                       final_grad_norm=1.0, final_f=2.0, wall_time_s=0.0,
@@ -417,6 +429,21 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
                  "--eps", "1e-2", "--dataset",
                  str(tmp_path / "nope.csv")]) == 1
     capsys.readouterr()  # drain the error messages
+    # A typed run failure: tau^2 underflows, so the third derivative is NaN.
+    assert main(["solve", "--problem", "quartic", "--n", "2",
+                 "--solver", "basic", "--eps", "1e-6",
+                 "--fd-tau", "1e-200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tensormin: error:")
+    assert err.count("\n") == 1
+    assert "third_directional (tau=1e-200)" in err
+
+
+def test_cli_format_choices_are_the_report_formats(capsys):
+    assert main(["solve", "--help"]) == 0
+    usage = capsys.readouterr().out
+    choices = re.search(r"--format \{([^}]*)\}", usage).group(1)
+    assert tuple(choices.split(",")) == FORMATS
 
 
 def test_cli_non_finite_dataset_cell_exits_one(tmp_path, capsys):

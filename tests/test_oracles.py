@@ -14,7 +14,10 @@ from tensormin.oracles import (
     Dataset,
     DerivativeReport,
     FdThirdOracle,
+    OracleError,
+    Point,
     QuarticOracle,
+    SmoothOracle,
     ZeroComposite,
     as_point,
     check_derivatives,
@@ -353,19 +356,19 @@ def test_fd_third_rejects_nonpositive_tau():
 def test_fd_oracle_costs_three_gradients_then_two_on_same_point():
     base = quartic_oracle(2)
     oracle = FdThirdOracle(base, 1e-3)
-    x = np.ones(2)
-    oracle.third_directional(x, np.array([1.0, 0.0]))
+    p = Point(np.ones(2))
+    oracle.third_directional(p, np.array([1.0, 0.0]))
     assert base.calls.grad == 3
-    oracle.third_directional(x, np.array([0.0, 1.0]))  # same expansion point
+    oracle.third_directional(p, np.array([0.0, 1.0]))  # same expansion point
     assert base.calls.grad == 5
-    oracle.third_directional(2 * x, np.array([1.0, 0.0]))  # new point
+    oracle.third_directional(2 * p.x, np.array([1.0, 0.0]))  # new point
     assert base.calls.grad == 8
+    assert base.calls.third == 0
 
 
 def test_fd_oracle_shared_across_threads_matches_the_uncached_formula():
-    # Each thread has its own expansion point, so the shared wrapper's cached
-    # gradient keeps changing hands; a result built from another thread's
-    # gradient would differ from the uncached formula.
+    # Each thread has its own expansion point; a result built from another
+    # thread's gradient would differ from the uncached formula.
     base = quartic_oracle(3)
     fd = FdThirdOracle(base, 1e-3)
     rng = np.random.default_rng(12)
@@ -400,6 +403,7 @@ def test_fd_oracle_delegates_everything_else_to_the_base():
     base = quartic_oracle(2)
     oracle = FdThirdOracle(base, 1e-4)
     x = np.array([1.0, -2.0])
+    assert isinstance(oracle, SmoothOracle)
     assert oracle.n == 2
     assert oracle.lipschitz_third == 24.0
     assert oracle.calls is base.calls
@@ -407,6 +411,20 @@ def test_fd_oracle_delegates_everything_else_to_the_base():
     assert np.array_equal(oracle.grad(x), base.grad(x))
     assert np.array_equal(oracle.hessian(x), base.hessian(x))
     assert oracle.hessian_trace(x) == base.hessian_trace(x)
+    with pytest.raises(ValueError, match="h has shape"):
+        oracle.third_directional(x, np.ones(3))
+
+
+@pytest.mark.filterwarnings("error")  # the typed error, not NumPy warnings
+def test_fd_oracle_non_finite_difference_fails_typed_naming_tau():
+    # tau^2 underflows to zero, so T_tau is 0/0; the run stops on the oracle
+    # error rather than in the secular solver.
+    from tensormin.basic import run_basic
+
+    oracle = FdThirdOracle(quartic_oracle(2), 1e-200)
+    with pytest.raises(OracleError,
+                       match=r"third_directional \(tau=1e-200\)"):
+        run_basic(oracle, ZeroComposite(), np.ones(2), 1.0, 1e-6)
 
 
 def test_fd_oracle_approximates_the_true_third_directional():
