@@ -9,9 +9,12 @@ accelerated loop additionally maintains a quartic estimating sequence
 whose minimum value sandwiches the scaled objective, which yields a
 fourth-power decay of the value gap in the worst case.
 
-On an easy, well-conditioned quartic the basic loop contracts linearly
-and wins outright; the accelerated loop's strength is its guaranteed
-polynomial rate, visible here in the fitted tail exponent.
+After each accepted step the accelerated loop also takes a basic companion
+step from its current iterate and keeps the point with the lower f, which
+the estimating sequence allows.  On an easy, well-conditioned quartic,
+where the basic loop contracts linearly, the companion wins and the
+accelerated loop keeps pace with the basic one; its guaranteed polynomial
+rate would show in the tail of a run that lasts 100 steps or more.
 """
 
 import numpy as np
@@ -29,9 +32,8 @@ x0 = np.ones(n)
 # ---------------------------------------------------------------------------
 # Run both solvers
 # ---------------------------------------------------------------------------
-# The accelerated run is deliberately capped at 400 outer steps so that the
-# tail of its value-gap curve is long enough to fit; the solver logs a
-# warning when the cap fires.
+# The accelerated run is capped at 400 outer steps; the solver logs a
+# warning if the cap fires.
 xb, rep_b, rows_b = run_basic(quartic_oracle(n), ZeroComposite(), x0, 1.0, 1e-8)
 xa, rep_a, rows_a = run_accel(
     quartic_oracle(n), ZeroComposite(), x0, 1.0, 1e-7, max_outer=400
@@ -48,9 +50,24 @@ for name, rep in (("basic", rep_b), ("accelerated", rep_a)):
 # ---------------------------------------------------------------------------
 # Value gap per accepted step
 # ---------------------------------------------------------------------------
-# The quartic's minimum value is zero, so f itself is the value gap.
-gaps_b = [r["f_trial"] for r in rows_b if r["accepted"]]
-gaps_a = [r["f_trial"] for r in rows_a if r["accepted"]]
+# The quartic's minimum value is zero, so f itself is the value gap.  The
+# next iterate of step t is the point of its first accepted row: the
+# accepted trial's, or the accelerated loop's companion where it won.
+
+
+def iterate_values(rows):
+    first = {}
+    for r in rows:
+        if r["accepted"]:
+            first.setdefault(r["t"], r["f_trial"])
+    return list(first.values())
+
+
+gaps_b = iterate_values(rows_b)
+gaps_a = iterate_values(rows_a)
+won = sum(1 for r in rows_a if r.get("companion") and r["accepted"])
+print(f"\naccelerated steps where the basic companion won: {won} of"
+      f" {len(gaps_a)}")
 
 print("\nvalue gap at accepted steps:")
 print(f"  {'step':>5}  {'basic':>12}  {'accelerated':>12}")
@@ -76,10 +93,15 @@ print(f"\nsteps to reach a 1e-6 value gap: basic {crossing_b},"
 ratios = [gaps_b[i + 1] / gaps_b[i] for i in range(len(gaps_b) - 2)]
 print(f"basic loop contraction factor per step: ~{np.median(ratios):.3f}")
 
-# Accelerated: the gap follows a power law in the step index; fit the tail.
+# Accelerated: the guarantee is a power law in the step index, fitted over
+# the tail t >= 100 when the run lasts that long.
 tail = [(i, g) for i, g in enumerate(gaps_a, start=1) if i >= 100 and g > 0]
-slope, _ = np.polyfit(
-    np.log([i for i, _ in tail]), np.log([g for _, g in tail]), 1
-)
-print(f"accelerated loop tail decay exponent  : {-slope:.2f}"
-      f"  (guarantee: at least 4 asymptotically)")
+if len(tail) >= 2:
+    slope, _ = np.polyfit(
+        np.log([i for i, _ in tail]), np.log([g for _, g in tail]), 1
+    )
+    print(f"accelerated loop tail decay exponent  : {-slope:.2f}"
+          f"  (guarantee: at least 4 asymptotically)")
+else:
+    print(f"accelerated loop converged in {len(gaps_a)} steps: no tail"
+          f" t >= 100 to fit a decay exponent over")

@@ -11,6 +11,20 @@ weight a solves  a^4 = 4^2 (A + a)^3 / (18^3 M)  at the current level M.
 Acceptance asks the trial gradient to make a quantified angle with z - x_plus
 rather than a raw decrease, which is what lets the method keep the t^{-4}
 estimating-sequence rate.
+
+The rate needs only A_t f(x_t) <= min phi_t, and the step that folds the
+trial T(z) into phi keeps that bound for any x_{t+1} with
+f(x_{t+1}) <= f(T(z)).  So after accepting T(z) at level M the method also
+takes a basic companion step T(x_t) from the iterate at the same M (an anchor
+at x_t with the gradient already held there, and one more inner run under
+the same epsilon and cap) and keeps as x_{t+1} whichever of the two has the
+lower f; a companion that ends on SlowConvergence or IterationCap leaves the
+trial in place.  phi still takes a, f(T(z)) and grad f(T(z)).  This is the
+monotone variant of Monteiro and Svaiter's A-HPE framework (SIAM J. Optim.,
+2013), as in Carmon, Hausler, Jambulapati, Jin and Sidford, "Optimal and
+adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  While x_t = z (on
+the first step, x = v = x0) the trial is the basic step and no companion
+runs.
 """
 
 from __future__ import annotations
@@ -181,11 +195,16 @@ def run_accel(
 
 
 class _AccelStep:
-    """Anchor at the mixture z(a), accept on the angle test, and fold every
-    accepted step into the estimating sequence.
+    """Anchor at the mixture z(a), accept on the angle test, fold every
+    accepted trial into the estimating sequence, and keep as the next
+    iterate the lower of the trial and a basic companion step from x_t.
 
-    The objective is evaluated only at accepted trials, never at an anchor,
-    so ``f`` and ``gnorm`` at the start point are unknown.
+    The objective is evaluated only at evaluated companions and accepted
+    trials, never at an anchor, so ``f`` and ``gnorm`` at the start point
+    are unknown.  ``p`` and ``g`` are the oracle point of the iterate x_t
+    and its gradient (None at x0, which is never a companion's start).
+    One anchor is kept and re-levelled while z repeats bit for bit, as it
+    does at every level of the first step, where x = v = x0.
     """
 
     f = gnorm = None
@@ -193,25 +212,38 @@ class _AccelStep:
     def __init__(self, oracle, x0):
         self.oracle = oracle
         self.state = AccelState.fresh(x0)
+        self.p = self.g = None
+        self._anchor = None
 
     def anchor(self, m_level):
         state = self.state
         self._a = solve_a(state.a_total, m_level)
-        self._z = mix_z(state.x, state.v, state.a_total, self._a)
-        anchor = ModelAnchor.from_oracle(self.oracle, self._z, m_level)
+        z = mix_z(state.x, state.v, state.a_total, self._a)
+        if self._anchor is None or not np.array_equal(z, self._anchor.x):
+            self._anchor = ModelAnchor.from_oracle(self.oracle, z, m_level)
         fields = {
             "a": self._a, "gamma": self._a / (state.a_total + self._a),
             "a_total": state.a_total,
             "v_dist": float(np.linalg.norm(state.v - state.x0)),
             "phi_star": phi_min_value(state),
         }
-        return anchor, fields
+        return self._anchor.with_m(m_level), fields
 
     def accept(self, p_plus, g_plus, gnorm_plus, m_level):
-        return accept_test_accel(g_plus, self._z, p_plus.x, m_level), None
+        return accept_test_accel(g_plus, self._anchor.x, p_plus.x,
+                                 m_level), None
 
-    def update(self, p_plus, f_plus, g_plus, gnorm_plus):
-        self.state = update_phi_and_v(self.state, self._a, g_plus, f_plus,
-                                      p_plus.x)
-        return {"a_total_next": self.state.a_total,
-                "phi_star_next": phi_min_value(self.state)}
+    def update(self, p_plus, f_plus, g_plus, gnorm_plus, companion):
+        nxt = (p_plus, f_plus, g_plus, gnorm_plus)
+        # While x_t = z_t the trial is the basic step from x_t; this holds
+        # on the first step, the only one without a gradient at x_t.
+        if not np.array_equal(self.state.x, self._anchor.x):
+            nxt = companion(self.p, self.g, f_plus) or nxt
+        # A_t f(x_t) <= phi*_t needs only f(x_{t+1}) <= f(T(z_t)), so phi
+        # takes the trial whichever point is kept.
+        state = update_phi_and_v(self.state, self._a, g_plus, f_plus,
+                                 p_plus.x)
+        self.p, _, self.g, _ = nxt
+        self.state = replace(state, x=self.p.x)
+        return nxt, {"a_total_next": state.a_total,
+                     "phi_star_next": phi_min_value(state)}

@@ -85,10 +85,11 @@ def run_basic(
     Returns
     -------
     (x, report, rows) : (ndarray, RunReport, list of dict)
-        Final iterate, run counters, and the outer trial rows, one per level
-        attempt: the README's outer trace lines without ``kind`` and
-        ``epsilon``.  Only evaluated trials carry their point (read-only) as
-        ``x_trial``; the others have ``f_trial = grad_norm_trial = None``.
+        Final iterate, run counters, and the outer trial rows, one per inner
+        run (a level attempt, or an accelerated step's companion): the
+        README's outer trace lines without ``kind`` and ``epsilon``.  Only
+        evaluated trials carry their point (read-only) as ``x_trial``; the
+        others have ``f_trial = grad_norm_trial = None``.
     """
     return level_search(_BasicStep, oracle, composite, x0, m0, epsilon,
                         max_outer, max_inner, trace_sink)
@@ -121,10 +122,10 @@ class _BasicStep:
         f_plus = self.oracle.value(p_plus)
         return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
 
-    def update(self, p_plus, f_plus, g_plus, gnorm_plus):
+    def update(self, p_plus, f_plus, g_plus, gnorm_plus, companion):
         self.p, self.f, self.g = p_plus, f_plus, g_plus
         self._anchor = None
-        return {}
+        return (p_plus, f_plus, g_plus, gnorm_plus), {}
 
 
 def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
@@ -151,8 +152,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     level is >= 2 m0, so each M_t is m0 2^k (k >= 0) exactly in floating
     point, and the first index i, the smallest that keeps the trial level
     >= 2 m0, is 1 when M_t = m0 and 0 otherwise.  A trial whose gradient
-    norm is <= epsilon ends the run.  Arguments and return value are those
-    of ``run_basic``.  Before any oracle call, a ``composite`` other than a
+    norm is <= epsilon ends the run, and so does an accepted step whose next
+    iterate has one.  Arguments and return value are those of
+    ``run_basic``.  Before any oracle call, a ``composite`` other than a
     ``ZeroComposite`` raises TypeError, and a non-finite ``x0`` or a
     non-finite or nonpositive ``m0`` or ``epsilon`` raises ValueError;
     nothing below these checks refers to psi.  An ``OracleError`` raised
@@ -172,8 +174,16 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     * ``accept(p_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
       where ``p_plus`` is the trial's oracle point and ``f_plus`` is None
       when the test did not need the trial value;
-    * ``update(p_plus, f_plus, g_plus, gnorm_plus)``, called on acceptance,
-      returning the row fields it adds.
+    * ``update(p_plus, f_plus, g_plus, gnorm_plus, companion)``, called on
+      the acceptance of a trial that does not end the run, returning the
+      next iterate as ``(point, f, g, gnorm)`` and the row fields it adds to
+      the trial's row.  ``companion(p, g, f_bar)`` is the loop's basic step
+      from the point ``p``, whose gradient is ``g``, at the accepted level:
+      one more inner run, counted in BGM_E and BGM_IT, whose row (the
+      trial's anchor fields and ``companion`` true) is emitted before the
+      trial's.  It returns the step's point, f, g and gradient norm when
+      the run ended on EpsilonSmall or ModelStationarity and its f is below
+      ``f_bar``, and None otherwise; that row's ``accepted`` says which.
     """
     t_start = time.perf_counter()
     calls_start = oracle.calls.total()
@@ -207,6 +217,47 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         if trace_sink is not None:
             trace_sink(dict(row, kind="outer"))
 
+    def run_trial(anchor, t, i, fields):
+        """One inner run at ``anchor``, counted and traced, and its row; with
+        the trial's point, gradient and gradient norm unless the run ended
+        on SlowConvergence or IterationCap (then None)."""
+        nonlocal bgm_e, bgm_it
+        inner_trace = None
+        if trace_sink is not None:
+            inner_trace = lambda r: trace_sink(dict(r, kind="inner", t=t, i=i))
+        res = run_inner(anchor, oracle, eps, max_inner, inner_trace)
+        bgm_e += 1
+        bgm_it += res.iterations
+        row = {"t": t, "i": i, "M_level": anchor.M,
+               "inner_iters": res.iterations, **fields, "f_trial": None,
+               "grad_norm_trial": None, "accepted": False,
+               "stop_reason": res.stop_reason.value}
+        if res.stop_reason in (StopReason.SLOW_CONVERGENCE,
+                               StopReason.ITERATION_CAP):
+            return res, row, None
+        # One point for the trial's gradient and value, and for the next
+        # anchor if the trial becomes the iterate.
+        p = as_point(res.x_plus)
+        g = oracle.grad(p)
+        gnorm = float(np.linalg.norm(g))
+        row.update(grad_norm_trial=gnorm, x_trial=p.x)
+        return res, row, (p, g, gnorm)
+
+    def companion(p, g, f_bar):
+        # Called from step.update, so t, i, m_level and fields are the
+        # accepted trial's.
+        anchor = ModelAnchor.from_oracle(oracle, p, m_level, g_x=g)
+        _, row, trial = run_trial(anchor, t, i, {**fields, "companion": True})
+        better = None
+        if trial is not None:
+            p_c, g_c, gnorm_c = trial
+            f_c = oracle.value(p_c)
+            row.update(f_trial=f_c, accepted=f_c < f_bar)
+            if row["accepted"]:
+                better = (p_c, f_c, g_c, gnorm_c)
+        emit(row)
+        return better
+
     try:
         for t in range(max_outer):
             i = 0 if m_t >= 2.0 * m0 else 1
@@ -216,18 +267,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
                 anchor, fields = step.anchor(m_level)
-                inner_trace = None
-                if trace_sink is not None:
-                    inner_trace = lambda r, _t=t, _i=i: trace_sink(
-                        dict(r, kind="inner", t=_t, i=_i)
-                    )
-                res = run_inner(anchor, oracle, eps, max_inner, inner_trace)
-                bgm_e += 1
-                bgm_it += res.iterations
-                row = {"t": t, "i": i, "M_level": m_level,
-                       "inner_iters": res.iterations, **fields, "f_trial": None,
-                       "grad_norm_trial": None, "accepted": False,
-                       "stop_reason": res.stop_reason.value}
+                res, row, trial = run_trial(anchor, t, i, fields)
 
                 aborted = res.stop_reason is StopReason.ITERATION_CAP
                 if aborted:
@@ -237,17 +277,13 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     )
                     emit(row)
                     break
-                if res.stop_reason is StopReason.SLOW_CONVERGENCE:
+                if trial is None:
                     # Level certified too small; never evaluate this trial.
                     emit(row)
                     i += 1
                     continue
 
-                # One point for the trial's gradient and value, and for the
-                # next anchor if the trial is accepted.
-                p_plus = as_point(res.x_plus)
-                g_plus = oracle.grad(p_plus)
-                gnorm_plus = float(np.linalg.norm(g_plus))
+                p_plus, g_plus, gnorm_plus = trial
                 converged = gnorm_plus <= eps
                 if converged:
                     accepted, f_plus = True, None
@@ -258,13 +294,15 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     it += 1
                     if f_plus is None:
                         f_plus = oracle.value(p_plus)
-                    final = (res.x_plus, f_plus, gnorm_plus)
+                    nxt = (p_plus, f_plus, g_plus, gnorm_plus)
                     if not converged:
                         m_t = m_level / 2.0
-                        row.update(step.update(p_plus, f_plus, g_plus,
-                                               gnorm_plus))
-                row.update(f_trial=f_plus, grad_norm_trial=gnorm_plus,
-                           accepted=accepted, x_trial=p_plus.x)
+                        nxt, more = step.update(*nxt, companion)
+                        row.update(more)
+                    p_next, f_next, _, gnorm_next = nxt
+                    converged = gnorm_next <= eps
+                    final = (p_next.x, f_next, gnorm_next)
+                row.update(f_trial=f_plus, accepted=accepted)
                 emit(row)
                 if accepted:
                     break
@@ -305,4 +343,4 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         wall_time_s=time.perf_counter() - t_start,
         converged=converged,
     )
-    return x, report, rows
+    return np.array(x), report, rows

@@ -269,11 +269,11 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
 
     Runs Bregman-gradient steps from y_0 = anchor.x, in the coordinates of Q
     (see ``bregman_step``): each step applies Q twice, to query and map back
-    the directional third derivative, and the trial point
-    x_plus = x + Q h^ is formed once, at the exit.  After every step the
-    model gradient norm G = ||grad Omega(y) + r||, r the step's residual from
-    ``bregman_step``, is tested (grad Omega(y) and the step's grad rho(y)
-    then also start the next step):
+    the directional third derivative, and the trial point x_plus = x + Q h^
+    is formed at the exit from the last query's displacement Q h^.  After
+    every step the model gradient norm G = ||grad Omega(y) + r||, r the
+    step's residual from ``bregman_step``, is tested (grad Omega(y) and the
+    step's grad rho(y) then also start the next step):
 
     * G <= epsilon / 7                      -> EPSILON_SMALL exit,
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
@@ -310,16 +310,15 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
         raise ValueError("max_inner must be at least 1")
     lips, beta = inner_constants(anchor)
     eps_exit = epsilon / 7.0
-    hh = np.zeros_like(anchor.x)
     gom, grho = anchor.g_hat, 0.0
 
     def result(iterations, reason, G):
-        return InnerResult(anchor.x + anchor.factor.q(hh), iterations, reason,
-                           G)
+        return InnerResult(anchor.x + h, iterations, reason, G)
 
     for k in range(max_inner):
         hh_next, r, grho = bregman_step(anchor, gom, grho)
-        gom = omega_grad(anchor, oracle, hh_next)
+        h = anchor.factor.q(hh_next)
+        gom = omega_grad(anchor, oracle, hh_next, h)
         grad_model = gom + r
         G = math.sqrt(np.dot(grad_model, grad_model))
         step_norm = math.sqrt(np.dot(hh_next, hh_next))
@@ -334,7 +333,6 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
                 }
             )
 
-        hh = hh_next
         if G <= eps_exit:
             return result(k + 1, StopReason.EPSILON_SMALL, G)
         if G <= anchor.M / 6.0 * step_norm**3:

@@ -279,19 +279,22 @@ def omega_value(anchor, oracle, y):
     return taylor3_value(anchor, oracle, y) + 0.5 * anchor.M * d4_value(h)
 
 
-def omega_grad(anchor, oracle, hh):
+def omega_grad(anchor, oracle, hh, h=None):
     """Gradient of the regularized model in the coordinates of Q,
 
         Q^T grad Omega(y) = g^ + T h^ + 1/2 Q^T D3f(x)[h]^2
                             + (M / 2) ||h^||^2 h^
 
     at y = x + h with h = Q h^, T here being the factor's tridiagonal
-    matrix.  The 1/2 on the directional third derivative is what calculus
-    gives for the 1/6 <D3f(x)[h]^2, h> term of Phi; a finite-difference
-    consistency test pins it down.
+    matrix.  A caller that also needs y passes h = Q h^ in, and the product
+    is not formed again.  The 1/2 on the directional third derivative is
+    what calculus gives for the 1/6 <D3f(x)[h]^2, h> term of Phi; a
+    finite-difference consistency test pins it down.
     """
     f = anchor.factor
-    t = anchor.third_at(oracle, f.q(hh))
+    if h is None:
+        h = f.q(hh)
+    t = anchor.third_at(oracle, h)
     return (anchor.g_hat + f.tri(hh) + 0.5 * f.qt(t)
             + 0.5 * anchor.M * d4_grad(hh))
 

@@ -104,6 +104,9 @@ def as_point(x):
     return x if isinstance(x, Point) else Point(x)
 
 
+_EPS = np.finfo(float).eps
+
+
 def _finite(entry, out):
     if not np.isfinite(out).all():
         raise OracleError("%s returned a non-finite result" % entry)
@@ -389,11 +392,19 @@ class FdThirdOracle(SmoothOracle):
     def third_directional(self, x, h):
         """T_tau(h) at x, in place of D3f(x)[h]^2.
 
-        A non-finite T_tau (tau^2 underflowing, say) raises an
-        ``OracleError`` naming tau, without NumPy warnings.
+        A nonzero h with tau ||h|| <= eps ||x|| (eps the machine epsilon),
+        where x +- tau h round to x and T_tau would be zero, and a
+        non-finite T_tau (tau^2 underflowing, say) raise an ``OracleError``
+        naming tau, without NumPy warnings.
         """
         p = self._as_point(x)
         h = self._check_shape(np.asarray(h, dtype=float), "h")
+        h_norm = float(np.linalg.norm(h))
+        if h_norm > 0.0 and self.tau * h_norm <= _EPS * np.linalg.norm(p.x):
+            raise OracleError(
+                "third_directional (tau=%r): the difference step tau ||h|| = "
+                "%.3e is at most eps ||x||, so x +- tau h round to x"
+                % (self.tau, self.tau * h_norm))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = self._third_directional(p, h)
         return _finite("third_directional (tau=%r)" % self.tau, t)

@@ -1,9 +1,9 @@
 """Acceptance gate: eight end-to-end checks, one per shipped guarantee.
 
 Each test prints a single summary line with the measured numbers, then
-asserts the guarantee at its stated tolerance.  Criterion 6 documents a
-known gap between the two outer loops on well-conditioned problems; its
-failure message carries the measured crossing indices.
+asserts the guarantee at its stated tolerance.  Criterion 6 also fits the
+accelerated loop's decay exponent over its accepted steps t >= 100; its
+failure message says how many such steps the run made.
 """
 
 import math
@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import tri_factor
+from conftest import iterate_rows, tri_factor
 from tensormin.accel import run_accel
 from tensormin.basic import run_basic
 from tensormin.harness import RunConfig, run_experiment
@@ -167,24 +167,29 @@ def test_a5_accelerated_estimating_sequence_sandwich():
     """Criterion 5: scaled function values stay sandwiched by the estimate."""
     n = 2
     oracle = quartic_oracle(n)
-    x0 = np.ones(n)
-    x, report, rows = run_accel(oracle, ZeroComposite(), x0, 1.0, 1e-6)
+    x0 = 10.0 * np.ones(n)
+    x, report, rows = run_accel(oracle, ZeroComposite(), x0, 1.0, 1e-10)
     assert report.converged
     fresh = quartic_oracle(n)
     f_min = fresh.value(np.zeros(n))
+    # f(x_{t+1}) at each step, the companion's value where it won.
+    f_next = {r["t"]: fresh.value(r["x_trial"]) for r in iterate_rows(rows)}
     worst_lower = np.inf
     worst_upper = np.inf
     worst_resid = 0.0
     checked = 0
     for row in rows:
-        if not row.get("accepted") or "a_total_next" not in row:
+        if (not row.get("accepted") or row.get("companion")
+                or "a_total_next" not in row):
             continue
         a_next = row["a_total_next"]
         phi_next = row["phi_star_next"]
         a_t = row["a"]
-        lower_slack = phi_next + 1e-8 * (1.0 + abs(phi_next)) - a_next * row["f_trial"]
+        f_x = f_next[row["t"]]
+        assert f_x <= fresh.value(row["x_trial"])
+        lower_slack = phi_next + 1e-8 * (1.0 + abs(phi_next)) - a_next * f_x
         worst_lower = min(worst_lower, lower_slack)
-        assert a_next * row["f_trial"] <= phi_next + 1e-8 * (1.0 + abs(phi_next)), row["t"]
+        assert a_next * f_x <= phi_next + 1e-8 * (1.0 + abs(phi_next)), row["t"]
         cap = a_next * f_min + 0.25 * float(x0 @ x0) ** 2
         worst_upper = min(worst_upper, cap + 1e-8 * (1.0 + abs(cap)) - phi_next)
         assert phi_next <= cap + 1e-8 * (1.0 + abs(cap)), row["t"]
@@ -208,7 +213,7 @@ def test_a6_accelerated_crossing_not_slower_than_basic():
     target_gap = 1e-6
     oracle_b = quartic_oracle(n)
     _, rep_b, rows_b = run_basic(oracle_b, ZeroComposite(), np.ones(n), 1.0, 1e-8)
-    basic_gaps = [r["f_trial"] for r in rows_b if r["accepted"]]
+    basic_gaps = [r["f_trial"] for r in iterate_rows(rows_b)]
     t_basic = next(
         (i for i, f in enumerate(basic_gaps, start=1) if f <= target_gap), None
     )
@@ -217,7 +222,8 @@ def test_a6_accelerated_crossing_not_slower_than_basic():
     _, rep_a, rows_a = run_accel(
         oracle_a, ZeroComposite(), np.ones(n), 1.0, 1e-7, max_outer=400
     )
-    accel_gaps = [r["f_trial"] for r in rows_a if r["accepted"]]
+    # f(x_t) per accepted step: the companion's value where it won.
+    accel_gaps = [r["f_trial"] for r in iterate_rows(rows_a)]
     t_accel = next(
         (i for i, f in enumerate(accel_gaps, start=1) if f <= target_gap), None
     )
@@ -225,22 +231,27 @@ def test_a6_accelerated_crossing_not_slower_than_basic():
     tail = [
         (i, f) for i, f in enumerate(accel_gaps, start=1) if i >= 100 and f > 0.0
     ]
-    slope, _ = np.polyfit(
-        np.log([i for i, _ in tail]), np.log([f for _, f in tail]), 1
-    )
-    exponent = -slope
+    exponent = math.nan
+    if len(tail) >= 2:
+        slope, _ = np.polyfit(
+            np.log([i for i, _ in tail]), np.log([f for _, f in tail]), 1
+        )
+        exponent = -slope
 
     print(
         "criterion 6: basic crossing at accepted step %s, accelerated at %s,"
-        " accelerated tail decay exponent %.2f" % (t_basic, t_accel, exponent)
+        " accelerated tail decay exponent %.2f over %d steps t >= 100 of %d"
+        % (t_basic, t_accel, exponent, len(tail), len(accel_gaps))
     )
     assert t_basic is not None
-    assert exponent >= 3.5, exponent
     assert t_accel is not None and t_accel <= t_basic, (
         "accelerated loop reached the 1e-6 value gap at accepted step %s versus"
-        " %s for the basic loop (tail decay exponent %.2f >= 3.5, so the"
-        " polynomial rate itself is on target); on this well-conditioned"
-        " quartic the basic loop contracts linearly and wins" % (t_accel, t_basic, exponent)
+        " %s for the basic loop" % (t_accel, t_basic)
+    )
+    assert exponent >= 3.5, (
+        "no tail decay exponent >= 3.5: the accelerated run made %d accepted"
+        " steps, so the steps t >= 100 it is fitted over number %d"
+        " (exponent %.2f)" % (len(accel_gaps), len(tail), exponent)
     )
 
 

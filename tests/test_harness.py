@@ -182,8 +182,9 @@ def test_experiment_bundled_dataset_paper_counters():
             (1e-8, (4, 86, 4, 72)),
         ],
         "accel": [
-            (1e-2, (31, 600, 31, 476)),
-            (1e-4, (127, 3291, 127, 2783)),
+            (1e-2, (3, 66, 5, 48)),
+            (1e-4, (3, 78, 5, 60)),
+            (1e-6, (4, 111, 7, 86)),
         ],
     }
     for solver, cases in expected.items():

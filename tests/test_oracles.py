@@ -417,13 +417,26 @@ def test_fd_oracle_delegates_everything_else_to_the_base():
 
 @pytest.mark.filterwarnings("error")  # the typed error, not NumPy warnings
 def test_fd_oracle_non_finite_difference_fails_typed_naming_tau():
-    # tau^2 underflows to zero, so T_tau is 0/0; the run stops on the oracle
-    # error rather than in the secular solver.
+    # At x = 0 the step tau h is not lost to rounding, but tau^2 underflows
+    # to zero, so T_tau is 0/0.
+    oracle = FdThirdOracle(quartic_oracle(2), 1e-200)
+    with pytest.raises(OracleError, match=r"third_directional \(tau=1e-200\)"
+                       " returned a non-finite result"):
+        oracle.third_directional(np.zeros(2), np.ones(2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1e-160, 1e-200])
+def test_fd_oracle_vanishing_difference_fails_typed_naming_tau(tau):
+    # At x = (1, 1), x +- tau h round to x, so T_tau is exactly 0 (and 0/0
+    # at 1e-200).  Unchecked, tau = 1e-160 makes the run a second-order
+    # method that still converges (IT 14, CO 398); it must stop on the
+    # oracle error instead, naming tau.
     from tensormin.basic import run_basic
 
-    oracle = FdThirdOracle(quartic_oracle(2), 1e-200)
-    with pytest.raises(OracleError,
-                       match=r"third_directional \(tau=1e-200\)"):
+    oracle = FdThirdOracle(quartic_oracle(2), tau)
+    with pytest.raises(OracleError, match=r"third_directional \(tau=%r\): "
+                       r".* so x \+- tau h round to x" % tau):
         run_basic(oracle, ZeroComposite(), np.ones(2), 1.0, 1e-6)
 
 

@@ -18,9 +18,17 @@ from tensormin.accel import (
     solve_a,
     update_phi_and_v,
 )
+from conftest import LowerBoundQuartic, iterate_rows, make_logistic
 from tensormin.basic import run_basic
+from tensormin.harness import bundled_dataset_path, load_dataset
 from tensormin.inner import StopReason
-from tensormin.oracles import OracleError, QuarticOracle, ZeroComposite, quartic_oracle
+from tensormin.oracles import (
+    OracleError,
+    QuarticOracle,
+    ZeroComposite,
+    logistic_oracle,
+    quartic_oracle,
+)
 
 _SCALE = 18.0**3
 
@@ -258,17 +266,22 @@ def test_run_accel_already_stationary_start():
 
 
 def test_run_accel_quartic_estimating_sequence_run():
-    oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-4)
+    # The companion steps make the run short; this start and epsilon give
+    # it 12 accepted steps that do not end it.
+    oracle, x, report, rows = run_quartic(2, [10.0, 10.0], 1.0, 1e-10)
     assert report.converged is True
-    assert float(np.linalg.norm(oracle.grad(x))) <= 1e-4
+    assert float(np.linalg.norm(oracle.grad(x))) <= 1e-10
     assert report.BGM_E == len(rows)
     assert report.BGM_IT == sum(r["inner_iters"] for r in rows)
 
-    # Track x_t from accepted trial points to recompute the sandwich
+    # Track x_t, the point of the companion row where it won and else the
+    # accepted trial's, to recompute the sandwich
     # A_t f(x_t) <= phi_t(v_t) <= A_t f(x*) + 1/4 ||x* - x0||^4 with the
-    # quartic minimizer x* = 0, f* = 0 and x0 = (1,1): the upper cap is 1.
-    upper_cap = 1.0
-    x_t = np.array([1.0, 1.0])
+    # quartic minimizer x* = 0, f* = 0 and x0 = (10,10): the upper cap is
+    # 1/4 200^2.
+    upper_cap = 1e4
+    x_t = np.array([10.0, 10.0])
+    companion = None
     a_totals = []
     for row in rows:
         assert row["gamma"] == pytest.approx(
@@ -282,13 +295,21 @@ def test_run_accel_quartic_estimating_sequence_run():
             assert row["f_trial"] is None
             assert row["grad_norm_trial"] is None
             assert "x_trial" not in row
+        elif row.get("companion"):
+            # evaluated companions are value-evaluated, to be compared
+            assert row["f_trial"] is not None
+            assert "x_trial" in row
         elif not row["accepted"]:
             # rejected trials are never value-evaluated, only their gradient
             assert row["f_trial"] is None
             assert row["grad_norm_trial"] is not None
             assert "x_trial" in row
+        if row.get("companion"):
+            companion = row  # written just before its trial's row
+            continue
         if row["accepted"]:
             assert row["M_level"] / 2.0 <= 96.0
+            x_next, f_next = row["x_trial"], row["f_trial"]
             if "a_total_next" in row:  # absent on the epsilon stop
                 a_next = row["a_total"] + row["a"]
                 assert row["a_total_next"] == pytest.approx(a_next, rel=1e-12)
@@ -296,12 +317,21 @@ def test_run_accel_quartic_estimating_sequence_run():
                     row["a"] ** 4 * _SCALE * row["M_level"] - 16.0 * a_next**3
                 )
                 assert res <= 1e-9 * (1.0 + 16.0 * a_next**3)
-                assert row["a_total_next"] * row["f_trial"] <= row[
+                if companion is not None and companion["t"] == row["t"]:
+                    assert companion["M_level"] == row["M_level"]
+                    if companion["accepted"]:
+                        assert companion["f_trial"] < row["f_trial"]
+                        x_next, f_next = (companion["x_trial"],
+                                          companion["f_trial"])
+                    elif companion["f_trial"] is not None:
+                        assert companion["f_trial"] >= row["f_trial"]
+                assert row["a_total_next"] * f_next <= row[
                     "phi_star_next"
                 ] + 1e-8 * (1.0 + abs(row["phi_star_next"]))
                 assert row["phi_star_next"] <= upper_cap + 1e-8
                 a_totals.append(row["a_total_next"])
-            x_t = row["x_trial"]
+            x_t = x_next
+    assert np.array_equal(x, x_t)
 
     assert len(a_totals) >= 10
     assert all(b > a for a, b in zip(a_totals, a_totals[1:]))
@@ -311,6 +341,53 @@ def test_run_accel_quartic_estimating_sequence_run():
     for t, A in enumerate(a_totals, start=1):
         if t >= 2:
             assert A >= 2.0**1.25 * (t - 1) ** 4 / denom
+
+
+def bundled_problem():
+    data = load_dataset(bundled_dataset_path())
+    return logistic_oracle(data), np.ones(data.dim)
+
+
+@pytest.mark.parametrize("make", [
+    bundled_problem,
+    lambda: (quartic_oracle(10), np.ones(10)),
+    lambda: (LowerBoundQuartic(10), np.zeros(10)),
+    lambda: (make_logistic(2000, 49, seed=0)[1], np.zeros(50)),
+], ids=["bundled", "quartic", "lower-bound-quartic", "logistic-2000x50"])
+def test_run_accel_not_slower_than_basic_and_sandwiched(make):
+    # Keeping the lower of the trial and the basic companion step lets the
+    # accelerated loop take no more outer steps than the basic one, while
+    # every accepted step keeps the estimating-sequence sandwich
+    # A_t f(x_t) <= phi*_t <= A_t f(y) + 1/4 ||y - x0||^4 for any y (phi_t
+    # is built from lower linearizations of f); y is the basic answer.  On
+    # the logistic problem one companion loses to its trial.
+    oracle_b, x0 = make()
+    x_b, rep_b, _ = run_basic(oracle_b, ZeroComposite(), x0, 1.0, 1e-6)
+    oracle, _ = make()
+    _, rep_a, rows = run_accel(oracle, ZeroComposite(), x0, 1.0, 1e-6)
+    assert rep_b.converged and rep_a.converged
+    assert rep_a.final_grad_norm <= 1e-6
+    assert rep_a.IT <= rep_b.IT
+    f_y = oracle.value(x_b)
+    cap = 0.25 * float(np.dot(x_b - x0, x_b - x0)) ** 2
+    f_next = {r["t"]: r["f_trial"] for r in iterate_rows(rows)}
+    checked = 0
+    for row, after in zip(rows, rows[1:]):
+        if row.get("companion"):  # written just before its trial's row
+            assert after["t"] == row["t"] and after["accepted"]
+            assert row["accepted"] == (row["f_trial"] is not None
+                                       and row["f_trial"] < after["f_trial"])
+    for row in rows:
+        if (not row["accepted"] or row.get("companion")
+                or "a_total_next" not in row):
+            continue
+        a_next, phi = row["a_total_next"], row["phi_star_next"]
+        tol = 1e-8 * (1.0 + abs(phi))
+        assert f_next[row["t"]] <= row["f_trial"]
+        assert a_next * f_next[row["t"]] <= phi + tol, row["t"]
+        assert phi <= a_next * f_y + cap + tol, row["t"]
+        checked += 1
+    assert checked >= rep_a.IT - 1
 
 
 def test_run_accel_epsilon_sweep_nondecreasing_cost():
@@ -329,13 +406,23 @@ def test_run_accel_oracle_call_conservation():
     oracle, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-3)
     snap = oracle.calls.snapshot()
     assert report.CO == oracle.calls.total() == sum(snap.values())
-    # one anchor (grad+hessian at z, no value or trace) per trial row
-    assert snap["hessian"] == len(rows)
+    # One anchor per Hessian call, and no trace call.  On the first step
+    # x = v = x0, so z = x0 at every level and one anchor serves them all;
+    # later trial rows each anchor at their own z (grad + Hessian), and a
+    # companion anchors at x_t with the gradient already held (Hessian).
+    companions = sum(1 for r in rows if r.get("companion"))
+    first_step_levels = sum(1 for r in rows if r["t"] == 0)
+    assert first_step_levels >= 2 and companions >= 1
+    trial_anchors = 1 + sum(1 for r in rows
+                            if r["t"] > 0 and not r.get("companion"))
+    assert snap["hessian"] == trial_anchors + companions
     assert snap["trace"] == 0
     evaluated = sum(1 for r in rows if r["grad_norm_trial"] is not None)
-    accepted = sum(1 for r in rows if r["accepted"])
-    assert snap["grad"] == len(rows) + evaluated
-    assert snap["value"] == accepted
+    accepted = sum(1 for r in rows if r["accepted"] and not r.get("companion"))
+    evaluated_companions = sum(1 for r in rows if r.get("companion")
+                               and r["f_trial"] is not None)
+    assert snap["grad"] == trial_anchors + evaluated
+    assert snap["value"] == accepted + evaluated_companions
 
 
 def test_run_accel_is_deterministic_except_wall_time():

@@ -181,20 +181,26 @@ def test_run_basic_queries_third_once_per_inner_iteration():
 @pytest.mark.parametrize("solve", [run_basic, run_accel])
 def test_logistic_solves_make_no_trace_and_no_anchor_value_calls(solve):
     # The anchor's factor holds the trace, and no anchor queries f: basic
-    # evaluates f at x_0 and at each evaluated trial, accel only at accepted
-    # trials.
+    # evaluates f at x_0 and at each evaluated trial, accel at accepted
+    # trials and at evaluated companions, to compare the two.
     _, oracle = make_logistic(300, 6, seed=41)
     _, report, rows = solve(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0,
                             1e-6, max_outer=40)
     snap = oracle.calls.snapshot()
     assert report.BGM_E > 0
     assert snap["trace"] == 0
-    evaluated = sum(1 for r in rows if r["grad_norm_trial"] is not None)
-    accepted = sum(1 for r in rows if r["accepted"])
+    companions = [r for r in rows if r.get("companion")]
+    trials = [r for r in rows if not r.get("companion")]
+    evaluated = sum(1 for r in trials if r["grad_norm_trial"] is not None)
+    accepted = sum(1 for r in trials if r["accepted"])
+    evaluated_companions = sum(1 for r in companions
+                               if r["f_trial"] is not None)
     if solve is run_basic:
+        assert not companions
         assert snap["value"] == 1 + evaluated
     else:
-        assert snap["value"] == accepted
+        assert evaluated_companions >= 1
+        assert snap["value"] == accepted + evaluated_companions
 
 
 def test_run_basic_is_deterministic_except_wall_time():

@@ -90,7 +90,6 @@ def test_trace_lines_have_the_documented_keys(solver, tmp_path):
                  "--eps", "1e-6", "--m0", "0.01", "--trace", str(trace),
                  "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
-    outer = [line for line in lines if line["kind"] == "outer"]
     seen = set()
     for line in lines:
         if line["kind"] == "inner":
@@ -103,9 +102,15 @@ def test_trace_lines_have_the_documented_keys(solver, tmp_path):
                 expected |= schema["evaluated"]
             if solver == "accel":
                 expected |= schema["accel"]
-                if line["accepted"] and line is not outer[-1]:
+                if line.get("companion"):
+                    expected |= schema["accel companion"]
+                elif (line["accepted"]
+                      and line["grad_norm_trial"] > line["epsilon"]):
                     expected |= schema["accel accepted"]
-            seen.add((evaluated, line["accepted"]))
+            seen.add((evaluated, line["accepted"], "companion" in line))
         assert set(line) == expected, line["kind"]
-    # Slow-convergence, rejected and accepted trials all occurred.
-    assert {(False, False), (True, False), (True, True)} <= seen
+    # Slow-convergence, rejected and accepted trials all occurred, and under
+    # accel a companion step that won.
+    assert {(False, False, False), (True, False, False),
+            (True, True, False)} <= seen
+    assert ((True, True, True) in seen) == (solver == "accel")
