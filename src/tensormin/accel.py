@@ -37,6 +37,7 @@ import numpy as np
 from .basic import MAX_OUTER, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
 from .model import ModelAnchor
+from .oracles import as_point, grad_at, value_at
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 _MAX_NEWTON_STEPS = 200
@@ -119,7 +120,6 @@ class AccelState:
     """
 
     x0: np.ndarray
-    x: np.ndarray
     v: np.ndarray
     lin_acc: np.ndarray
     phi_const: float
@@ -130,7 +130,6 @@ class AccelState:
         x0 = np.asarray(x0, dtype=float).copy()
         return cls(
             x0=x0,
-            x=x0.copy(),
             v=x0.copy(),
             lin_acc=np.zeros_like(x0),
             phi_const=0.0,
@@ -165,7 +164,6 @@ def update_phi_and_v(state, a_t, grad_xnext, f_xnext, x_next):
         v = state.x0 - lin / lin_norm ** (2.0 / 3.0)
     return replace(
         state,
-        x=x_next.copy(),
         v=v,
         lin_acc=lin,
         phi_const=const,
@@ -200,25 +198,22 @@ class _AccelStep:
     iterate the lower of the trial and a basic companion step from x_t.
 
     The objective is evaluated only at evaluated companions and accepted
-    trials, never at an anchor, so ``f`` and ``gnorm`` at the start point
-    are unknown.  ``p`` and ``g`` are the oracle point of the iterate x_t
-    and its gradient (None at x0, which is never a companion's start).
-    One anchor is kept and re-levelled while z repeats bit for bit, as it
-    does at every level of the first step, where x = v = x0.
+    trials, never at an anchor or a rejected trial.  ``p`` is the oracle
+    point of the iterate x_t.  One anchor is kept and re-levelled while z
+    repeats bit for bit, as it does at every level of the first step, where
+    x = v = x0.
     """
-
-    f = gnorm = None
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
+        self.p = as_point(x0)
         self.state = AccelState.fresh(x0)
-        self.p = self.g = None
         self._anchor = None
 
     def anchor(self, m_level):
         state = self.state
         self._a = solve_a(state.a_total, m_level)
-        z = mix_z(state.x, state.v, state.a_total, self._a)
+        z = mix_z(self.p.x, state.v, state.a_total, self._a)
         if self._anchor is None or not np.array_equal(z, self._anchor.x):
             self._anchor = ModelAnchor.from_oracle(self.oracle, z, m_level)
         fields = {
@@ -229,21 +224,20 @@ class _AccelStep:
         }
         return self._anchor.with_m(m_level), fields
 
-    def accept(self, p_plus, g_plus, gnorm_plus, m_level):
-        return accept_test_accel(g_plus, self._anchor.x, p_plus.x,
-                                 m_level), None
+    def accept(self, p, m_level):
+        return accept_test_accel(grad_at(self.oracle, p), self._anchor.x, p.x,
+                                 m_level)
 
-    def update(self, p_plus, f_plus, g_plus, gnorm_plus, companion):
-        nxt = (p_plus, f_plus, g_plus, gnorm_plus)
-        # While x_t = z_t the trial is the basic step from x_t; this holds
-        # on the first step, the only one without a gradient at x_t.
-        if not np.array_equal(self.state.x, self._anchor.x):
-            nxt = companion(self.p, self.g, f_plus) or nxt
+    def update(self, p, companion):
         # A_t f(x_t) <= phi*_t needs only f(x_{t+1}) <= f(T(z_t)), so phi
         # takes the trial whichever point is kept.
-        state = update_phi_and_v(self.state, self._a, g_plus, f_plus,
-                                 p_plus.x)
-        self.p, _, self.g, _ = nxt
-        self.state = replace(state, x=self.p.x)
-        return nxt, {"a_total_next": state.a_total,
-                     "phi_star_next": phi_min_value(state)}
+        f = value_at(self.oracle, p)
+        self.state = update_phi_and_v(self.state, self._a,
+                                      grad_at(self.oracle, p), f, p.x)
+        # While x_t = z_t the trial is the basic step from x_t, as on the
+        # first step.
+        if not np.array_equal(self.p.x, self._anchor.x):
+            p = companion(self.p, f) or p
+        self.p = p
+        return p, {"a_total_next": self.state.a_total,
+                   "phi_star_next": phi_min_value(self.state)}

@@ -19,9 +19,9 @@ import time
 
 import numpy as np
 
-from .inner import MAX_INNER, StopReason, run_inner
+from .inner import MAX_INNER, StopReason, check_cap, run_inner
 from .model import ModelAnchor
-from .oracles import OracleError, ZeroComposite, as_point
+from .oracles import OracleError, ZeroComposite, as_point, grad_at, value_at
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -77,7 +77,8 @@ def run_basic(
     epsilon : float
         Target gradient norm (finite, positive).
     max_outer, max_inner : int
-        Iteration caps; hitting either aborts the run with ``converged=False``.
+        Iteration caps, integers >= 1; hitting either aborts the run with
+        ``converged=False``.
     trace_sink : callable, optional
         Receives one dict per inner iteration and per outer trial, tagged
         with ``kind``.
@@ -98,34 +99,30 @@ def run_basic(
 class _BasicStep:
     """Anchor at the iterate, accept on sufficient decrease.
 
-    ``f`` and ``g`` are the objective and the gradient at the iterate, whose
-    oracle point is ``p``; one anchor per outer step is built from ``p`` and
-    ``g`` and re-levelled for each trial level; ``f`` serves the decrease
-    test.  ``gnorm`` is the gradient norm at the start point only.
+    ``p`` is the oracle point of the iterate; one anchor per outer step is
+    built from it and re-levelled for each trial level.
     """
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
         self.p = as_point(x0)
-        self.f = oracle.value(self.p)
-        self.g = oracle.grad(self.p)
-        self.gnorm = float(np.linalg.norm(self.g))
         self._anchor = None
 
     def anchor(self, m_level):
         if self._anchor is None:
-            self._anchor = ModelAnchor.from_oracle(self.oracle, self.p,
-                                                   m_level, g_x=self.g)
+            self._anchor = ModelAnchor.from_oracle(self.oracle, self.p, m_level)
         return self._anchor.with_m(m_level), {}
 
-    def accept(self, p_plus, g_plus, gnorm_plus, m_level):
-        f_plus = self.oracle.value(p_plus)
-        return accept_test_basic(self.f, f_plus, gnorm_plus, m_level), f_plus
+    def accept(self, p, m_level):
+        oracle = self.oracle
+        return accept_test_basic(value_at(oracle, self.p), value_at(oracle, p),
+                                 float(np.linalg.norm(grad_at(oracle, p))),
+                                 m_level)
 
-    def update(self, p_plus, f_plus, g_plus, gnorm_plus, companion):
-        self.p, self.f, self.g = p_plus, f_plus, g_plus
+    def update(self, p, companion):
+        self.p = p
         self._anchor = None
-        return (p_plus, f_plus, g_plus, gnorm_plus), {}
+        return p, {}
 
 
 def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
@@ -155,8 +152,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     norm is <= epsilon ends the run, and so does an accepted step whose next
     iterate has one.  Arguments and return value are those of
     ``run_basic``.  Before any oracle call, a ``composite`` other than a
-    ``ZeroComposite`` raises TypeError, and a non-finite ``x0`` or a
-    non-finite or nonpositive ``m0`` or ``epsilon`` raises ValueError;
+    ``ZeroComposite`` raises TypeError, and a non-finite ``x0``, a
+    non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
+    ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
     nothing below these checks refers to psi.  An ``OracleError`` raised
     during outer step t at level index i is re-raised with t and i added to
     its message.  A step whose 201 levels all fail raises
@@ -165,25 +163,24 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     f_x - f_trial of exactly 0 (a method that does not evaluate rejected
     trials never meets this test).
 
-    ``make_step(oracle, x0)`` builds the method's part of the loop, an
-    object with
+    ``make_step(oracle, x0)`` builds the method's part of the loop.  Points
+    travel as oracle ``Point``s, whose f and grad f everyone reads through
+    ``value_at`` and ``grad_at``, so each is evaluated at most once.  The
+    step object has
 
-    * ``f``, ``gnorm``: the objective and gradient norm at x0 if the method
-      evaluated them there, else None;
+    * ``p``: the point of the iterate x_t, at first x0;
     * ``anchor(m_level) -> (ModelAnchor, row fields)``;
-    * ``accept(p_plus, g_plus, gnorm_plus, m_level) -> (accepted, f_plus)``,
-      where ``p_plus`` is the trial's oracle point and ``f_plus`` is None
-      when the test did not need the trial value;
-    * ``update(p_plus, f_plus, g_plus, gnorm_plus, companion)``, called on
-      the acceptance of a trial that does not end the run, returning the
-      next iterate as ``(point, f, g, gnorm)`` and the row fields it adds to
-      the trial's row.  ``companion(p, g, f_bar)`` is the loop's basic step
-      from the point ``p``, whose gradient is ``g``, at the accepted level:
-      one more inner run, counted in BGM_E and BGM_IT, whose row (the
-      trial's anchor fields and ``companion`` true) is emitted before the
-      trial's.  It returns the step's point, f, g and gradient norm when
-      the run ended on EpsilonSmall or ModelStationarity and its f is below
-      ``f_bar``, and None otherwise; that row's ``accepted`` says which.
+    * ``accept(p, m_level) -> accepted``, where ``p`` is the trial's point;
+    * ``update(p, companion) -> (point, row fields)``, called on the
+      acceptance of the trial ``p`` when it does not end the run, returning
+      the next iterate's point (whose value and gradient are known) and the
+      row fields it adds to the trial's row.  ``companion(p, f_bar)`` is the
+      loop's basic step from the point ``p`` at the accepted level: one more
+      inner run, counted in BGM_E and BGM_IT, whose row (the trial's anchor
+      fields and ``companion`` true) is emitted before the trial's.  It
+      returns the step's point when the run ended on EpsilonSmall or
+      ModelStationarity and its f is below ``f_bar``, and None otherwise;
+      that row's ``accepted`` says which.
     """
     t_start = time.perf_counter()
     calls_start = oracle.calls.total()
@@ -202,9 +199,11 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     m0 = float(m0)
     if not 0.0 < m0 < math.inf:
         raise ValueError("m0 must be finite and positive, got %r" % m0)
+    check_cap("max_outer", max_outer)
+    check_cap("max_inner", max_inner)
 
     step = make_step(oracle, x0)
-    final = (x0, step.f, step.gnorm)
+    final = step.p
     m_t = m0
     it = 0
     bgm_e = 0
@@ -219,8 +218,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     def run_trial(anchor, t, i, fields):
         """One inner run at ``anchor``, counted and traced, and its row; with
-        the trial's point, gradient and gradient norm unless the run ended
-        on SlowConvergence or IterationCap (then None)."""
+        the trial's point, holding its gradient, unless the run ended on
+        SlowConvergence or IterationCap (then None)."""
         nonlocal bgm_e, bgm_it
         inner_trace = None
         if trace_sink is not None:
@@ -234,29 +233,24 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                "stop_reason": res.stop_reason.value}
         if res.stop_reason in (StopReason.SLOW_CONVERGENCE,
                                StopReason.ITERATION_CAP):
-            return res, row, None
+            return row, None
         # One point for the trial's gradient and value, and for the next
         # anchor if the trial becomes the iterate.
         p = as_point(res.x_plus)
-        g = oracle.grad(p)
-        gnorm = float(np.linalg.norm(g))
-        row.update(grad_norm_trial=gnorm, x_trial=p.x)
-        return res, row, (p, g, gnorm)
+        row.update(grad_norm_trial=float(np.linalg.norm(grad_at(oracle, p))),
+                   x_trial=p.x)
+        return row, p
 
-    def companion(p, g, f_bar):
+    def companion(p, f_bar):
         # Called from step.update, so t, i, m_level and fields are the
         # accepted trial's.
-        anchor = ModelAnchor.from_oracle(oracle, p, m_level, g_x=g)
-        _, row, trial = run_trial(anchor, t, i, {**fields, "companion": True})
-        better = None
-        if trial is not None:
-            p_c, g_c, gnorm_c = trial
-            f_c = oracle.value(p_c)
+        anchor = ModelAnchor.from_oracle(oracle, p, m_level)
+        row, p_c = run_trial(anchor, t, i, {**fields, "companion": True})
+        if p_c is not None:
+            f_c = value_at(oracle, p_c)
             row.update(f_trial=f_c, accepted=f_c < f_bar)
-            if row["accepted"]:
-                better = (p_c, f_c, g_c, gnorm_c)
         emit(row)
-        return better
+        return p_c if row["accepted"] else None
 
     try:
         for t in range(max_outer):
@@ -267,9 +261,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
                 anchor, fields = step.anchor(m_level)
-                res, row, trial = run_trial(anchor, t, i, fields)
+                row, p_plus = run_trial(anchor, t, i, fields)
 
-                aborted = res.stop_reason is StopReason.ITERATION_CAP
+                aborted = row["stop_reason"] == StopReason.ITERATION_CAP.value
                 if aborted:
                     logger.warning(
                         "inner iteration cap %d hit at outer t=%d level %g; "
@@ -277,36 +271,30 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     )
                     emit(row)
                     break
-                if trial is None:
+                if p_plus is None:
                     # Level certified too small; never evaluate this trial.
                     emit(row)
                     i += 1
                     continue
 
-                p_plus, g_plus, gnorm_plus = trial
-                converged = gnorm_plus <= eps
-                if converged:
-                    accepted, f_plus = True, None
-                else:
-                    accepted, f_plus = step.accept(p_plus, g_plus, gnorm_plus,
-                                                   m_level)
+                converged = row["grad_norm_trial"] <= eps
+                accepted = converged or step.accept(p_plus, m_level)
                 if accepted:
                     it += 1
-                    if f_plus is None:
-                        f_plus = oracle.value(p_plus)
-                    nxt = (p_plus, f_plus, g_plus, gnorm_plus)
+                    value_at(oracle, p_plus)
+                    final = p_plus
                     if not converged:
                         m_t = m_level / 2.0
-                        nxt, more = step.update(*nxt, companion)
+                        final, more = step.update(p_plus, companion)
                         row.update(more)
-                    p_next, f_next, _, gnorm_next = nxt
-                    converged = gnorm_next <= eps
-                    final = (p_next.x, f_next, gnorm_next)
-                row.update(f_trial=f_plus, accepted=accepted)
+                        converged = float(np.linalg.norm(
+                            grad_at(oracle, final))) <= eps
+                row.update(f_trial=p_plus.data.get("value"), accepted=accepted)
                 emit(row)
                 if accepted:
                     break
-                repeated = (f_plus is not None and step.f - f_plus == 0.0
+                repeated = (row["f_trial"] is not None
+                            and row["f_trial"] == step.p.data.get("value")
                             and last is not None
                             and np.array_equal(p_plus.x, last["x_trial"]))
                 last = row
@@ -317,8 +305,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 i += 1
             if not (accepted or aborted):
                 raise LevelSearchError(_doubling_message(
-                    t, m_first, m_level, res.stop_reason.value, last, step.f,
-                    eps))
+                    t, m_first, m_level, row["stop_reason"], last,
+                    step.p.data.get("value"), eps))
             if converged or aborted:
                 break
         else:
@@ -328,10 +316,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         raise OracleError("outer step t=%d, level index i=%d: %s"
                           % (t, i, exc)) from exc
 
-    x, final_f, final_gnorm = final
-    if final_f is None:
-        final_f = oracle.value(x)
-        final_gnorm = float(np.linalg.norm(oracle.grad(x)))
+    final_f = value_at(oracle, final)
+    final_gnorm = float(np.linalg.norm(grad_at(oracle, final)))
     report = RunReport(
         epsilon=eps,
         IT=it,
@@ -343,4 +329,4 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         wall_time_s=time.perf_counter() - t_start,
         converged=converged,
     )
-    return np.array(x), report, rows
+    return np.array(final.x), report, rows

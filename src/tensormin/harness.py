@@ -17,7 +17,7 @@ import numpy as np
 
 from .accel import run_accel
 from .basic import MAX_OUTER, run_basic
-from .inner import MAX_INNER
+from .inner import MAX_INNER, check_cap
 from .oracles import Dataset, FdThirdOracle, ZeroComposite, logistic_oracle, quartic_oracle
 
 
@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("dataset_path only applies to the logistic problem")
         if self.fd_tau is not None and not 0.0 < self.fd_tau < math.inf:
             raise ValueError("fd_tau must be finite and positive")
+        check_cap("max_outer", self.max_outer)
+        check_cap("max_inner", self.max_inner)
 
 
 def bundled_dataset_path():

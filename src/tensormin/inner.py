@@ -42,6 +42,13 @@ _LOG3 = math.log(3.0)
 _LOG65 = math.log(1.2)  # decay factor 6/5 of the slow-convergence certificate
 
 
+def check_cap(name, cap):
+    """Raise ValueError naming ``name`` unless ``cap`` is an integer >= 1."""
+    if not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise ValueError("%s must be at least 1 and an integer, got %r"
+                         % (name, cap))
+
+
 class StopReason(Enum):
     """Why an inner run ended."""
 
@@ -295,7 +302,7 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     epsilon : float
         Target gradient norm of the outer run (positive).
     max_inner : int
-        Iteration cap (at least 1).
+        Iteration cap, an integer at least 1.
     trace : callable, optional
         Called with a dict per iteration: k, model gradient norm, step norm
         from the anchor, and the certificate envelope.
@@ -306,8 +313,7 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if max_inner < 1:
-        raise ValueError("max_inner must be at least 1")
+    check_cap("max_inner", max_inner)
     lips, beta = inner_constants(anchor)
     eps_exit = epsilon / 7.0
     gom, grho = anchor.g_hat, 0.0

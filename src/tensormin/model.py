@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from .oracles import Point, as_point
+from .oracles import Point, as_point, grad_at, value_at
 
 # A smallest Hessian eigenvalue below -max(EIG_FLOOR, ROUNDING_C n eps max|T|)
 # is a convexity violation; one between that floor and 0 is rounding noise,
@@ -218,26 +218,25 @@ class ModelAnchor:
     point: Point = field(repr=False)
 
     @classmethod
-    def from_oracle(cls, oracle, x, M, g_x=None):
+    def from_oracle(cls, oracle, x, M):
         """Evaluate and freeze the anchor data of ``oracle`` at ``x``.
 
         ``x`` is an array or an oracle ``Point``.  Costs one Hessian call,
-        plus one gradient call unless ``g_x``, the gradient at x, is passed
-        in; only ||g_x|| and Q^T g_x are kept.  Neither f(x) nor trace(H) is
-        queried: no solver reads f(x) at an anchor, and the factor holds the
-        trace.  The Hessian array the oracle returns is factored in place
-        (see ``tridiagonal_factor``), so an oracle must return a fresh array,
-        as the shipped ones do.
+        plus one gradient call unless the ``Point`` holds the gradient (see
+        ``grad_at``); only ||g|| and Q^T g are kept.  Neither f(x) nor
+        trace(H) is queried: no solver reads f(x) at an anchor, and the
+        factor holds the trace.  The Hessian array the oracle returns is
+        factored in place (see ``tridiagonal_factor``), so an oracle must
+        return a fresh array, as the shipped ones do.
         """
         if M <= 0.0:
             raise ValueError("regularization level M must be positive")
         p = as_point(x)
-        if g_x is None:
-            g_x = oracle.grad(p)
+        g = grad_at(oracle, p)
         factor = tridiagonal_factor(oracle.hessian(p))
-        g_hat = factor.qt(g_x)
+        g_hat = factor.qt(g)
         g_hat.setflags(write=False)
-        return cls(x=p.x, grad_norm=float(np.linalg.norm(g_x)), g_hat=g_hat,
+        return cls(x=p.x, grad_norm=float(np.linalg.norm(g)), g_hat=g_hat,
                    factor=factor, M=float(M), point=p)
 
     def with_m(self, M):
@@ -260,13 +259,13 @@ class ModelAnchor:
 def taylor3_value(anchor, oracle, y):
     """Third-order Taylor polynomial Phi(y) of f around the anchor.
 
-    Queries f at the anchor point, which the anchor does not cache.
+    Reads f at the anchor point through ``value_at``.
     """
     h = np.asarray(y, dtype=float) - anchor.x
     hh = anchor.factor.qt(h)
     t = anchor.third_at(oracle, h)
     return (
-        oracle.value(anchor.point)
+        value_at(oracle, anchor.point)
         + float(np.dot(anchor.g_hat, hh))
         + 0.5 * float(np.dot(anchor.factor.tri(hh), hh))
         + float(np.dot(t, h)) / 6.0

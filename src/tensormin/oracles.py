@@ -10,11 +10,12 @@ otherwise).  The composite term ``psi`` is zero, and ``ZeroComposite`` is the
 token the solvers accept for it.
 
 Each entry point takes either an array or a ``Point``: a read-only copy of x
-plus the intermediates oracles computed there (for the logistic loss, the
-margins ``A x``, the sigmoid and its derivative weights).  Querying several
-entry points, or ``third_directional`` along many directions, through one
-``Point`` computes those intermediates once.  A point belongs to one run and
-one oracle; the oracle itself keeps no state besides its call counter.
+plus what is known there (for the logistic loss, the margins ``A x``, the
+sigmoid and its derivative weights).  Querying several entry points, or
+``third_directional`` along many directions, through one ``Point`` computes
+those intermediates once, and the solvers read f(x) and grad f(x) through
+``value_at``/``grad_at``, which keep them in the point.  A point belongs to
+one run and one oracle; the oracle keeps no state besides its call counter.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ class OracleError(RuntimeError):
 
 
 class Point:
-    """A query point x and the intermediates oracles computed there.
+    """A query point x and what is known there.
 
     ``x`` is a read-only copy of the array the point was built from;
-    ``data`` maps an intermediate's name to its value.  Oracles fill
-    ``data`` lazily through ``memo``.
+    ``data`` maps a name to a value at x, filled lazily through ``memo``:
+    oracles' intermediates, and f and grad f under ``"value"``/``"grad"``.
     """
 
     __slots__ = ("x", "data")
@@ -104,6 +105,18 @@ def as_point(x):
     return x if isinstance(x, Point) else Point(x)
 
 
+def value_at(oracle, p):
+    """f at the ``Point`` p; one counted call per point, on first use."""
+    return p.memo("value", lambda: oracle.value(p))
+
+
+def grad_at(oracle, p):
+    """grad f at the ``Point`` p, read-only; one counted call per point."""
+    g = p.memo("grad", lambda: oracle.grad(p))
+    g.setflags(write=False)
+    return g
+
+
 _EPS = np.finfo(float).eps
 
 
@@ -119,8 +132,9 @@ class SmoothOracle(ABC):
     Subclasses implement the four hooks ``_value``, ``_grad``, ``_hessian``
     and ``_third_directional``, which receive the query as a ``Point`` (and
     ``h`` as an array); the public methods validate dimensions, maintain
-    ``self.calls`` and check that results are finite.  ``_hessian`` must
-    return a fresh array, because the anchor factors it in place (see
+    ``self.calls`` and check that results are finite; every call is counted
+    and evaluated afresh (see ``value_at``).  ``_hessian`` must return a fresh
+    array, because the anchor factors it in place (see
     ``ModelAnchor.from_oracle``).  ``lipschitz_third`` optionally reports a
     Lipschitz constant of the third derivative when one is known in closed
     form, else ``None``.
@@ -349,25 +363,23 @@ def quartic_oracle(n):
 # -- finite-difference third derivative ---------------------------------------
 
 
-def fd_third_directional(oracle, x, h, tau, g0=None):
+def fd_third_directional(oracle, x, h, tau):
     """Approximate D3f(x)[h]^2 by a second central difference of gradients.
 
         T_tau(h) = [grad f(x + tau h) + grad f(x - tau h) - 2 grad f(x)] / tau^2
 
     When the third derivative is Lipschitz with constant L, the error is at
     most (L / 3) * tau * ||h||^3.  Costs three gradient calls, queried in
-    the order x + tau h, x - tau h, x; two when the gradient ``g0`` at x is
-    passed in.
+    the order x + tau h, x - tau h, x; two when ``x`` is a ``Point`` that
+    holds its gradient (see ``grad_at``).
     """
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be finite and positive, got %r" % (tau,))
-    xv = as_point(x).x
+    p = as_point(x)
     h = np.asarray(h, dtype=float)
-    gp = oracle.grad(xv + tau * h)
-    gm = oracle.grad(xv - tau * h)
-    if g0 is None:
-        g0 = oracle.grad(x)
-    return (gp + gm - 2.0 * g0) / tau**2
+    gp = oracle.grad(p.x + tau * h)
+    gm = oracle.grad(p.x - tau * h)
+    return (gp + gm - 2.0 * grad_at(oracle, p)) / tau**2
 
 
 class FdThirdOracle(SmoothOracle):
@@ -375,9 +387,9 @@ class FdThirdOracle(SmoothOracle):
     surrogate T_tau of a base oracle's gradients, with a fixed step ``tau``.
 
     The value, gradient and Hessian hooks are the base's, and the counter is
-    the base's.  ``third_directional`` makes three counted gradient calls and
-    is not counted as ``third``; the gradient at the expansion point is kept
-    in the query ``Point``, so later queries through that point cost two.
+    the base's.  ``third_directional`` costs counted gradient calls, not a
+    ``third`` call: two at x +- tau h, plus the one at x unless the query
+    ``Point`` holds it (see ``grad_at``), as an anchor's does.
     """
 
     def __init__(self, base, tau):
@@ -419,8 +431,7 @@ class FdThirdOracle(SmoothOracle):
         return self.base._hessian(p)
 
     def _third_directional(self, p, h):
-        g0 = p.memo("fd_g0", lambda: self.grad(p))
-        return fd_third_directional(self, p, h, self.tau, g0)
+        return fd_third_directional(self, p, h, self.tau)
 
 
 # -- derivative checks --------------------------------------------------------
@@ -462,15 +473,15 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
     -------
     DerivativeReport
     """
-    x = np.asarray(x, dtype=float)
+    p = Point(x)
+    x = p.x
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(np.linalg.norm(x))
-    eps = np.finfo(float).eps
-    d1 = scale * eps ** (1.0 / 3.0)  # central value difference: O(d^2) + O(eps/d)
-    d3 = scale * eps**0.25           # second gradient difference: O(d^2) + O(eps/d^2)
+    d1 = scale * _EPS ** (1.0 / 3.0)  # central value difference: O(d^2) + O(eps/d)
+    d3 = scale * _EPS**0.25           # second gradient difference: O(d^2) + O(eps/d^2)
 
-    g = oracle.grad(x)
-    hess = oracle.hessian(x)
+    g = grad_at(oracle, p)
+    hess = oracle.hessian(p)
 
     err = {1: 0.0, 2: 0.0, 3: 0.0}
     for _ in range(n_directions):
@@ -488,8 +499,8 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
             float(np.linalg.norm(fd2 - ref2)) / (1.0 + float(np.linalg.norm(ref2))),
         )
 
-        fd3 = fd_third_directional(oracle, x, h, d3, g0=g)
-        ref3 = oracle.third_directional(x, h)
+        fd3 = fd_third_directional(oracle, p, h, d3)
+        ref3 = oracle.third_directional(p, h)
         err[3] = max(
             err[3],
             float(np.linalg.norm(fd3 - ref3)) / (1.0 + float(np.linalg.norm(ref3))),

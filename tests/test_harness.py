@@ -121,6 +121,13 @@ def test_run_config_validation():
         RunConfig(problem="quartic", n=2, dataset_path="x.csv")
     with pytest.raises(ValueError):
         RunConfig(problem="quartic", n=2, fd_tau=0.0)
+    for name in ("max_outer", "max_inner"):
+        for bad in (0, -1, 2.5, 3.0):
+            match = "%s must be at least 1 and an integer, got %s" % (
+                name, re.escape(repr(bad)))
+            with pytest.raises(ValueError, match=match):
+                RunConfig(problem="quartic", n=2, **{name: bad})
+    RunConfig(problem="quartic", n=2, max_outer=np.int64(3), max_inner=1)
 
 
 # -- experiment sweeps ------------------------------------------------------------------
@@ -438,6 +445,13 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
     assert err.startswith("tensormin: error:")
     assert err.count("\n") == 1
     assert "third_directional (tau=1e-200)" in err
+    # A bad cap fails before the run instead of ending it unconverged.
+    assert main(["solve", "--problem", "quartic", "--n", "2",
+                 "--solver", "basic", "--eps", "1e-6",
+                 "--max-outer", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "tensormin: error: max_outer must be at least 1 and an " \
+                  "integer, got -1\n"
 
 
 def test_cli_format_choices_are_the_report_formats(capsys):

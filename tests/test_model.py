@@ -31,7 +31,7 @@ from tensormin.model import (
     taylor3_value,
     tridiagonal_factor,
 )
-from tensormin.oracles import quartic_oracle
+from tensormin.oracles import Point, grad_at, quartic_oracle
 
 
 def quad_anchor(P, q, x, M):
@@ -568,20 +568,21 @@ def test_with_m_shares_anchor_data_without_oracle_calls():
 
 
 def test_from_oracle_skips_passed_in_value_and_gradient():
-    # The anchor never queries f or the trace; a passed-in gradient is not
-    # queried again, so the Hessian is the one call left.  Either way the
-    # anchor keeps the gradient's norm, computed once.
+    # The anchor never queries f or the trace; a gradient its point already
+    # holds is not queried again, so the Hessian is the one call left.
+    # Either way the anchor keeps the gradient's norm, computed once.
     oracle = quartic_oracle(2)
     x = np.array([1.0, 2.0])
-    g_x = oracle.grad(x)
-    grad_norm = float(np.linalg.norm(g_x))
+    p = Point(x)
+    grad_norm = float(np.linalg.norm(grad_at(oracle, p)))
     oracle.calls.reset()
-    passed = ModelAnchor.from_oracle(oracle, x, M=1.0, g_x=g_x)
+    passed = ModelAnchor.from_oracle(oracle, p, M=1.0)
     assert oracle.calls.snapshot() == {"value": 0, "grad": 0, "hessian": 1,
                                        "third": 0, "trace": 0}
     queried = ModelAnchor.from_oracle(oracle, x, M=1.0)
     assert oracle.calls.snapshot() == {"value": 0, "grad": 1, "hessian": 2,
                                        "third": 0, "trace": 0}
+    assert passed.point is p
     assert passed.grad_norm == grad_norm
     assert queried.grad_norm == grad_norm
 

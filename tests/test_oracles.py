@@ -22,8 +22,10 @@ from tensormin.oracles import (
     as_point,
     check_derivatives,
     fd_third_directional,
+    grad_at,
     logistic_oracle,
     quartic_oracle,
+    value_at,
 )
 
 
@@ -363,7 +365,34 @@ def test_fd_oracle_costs_three_gradients_then_two_on_same_point():
     assert base.calls.grad == 5
     oracle.third_directional(2 * p.x, np.array([1.0, 0.0]))  # new point
     assert base.calls.grad == 8
+    q = Point(3 * p.x)
+    grad_at(oracle, q)  # a point that holds its gradient, as an anchor's does
+    assert base.calls.grad == 9
+    oracle.third_directional(q, np.array([1.0, 0.0]))
+    assert base.calls.grad == 11
     assert base.calls.third == 0
+
+
+def test_value_at_and_grad_at_evaluate_once_per_point():
+    oracle = quartic_oracle(2)
+    x = np.array([1.0, -2.0])
+    p = Point(x)
+    h = np.array([0.5, 1.0])
+    for _ in range(2):
+        f = value_at(oracle, p)
+        g = grad_at(oracle, p)
+        oracle.hessian(p)
+        oracle.third_directional(p, h)
+    # The value and the gradient are evaluated and counted once; Hessians
+    # and third derivatives are never kept, so each query is a call.
+    assert oracle.calls.snapshot() == {"value": 1, "grad": 1, "hessian": 2,
+                                       "third": 2, "trace": 0}
+    assert f == quartic_oracle(2).value(x)
+    assert np.array_equal(g, quartic_oracle(2).grad(x))
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0] = 0.0
+    assert grad_at(oracle, p) is g
 
 
 def test_fd_oracle_shared_across_threads_matches_the_uncached_formula():

@@ -194,11 +194,10 @@ def test_accel_state_fresh_invariants():
     state = AccelState.fresh(x0)
     assert state.a_total == 0.0
     assert np.array_equal(state.v, x0)
-    assert np.array_equal(state.x, x0)
     assert np.array_equal(state.lin_acc, np.zeros(2))
     assert phi_min_value(state) == 0.0
     x0[0] = 99.0  # the state must hold its own copies
-    assert state.x0[0] == 2.0
+    assert state.x0[0] == 2.0 and state.v[0] == 2.0
 
 
 def test_update_phi_one_step_closed_form():

@@ -1,6 +1,8 @@
 """Adaptive outer loop: level escalation, sufficient-decrease acceptance,
 counters, and trace consistency."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ import tensormin
 from tensormin.accel import run_accel
 from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
 from tensormin.inner import StopReason
-from tensormin.oracles import SmoothOracle, ZeroComposite, quartic_oracle
+from tensormin.oracles import (FdThirdOracle, SmoothOracle, ZeroComposite,
+                               quartic_oracle)
 
 
 def run_quartic(n, x0, m0, epsilon, **kw):
@@ -41,6 +44,10 @@ BAD_ENTRY_ARGUMENTS = [
     pytest.param({"composite": None}, TypeError,
                  "composite must be ZeroComposite .*, got NoneType",
                  id="composite-none"),
+    *[pytest.param({name: bad}, ValueError,
+                   r"%s must be at least 1 and an integer, got %s"
+                   % (name, re.escape(repr(bad))), id="%s-%r" % (name, bad))
+      for name in ("max_outer", "max_inner") for bad in (0, -1, 2.5, 3.0)],
 ]
 
 
@@ -48,7 +55,8 @@ BAD_ENTRY_ARGUMENTS = [
 @pytest.mark.parametrize("bad, error, match", BAD_ENTRY_ARGUMENTS)
 def test_nonfinite_or_nonpositive_m0_and_epsilon_fail_before_any_call(
         solve, bad, error, match):
-    # Also a non-finite x0 and any composite other than ZeroComposite.
+    # Also a non-finite x0, any composite other than ZeroComposite and an
+    # iteration cap that is not an integer >= 1.
     oracle = quartic_oracle(2)
     args = {"composite": ZeroComposite(), "x0": np.ones(2), "m0": 1.0,
             "epsilon": 1e-6, **bad}
@@ -201,6 +209,38 @@ def test_logistic_solves_make_no_trace_and_no_anchor_value_calls(solve):
     else:
         assert evaluated_companions >= 1
         assert snap["value"] == accepted + evaluated_companions
+
+
+@pytest.mark.parametrize("solve, counters, calls", [
+    (run_basic, (7, 280, 11, 249), (12, 12, 7, 249)),
+    (run_accel, (7, 404, 17, 346), (13, 28, 17, 346)),
+], ids=["basic", "accel"])
+def test_logistic_counters_and_oracle_calls_are_pinned(solve, counters, calls):
+    # IT/CO/BGM_E/BGM_IT and value/grad/hessian/third calls of one fixed
+    # solve, so that a change in how oracle data travels through the loops
+    # cannot move a counter unnoticed.
+    _, oracle = make_logistic(2000, 49, seed=0)
+    _, report, _ = solve(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0,
+                         1e-6)
+    assert report.converged
+    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == counters
+    snap = oracle.calls.snapshot()
+    assert (snap["value"], snap["grad"], snap["hessian"], snap["third"]) == calls
+
+
+@pytest.mark.parametrize("solve, grad, co, counters", [
+    (run_basic, 1081, 1100, (6, 12, 534)),
+    (run_accel, 1356, 1383, (6, 17, 664)),
+], ids=["basic", "accel"])
+def test_fd_run_evaluates_each_anchor_gradient_once(solve, grad, co, counters):
+    # A8's run.  The first T_tau query at an anchor reuses the gradient the
+    # anchor's point holds, so each anchor costs one gradient call fewer
+    # than a fresh evaluation there (basic 6 anchors, accel 16).
+    oracle = FdThirdOracle(quartic_oracle(2), 1e-4)
+    _, report, _ = solve(oracle, ZeroComposite(), np.ones(2), 1.0, 1e-6)
+    assert report.converged
+    assert (report.IT, report.BGM_E, report.BGM_IT) == counters
+    assert (oracle.calls.grad, report.CO) == (grad, co)
 
 
 def test_run_basic_is_deterministic_except_wall_time():
