@@ -16,15 +16,17 @@ The rate needs only A_t f(x_t) <= min phi_t, and the step that folds the
 trial T(z) into phi keeps that bound for any x_{t+1} with
 f(x_{t+1}) <= f(T(z)).  So after accepting T(z) at level M the method also
 takes a basic companion step T(x_t) from the iterate at the same M (an anchor
-at x_t with the gradient already held there, and one more inner run under
-the same epsilon and cap) and keeps as x_{t+1} whichever of the two has the
+at x_t, whose gradient is already held, and one more inner run under the
+same epsilon and cap) and keeps as x_{t+1} whichever of the two has the
 lower f; a companion that ends on SlowConvergence or IterationCap leaves the
 trial in place.  phi still takes a, f(T(z)) and grad f(T(z)).  This is the
 monotone variant of Monteiro and Svaiter's A-HPE framework (SIAM J. Optim.,
 2013), as in Carmon, Hausler, Jambulapati, Jin and Sidford, "Optimal and
-adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  While x_t = z (on
-the first step, x = v = x0) the trial is the basic step and no companion
-runs.
+adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  The step here only
+names its center, z or the iterate itself; ``level_search`` runs the
+companion whenever the accepted trial's center is not the iterate, so while
+x_t = z (on the first step, x = v = x0) the trial is the basic step and no
+companion runs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 from .basic import MAX_OUTER, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
-from .model import ModelAnchor
 from .oracles import as_point, grad_at, value_at
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
@@ -193,51 +194,44 @@ def run_accel(
 
 
 class _AccelStep:
-    """Anchor at the mixture z(a), accept on the angle test, fold every
-    accepted trial into the estimating sequence, and keep as the next
-    iterate the lower of the trial and a basic companion step from x_t.
+    """Anchor at the mixture z(a), accept on the angle test, and fold every
+    accepted trial into the estimating sequence.
 
-    The objective is evaluated only at evaluated companions and accepted
-    trials, never at an anchor or a rejected trial.  ``p`` is the oracle
-    point of the iterate x_t.  One anchor is kept and re-levelled while z
-    repeats bit for bit, as it does at every level of the first step, where
-    x = v = x0.
+    The center is the iterate's own point ``p`` while z equals x_t bit for
+    bit, as at every level of the first step, where x = v = x0, and a point
+    at z otherwise; ``level_search`` then follows each accepted trial with
+    the basic companion step from x_t and keeps the lower of the two.  The
+    objective is evaluated only at evaluated companions and accepted trials,
+    never at an anchor or a rejected trial.
     """
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
         self.p = as_point(x0)
         self.state = AccelState.fresh(x0)
-        self._anchor = None
 
-    def anchor(self, m_level):
+    def center(self, m_level):
         state = self.state
         self._a = solve_a(state.a_total, m_level)
         z = mix_z(self.p.x, state.v, state.a_total, self._a)
-        if self._anchor is None or not np.array_equal(z, self._anchor.x):
-            self._anchor = ModelAnchor.from_oracle(self.oracle, z, m_level)
+        self._z = self.p if np.array_equal(z, self.p.x) else as_point(z)
         fields = {
             "a": self._a, "gamma": self._a / (state.a_total + self._a),
             "a_total": state.a_total,
             "v_dist": float(np.linalg.norm(state.v - state.x0)),
             "phi_star": phi_min_value(state),
         }
-        return self._anchor.with_m(m_level), fields
+        return self._z, fields
 
     def accept(self, p, m_level):
-        return accept_test_accel(grad_at(self.oracle, p), self._anchor.x, p.x,
+        return accept_test_accel(grad_at(self.oracle, p), self._z.x, p.x,
                                  m_level)
 
-    def update(self, p, companion):
+    def update(self, p):
         # A_t f(x_t) <= phi*_t needs only f(x_{t+1}) <= f(T(z_t)), so phi
         # takes the trial whichever point is kept.
-        f = value_at(self.oracle, p)
         self.state = update_phi_and_v(self.state, self._a,
-                                      grad_at(self.oracle, p), f, p.x)
-        # While x_t = z_t the trial is the basic step from x_t, as on the
-        # first step.
-        if not np.array_equal(self.p.x, self._anchor.x):
-            p = companion(self.p, f) or p
-        self.p = p
-        return p, {"a_total_next": self.state.a_total,
-                   "phi_star_next": phi_min_value(self.state)}
+                                      grad_at(self.oracle, p),
+                                      value_at(self.oracle, p), p.x)
+        return {"a_total_next": self.state.a_total,
+                "phi_star_next": phi_min_value(self.state)}

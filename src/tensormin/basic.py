@@ -8,7 +8,7 @@ iteration.  The level therefore tracks the (unknown) third-derivative
 Lipschitz constant from below without ever being told it.
 
 ``level_search`` is that level rule; the accelerated method runs it too,
-with its own anchor, acceptance test and update.
+with its own anchor center, acceptance test and update.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import time
 
 import numpy as np
 
-from .inner import MAX_INNER, StopReason, check_cap, run_inner
+from .inner import MAX_INNER, StopReason, run_inner
 from .model import ModelAnchor
-from .oracles import OracleError, ZeroComposite, as_point, grad_at, value_at
+from .oracles import (OracleError, ZeroComposite, as_point, check_cap, grad_at,
+                      value_at)
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -41,7 +42,9 @@ class LevelSearchError(RuntimeError):
     The message names the outer step t, the first and last level M tried,
     the last inner stop reason and, for the last trial that was evaluated,
     its gradient norm against epsilon and its decrease f_x - f_trial (when
-    the method knows both values).
+    the method knows both values).  An arithmetic error (overflow, division
+    by zero) during a step, as at a level near the ends of float range, is
+    re-raised as this error naming t, the level index i and the level M.
     """
 
 
@@ -99,19 +102,15 @@ def run_basic(
 class _BasicStep:
     """Anchor at the iterate, accept on sufficient decrease.
 
-    ``p`` is the oracle point of the iterate; one anchor per outer step is
-    built from it and re-levelled for each trial level.
+    ``p`` is the oracle point of the iterate.
     """
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
         self.p = as_point(x0)
-        self._anchor = None
 
-    def anchor(self, m_level):
-        if self._anchor is None:
-            self._anchor = ModelAnchor.from_oracle(self.oracle, self.p, m_level)
-        return self._anchor.with_m(m_level), {}
+    def center(self, m_level):
+        return self.p, {}
 
     def accept(self, p, m_level):
         oracle = self.oracle
@@ -119,10 +118,8 @@ class _BasicStep:
                                  float(np.linalg.norm(grad_at(oracle, p))),
                                  m_level)
 
-    def update(self, p, companion):
-        self.p = p
-        self._anchor = None
-        return p, {}
+    def update(self, p):
+        return {}
 
 
 def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
@@ -157,7 +154,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
     nothing below these checks refers to psi.  An ``OracleError`` raised
     during outer step t at level index i is re-raised with t and i added to
-    its message.  A step whose 201 levels all fail raises
+    its message, and an ``ArithmeticError`` as ``LevelSearchError`` naming
+    t, i and the level M.  A step whose 201 levels all fail raises
     ``LevelSearchError``, and so does one whose evaluated trial repeats the
     previous evaluated trial's point bit for bit with a decrease
     f_x - f_trial of exactly 0 (a method that does not evaluate rejected
@@ -168,22 +166,24 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     ``value_at`` and ``grad_at``, so each is evaluated at most once.  The
     step object has
 
-    * ``p``: the point of the iterate x_t, at first x0;
-    * ``anchor(m_level) -> (ModelAnchor, row fields)``;
+    * ``p``: the point of the iterate x_t, at first x0; only this loop
+      assigns it;
+    * ``center(m_level) -> (point, row fields)``, the model's anchor point;
     * ``accept(p, m_level) -> accepted``, where ``p`` is the trial's point;
-    * ``update(p, companion) -> (point, row fields)``, called on the
-      acceptance of the trial ``p`` when it does not end the run, returning
-      the next iterate's point (whose value and gradient are known) and the
-      row fields it adds to the trial's row.  ``companion(p, f_bar)`` is the
-      loop's basic step from the point ``p`` at the accepted level: one more
-      inner run, counted in BGM_E and BGM_IT, whose row (the trial's anchor
-      fields and ``companion`` true) is emitted before the trial's.  It
-      returns the step's point when the run ended on EpsilonSmall or
-      ModelStationarity and its f is below ``f_bar``, and None otherwise;
-      that row's ``accepted`` says which.
+    * ``update(p) -> row fields``, called on the acceptance of the trial
+      ``p`` when it does not end the run; the fields join the trial's row.
+
+    The loop keeps one anchor, re-levelled while the center repeats its x
+    bit for bit.  An accepted trial whose center is not ``p`` and that does
+    not end the run is followed by a companion: the basic step from ``p`` at
+    the same level, one more inner run counted in BGM_E and BGM_IT, whose
+    row (the trial's fields and ``companion`` true) precedes the trial's.
+    The companion's point becomes the iterate when that run ended on
+    EpsilonSmall or ModelStationarity with f below the trial's (the row's
+    ``accepted``), and the trial otherwise.
     """
     t_start = time.perf_counter()
-    calls_start = oracle.calls.total()
+    calls_start = oracle.calls.thread_total()
 
     if not isinstance(composite, ZeroComposite):
         raise TypeError("composite must be ZeroComposite (the only composite "
@@ -203,7 +203,6 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     check_cap("max_inner", max_inner)
 
     step = make_step(oracle, x0)
-    final = step.p
     m_t = m0
     it = 0
     bgm_e = 0
@@ -216,11 +215,17 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         if trace_sink is not None:
             trace_sink(dict(row, kind="outer"))
 
-    def run_trial(anchor, t, i, fields):
-        """One inner run at ``anchor``, counted and traced, and its row; with
-        the trial's point, holding its gradient, unless the run ended on
-        SlowConvergence or IterationCap (then None)."""
-        nonlocal bgm_e, bgm_it
+    anchor = None  # the one anchor, re-levelled while its x repeats
+
+    def run_trial(center, m_level, t, i, fields):
+        """One inner run anchored at the point ``center`` at level
+        ``m_level``, counted and traced, and its row; with the trial's point,
+        holding its gradient, unless the run ended on SlowConvergence or
+        IterationCap (then None)."""
+        nonlocal anchor, bgm_e, bgm_it
+        if anchor is None or not np.array_equal(center.x, anchor.x):
+            anchor = ModelAnchor.from_oracle(oracle, center, m_level)
+        anchor = anchor.with_m(m_level)
         inner_trace = None
         if trace_sink is not None:
             inner_trace = lambda r: trace_sink(dict(r, kind="inner", t=t, i=i))
@@ -241,17 +246,6 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                    x_trial=p.x)
         return row, p
 
-    def companion(p, f_bar):
-        # Called from step.update, so t, i, m_level and fields are the
-        # accepted trial's.
-        anchor = ModelAnchor.from_oracle(oracle, p, m_level)
-        row, p_c = run_trial(anchor, t, i, {**fields, "companion": True})
-        if p_c is not None:
-            f_c = value_at(oracle, p_c)
-            row.update(f_trial=f_c, accepted=f_c < f_bar)
-        emit(row)
-        return p_c if row["accepted"] else None
-
     try:
         for t in range(max_outer):
             i = 0 if m_t >= 2.0 * m0 else 1
@@ -260,8 +254,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
             accepted = False
             for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
-                anchor, fields = step.anchor(m_level)
-                row, p_plus = run_trial(anchor, t, i, fields)
+                center, fields = step.center(m_level)
+                row, p_plus = run_trial(center, m_level, t, i, fields)
 
                 aborted = row["stop_reason"] == StopReason.ITERATION_CAP.value
                 if aborted:
@@ -281,14 +275,26 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 accepted = converged or step.accept(p_plus, m_level)
                 if accepted:
                     it += 1
-                    value_at(oracle, p_plus)
-                    final = p_plus
+                    f_trial = value_at(oracle, p_plus)
+                    p_next = p_plus
                     if not converged:
                         m_t = m_level / 2.0
-                        final, more = step.update(p_plus, companion)
-                        row.update(more)
+                        row.update(step.update(p_plus))
+                        # A trial anchored away from x_t is followed by the
+                        # basic companion step from x_t; the lower f wins.
+                        if center is not step.p:
+                            c_row, p_c = run_trial(step.p, m_level, t, i, {
+                                **fields, "companion": True})
+                            if p_c is not None:
+                                f_c = value_at(oracle, p_c)
+                                c_row.update(f_trial=f_c,
+                                             accepted=f_c < f_trial)
+                                if c_row["accepted"]:
+                                    p_next = p_c
+                            emit(c_row)
                         converged = float(np.linalg.norm(
-                            grad_at(oracle, final))) <= eps
+                            grad_at(oracle, p_next))) <= eps
+                    step.p = p_next
                 row.update(f_trial=p_plus.data.get("value"), accepted=accepted)
                 emit(row)
                 if accepted:
@@ -315,13 +321,17 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     except OracleError as exc:
         raise OracleError("outer step t=%d, level index i=%d: %s"
                           % (t, i, exc)) from exc
+    except ArithmeticError as exc:
+        raise LevelSearchError(
+            "outer step t=%d, level index i=%d, level M = %.3e: %s: %s"
+            % (t, i, m_level, type(exc).__name__, exc)) from exc
 
-    final_f = value_at(oracle, final)
-    final_gnorm = float(np.linalg.norm(grad_at(oracle, final)))
+    final_f = value_at(oracle, step.p)
+    final_gnorm = float(np.linalg.norm(grad_at(oracle, step.p)))
     report = RunReport(
         epsilon=eps,
         IT=it,
-        CO=oracle.calls.total() - calls_start,
+        CO=oracle.calls.thread_total() - calls_start,
         BGM_E=bgm_e,
         BGM_IT=bgm_it,
         final_grad_norm=final_gnorm,
@@ -329,4 +339,4 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         wall_time_s=time.perf_counter() - t_start,
         converged=converged,
     )
-    return np.array(final.x), report, rows
+    return np.array(step.p.x), report, rows

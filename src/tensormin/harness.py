@@ -17,8 +17,9 @@ import numpy as np
 
 from .accel import run_accel
 from .basic import MAX_OUTER, run_basic
-from .inner import MAX_INNER, check_cap
-from .oracles import Dataset, FdThirdOracle, ZeroComposite, logistic_oracle, quartic_oracle
+from .inner import MAX_INNER
+from .oracles import (Dataset, FdThirdOracle, ZeroComposite, check_cap,
+                      logistic_oracle, quartic_oracle)
 
 
 @dataclass
@@ -48,10 +49,17 @@ class RunConfig:
             raise ValueError("target accuracies must be finite and positive")
         if not 0.0 < self.m0 < math.inf:
             raise ValueError("m0 must be finite and positive")
-        if self.problem == "quartic" and (self.n is None or self.n < 1):
-            raise ValueError("quartic problem needs a positive dimension n")
-        if self.problem == "quartic" and self.dataset_path is not None:
-            raise ValueError("dataset_path only applies to the logistic problem")
+        if self.problem == "quartic":
+            check_cap("n", self.n)
+            if self.dataset_path is not None:
+                raise ValueError("dataset_path only applies to the logistic "
+                                 "problem")
+        elif self.n is not None:
+            raise ValueError("n only applies to the quartic problem, got %r"
+                             % (self.n,))
+        if isinstance(self.x0, str) and self.x0 not in ("ones", "zeros"):
+            raise ValueError("x0 must be 'ones', 'zeros' or a vector, got %r"
+                             % self.x0)
         if self.fd_tau is not None and not 0.0 < self.fd_tau < math.inf:
             raise ValueError("fd_tau must be finite and positive")
         check_cap("max_outer", self.max_outer)
@@ -134,11 +142,7 @@ def _build_oracle(cfg, data):
 
 def _start_point(cfg, dim):
     if isinstance(cfg.x0, str):
-        if cfg.x0 == "ones":
-            return np.ones(dim)
-        if cfg.x0 == "zeros":
-            return np.zeros(dim)
-        raise ValueError("x0 policy must be 'ones', 'zeros', or a vector")
+        return np.ones(dim) if cfg.x0 == "ones" else np.zeros(dim)
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (dim,):
         raise ValueError("explicit x0 has shape %s, expected (%d,)" % (x0.shape, dim))

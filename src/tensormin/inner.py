@@ -29,6 +29,7 @@ from .model import (
     omega_grad,
     rho_grad,
 )
+from .oracles import check_cap
 
 # Residual bound of every secular solve, relative to 1 + ||c||.
 SECULAR_TOL = 1e-12
@@ -40,13 +41,6 @@ _EPS = np.finfo(float).eps
 _SECULAR_MAXIT = 100
 _LOG3 = math.log(3.0)
 _LOG65 = math.log(1.2)  # decay factor 6/5 of the slow-convergence certificate
-
-
-def check_cap(name, cap):
-    """Raise ValueError naming ``name`` unless ``cap`` is an integer >= 1."""
-    if not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise ValueError("%s must be at least 1 and an integer, got %r"
-                         % (name, cap))
 
 
 class StopReason(Enum):
@@ -182,17 +176,19 @@ def secular_solve(factor, M, c):
             # Bisect, once any closed-form end that no evaluation confirmed
             # is checked: rounding could have put the root outside it.
             if not hi_seen:
-                hi, hi_seen = _confirm_end(phi_at, hi, 4.0, 60, "upper"), True
+                hi = _confirm_end(phi_at, hi, 4.0, 60, "upper", M)
+                hi_seen = True
             if not lo_seen:
-                lo, lo_seen = _confirm_end(phi_at, lo, 0.25, 1100, "lower"), True
+                lo = _confirm_end(phi_at, lo, 0.25, 1100, "lower", M)
+                lo_seen = True
             new = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         if abs(new - sigma) <= 4.0 * _EPS * sigma:
             break
         sigma = new
     else:
         raise SecularSolveError(
-            "secular Newton iteration did not converge in %d steps "
-            "(bracket [%.17g, %.17g])" % (_SECULAR_MAXIT, lo, hi))
+            "secular Newton iteration did not converge in %d steps at "
+            "M = %.17g (bracket [%.17g, %.17g])" % (_SECULAR_MAXIT, M, lo, hi))
     if hh is None:  # stopped at a breakdown: report it
         lapack_check("dpttrf", lapack.dpttrf(d + sigma, e_lapack)[2], sigma)
 
@@ -201,11 +197,12 @@ def secular_solve(factor, M, c):
     bound = SECULAR_TOL * (1.0 + cnorm)
     if res > bound:
         raise SecularSolveError(
-            "secular residual %.3e exceeds %.3e" % (res, bound))
+            "secular residual %.3e exceeds %.3e at M = %.17g"
+            % (res, bound, M))
     return hh
 
 
-def _confirm_end(phi_at, end, factor, limit, which):
+def _confirm_end(phi_at, end, factor, limit, which, M):
     """Move a bracket end outward by ``factor`` until phi has its sign there.
 
     phi must be >= 0 at the upper end and < 0 at the lower one (or the lower
@@ -217,7 +214,8 @@ def _confirm_end(phi_at, end, factor, limit, which):
         if end == 0.0 or (phi_at(end) >= 0.0) == upper:
             return end
         end *= factor
-    raise SecularSolveError("secular %s bracket expansion failed" % which)
+    raise SecularSolveError("secular %s bracket expansion failed at M = %.17g"
+                            % (which, M))
 
 
 def bregman_step(anchor, gom, grho):

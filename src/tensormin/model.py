@@ -64,7 +64,7 @@ class SecularSolveError(RuntimeError):
     ``dpttrs``) reports a nonzero ``info`` the solve cannot recover from,
     when a bracket end cannot be widened or the iteration does not converge,
     or when the solved step misses its residual bound.  The message names
-    the cause.
+    the cause, and the level M when a secular solve fails.
     """
 
 

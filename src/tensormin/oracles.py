@@ -29,17 +29,29 @@ import numpy as np
 from scipy.special import expit
 
 
+def check_cap(name, cap):
+    """Raise ValueError naming ``name`` unless ``cap``, an iteration cap or
+    a dimension, is an integer >= 1 (a bool is not)."""
+    if (isinstance(cap, bool) or not isinstance(cap, (int, np.integer))
+            or cap < 1):
+        raise ValueError("%s must be at least 1 and an integer, got %r"
+                         % (name, cap))
+
+
 class CallCounter:
     """Thread-safe per-entry-point call counts for a smooth oracle.
 
     A single oracle may be shared by independent solver runs executing
-    concurrently, so increments are guarded by a lock.
+    concurrently, so increments are guarded by a lock, and each thread also
+    keeps its own running total (``thread_total``), from which a run counts
+    its own calls.
     """
 
     _FIELDS = ("value", "grad", "hessian", "third", "trace")
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._thread = threading.local()
         self.value = 0
         self.grad = 0
         self.hessian = 0
@@ -49,11 +61,17 @@ class CallCounter:
     def bump(self, name):
         with self._lock:
             setattr(self, name, getattr(self, name) + 1)
+        self._thread.total = self.thread_total() + 1
 
     def total(self):
         """Total number of entry-point invocations across all five kinds."""
         with self._lock:
             return self.value + self.grad + self.hessian + self.third + self.trace
+
+    def thread_total(self):
+        """Invocations made so far by the calling thread; ``reset`` leaves
+        it alone, so only differences of it mean anything."""
+        return getattr(self._thread, "total", 0)
 
     def snapshot(self):
         """Dict copy of the five counters, taken atomically."""
@@ -120,7 +138,11 @@ def grad_at(oracle, p):
 _EPS = np.finfo(float).eps
 
 
-def _finite(entry, out):
+def _finite(entry, compute):
+    """``compute()``, run without NumPy floating-point warnings, checked to
+    be finite (else OracleError naming ``entry``)."""
+    with np.errstate(all="ignore"):
+        out = compute()
     if not np.isfinite(out).all():
         raise OracleError("%s returned a non-finite result" % entry)
     return out
@@ -132,8 +154,9 @@ class SmoothOracle(ABC):
     Subclasses implement the four hooks ``_value``, ``_grad``, ``_hessian``
     and ``_third_directional``, which receive the query as a ``Point`` (and
     ``h`` as an array); the public methods validate dimensions, maintain
-    ``self.calls`` and check that results are finite; every call is counted
-    and evaluated afresh (see ``value_at``).  ``_hessian`` must return a fresh
+    ``self.calls``, run the hooks without NumPy floating-point warnings and
+    check that results are finite; every call is counted and evaluated
+    afresh (see ``value_at``).  ``_hessian`` must return a fresh
     array, because the anchor factors it in place (see
     ``ModelAnchor.from_oracle``).  ``lipschitz_third`` optionally reports a
     Lipschitz constant of the third derivative when one is known in closed
@@ -142,7 +165,7 @@ class SmoothOracle(ABC):
     Attributes
     ----------
     n : int
-        Dimension of the variable.
+        Dimension of the variable, an integer >= 1 (else ValueError).
     calls : CallCounter
         Per-entry-point invocation counts.
     lipschitz_third : float or None
@@ -150,9 +173,8 @@ class SmoothOracle(ABC):
     """
 
     def __init__(self, n):
+        check_cap("n", n)
         self.n = int(n)
-        if self.n <= 0:
-            raise ValueError("oracle dimension must be positive, got %d" % n)
         self.calls = CallCounter()
         self.lipschitz_third = None
 
@@ -174,19 +196,19 @@ class SmoothOracle(ABC):
         """Objective value f(x)."""
         p = self._as_point(x)
         self.calls.bump("value")
-        return _finite("value", float(self._value(p)))
+        return _finite("value", lambda: float(self._value(p)))
 
     def grad(self, x):
         """Gradient of f at x."""
         p = self._as_point(x)
         self.calls.bump("grad")
-        return _finite("grad", self._grad(p))
+        return _finite("grad", lambda: self._grad(p))
 
     def hessian(self, x):
         """Hessian of f at x as a symmetric (n, n) array."""
         p = self._as_point(x)
         self.calls.bump("hessian")
-        return _finite("hessian", self._hessian(p))
+        return _finite("hessian", lambda: self._hessian(p))
 
     def third_directional(self, x, h):
         """The vector D3f(x)[h]^2: third derivative applied to (h, h).
@@ -196,13 +218,15 @@ class SmoothOracle(ABC):
         p = self._as_point(x)
         h = self._check_shape(np.asarray(h, dtype=float), "h")
         self.calls.bump("third")
-        return _finite("third_directional", self._third_directional(p, h))
+        return _finite("third_directional",
+                       lambda: self._third_directional(p, h))
 
     def hessian_trace(self, x):
         """Trace of the Hessian at x, that of the ``_hessian`` matrix."""
         p = self._as_point(x)
         self.calls.bump("trace")
-        return _finite("hessian_trace", float(np.trace(self._hessian(p))))
+        return _finite("hessian_trace",
+                       lambda: float(np.trace(self._hessian(p))))
 
     # -- hooks ----------------------------------------------------------------
 
@@ -417,9 +441,8 @@ class FdThirdOracle(SmoothOracle):
                 "third_directional (tau=%r): the difference step tau ||h|| = "
                 "%.3e is at most eps ||x||, so x +- tau h round to x"
                 % (self.tau, self.tau * h_norm))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = self._third_directional(p, h)
-        return _finite("third_directional (tau=%r)" % self.tau, t)
+        return _finite("third_directional (tau=%r)" % self.tau,
+                       lambda: self._third_directional(p, h))
 
     def _value(self, p):
         return self.base._value(p)

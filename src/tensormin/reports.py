@@ -16,7 +16,8 @@ class RunReport:
 
     ``IT`` counts assignments of a new outer iterate (including the final
     one made when the gradient target is reached); ``CO`` counts every oracle
-    entry-point invocation; ``BGM_E`` / ``BGM_IT`` count inner-solver
+    entry-point invocation of the run (made on its thread, so runs sharing
+    an oracle each count their own); ``BGM_E`` / ``BGM_IT`` count inner-solver
     executions and their total iterations, and the property ``BGM_A`` is
     their ratio.  ``converged`` is False when an iteration cap ended the run
     instead of the gradient test.

@@ -117,6 +117,17 @@ def test_run_config_validation():
             RunConfig(problem="quartic", n=2, epsilons=[1e-2, bad])
     with pytest.raises(ValueError):
         RunConfig(problem="quartic")  # missing dimension
+    # A dimension is an integer; int() used to make 2.7 a 2 and True a 1.
+    for bad in (2.7, 2.0, True, "2", 0):
+        with pytest.raises(ValueError, match="n must be at least 1 and an "
+                           "integer, got %s" % re.escape(repr(bad))):
+            RunConfig(problem="quartic", n=bad)
+    with pytest.raises(ValueError, match="n only applies to the quartic "
+                       "problem, got 7"):
+        RunConfig(problem="logistic", n=7)
+    with pytest.raises(ValueError, match="x0 must be 'ones', 'zeros' or a "
+                       "vector, got 'ONES'"):
+        RunConfig(problem="logistic", x0="ONES")
     with pytest.raises(ValueError):
         RunConfig(problem="quartic", n=2, dataset_path="x.csv")
     with pytest.raises(ValueError):
@@ -452,6 +463,13 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "tensormin: error: max_outer must be at least 1 and an " \
                   "integer, got -1\n"
+    # Arithmetic failing at an extreme level is a typed failure too.
+    assert main(["solve", "--problem", "quartic", "--n", "2",
+                 "--solver", "accel", "--eps", "1e-6", "--m0", "1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tensormin: error: epsilon=1e-06: outer step t=0")
+    assert err.count("\n") == 1
+    assert "level M = " in err
 
 
 def test_cli_format_choices_are_the_report_formats(capsys):

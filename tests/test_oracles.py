@@ -1,6 +1,7 @@
 """Oracle layer: derivative formulas, call counting, datasets, fd surrogate."""
 
 import itertools
+import re
 import sys
 import threading
 
@@ -200,9 +201,13 @@ def test_query_dimension_is_validated():
         oracle.hessian(as_point(np.zeros(2)))
 
 
-def test_oracle_dimension_must_be_positive():
-    with pytest.raises(ValueError):
-        quartic_oracle(0)
+@pytest.mark.parametrize("bad", [0, -1, 3.5, 3.0, True, "3", None])
+def test_oracle_dimension_must_be_an_integer_at_least_one(bad):
+    # int(n) used to turn 3.5 into 3 and True into 1 without a word.
+    with pytest.raises(ValueError, match=r"n must be at least 1 and an "
+                       r"integer, got %s" % re.escape(repr(bad))):
+        quartic_oracle(bad)
+    assert quartic_oracle(np.int64(3)).n == 3
 
 
 # -- call counting -------------------------------------------------------------
@@ -277,6 +282,26 @@ def test_call_counter_is_thread_safe():
     for th in threads:
         th.join()
     assert counter.grad == 8 * per_thread
+
+
+def test_call_counter_keeps_a_total_per_thread():
+    counter = CallCounter()
+    counts = {}
+
+    def bump(k):
+        for _ in range(k):
+            counter.bump("value")
+        counts[k] = counter.thread_total()
+
+    threads = [threading.Thread(target=bump, args=(k,)) for k in (3, 5)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    assert counts == {3: 3, 5: 5}
+    assert counter.thread_total() == 0  # this thread made none
+    assert counter.total() == 8
 
 
 # -- dataset validation --------------------------------------------------------

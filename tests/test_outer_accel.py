@@ -468,6 +468,16 @@ def test_inner_cap_before_any_step_reports_start_values(solver):
     json.dumps(asdict(report), allow_nan=False)
 
 
+def test_run_accel_first_anchor_is_the_start_point():
+    # While z = x0 the anchor is built on the iterate's own point, so a run
+    # that accepts no step reads grad f(x0) once, for the anchor and the
+    # report alike.
+    oracle, _, report, _ = run_quartic(3, np.ones(3), 1, 1e-10, max_inner=1)
+    assert oracle.calls.snapshot() == {"value": 1, "grad": 1, "hessian": 1,
+                                       "third": 1, "trace": 0}
+    assert report.CO == 4
+
+
 class PoisonedQuartic(QuarticOracle):
     """Quartic with NaN gradients away from ``x0`` (``entry="grad"``) or NaN
     third derivatives everywhere (``entry="third"``)."""

@@ -2,6 +2,8 @@
 counters, and trace consistency."""
 
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ import tensormin
 from tensormin.accel import run_accel
 from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
 from tensormin.inner import StopReason
-from tensormin.oracles import (FdThirdOracle, SmoothOracle, ZeroComposite,
-                               quartic_oracle)
+from tensormin.model import SecularSolveError
+from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
+                               ZeroComposite, logistic_oracle, quartic_oracle)
 
 
 def run_quartic(n, x0, m0, epsilon, **kw):
@@ -357,3 +360,46 @@ def test_run_basic_level_doubling_failure_is_typed_and_named():
     assert oracle.calls.total() < 100
     assert "gradient norm 1.000e+00 > epsilon 1.000e-06" in msg
     assert "decrease f_x - f_trial = 0.000e+00" in msg
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+@pytest.mark.parametrize("m0, error", [(1e-300, LevelSearchError),
+                                       (1e-200, SecularSolveError),
+                                       (1e300, LevelSearchError)])
+def test_extreme_levels_fail_typed_and_name_the_level(solve, m0, error):
+    # Near the ends of float range the inner solver's arithmetic overflows
+    # or divides by zero (then the level search names t, i and M), or a
+    # secular solve fails (and names M), soon after the start.
+    oracle = quartic_oracle(2)
+    with pytest.raises(error, match="M = "):
+        solve(oracle, ZeroComposite(), np.ones(2), m0, 1e-6)
+    assert oracle.calls.total() <= 40
+
+
+def test_overflowing_oracle_fails_typed_without_numpy_warnings():
+    oracle = quartic_oracle(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleError, match="returned a non-finite result"):
+            run_basic(oracle, ZeroComposite(), 1e150 * np.ones(2), 1.0, 1e-6)
+
+
+def test_runs_sharing_an_oracle_count_their_own_calls():
+    data, _ = make_logistic(2000, 49, seed=0)
+    args = (ZeroComposite(), np.zeros(50), 1.0, 1e-6)
+    solo = run_basic(logistic_oracle(data), *args)[1].CO
+    shared = logistic_oracle(data)
+    cos = []
+
+    def solve():
+        cos.append(run_basic(shared, *args)[1].CO)
+
+    threads = [threading.Thread(target=solve) for _ in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+        assert not th.is_alive()
+    assert solo == 280
+    assert cos == [solo, solo]
+    assert sum(cos) == shared.calls.total()
