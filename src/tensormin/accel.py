@@ -22,11 +22,12 @@ lower f; a companion that ends on SlowConvergence or IterationCap leaves the
 trial in place.  phi still takes a, f(T(z)) and grad f(T(z)).  This is the
 monotone variant of Monteiro and Svaiter's A-HPE framework (SIAM J. Optim.,
 2013), as in Carmon, Hausler, Jambulapati, Jin and Sidford, "Optimal and
-adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  The step here only
-names its center, z or the iterate itself; ``level_search`` runs the
-companion whenever the accepted trial's center is not the iterate, so while
-x_t = z (on the first step, x = v = x0) the trial is the basic step and no
-companion runs.
+adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  The step here
+keeps only phi: ``level_search`` owns the iterate, hands it to the step,
+which names its center, z or the iterate itself, and runs the companion
+whenever the accepted trial's center is not the iterate, so while x_t = z
+(on the first step, x = v = x0) the trial is the basic step and no companion
+runs.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basic import MAX_OUTER, level_search
+from .basic import MAX_OUTER, decrease_rhs, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
-from .oracles import as_point, grad_at, value_at
+from .oracles import as_point, check_positive, grad_at, value_at
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 _MAX_NEWTON_STEPS = 200
@@ -68,8 +69,7 @@ def solve_a(a_prev_total, m_level):
     A = float(a_prev_total)
     if A < 0.0:
         raise ValueError("accumulated weight A must be nonnegative")
-    if m_level <= 0.0:
-        raise ValueError("level M must be positive")
+    check_positive("M", m_level)
     k = 16.0 / (_SCALE * m_level)
 
     def p(g):
@@ -107,8 +107,7 @@ def accept_test_accel(grad_trial, z, x_trial, m_level):
     """Accept when <grad(trial), z - trial> >= ||grad(trial)||^(4/3) / (6 M^(1/3))."""
     g = np.asarray(grad_trial, dtype=float)
     lhs = float(np.dot(g, np.asarray(z, dtype=float) - np.asarray(x_trial, dtype=float)))
-    rhs = float(np.linalg.norm(g)) ** (4.0 / 3.0) / (6.0 * m_level ** (1.0 / 3.0))
-    return lhs >= rhs
+    return lhs >= decrease_rhs(float(np.linalg.norm(g)), m_level)
 
 
 @dataclass
@@ -195,42 +194,40 @@ def run_accel(
 
 class _AccelStep:
     """Anchor at the mixture z(a), accept on the angle test, and fold every
-    accepted trial into the estimating sequence.
+    accepted trial into the estimating sequence ``state``, all it keeps.
 
-    The center is the iterate's own point ``p`` while z equals x_t bit for
-    bit, as at every level of the first step, where x = v = x0, and a point
-    at z otherwise; ``level_search`` then follows each accepted trial with
-    the basic companion step from x_t and keeps the lower of the two.  The
+    The center is the iterate's own point while z equals x_t bit for bit, as
+    at every level of the first step, where x = v = x0, and a point at z
+    otherwise; ``level_search`` then follows each accepted trial with the
+    basic companion step from x_t and keeps the lower of the two.  The
     objective is evaluated only at evaluated companions and accepted trials,
     never at an anchor or a rejected trial.
     """
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
-        self.p = as_point(x0)
         self.state = AccelState.fresh(x0)
 
-    def center(self, m_level):
+    def center(self, x_t, m_level):
         state = self.state
-        self._a = solve_a(state.a_total, m_level)
-        z = mix_z(self.p.x, state.v, state.a_total, self._a)
-        self._z = self.p if np.array_equal(z, self.p.x) else as_point(z)
+        a = solve_a(state.a_total, m_level)
+        z = mix_z(x_t.x, state.v, state.a_total, a)
         fields = {
-            "a": self._a, "gamma": self._a / (state.a_total + self._a),
+            "a": a, "gamma": a / (state.a_total + a),
             "a_total": state.a_total,
             "v_dist": float(np.linalg.norm(state.v - state.x0)),
             "phi_star": phi_min_value(state),
         }
-        return self._z, fields
+        return (x_t if np.array_equal(z, x_t.x) else as_point(z)), fields
 
-    def accept(self, p, m_level):
-        return accept_test_accel(grad_at(self.oracle, p), self._z.x, p.x,
+    def accept(self, center, p, m_level):
+        return accept_test_accel(grad_at(self.oracle, p), center.x, p.x,
                                  m_level)
 
-    def update(self, p):
+    def update(self, p, fields):
         # A_t f(x_t) <= phi*_t needs only f(x_{t+1}) <= f(T(z_t)), so phi
         # takes the trial whichever point is kept.
-        self.state = update_phi_and_v(self.state, self._a,
+        self.state = update_phi_and_v(self.state, fields["a"],
                                       grad_at(self.oracle, p),
                                       value_at(self.oracle, p), p.x)
         return {"a_total_next": self.state.a_total,

@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from .inner import MAX_INNER, StopReason, run_inner
-from .model import ModelAnchor
-from .oracles import (OracleError, ZeroComposite, as_point, check_cap, grad_at,
-                      value_at)
+from .model import ConvexityError, ModelAnchor, SecularSolveError
+from .oracles import (OracleError, ZeroComposite, as_point, check_cap,
+                      check_positive, grad_at, value_at)
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -44,14 +44,24 @@ class LevelSearchError(RuntimeError):
     its gradient norm against epsilon and its decrease f_x - f_trial (when
     the method knows both values).  An arithmetic error (overflow, division
     by zero) during a step, as at a level near the ends of float range, is
-    re-raised as this error naming t, the level index i and the level M.
+    re-raised as this error naming t, the level index i and the level M, and
+    so is a level that overflows to infinity, before its inner run, with m0.
     """
+
+
+def decrease_rhs(grad_norm_trial, m_level):
+    """||grad(trial)||^(4/3) / (6 M^(1/3)), both acceptance tests' bound."""
+    return grad_norm_trial ** (4.0 / 3.0) / (6.0 * m_level ** (1.0 / 3.0))
 
 
 def accept_test_basic(f_x, f_trial, grad_norm_trial, m_level):
     """Sufficient decrease:  f(x) - f(trial) >= ||grad(trial)||^(4/3) / (6 M^(1/3))."""
-    rhs = grad_norm_trial ** (4.0 / 3.0) / (6.0 * m_level ** (1.0 / 3.0))
-    return f_x - f_trial >= rhs
+    return f_x - f_trial >= decrease_rhs(grad_norm_trial, m_level)
+
+
+def _gnorm(oracle, p):
+    """||grad f|| at the ``Point`` p, read through ``grad_at``."""
+    return float(np.linalg.norm(grad_at(oracle, p)))
 
 
 def run_basic(
@@ -100,37 +110,32 @@ def run_basic(
 
 
 class _BasicStep:
-    """Anchor at the iterate, accept on sufficient decrease.
-
-    ``p`` is the oracle point of the iterate.
-    """
+    """Anchor at the iterate, accept on sufficient decrease."""
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
-        self.p = as_point(x0)
 
-    def center(self, m_level):
-        return self.p, {}
+    def center(self, x_t, m_level):
+        return x_t, {}
 
-    def accept(self, p, m_level):
+    def accept(self, center, p, m_level):
         oracle = self.oracle
-        return accept_test_basic(value_at(oracle, self.p), value_at(oracle, p),
-                                 float(np.linalg.norm(grad_at(oracle, p))),
-                                 m_level)
+        return accept_test_basic(value_at(oracle, center), value_at(oracle, p),
+                                 _gnorm(oracle, p), m_level)
 
-    def update(self, p):
+    def update(self, p, fields):
         return {}
 
 
-def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
+def _doubling_message(oracle, t, m_first, m_last, stop_reason, last, f_x, eps):
     msg = ("level doubling did not terminate at outer step t=%d: levels "
            "M = %.3e .. %.3e, last stop reason %s; "
            % (t, m_first, m_last, stop_reason))
     if last is None:
         return msg + "no trial was evaluated"
-    f_trial = last["f_trial"]
+    f_trial = last.data.get("value")
     msg += ("last evaluated trial has gradient norm %.3e > epsilon %.3e"
-            % (last["grad_norm_trial"], eps))
+            % (_gnorm(oracle, last), eps))
     if f_x is None or f_trial is None:
         return msg + " (its decrease was not evaluated)"
     return msg + " and decrease f_x - f_trial = %.3e" % (f_x - f_trial)
@@ -152,30 +157,33 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     ``ZeroComposite`` raises TypeError, and a non-finite ``x0``, a
     non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
     ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
-    nothing below these checks refers to psi.  An ``OracleError`` raised
-    during outer step t at level index i is re-raised with t and i added to
-    its message, and an ``ArithmeticError`` as ``LevelSearchError`` naming
-    t, i and the level M.  A step whose 201 levels all fail raises
-    ``LevelSearchError``, and so does one whose evaluated trial repeats the
-    previous evaluated trial's point bit for bit with a decrease
-    f_x - f_trial of exactly 0 (a method that does not evaluate rejected
-    trials never meets this test).
+    nothing below these checks refers to psi.  An ``OracleError``,
+    ``ConvexityError`` or ``SecularSolveError`` raised during outer step t
+    at level index i is re-raised as its own type with t, i and the level M
+    added to its message, and an ``ArithmeticError`` as
+    ``LevelSearchError`` naming the same; a level 2^i M_t that overflows to
+    infinity raises one naming m0 before its inner run.  A step whose 201
+    levels all fail raises ``LevelSearchError``, and so does one whose
+    evaluated trial repeats the previous evaluated trial's point bit for bit
+    with a decrease f_x - f_trial of exactly 0 (a method that does not
+    evaluate rejected trials never meets this test).
 
-    ``make_step(oracle, x0)`` builds the method's part of the loop.  Points
-    travel as oracle ``Point``s, whose f and grad f everyone reads through
-    ``value_at`` and ``grad_at``, so each is evaluated at most once.  The
-    step object has
+    ``make_step(oracle, x0)`` builds the method's part of the loop, which
+    keeps no iterate: this loop owns x_t, each level's center and fields,
+    and the last evaluated trial.  Points travel as oracle ``Point``s, whose
+    f and grad f everyone reads through ``value_at`` and ``grad_at``, so
+    each is evaluated at most once.  The step object has
 
-    * ``p``: the point of the iterate x_t, at first x0; only this loop
-      assigns it;
-    * ``center(m_level) -> (point, row fields)``, the model's anchor point;
-    * ``accept(p, m_level) -> accepted``, where ``p`` is the trial's point;
-    * ``update(p) -> row fields``, called on the acceptance of the trial
-      ``p`` when it does not end the run; the fields join the trial's row.
+    * ``center(x_t, m_level) -> (point, row fields)``, the model's anchor
+      point at the iterate's point ``x_t``;
+    * ``accept(center, p, m_level) -> accepted`` for the trial's point ``p``;
+    * ``update(p, fields) -> row fields``, called with ``center``'s fields on
+      the acceptance of the trial ``p`` when it does not end the run; the
+      returned fields join the trial's row.
 
     The loop keeps one anchor, re-levelled while the center repeats its x
-    bit for bit.  An accepted trial whose center is not ``p`` and that does
-    not end the run is followed by a companion: the basic step from ``p`` at
+    bit for bit.  An accepted trial whose center is not x_t and that does
+    not end the run is followed by a companion: the basic step from x_t at
     the same level, one more inner run counted in BGM_E and BGM_IT, whose
     row (the trial's fields and ``companion`` true) precedes the trial's.
     The companion's point becomes the iterate when that run ended on
@@ -193,16 +201,13 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError("x0 must be finite, got x0[%d] = %g" % (i, x0.flat[i]))
-    eps = float(epsilon)
-    if not 0.0 < eps < math.inf:
-        raise ValueError("epsilon must be finite and positive, got %r" % eps)
-    m0 = float(m0)
-    if not 0.0 < m0 < math.inf:
-        raise ValueError("m0 must be finite and positive, got %r" % m0)
+    eps = check_positive("epsilon", epsilon)
+    m0 = check_positive("m0", m0)
     check_cap("max_outer", max_outer)
     check_cap("max_inner", max_inner)
 
     step = make_step(oracle, x0)
+    x_t = as_point(x0)
     m_t = m0
     it = 0
     bgm_e = 0
@@ -242,19 +247,20 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         # One point for the trial's gradient and value, and for the next
         # anchor if the trial becomes the iterate.
         p = as_point(res.x_plus)
-        row.update(grad_norm_trial=float(np.linalg.norm(grad_at(oracle, p))),
-                   x_trial=p.x)
+        row.update(grad_norm_trial=_gnorm(oracle, p), x_trial=p.x)
         return row, p
 
     try:
         for t in range(max_outer):
-            i = 0 if m_t >= 2.0 * m0 else 1
-            m_first = m_t * 2.0**i
-            last = None  # the row of the last evaluated trial
+            i0 = 0 if m_t >= 2.0 * m0 else 1
+            last = None  # the point of the last evaluated trial
             accepted = False
-            for _ in range(_MAX_LEVEL_DOUBLINGS + 1):
+            for i in range(i0, i0 + _MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
-                center, fields = step.center(m_level)
+                if m_level == math.inf:
+                    raise OverflowError("the level overflowed float range "
+                                        "(m0 = %.3e)" % m0)
+                center, fields = step.center(x_t, m_level)
                 row, p_plus = run_trial(center, m_level, t, i, fields)
 
                 aborted = row["stop_reason"] == StopReason.ITERATION_CAP.value
@@ -268,22 +274,21 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 if p_plus is None:
                     # Level certified too small; never evaluate this trial.
                     emit(row)
-                    i += 1
                     continue
 
                 converged = row["grad_norm_trial"] <= eps
-                accepted = converged or step.accept(p_plus, m_level)
+                accepted = converged or step.accept(center, p_plus, m_level)
                 if accepted:
                     it += 1
                     f_trial = value_at(oracle, p_plus)
                     p_next = p_plus
                     if not converged:
                         m_t = m_level / 2.0
-                        row.update(step.update(p_plus))
+                        row.update(step.update(p_plus, fields))
                         # A trial anchored away from x_t is followed by the
                         # basic companion step from x_t; the lower f wins.
-                        if center is not step.p:
-                            c_row, p_c = run_trial(step.p, m_level, t, i, {
+                        if center is not x_t:
+                            c_row, p_c = run_trial(x_t, m_level, t, i, {
                                 **fields, "companion": True})
                             if p_c is not None:
                                 f_c = value_at(oracle, p_c)
@@ -292,42 +297,41 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                                 if c_row["accepted"]:
                                     p_next = p_c
                             emit(c_row)
-                        converged = float(np.linalg.norm(
-                            grad_at(oracle, p_next))) <= eps
-                    step.p = p_next
+                        converged = _gnorm(oracle, p_next) <= eps
+                    x_t = p_next
                 row.update(f_trial=p_plus.data.get("value"), accepted=accepted)
                 emit(row)
                 if accepted:
                     break
                 repeated = (row["f_trial"] is not None
-                            and row["f_trial"] == step.p.data.get("value")
+                            and row["f_trial"] == x_t.data.get("value")
                             and last is not None
-                            and np.array_equal(p_plus.x, last["x_trial"]))
-                last = row
+                            and np.array_equal(p_plus.x, last.x))
+                last = p_plus
                 if repeated:
                     # Doubling the level moved neither the trial nor f, so
                     # the doublings left would only repeat it.
                     break
-                i += 1
             if not (accepted or aborted):
                 raise LevelSearchError(_doubling_message(
-                    t, m_first, m_level, row["stop_reason"], last,
-                    step.p.data.get("value"), eps))
+                    oracle, t, m_t * 2.0**i0, m_level, row["stop_reason"],
+                    last, x_t.data.get("value"), eps))
             if converged or aborted:
                 break
         else:
             logger.warning("outer iteration cap %d hit at epsilon %g",
                            max_outer, eps)
-    except OracleError as exc:
-        raise OracleError("outer step t=%d, level index i=%d: %s"
-                          % (t, i, exc)) from exc
-    except ArithmeticError as exc:
-        raise LevelSearchError(
-            "outer step t=%d, level index i=%d, level M = %.3e: %s: %s"
-            % (t, i, m_level, type(exc).__name__, exc)) from exc
+    except (OracleError, ConvexityError, SecularSolveError,
+            ArithmeticError) as exc:
+        where = ("outer step t=%d, level index i=%d, level M = %.3e"
+                 % (t, i, m_level))
+        if isinstance(exc, ArithmeticError):
+            raise LevelSearchError("%s: %s: %s" % (
+                where, type(exc).__name__, exc)) from exc
+        raise type(exc)("%s: %s" % (where, exc)) from exc
 
-    final_f = value_at(oracle, step.p)
-    final_gnorm = float(np.linalg.norm(grad_at(oracle, step.p)))
+    final_f = value_at(oracle, x_t)
+    final_gnorm = _gnorm(oracle, x_t)
     report = RunReport(
         epsilon=eps,
         IT=it,
@@ -339,4 +343,4 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         wall_time_s=time.perf_counter() - t_start,
         converged=converged,
     )
-    return np.array(step.p.x), report, rows
+    return np.array(x_t.x), report, rows

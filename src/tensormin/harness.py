@@ -19,7 +19,7 @@ from .accel import run_accel
 from .basic import MAX_OUTER, run_basic
 from .inner import MAX_INNER
 from .oracles import (Dataset, FdThirdOracle, ZeroComposite, check_cap,
-                      logistic_oracle, quartic_oracle)
+                      check_positive, logistic_oracle, quartic_oracle)
 
 
 @dataclass
@@ -45,10 +45,9 @@ class RunConfig:
             raise ValueError("solver must be 'basic' or 'accel'")
         if not self.epsilons:
             raise ValueError("at least one target accuracy is required")
-        if not all(0.0 < e < math.inf for e in self.epsilons):
-            raise ValueError("target accuracies must be finite and positive")
-        if not 0.0 < self.m0 < math.inf:
-            raise ValueError("m0 must be finite and positive")
+        for k, eps in enumerate(self.epsilons):
+            check_positive("epsilons[%d]" % k, eps)
+        check_positive("m0", self.m0)
         if self.problem == "quartic":
             check_cap("n", self.n)
             if self.dataset_path is not None:
@@ -60,8 +59,8 @@ class RunConfig:
         if isinstance(self.x0, str) and self.x0 not in ("ones", "zeros"):
             raise ValueError("x0 must be 'ones', 'zeros' or a vector, got %r"
                              % self.x0)
-        if self.fd_tau is not None and not 0.0 < self.fd_tau < math.inf:
-            raise ValueError("fd_tau must be finite and positive")
+        if self.fd_tau is not None:
+            check_positive("fd_tau", self.fd_tau)
         check_cap("max_outer", self.max_outer)
         check_cap("max_inner", self.max_inner)
 

@@ -29,7 +29,7 @@ from .model import (
     omega_grad,
     rho_grad,
 )
-from .oracles import check_cap
+from .oracles import check_cap, check_positive
 
 # Residual bound of every secular solve, relative to 1 + ||c||.
 SECULAR_TOL = 1e-12
@@ -89,7 +89,8 @@ def secular_solve(factor, M, c):
                   + (1/2) sqrt(M / 2) sigma^(-3/2).
     A sigma at which the factorization breaks down lies left of the root.
     Newton starts from the root of the isotropic model T = lambda I, with
-    lambda the Rayleigh quotient of c, and stops when phi = 0 or a step
+    lambda the Rayleigh quotient of c (from the bracket's upper end when
+    that root overflows, as at extreme M), and stops when phi = 0 or a step
     moves sigma by at most 4 eps sigma.  A step that leaves the bracket
 
         (M / 2) (||c|| / (lambda_max + sigma_hi))^2  <=  sigma  <=  sigma_hi,
@@ -105,8 +106,7 @@ def secular_solve(factor, M, c):
     SecularSolveError.  c = 0 returns h = 0 exactly; T = 0 (zero Hessian)
     gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
-    if M <= 0.0:
-        raise ValueError("M must be positive")
+    check_positive("M", M)
     d = factor.d
     e_lapack = factor.e_lapack
 
@@ -122,8 +122,13 @@ def secular_solve(factor, M, c):
 
         A breakdown of dpttrf (info > 0: T + sigma I is not numerically
         positive definite, which a singular T allows for tiny sigma) puts
-        sigma left of the root; it is returned as phi = -inf with no h.
+        sigma left of the root; it is returned as phi = -inf with no h.  A
+        sigma that is not positive (a bisection that underflowed) or a NaN
+        phi raises SecularSolveError.
         """
+        if not sigma > 0.0:
+            raise SecularSolveError("secular iterate sigma = %.17g is not "
+                                    "positive at M = %.17g" % (sigma, M))
         ld, le, info = lapack.dpttrf(d + sigma, e_lapack)
         if info > 0:
             return None, 0.0, -math.inf, 1.0
@@ -135,6 +140,9 @@ def secular_solve(factor, M, c):
         hsq = float(np.dot(hh, hh))
         hn = math.sqrt(hsq)
         phi = 1.0 / hn - root_half_m / math.sqrt(sigma)
+        if math.isnan(phi):
+            raise SecularSolveError("secular function is NaN at sigma = "
+                                    "%.17g, M = %.17g" % (sigma, M))
         dphi = (float(np.dot(hh, w)) / (hsq * hn)
                 + 0.5 * root_half_m / (sigma * math.sqrt(sigma)))
         return hh, hn, phi, dphi
@@ -161,7 +169,8 @@ def secular_solve(factor, M, c):
     u = (qh + math.sqrt(qh * qh + p3 * p3 * p3)) ** (1.0 / 3.0)
     v = p3 / u
     r0 = 2.0 * qh / (u * u + u * v + v * v)
-    sigma = min(max(half_m * r0 * r0, lo), hi)
+    sigma = half_m * r0 * r0  # NaN when u overflows: u v = inf 0
+    sigma = min(max(sigma, lo), hi) if math.isfinite(sigma) else hi
 
     for _ in range(_SECULAR_MAXIT):
         hh, hn, phi, dphi = evaluate(sigma)
@@ -298,7 +307,7 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
         Queried only for directional third derivatives, through the anchor's
         oracle point.
     epsilon : float
-        Target gradient norm of the outer run (positive).
+        Target gradient norm of the outer run (finite, positive).
     max_inner : int
         Iteration cap, an integer at least 1.
     trace : callable, optional
@@ -309,8 +318,7 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     -------
     InnerResult
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_positive("epsilon", epsilon)
     check_cap("max_inner", max_inner)
     lips, beta = inner_constants(anchor)
     eps_exit = epsilon / 7.0

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from .oracles import Point, as_point, grad_at, value_at
+from .oracles import Point, as_point, check_positive, grad_at, value_at
 
 # A smallest Hessian eigenvalue below -max(EIG_FLOOR, ROUNDING_C n eps max|T|)
 # is a convexity violation; one between that floor and 0 is rounding noise,
@@ -229,21 +229,18 @@ class ModelAnchor:
         factored in place (see ``tridiagonal_factor``), so an oracle must
         return a fresh array, as the shipped ones do.
         """
-        if M <= 0.0:
-            raise ValueError("regularization level M must be positive")
+        M = check_positive("M", M)
         p = as_point(x)
         g = grad_at(oracle, p)
         factor = tridiagonal_factor(oracle.hessian(p))
         g_hat = factor.qt(g)
         g_hat.setflags(write=False)
         return cls(x=p.x, grad_norm=float(np.linalg.norm(g)), g_hat=g_hat,
-                   factor=factor, M=float(M), point=p)
+                   factor=factor, M=M, point=p)
 
     def with_m(self, M):
         """Same anchor data at a different level M (no oracle calls)."""
-        if M <= 0.0:
-            raise ValueError("regularization level M must be positive")
-        return replace(self, M=float(M))
+        return replace(self, M=check_positive("M", M))
 
     def third_at(self, oracle, h):
         """D3f(x)[h]^2 at this anchor, queried through its oracle point.

@@ -38,6 +38,15 @@ def check_cap(name, cap):
                          % (name, cap))
 
 
+def check_positive(name, value):
+    """``value`` as a float; raise ValueError naming ``name`` unless it is a
+    finite real > 0 (a bool is not)."""
+    if isinstance(value, bool) or not 0.0 < float(value) < math.inf:
+        raise ValueError("%s must be finite and positive, got %r"
+                         % (name, value))
+    return float(value)
+
+
 class CallCounter:
     """Thread-safe per-entry-point call counts for a smooth oracle.
 
@@ -397,8 +406,7 @@ def fd_third_directional(oracle, x, h, tau):
     the order x + tau h, x - tau h, x; two when ``x`` is a ``Point`` that
     holds its gradient (see ``grad_at``).
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError("tau must be finite and positive, got %r" % (tau,))
+    check_positive("tau", tau)
     p = as_point(x)
     h = np.asarray(h, dtype=float)
     gp = oracle.grad(p.x + tau * h)
@@ -417,13 +425,12 @@ class FdThirdOracle(SmoothOracle):
     """
 
     def __init__(self, base, tau):
-        if not 0.0 < tau < math.inf:
-            raise ValueError("tau must be finite and positive, got %r" % (tau,))
+        tau = check_positive("tau", tau)
         super().__init__(base.n)
         self.calls = base.calls
         self.lipschitz_third = base.lipschitz_third
         self.base = base
-        self.tau = float(tau)
+        self.tau = tau
 
     def third_directional(self, x, h):
         """T_tau(h) at x, in place of D3f(x)[h]^2.
@@ -486,9 +493,10 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
     x : array
         Point at which derivatives are compared.
     tol : float
-        Maximum allowed relative error per derivative order.
+        Maximum allowed relative error per derivative order (finite,
+        positive).
     n_directions : int
-        Number of random probe directions.
+        Number of random probe directions, an integer >= 1.
     seed : int
         Seed for the probe-direction generator.
 
@@ -496,6 +504,8 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
     -------
     DerivativeReport
     """
+    check_positive("tol", tol)
+    check_cap("n_directions", n_directions)
     p = Point(x)
     x = p.x
     rng = np.random.default_rng(seed)

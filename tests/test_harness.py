@@ -113,7 +113,8 @@ def test_run_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="m0 must be finite and positive"):
             RunConfig(problem="quartic", n=2, m0=bad)
-        with pytest.raises(ValueError, match="accuracies must be finite"):
+        with pytest.raises(ValueError,
+                           match=r"epsilons\[1\] must be finite and positive"):
             RunConfig(problem="quartic", n=2, epsilons=[1e-2, bad])
     with pytest.raises(ValueError):
         RunConfig(problem="quartic")  # missing dimension
@@ -203,6 +204,7 @@ def test_experiment_bundled_dataset_paper_counters():
             (1e-2, (3, 66, 5, 48)),
             (1e-4, (3, 78, 5, 60)),
             (1e-6, (4, 111, 7, 86)),
+            (1e-8, (4, 122, 7, 97)),
         ],
     }
     for solver, cases in expected.items():

@@ -142,6 +142,31 @@ def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
         secular_solve(tri_factor([1.0, 2.0], [0.5]), 1.0, np.ones(2))
 
 
+@pytest.mark.parametrize("factor, M, c, match", [
+    # At M = 2e-200 the isotropic start overflows (u v = inf 0); the solve
+    # used to run all 100 Newton steps on a NaN bracket end.
+    (ModelAnchor.from_oracle(quartic_oracle(2), np.ones(2), 1.0).factor,
+     2e-200, np.full(2, -4.0 / 3.0), "is not positive at M = 2e-200"),
+    (tri_factor([1.0, 2.0], [0.5]), 2.0, np.array([np.nan, 1.0]),
+     "sigma = nan is not positive at M = 2"),
+    (tri_factor([1.0, np.nan]), 2.0, np.ones(2),
+     "secular function is NaN at sigma = .*, M = 2"),
+])
+def test_secular_non_finite_start_or_phi_fails_at_once(monkeypatch, factor,
+                                                        M, c, match):
+    calls = []
+    real = inner.lapack.dpttrf
+
+    def counting_dpttrf(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inner.lapack, "dpttrf", counting_dpttrf)
+    with pytest.raises(SecularSolveError, match=match):
+        secular_solve(factor, M, c)
+    assert len(calls) <= 3
+
+
 def test_secular_rejects_bad_inputs():
     with pytest.raises(ValueError):
         secular_solve(tri_factor([1.0]), 0.0, np.array([1.0]))
@@ -330,7 +355,8 @@ def test_slow_decay_certificate_unit_cases():
 
 def test_run_inner_validation():
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError,
+                       match="epsilon must be finite and positive"):
         run_inner(anchor, oracle, 0.0)
     with pytest.raises(ValueError, match="max_inner must be at least 1"):
         run_inner(anchor, oracle, 1e-6, max_inner=0)

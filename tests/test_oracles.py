@@ -10,6 +10,11 @@ import pytest
 from scipy.special import expit
 
 from conftest import QuadraticOracle, make_logistic
+from tensormin.accel import solve_a
+from tensormin.basic import run_basic
+from tensormin.harness import RunConfig
+from tensormin.inner import run_inner, secular_solve
+from tensormin.model import ModelAnchor
 from tensormin.oracles import (
     CallCounter,
     Dataset,
@@ -22,6 +27,7 @@ from tensormin.oracles import (
     ZeroComposite,
     as_point,
     check_derivatives,
+    check_positive,
     fd_third_directional,
     grad_at,
     logistic_oracle,
@@ -367,17 +373,50 @@ def test_fd_third_error_decreases_at_least_linearly_in_tau():
     assert errors[2] <= errors[1] / 5.0
 
 
-def test_fd_third_rejects_nonpositive_tau():
-    oracle = quartic_oracle(1)
-    with pytest.raises(ValueError):
-        fd_third_directional(oracle, np.zeros(1), np.ones(1), 0.0)
-    with pytest.raises(ValueError):
-        FdThirdOracle(oracle, -1e-3)
-    for tau in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="tau must be finite and positive"):
-            fd_third_directional(oracle, np.zeros(1), np.ones(1), tau)
-        with pytest.raises(ValueError, match="tau must be finite and positive"):
-            FdThirdOracle(oracle, tau)
+_ANCHOR = ModelAnchor.from_oracle(quartic_oracle(2), np.ones(2), 1.0)
+
+# Each site that takes a positive real: (the name its error gives, a call
+# that passes the value there).
+POSITIVE_SITES = {
+    "level_search-epsilon": ("epsilon", lambda v: run_basic(
+        quartic_oracle(2), ZeroComposite(), np.ones(2), 1.0, v)),
+    "level_search-m0": ("m0", lambda v: run_basic(
+        quartic_oracle(2), ZeroComposite(), np.ones(2), v, 1e-6)),
+    "RunConfig-epsilons": (r"epsilons\[1\]", lambda v: RunConfig(
+        problem="quartic", n=2, epsilons=[1e-2, v])),
+    "RunConfig-m0": ("m0", lambda v: RunConfig(problem="quartic", n=2, m0=v)),
+    "RunConfig-fd_tau": ("fd_tau", lambda v: RunConfig(
+        problem="quartic", n=2, fd_tau=v)),
+    "fd_third_directional": ("tau", lambda v: fd_third_directional(
+        quartic_oracle(2), np.ones(2), np.ones(2), v)),
+    "FdThirdOracle": ("tau", lambda v: FdThirdOracle(quartic_oracle(2), v)),
+    "from_oracle": ("M", lambda v: ModelAnchor.from_oracle(
+        quartic_oracle(2), np.ones(2), v)),
+    "with_m": ("M", lambda v: _ANCHOR.with_m(v)),
+    "secular_solve": ("M", lambda v: secular_solve(_ANCHOR.factor, v,
+                                                   np.ones(2))),
+    "run_inner": ("epsilon", lambda v: run_inner(_ANCHOR, quartic_oracle(2),
+                                                 v)),
+    "solve_a": ("M", lambda v: solve_a(1.0, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, True],
+                         ids=["nan", "inf", "0", "-1", "True"])
+@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+def test_every_positive_real_is_checked_alike(site, bad):
+    # Sites that only refused <= 0 let NaN and inf through (with_m(inf)
+    # returned an anchor, solve_a(1, nan) ran 200 Newton steps), and none
+    # refused a bool.
+    name, call = POSITIVE_SITES[site]
+    with pytest.raises(ValueError, match="^%s must be finite and positive, "
+                                         "got " % name):
+        call(bad)
+
+
+def test_check_positive_returns_a_float():
+    assert check_positive("M", np.float64(2.0)) == 2.0
+    assert type(check_positive("M", 3)) is float
 
 
 def test_fd_oracle_costs_three_gradients_then_two_on_same_point():
@@ -523,6 +562,21 @@ def test_check_derivatives_passes_on_logistic():
     x = np.random.default_rng(14).standard_normal(oracle.n)
     report = check_derivatives(oracle, x, tol=1e-5)
     assert report.passed
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_directions": 0}, "n_directions must be at least 1"),
+    ({"n_directions": -1}, "n_directions must be at least 1"),
+    ({"tol": 0.0}, "tol must be finite and positive"),
+    ({"tol": -1e-5}, "tol must be finite and positive"),
+])
+def test_check_derivatives_refuses_an_audit_that_checks_nothing(kwargs, match):
+    # With no direction every error stayed 0 and the audit passed; no error
+    # can be at most a tolerance <= 0.
+    oracle = quartic_oracle(2)
+    with pytest.raises(ValueError, match=match):
+        check_derivatives(oracle, np.ones(2), **kwargs)
+    assert oracle.calls.total() == 0
 
 
 def test_check_derivatives_flags_a_corrupted_gradient():

@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_logistic
+from conftest import QuadraticOracle, make_logistic
 import tensormin
 from tensormin.accel import run_accel
 from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
 from tensormin.inner import StopReason
-from tensormin.model import SecularSolveError
+from tensormin.model import ConvexityError, SecularSolveError
 from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
                                ZeroComposite, logistic_oracle, quartic_oracle)
 
@@ -374,6 +374,27 @@ def test_extreme_levels_fail_typed_and_name_the_level(solve, m0, error):
     with pytest.raises(error, match="M = "):
         solve(oracle, ZeroComposite(), np.ones(2), m0, 1e-6)
     assert oracle.calls.total() <= 40
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+@pytest.mark.parametrize("oracle, m0, error, message, calls", [
+    (QuadraticOracle(np.diag([1.0, -1.0]), np.ones(2)), 1.0, ConvexityError,
+     "level M = 2.000e+00: anchor Hessian has smallest eigenvalue", 2),
+    (quartic_oracle(2), 1e-200, SecularSolveError,
+     "level M = 2.000e-200: secular iterate sigma = 0", 2),
+    # The level 2 m0 is inf: refused before any oracle call, naming m0.
+    (quartic_oracle(2), 1e308, LevelSearchError,
+     "level M = inf: OverflowError: the level overflowed float range "
+     "(m0 = 1.000e+308)", 0),
+], ids=["nonconvex", "secular", "overflow"])
+def test_step_failures_name_the_outer_step_level_index_and_level(
+        solve, oracle, m0, error, message, calls):
+    oracle.calls.reset()
+    with pytest.raises(error) as info:
+        solve(oracle, ZeroComposite(), np.ones(2), m0, 1e-6)
+    assert str(info.value).startswith(
+        "outer step t=0, level index i=1, " + message)
+    assert oracle.calls.total() == calls
 
 
 def test_overflowing_oracle_fails_typed_without_numpy_warnings():
