@@ -39,6 +39,7 @@ import numpy as np
 
 from .basic import MAX_OUTER, decrease_rhs, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
+from .model import WeightEquationError
 from .oracles import as_point, check_positive, grad_at, value_at
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
@@ -59,18 +60,22 @@ def solve_a(a_prev_total, m_level):
     p >= 0 at gamma_0 = min(1, (k / A)^(1/4)), so the root is unique and
     Newton's method started at gamma_0 decreases monotonically to it.  It
     stops when p(gamma) <= 0 (rounding has reached the root) or the step is
-    at most 4 eps gamma, and raises RuntimeError after 200 steps.  A = 0
-    gives gamma = 1 and a = k exactly.  gamma_0 is formed from fourth roots
-    of k and A separately, so no A or M in float range overflows.
+    at most 4 eps gamma.  A = 0 gives gamma = 1 and a = k exactly.
 
-    The root satisfies |p(gamma)| <= 1e-12 (k + A gamma^4); a miss raises
-    RuntimeError.
+    The root satisfies |p(gamma)| <= 1e-12 (k + A gamma^4) for M in
+    [1e-300, 1e300], A <= 1e307 and A M <= 1e300.  Beyond that k may be 0 or
+    infinite, gamma^4 may underflow or 4 A gamma^3 overflow; a k of 0 or
+    inf, 200 Newton steps without convergence and a residual miss each
+    raise ``WeightEquationError``.
     """
     A = float(a_prev_total)
     if A < 0.0:
         raise ValueError("accumulated weight A must be nonnegative")
     check_positive("M", m_level)
     k = 16.0 / (_SCALE * m_level)
+    if not 0.0 < k < math.inf:
+        raise WeightEquationError("weight-equation scale k = 16 / (18^3 M) "
+                                  "is %g at M = %.17g" % (k, m_level))
 
     def p(g):
         return A * g**4 - k * (1.0 - g)
@@ -85,13 +90,14 @@ def solve_a(a_prev_total, m_level):
         if step <= _STEP_RTOL * g:
             break
     else:
-        raise RuntimeError(
+        raise WeightEquationError(
             "weight-equation Newton iteration did not converge in %d steps "
             "(A = %.17g, M = %.17g)" % (_MAX_NEWTON_STEPS, A, m_level))
 
     res = abs(p(g))
     if res > _WEIGHT_TOL * (k + A * g**4):
-        raise RuntimeError("weight-equation residual %.3e exceeds tolerance" % res)
+        raise WeightEquationError(
+            "weight-equation residual %.3e exceeds tolerance" % res)
     return k / g**3
 
 

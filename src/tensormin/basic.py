@@ -20,7 +20,8 @@ import time
 import numpy as np
 
 from .inner import MAX_INNER, StopReason, run_inner
-from .model import ConvexityError, ModelAnchor, SecularSolveError
+from .model import (ConvexityError, ModelAnchor, SecularSolveError,
+                    WeightEquationError)
 from .oracles import (OracleError, ZeroComposite, as_point, check_cap,
                       check_positive, grad_at, value_at)
 from .reports import RunReport
@@ -158,7 +159,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
     ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
     nothing below these checks refers to psi.  An ``OracleError``,
-    ``ConvexityError`` or ``SecularSolveError`` raised during outer step t
+    ``ConvexityError``, ``SecularSolveError`` or ``WeightEquationError``
+    (the accelerated step's weight solve) raised during outer step t
     at level index i is re-raised as its own type with t, i and the level M
     added to its message, and an ``ArithmeticError`` as
     ``LevelSearchError`` naming the same; a level 2^i M_t that overflows to
@@ -322,7 +324,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
             logger.warning("outer iteration cap %d hit at epsilon %g",
                            max_outer, eps)
     except (OracleError, ConvexityError, SecularSolveError,
-            ArithmeticError) as exc:
+            WeightEquationError, ArithmeticError) as exc:
         where = ("outer step t=%d, level index i=%d, level M = %.3e"
                  % (t, i, m_level))
         if isinstance(exc, ArithmeticError):

@@ -5,7 +5,7 @@
 Exit status: 0 when every accuracy target was reached, 2 when any run hit an
 iteration cap, 1 on usage or I/O errors and on a run's typed failure
 (``OracleError``, ``ConvexityError``, ``SecularSolveError``,
-``LevelSearchError``), each reported in one line.
+``WeightEquationError``, ``LevelSearchError``), each reported in one line.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .basic import MAX_OUTER, LevelSearchError
+from .basic import LevelSearchError
 from .harness import RunConfig, run_experiment
-from .inner import MAX_INNER
-from .model import ConvexityError, SecularSolveError
+from .model import ConvexityError, SecularSolveError, WeightEquationError
 from .oracles import OracleError
 from .reports import FORMATS, emit_report
 
@@ -56,25 +55,27 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a solver over an accuracy sweep")
-    solve.add_argument("--problem", required=True, choices=("logistic", "quartic"))
+    solve.add_argument("--problem", required=True, choices=RunConfig.PROBLEMS)
     solve.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
                        help="CSV path (logistic)")
     solve.add_argument("--has-header", action="store_true",
                        help="skip the first CSV row")
     solve.add_argument("--n", type=int, help="dimension (quartic)")
-    solve.add_argument("--solver", required=True, choices=("basic", "accel"))
+    solve.add_argument("--solver", required=True, choices=RunConfig.SOLVERS)
     solve.add_argument("--eps", dest="epsilons", required=True, type=_eps_list,
                        metavar="E1,E2,...",
                        help="comma-separated target gradient norms")
-    solve.add_argument("--m0", type=float, default=1.0,
-                       help="initial level estimate (default 1)")
-    solve.add_argument("--x0", choices=("ones", "zeros"), default="ones",
-                       help="starting point policy (default ones)")
-    solve.add_argument("--fd-tau", type=float, default=None,
+    solve.add_argument("--m0", type=float, default=RunConfig.m0,
+                       help="initial level estimate (default %(default)s)")
+    solve.add_argument("--x0", choices=RunConfig.X0_POLICIES, default=RunConfig.x0,
+                       help="starting point policy (default %(default)s)")
+    solve.add_argument("--fd-tau", type=float, default=RunConfig.fd_tau,
                        help="replace third derivatives by gradient differences "
                             "with this step")
-    solve.add_argument("--max-outer", type=int, default=MAX_OUTER)
-    solve.add_argument("--max-inner", type=int, default=MAX_INNER)
+    solve.add_argument("--max-outer", type=int, default=RunConfig.max_outer,
+                       help="outer step cap (default %(default)s)")
+    solve.add_argument("--max-inner", type=int, default=RunConfig.max_inner,
+                       help="inner iteration cap (default %(default)s)")
     solve.add_argument("--trace", metavar="PATH",
                        help="write per-iteration JSON lines here")
     solve.add_argument("--format", choices=FORMATS, default="table")
@@ -108,7 +109,7 @@ def main(argv=None):
         else:
             emit_report(reports, format=args.format)
     except (OSError, ValueError, OracleError, ConvexityError,
-            SecularSolveError, LevelSearchError) as exc:
+            SecularSolveError, WeightEquationError, LevelSearchError) as exc:
         sys.stderr.write("tensormin: error: %s\n" % exc)
         return 1
     finally:

@@ -26,22 +26,26 @@ from .oracles import (Dataset, FdThirdOracle, ZeroComposite, check_cap,
 class RunConfig:
     """One harness invocation: a problem, a solver, and an accuracy sweep."""
 
-    problem: str                      # "logistic" | "quartic"
-    solver: str = "basic"             # "basic" | "accel"
+    PROBLEMS = ("logistic", "quartic")  # the choices of the string fields
+    SOLVERS = ("basic", "accel")
+    X0_POLICIES = ("ones", "zeros")
+
+    problem: str                      # one of PROBLEMS
+    solver: str = "basic"             # one of SOLVERS
     epsilons: list = field(default_factory=lambda: [1e-2, 1e-4, 1e-6, 1e-8])
     dataset_path: str | None = None   # logistic only; None => bundled dataset
     has_header: bool = False
     n: int | None = None              # quartic dimension
     m0: float = 1.0
-    x0: str | np.ndarray = "ones"     # "ones" | "zeros" | explicit vector
+    x0: str | np.ndarray = "ones"     # one of X0_POLICIES, or a vector
     fd_tau: float | None = None       # replace third derivatives by differences
     max_outer: int = MAX_OUTER
     max_inner: int = MAX_INNER
 
     def __post_init__(self):
-        if self.problem not in ("logistic", "quartic"):
+        if self.problem not in self.PROBLEMS:
             raise ValueError("problem must be 'logistic' or 'quartic'")
-        if self.solver not in ("basic", "accel"):
+        if self.solver not in self.SOLVERS:
             raise ValueError("solver must be 'basic' or 'accel'")
         if not self.epsilons:
             raise ValueError("at least one target accuracy is required")
@@ -56,7 +60,7 @@ class RunConfig:
         elif self.n is not None:
             raise ValueError("n only applies to the quartic problem, got %r"
                              % (self.n,))
-        if isinstance(self.x0, str) and self.x0 not in ("ones", "zeros"):
+        if isinstance(self.x0, str) and self.x0 not in self.X0_POLICIES:
             raise ValueError("x0 must be 'ones', 'zeros' or a vector, got %r"
                              % self.x0)
         if self.fd_tau is not None:
@@ -75,12 +79,16 @@ def load_dataset(path, has_header=False):
 
     An all-ones intercept column is prepended to the features.  Malformed
     rows, ragged rows, non-finite cells and non-binary labels are reported
-    with their row number (1-based, counting the header if present), and a
-    file that is not UTF-8 text by the offset of its first undecodable byte.
+    with their row number (1-based, counting the header if present), a
+    non-numeric cell also with its column and text, and a file that is not
+    UTF-8 text by the offset of its first undecodable byte.  A leading UTF-8
+    byte-order mark is ignored.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            # Dropping a byte-order mark ("CSV UTF-8") after decoding, unlike
+            # "utf-8-sig", keeps offsets counted from the file's first byte.
+            text = fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ValueError(
                 "dataset %s is not UTF-8 text (byte 0x%02x at offset %d)"
@@ -103,10 +111,13 @@ def load_dataset(path, has_header=False):
             raise ValueError(
                 "row %d has %d columns, expected %d" % (lineno, len(record), width)
             )
-        try:
-            vals = [float(cell) for cell in record]
-        except ValueError:
-            raise ValueError("row %d contains a non-numeric cell" % lineno) from None
+        vals = []
+        for col, cell in enumerate(record, start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise ValueError("row %d contains a non-numeric cell in "
+                                 "column %d: %r" % (lineno, col, cell)) from None
         if not all(map(math.isfinite, vals)):
             raise ValueError("row %d contains a non-finite cell" % lineno)
         if vals[-1] not in (0.0, 1.0):

@@ -68,6 +68,12 @@ class SecularSolveError(RuntimeError):
     """
 
 
+class WeightEquationError(RuntimeError):
+    """``accel.solve_a`` found no root of the weight equation it can certify
+    (here so that ``basic.level_search``, which accel imports, can name it).
+    """
+
+
 def lapack_check(routine, info, sigma=None):
     """Raise SecularSolveError for a nonzero LAPACK ``info``."""
     if info != 0:

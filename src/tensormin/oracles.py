@@ -61,11 +61,7 @@ class CallCounter:
     def __init__(self):
         self._lock = threading.Lock()
         self._thread = threading.local()
-        self.value = 0
-        self.grad = 0
-        self.hessian = 0
-        self.third = 0
-        self.trace = 0
+        self.reset()
 
     def bump(self, name):
         with self._lock:
@@ -74,8 +70,7 @@ class CallCounter:
 
     def total(self):
         """Total number of entry-point invocations across all five kinds."""
-        with self._lock:
-            return self.value + self.grad + self.hessian + self.third + self.trace
+        return sum(self.snapshot().values())
 
     def thread_total(self):
         """Invocations made so far by the calling thread; ``reset`` leaves
@@ -94,8 +89,7 @@ class CallCounter:
 
     def __repr__(self):
         return "CallCounter(%s)" % ", ".join(
-            "%s=%d" % (k, v) for k, v in self.snapshot().items()
-        )
+            "%s=%d" % kv for kv in self.snapshot().items())
 
 
 class OracleError(RuntimeError):
@@ -147,29 +141,17 @@ def grad_at(oracle, p):
 _EPS = np.finfo(float).eps
 
 
-def _finite(entry, compute):
-    """``compute()``, run without NumPy floating-point warnings, checked to
-    be finite (else OracleError naming ``entry``)."""
-    with np.errstate(all="ignore"):
-        out = compute()
-    if not np.isfinite(out).all():
-        raise OracleError("%s returned a non-finite result" % entry)
-    return out
-
-
 class SmoothOracle(ABC):
     """Smooth convex objective queried through counted entry points.
 
     Subclasses implement the four hooks ``_value``, ``_grad``, ``_hessian``
     and ``_third_directional``, which receive the query as a ``Point`` (and
-    ``h`` as an array); the public methods validate dimensions, maintain
-    ``self.calls``, run the hooks without NumPy floating-point warnings and
-    check that results are finite; every call is counted and evaluated
-    afresh (see ``value_at``).  ``_hessian`` must return a fresh
+    ``h`` as an array).  Each public entry point is one call of ``_call``,
+    the one path that checks shapes, counts the call in ``self.calls``, runs
+    the hook afresh without NumPy floating-point warnings (see ``value_at``)
+    and checks that its result is finite.  ``_hessian`` must return a fresh
     array, because the anchor factors it in place (see
-    ``ModelAnchor.from_oracle``).  ``lipschitz_third`` optionally reports a
-    Lipschitz constant of the third derivative when one is known in closed
-    form, else ``None``.
+    ``ModelAnchor.from_oracle``).
 
     Attributes
     ----------
@@ -178,7 +160,8 @@ class SmoothOracle(ABC):
     calls : CallCounter
         Per-entry-point invocation counts.
     lipschitz_third : float or None
-        Known Lipschitz constant of the third derivative, if any.
+        Lipschitz constant of the third derivative when known in closed
+        form, else None.
     """
 
     def __init__(self, n):
@@ -187,55 +170,52 @@ class SmoothOracle(ABC):
         self.calls = CallCounter()
         self.lipschitz_third = None
 
-    def _check_shape(self, x, name):
-        if x.shape != (self.n,):
-            raise ValueError(
-                "%s has shape %s, expected (%d,)" % (name, x.shape, self.n)
-            )
-        return x
-
-    def _as_point(self, x):
+    def _call(self, kind, entry, x, hook, *args):
+        """``hook(p, *args)`` at the ``Point`` p of x: every entry point's one
+        path.  x and h (the only hook argument) must have shape (n,), else
+        ValueError before anything is counted; the call is counted under
+        ``kind`` (unless None), run without NumPy floating-point warnings and
+        checked to be finite, else OracleError naming ``entry``."""
         p = as_point(x)
-        self._check_shape(p.x, "x")
-        return p
+        args = [np.asarray(a, dtype=float) for a in args]
+        for name, a in zip("xh", (p.x, *args)):
+            if a.shape != (self.n,):
+                raise ValueError("%s has shape %s, expected (%d,)"
+                                 % (name, a.shape, self.n))
+        if kind is not None:
+            self.calls.bump(kind)
+        with np.errstate(all="ignore"):
+            out = hook(p, *args)
+        if not np.isfinite(out).all():
+            raise OracleError("%s returned a non-finite result" % entry)
+        return out
 
     # -- counted entry points -------------------------------------------------
 
     def value(self, x):
         """Objective value f(x)."""
-        p = self._as_point(x)
-        self.calls.bump("value")
-        return _finite("value", lambda: float(self._value(p)))
+        return float(self._call("value", "value", x, self._value))
 
     def grad(self, x):
         """Gradient of f at x."""
-        p = self._as_point(x)
-        self.calls.bump("grad")
-        return _finite("grad", lambda: self._grad(p))
+        return self._call("grad", "grad", x, self._grad)
 
     def hessian(self, x):
         """Hessian of f at x as a symmetric (n, n) array."""
-        p = self._as_point(x)
-        self.calls.bump("hessian")
-        return _finite("hessian", lambda: self._hessian(p))
+        return self._call("hessian", "hessian", x, self._hessian)
 
     def third_directional(self, x, h):
         """The vector D3f(x)[h]^2: third derivative applied to (h, h).
 
         Only this directional form is ever exposed; no n**3 tensor is built.
         """
-        p = self._as_point(x)
-        h = self._check_shape(np.asarray(h, dtype=float), "h")
-        self.calls.bump("third")
-        return _finite("third_directional",
-                       lambda: self._third_directional(p, h))
+        return self._call("third", "third_directional", x,
+                          self._third_directional, h)
 
     def hessian_trace(self, x):
         """Trace of the Hessian at x, that of the ``_hessian`` matrix."""
-        p = self._as_point(x)
-        self.calls.bump("trace")
-        return _finite("hessian_trace",
-                       lambda: float(np.trace(self._hessian(p))))
+        return float(self._call("trace", "hessian_trace", x,
+                                lambda p: np.trace(self._hessian(p))))
 
     # -- hooks ----------------------------------------------------------------
 
@@ -421,35 +401,22 @@ class FdThirdOracle(SmoothOracle):
     The value, gradient and Hessian hooks are the base's, and the counter is
     the base's.  ``third_directional`` costs counted gradient calls, not a
     ``third`` call: two at x +- tau h, plus the one at x unless the query
-    ``Point`` holds it (see ``grad_at``), as an anchor's does.
+    ``Point`` holds it (see ``grad_at``), as an anchor's does.  A nonzero h
+    with tau ||h|| <= eps ||x||, where x +- tau h round to x and T_tau would
+    be zero, raises OracleError naming tau.
     """
 
     def __init__(self, base, tau):
-        tau = check_positive("tau", tau)
         super().__init__(base.n)
         self.calls = base.calls
         self.lipschitz_third = base.lipschitz_third
         self.base = base
-        self.tau = tau
+        self.tau = check_positive("tau", tau)
 
     def third_directional(self, x, h):
-        """T_tau(h) at x, in place of D3f(x)[h]^2.
-
-        A nonzero h with tau ||h|| <= eps ||x|| (eps the machine epsilon),
-        where x +- tau h round to x and T_tau would be zero, and a
-        non-finite T_tau (tau^2 underflowing, say) raise an ``OracleError``
-        naming tau, without NumPy warnings.
-        """
-        p = self._as_point(x)
-        h = self._check_shape(np.asarray(h, dtype=float), "h")
-        h_norm = float(np.linalg.norm(h))
-        if h_norm > 0.0 and self.tau * h_norm <= _EPS * np.linalg.norm(p.x):
-            raise OracleError(
-                "third_directional (tau=%r): the difference step tau ||h|| = "
-                "%.3e is at most eps ||x||, so x +- tau h round to x"
-                % (self.tau, self.tau * h_norm))
-        return _finite("third_directional (tau=%r)" % self.tau,
-                       lambda: self._third_directional(p, h))
+        """T_tau(h) at x, in place of D3f(x)[h]^2, counted as its gradients."""
+        return self._call(None, "third_directional (tau=%r)" % self.tau, x,
+                          self._third_directional, h)
 
     def _value(self, p):
         return self.base._value(p)
@@ -461,6 +428,12 @@ class FdThirdOracle(SmoothOracle):
         return self.base._hessian(p)
 
     def _third_directional(self, p, h):
+        h_norm = float(np.linalg.norm(h))
+        if h_norm > 0.0 and self.tau * h_norm <= _EPS * np.linalg.norm(p.x):
+            raise OracleError(
+                "third_directional (tau=%r): the difference step tau ||h|| = "
+                "%.3e is at most eps ||x||, so x +- tau h round to x"
+                % (self.tau, self.tau * h_norm))
         return fd_third_directional(self, p, h, self.tau)
 
 

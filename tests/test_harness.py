@@ -4,12 +4,13 @@ exit codes."""
 import io
 import json
 import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 import tensormin.harness as harness
-from tensormin.cli import main
+from tensormin.cli import build_parser, main
 from tensormin.harness import (
     RunConfig,
     bundled_dataset_path,
@@ -75,6 +76,9 @@ def test_load_dataset_error_diagnostics(tmp_path):
         load_dataset(write(tmp_path, "rag.csv", "1,0\n1,2,0\n"))
     with pytest.raises(ValueError, match="row 1 contains a non-numeric cell"):
         load_dataset(write(tmp_path, "txt.csv", "one,0\n"))
+    with pytest.raises(ValueError, match="^row 2 contains a non-numeric cell "
+                       "in column 2: '1,5'$"):
+        load_dataset(write(tmp_path, "comma.csv", '1,2,0\n3,"1,5",1\n'))
     with pytest.raises(ValueError, match="row 1 has 1 columns"):
         load_dataset(write(tmp_path, "thin.csv", "1\n0\n"))
     with pytest.raises(ValueError, match="no data rows"):
@@ -85,6 +89,22 @@ def test_load_dataset_error_diagnostics(tmp_path):
         load_dataset(write(tmp_path, "inf.csv", NON_FINITE_CSV.split("\n", 2)[2]))
     with pytest.raises(ValueError, match="is not UTF-8 text .*byte 0xff"):
         load_dataset(write_bytes(tmp_path, "latin1.csv", NON_UTF8_CSV))
+
+
+def test_load_dataset_ignores_a_utf8_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with the mark EF BB BF.
+    text = "feat,label\n1.5,0\n2,1\n"
+    plain = load_dataset(write(tmp_path, "plain.csv", text), has_header=True)
+    bom = b"\xef\xbb\xbf"
+    for name, data in (("bom.csv", bom + text.encode()),
+                       ("bom_noheader.csv", bom + text.split("\n", 1)[1].encode())):
+        marked = load_dataset(write_bytes(tmp_path, name, data),
+                              has_header=name == "bom.csv")
+        assert np.array_equal(marked.features, plain.features)
+        assert np.array_equal(marked.labels, plain.labels)
+    # Offsets of undecodable bytes still count from the file's first byte.
+    with pytest.raises(ValueError, match="byte 0xff at offset 7"):
+        load_dataset(write_bytes(tmp_path, "bom_latin1.csv", bom + NON_UTF8_CSV))
 
 
 def test_bundled_dataset_loads():
@@ -472,6 +492,14 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
     assert err.startswith("tensormin: error: epsilon=1e-06: outer step t=0")
     assert err.count("\n") == 1
     assert "level M = " in err
+    # So is a weight equation with no representable root.
+    assert main(["solve", "--problem", "quartic", "--n", "2",
+                 "--solver", "accel", "--eps", "1e-6", "--m0", "5e-324"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tensormin: error: epsilon=1e-06: outer step t=0, "
+                          "level index i=1, level M = 9.881e-324: "
+                          "weight-equation scale")
+    assert err.count("\n") == 1
 
 
 def test_cli_format_choices_are_the_report_formats(capsys):
@@ -479,6 +507,26 @@ def test_cli_format_choices_are_the_report_formats(capsys):
     usage = capsys.readouterr().out
     choices = re.search(r"--format \{([^}]*)\}", usage).group(1)
     assert tuple(choices.split(",")) == FORMATS
+
+
+def test_cli_choices_and_defaults_are_run_configs(capsys):
+    assert main(["solve", "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    for flag, valid in (("--problem", RunConfig.PROBLEMS),
+                        ("--solver", RunConfig.SOLVERS),
+                        ("--x0", RunConfig.X0_POLICIES)):
+        choices = re.search(r"%s \{([^}]*)\}" % flag, usage).group(1)
+        assert tuple(choices.split(",")) == valid
+    for flag, name in (("--m0 M0", "m0"), ("--x0 {ones,zeros}", "x0"),
+                       ("--max-outer MAX_OUTER", "max_outer"),
+                       ("--max-inner MAX_INNER", "max_inner")):
+        assert re.search(r"%s [^-]*\(default %s\)" % (
+            re.escape(flag), re.escape(str(getattr(RunConfig, name)))), usage)
+    args = build_parser().parse_args(["solve", "--problem", "quartic",
+                                      "--solver", "basic", "--eps", "1"])
+    for f in fields(RunConfig):
+        if f.default is not MISSING:
+            assert getattr(args, f.name) == f.default, f.name
 
 
 def test_cli_non_finite_dataset_cell_exits_one(tmp_path, capsys):

@@ -195,16 +195,49 @@ def test_logistic_hessian_matches_the_general_product():
             assert np.linalg.norm(H - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+# Each entry point: its counter, the hook whose output it checks, and its
+# arguments after x.
+ENTRY_POINTS = [("value", "value", "_value", ()),
+                ("grad", "grad", "_grad", ()),
+                ("hessian", "hessian", "_hessian", ()),
+                ("third_directional", "third", "_third_directional",
+                 (np.ones(3),)),
+                ("hessian_trace", "trace", "_hessian", ())]
+
+
 def test_query_dimension_is_validated():
-    oracle = quartic_oracle(3)
-    with pytest.raises(ValueError):
-        oracle.value(np.zeros(2))
-    with pytest.raises(ValueError):
-        oracle.grad(np.zeros(4))
-    with pytest.raises(ValueError):
-        oracle.third_directional(np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        oracle.hessian(as_point(np.zeros(2)))
+    # Every entry point of both oracles takes the one call path: a wrong
+    # shape fails before anything is counted, a non-finite hook output is an
+    # OracleError naming the entry point, and the finite-difference third
+    # derivative is counted as its gradient calls, never as a third call.
+    for fd in (False, True):
+        for entry, kind, hook, args in ENTRY_POINTS:
+            oracle = quartic_oracle(3)
+            name = entry
+            if fd:
+                oracle = FdThirdOracle(oracle, 1e-3)
+                if kind == "third":
+                    kind, name = None, "third_directional (tau=0.001)"
+            call = getattr(oracle, entry)
+            call(np.ones(3), *args)
+            before = oracle.calls.snapshot()
+            with pytest.raises(ValueError, match="^x has shape"):
+                call(np.zeros(2), *args)
+            with pytest.raises(ValueError, match="^x has shape"):
+                call(as_point(np.zeros(4)), *args)
+            if args:
+                with pytest.raises(ValueError, match="^h has shape"):
+                    call(np.zeros(3), np.zeros(2))
+            assert oracle.calls.snapshot() == before
+
+            setattr(oracle, hook, lambda p, *_: np.full((3, 3), np.nan))
+            with pytest.raises(OracleError, match="^%s returned a non-finite "
+                               "result$" % re.escape(name)):
+                call(np.ones(3), *args)
+            if kind is not None:
+                before[kind] += 1
+            assert oracle.calls.snapshot() == before
+            assert not fd or before["third"] == 0
 
 
 @pytest.mark.parametrize("bad", [0, -1, 3.5, 3.0, True, "3", None])

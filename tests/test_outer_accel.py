@@ -22,6 +22,7 @@ from conftest import LowerBoundQuartic, iterate_rows, make_logistic
 from tensormin.basic import run_basic
 from tensormin.harness import bundled_dataset_path, load_dataset
 from tensormin.inner import StopReason
+from tensormin.model import WeightEquationError
 from tensormin.oracles import (
     OracleError,
     QuarticOracle,
@@ -161,6 +162,30 @@ def test_solve_a_roots_where_a_to_the_fourth_overflows():
         lhs = 4.0 * math.log(a)
         rhs = math.log(16.0 / (_SCALE * M)) + 3.0 * math.log(A + a)
         assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
+
+
+def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond():
+    # The stated range: M in [1e-300, 1e300], A <= 1e307 and A M <= 1e300,
+    # checked in logarithms, 4 log a = log k + 3 log(A + a), at its corners
+    # and at log-uniform samples.
+    rng = np.random.default_rng(43)
+    cases = [(0.0, 1e-300), (0.0, 1e300), (1e-300, 1e300), (1e307, 1e-300),
+             (1e307, 1e-7)]
+    for _ in range(2000):
+        log_m = rng.uniform(-300.0, 300.0)
+        log_a = rng.uniform(-320.0, min(307.0, 300.0 - log_m))
+        cases.append((10.0**log_a, 10.0**log_m))
+    for A, M in cases:
+        a = solve_a(A, M)
+        lhs = 4.0 * math.log(a)
+        rhs = math.log(16.0 / (_SCALE * M)) + 3.0 * math.log(A + a)
+        assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs)), (A, M)
+    # Beyond it: k overflows to inf, k underflows to 0 (it used to divide by
+    # zero), gamma^4 underflows, and 4 A gamma^3 overflows.
+    for A, M in ((0.0, 5e-324), (1e308, 1e308), (1e300, 1e300),
+                 (1.7e308, 1e-300)):
+        with pytest.raises(WeightEquationError, match="weight-equation"):
+            solve_a(A, M)
 
 
 # -- mixture and acceptance test ------------------------------------------------------

@@ -13,7 +13,8 @@ import tensormin
 from tensormin.accel import run_accel
 from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
 from tensormin.inner import StopReason
-from tensormin.model import ConvexityError, SecularSolveError
+from tensormin.model import (ConvexityError, SecularSolveError,
+                             WeightEquationError)
 from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
                                ZeroComposite, logistic_oracle, quartic_oracle)
 
@@ -362,31 +363,49 @@ def test_run_basic_level_doubling_failure_is_typed_and_named():
     assert "decrease f_x - f_trial = 0.000e+00" in msg
 
 
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-@pytest.mark.parametrize("m0, error", [(1e-300, LevelSearchError),
-                                       (1e-200, SecularSolveError),
-                                       (1e300, LevelSearchError)])
-def test_extreme_levels_fail_typed_and_name_the_level(solve, m0, error):
+@pytest.mark.parametrize("m0, error, solve", [
+    (1e-300, LevelSearchError, run_basic),
+    (1e-300, LevelSearchError, run_accel),
+    (1e-200, SecularSolveError, run_basic),
+    (1e-200, SecularSolveError, run_accel),
+    (1e300, LevelSearchError, run_basic),
+    (1e300, WeightEquationError, run_accel),
+])
+def test_extreme_levels_fail_typed_and_name_the_level(m0, error, solve):
     # Near the ends of float range the inner solver's arithmetic overflows
-    # or divides by zero (then the level search names t, i and M), or a
-    # secular solve fails (and names M), soon after the start.
+    # or divides by zero (then the level search names t, i and M), a
+    # secular solve fails (and names M), or, for the accelerated method,
+    # the weight equation's scale 16 / (18^3 M) underflows to 0 at
+    # M = 3.3e304, soon after the start.
     oracle = quartic_oracle(2)
     with pytest.raises(error, match="M = "):
         solve(oracle, ZeroComposite(), np.ones(2), m0, 1e-6)
     assert oracle.calls.total() <= 40
 
 
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-@pytest.mark.parametrize("oracle, m0, error, message, calls", [
-    (QuadraticOracle(np.diag([1.0, -1.0]), np.ones(2)), 1.0, ConvexityError,
-     "level M = 2.000e+00: anchor Hessian has smallest eigenvalue", 2),
-    (quartic_oracle(2), 1e-200, SecularSolveError,
-     "level M = 2.000e-200: secular iterate sigma = 0", 2),
+STEP_FAILURES = {
+    "nonconvex": (QuadraticOracle(np.diag([1.0, -1.0]), np.ones(2)), 1.0,
+                  ConvexityError, "level M = 2.000e+00: anchor Hessian has "
+                  "smallest eigenvalue", 2),
+    "secular": (quartic_oracle(2), 1e-200, SecularSolveError,
+                "level M = 2.000e-200: secular iterate sigma = 0", 2),
     # The level 2 m0 is inf: refused before any oracle call, naming m0.
-    (quartic_oracle(2), 1e308, LevelSearchError,
-     "level M = inf: OverflowError: the level overflowed float range "
-     "(m0 = 1.000e+308)", 0),
-], ids=["nonconvex", "secular", "overflow"])
+    "overflow": (quartic_oracle(2), 1e308, LevelSearchError,
+                 "level M = inf: OverflowError: the level overflowed float "
+                 "range (m0 = 1.000e+308)", 0),
+}
+
+
+@pytest.mark.parametrize("solve, oracle, m0, error, message, calls", [
+    pytest.param(solve, *case, id="%s-%s" % (name, solve.__name__))
+    for name, case in STEP_FAILURES.items() for solve in (run_basic, run_accel)
+] + [
+    # 16 / (18^3 M) overflows at the first level, so the weight equation
+    # fails before any oracle call.
+    pytest.param(run_accel, quartic_oracle(2), 5e-324, WeightEquationError,
+                 "level M = 9.881e-324: weight-equation scale k = "
+                 "16 / (18^3 M) is inf", 0, id="weight-run_accel"),
+])
 def test_step_failures_name_the_outer_step_level_index_and_level(
         solve, oracle, m0, error, message, calls):
     oracle.calls.reset()
