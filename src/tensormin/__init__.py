@@ -8,23 +8,14 @@ level M, is adapted automatically by doubling on a slow-convergence
 certificate and halving after accepted steps.
 """
 
-from .accel import run_accel
+from .accel import WeightEquationError, run_accel
 from .basic import LevelSearchError, run_basic
 from .harness import RunConfig, bundled_dataset_path, load_dataset, run_experiment
 from .model import ConvexityError, SecularSolveError
-from .oracles import (
-    Dataset,
-    DerivativeReport,
-    FdThirdOracle,
-    LogisticOracle,
-    OracleError,
-    QuarticOracle,
-    SmoothOracle,
-    ZeroComposite,
-    check_derivatives,
-    logistic_oracle,
-    quartic_oracle,
-)
+from .oracles import (Dataset, DerivativeReport, FdThirdOracle,
+                      LogisticOracle, OracleError, QuarticOracle, SmoothOracle,
+                      SolveError, ZeroComposite, check_derivatives,
+                      logistic_oracle, quartic_oracle)
 from .reports import RunReport, emit_report, parse_report_csv
 
 __version__ = "0.1.0"
@@ -35,7 +26,8 @@ __all__ = [
     "ConvexityError", "Dataset", "DerivativeReport", "FdThirdOracle",
     "LevelSearchError", "LogisticOracle", "OracleError", "QuarticOracle",
     "RunConfig", "RunReport", "SecularSolveError", "SmoothOracle",
-    "ZeroComposite", "bundled_dataset_path", "check_derivatives", "emit_report",
-    "load_dataset", "logistic_oracle", "parse_report_csv", "quartic_oracle",
-    "run_accel", "run_basic", "run_experiment",
+    "SolveError", "WeightEquationError", "ZeroComposite",
+    "bundled_dataset_path", "check_derivatives", "emit_report", "load_dataset",
+    "logistic_oracle", "parse_report_csv", "quartic_oracle", "run_accel",
+    "run_basic", "run_experiment",
 ]

@@ -39,14 +39,17 @@ import numpy as np
 
 from .basic import MAX_OUTER, decrease_rhs, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
-from .model import WeightEquationError
-from .oracles import as_point, check_positive, grad_at, value_at
+from .oracles import SolveError, as_point, check_positive, grad_at, value_at
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 _MAX_NEWTON_STEPS = 200
 _STEP_RTOL = 4.0 * np.finfo(float).eps
 # Residual bound of the weight equation in gamma form, relative to k + A gamma^4.
 _WEIGHT_TOL = 1e-12
+
+
+class WeightEquationError(SolveError):
+    """``solve_a`` found no root of the weight equation it can certify."""
 
 
 def solve_a(a_prev_total, m_level):
@@ -85,7 +88,7 @@ def solve_a(a_prev_total, m_level):
         val = p(g)
         if val <= 0.0:
             break
-        step = val / (4.0 * A * g**3 + k)
+        step = val / (4.0 * (A * g**3) + k)
         g -= step
         if step <= _STEP_RTOL * g:
             break

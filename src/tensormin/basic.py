@@ -20,10 +20,9 @@ import time
 import numpy as np
 
 from .inner import MAX_INNER, StopReason, run_inner
-from .model import (ConvexityError, ModelAnchor, SecularSolveError,
-                    WeightEquationError)
-from .oracles import (OracleError, ZeroComposite, as_point, check_cap,
-                      check_positive, grad_at, value_at)
+from .model import ModelAnchor
+from .oracles import (SolveError, ZeroComposite, as_point, check_cap,
+                      check_positive, grad_at, value_at, with_context)
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -35,18 +34,15 @@ _MAX_LEVEL_DOUBLINGS = 200
 MAX_OUTER = 100000
 
 
-class LevelSearchError(RuntimeError):
+class LevelSearchError(SolveError):
     """Level doubling at one outer step did not reach an accepted trial, or
     stalled on a trial that a higher level repeated bit for bit with zero
-    decrease.
+    decrease, or the step's arithmetic failed (see ``level_search``).
 
-    The message names the outer step t, the first and last level M tried,
-    the last inner stop reason and, for the last trial that was evaluated,
-    its gradient norm against epsilon and its decrease f_x - f_trial (when
-    the method knows both values).  An arithmetic error (overflow, division
-    by zero) during a step, as at a level near the ends of float range, is
-    re-raised as this error naming t, the level index i and the level M, and
-    so is a level that overflows to infinity, before its inner run, with m0.
+    A doubling failure's message names the outer step t, the first and last
+    level M tried, the last inner stop reason and, for the last trial that
+    was evaluated, its gradient norm against epsilon and its decrease
+    f_x - f_trial (when the method knows both values).
     """
 
 
@@ -158,17 +154,17 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     ``ZeroComposite`` raises TypeError, and a non-finite ``x0``, a
     non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
     ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
-    nothing below these checks refers to psi.  An ``OracleError``,
-    ``ConvexityError``, ``SecularSolveError`` or ``WeightEquationError``
-    (the accelerated step's weight solve) raised during outer step t
-    at level index i is re-raised as its own type with t, i and the level M
-    added to its message, and an ``ArithmeticError`` as
+    nothing below these checks refers to psi.  A ``SolveError`` (an
+    ``OracleError``, ``ConvexityError``, ``SecularSolveError``,
+    ``WeightEquationError`` or ``LevelSearchError``) raised during outer
+    step t at level index i is re-raised by ``with_context`` with t, i and
+    the level M before its message, and an ``ArithmeticError`` as
     ``LevelSearchError`` naming the same; a level 2^i M_t that overflows to
     infinity raises one naming m0 before its inner run.  A step whose 201
-    levels all fail raises ``LevelSearchError``, and so does one whose
-    evaluated trial repeats the previous evaluated trial's point bit for bit
-    with a decrease f_x - f_trial of exactly 0 (a method that does not
-    evaluate rejected trials never meets this test).
+    levels all fail raises ``LevelSearchError`` without that prefix, and so
+    does one whose evaluated trial repeats the previous evaluated trial's
+    point bit for bit with a decrease f_x - f_trial of exactly 0 (a method
+    that does not evaluate rejected trials never meets this test).
 
     ``make_step(oracle, x0)`` builds the method's part of the loop, which
     keeps no iterate: this loop owns x_t, each level's center and fields,
@@ -314,23 +310,22 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     # Doubling the level moved neither the trial nor f, so
                     # the doublings left would only repeat it.
                     break
-            if not (accepted or aborted):
-                raise LevelSearchError(_doubling_message(
-                    oracle, t, m_t * 2.0**i0, m_level, row["stop_reason"],
-                    last, x_t.data.get("value"), eps))
-            if converged or aborted:
+            if converged or not accepted:  # ended, aborted or failed
                 break
         else:
             logger.warning("outer iteration cap %d hit at epsilon %g",
                            max_outer, eps)
-    except (OracleError, ConvexityError, SecularSolveError,
-            WeightEquationError, ArithmeticError) as exc:
+    except (SolveError, ArithmeticError) as exc:
         where = ("outer step t=%d, level index i=%d, level M = %.3e"
                  % (t, i, m_level))
         if isinstance(exc, ArithmeticError):
             raise LevelSearchError("%s: %s: %s" % (
                 where, type(exc).__name__, exc)) from exc
-        raise type(exc)("%s: %s" % (where, exc)) from exc
+        raise with_context(exc, where)
+    if not (accepted or aborted):
+        raise LevelSearchError(_doubling_message(
+            oracle, t, m_t * 2.0**i0, m_level, row["stop_reason"], last,
+            x_t.data.get("value"), eps))
 
     final_f = value_at(oracle, x_t)
     final_gnorm = _gnorm(oracle, x_t)

@@ -3,9 +3,9 @@
     tensormin solve --problem quartic --n 10 --solver accel --eps 1e-2,1e-4
 
 Exit status: 0 when every accuracy target was reached, 2 when any run hit an
-iteration cap, 1 on usage or I/O errors and on a run's typed failure
-(``OracleError``, ``ConvexityError``, ``SecularSolveError``,
-``WeightEquationError``, ``LevelSearchError``), each reported in one line.
+iteration cap, 1 on usage or I/O errors and on a run's typed failure, a
+``SolveError``: an ``OracleError``, ``ConvexityError``, ``SecularSolveError``,
+``WeightEquationError`` or ``LevelSearchError``, each reported in one line.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .basic import LevelSearchError
 from .harness import RunConfig, run_experiment
-from .model import ConvexityError, SecularSolveError, WeightEquationError
-from .oracles import OracleError
+from .oracles import SolveError
 from .reports import FORMATS, emit_report
 
 
@@ -108,8 +106,7 @@ def main(argv=None):
                 emit_report(reports, format=args.format, sink=fh)
         else:
             emit_report(reports, format=args.format)
-    except (OSError, ValueError, OracleError, ConvexityError,
-            SecularSolveError, WeightEquationError, LevelSearchError) as exc:
+    except (OSError, ValueError, SolveError) as exc:
         sys.stderr.write("tensormin: error: %s\n" % exc)
         return 1
     finally:

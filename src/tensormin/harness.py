@@ -19,7 +19,8 @@ from .accel import run_accel
 from .basic import MAX_OUTER, run_basic
 from .inner import MAX_INNER
 from .oracles import (Dataset, FdThirdOracle, ZeroComposite, check_cap,
-                      check_positive, logistic_oracle, quartic_oracle)
+                      check_positive, logistic_oracle, quartic_oracle,
+                      with_context)
 
 
 @dataclass
@@ -43,10 +44,11 @@ class RunConfig:
     max_inner: int = MAX_INNER
 
     def __post_init__(self):
-        if self.problem not in self.PROBLEMS:
-            raise ValueError("problem must be 'logistic' or 'quartic'")
-        if self.solver not in self.SOLVERS:
-            raise ValueError("solver must be 'basic' or 'accel'")
+        for name, choices in (("problem", self.PROBLEMS),
+                              ("solver", self.SOLVERS)):
+            if getattr(self, name) not in choices:
+                raise ValueError("%s must be %s" % (
+                    name, " or ".join(map(repr, choices))))
         if not self.epsilons:
             raise ValueError("at least one target accuracy is required")
         for k, eps in enumerate(self.epsilons):
@@ -61,8 +63,8 @@ class RunConfig:
             raise ValueError("n only applies to the quartic problem, got %r"
                              % (self.n,))
         if isinstance(self.x0, str) and self.x0 not in self.X0_POLICIES:
-            raise ValueError("x0 must be 'ones', 'zeros' or a vector, got %r"
-                             % self.x0)
+            raise ValueError("x0 must be %s or a vector, got %r" % (
+                ", ".join(map(repr, self.X0_POLICIES)), self.x0))
         if self.fd_tau is not None:
             check_positive("fd_tau", self.fd_tau)
         check_cap("max_outer", self.max_outer)
@@ -164,8 +166,8 @@ def run_experiment(cfg, trace_sink=None):
 
     The dataset is read once per call; each accuracy gets a fresh oracle
     built from it, so its counters start at zero.  Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
-    Solver exceptions are re-raised annotated with the failing accuracy (as a
-    note when their type cannot be rebuilt from one message).
+    Solver exceptions are re-raised by ``with_context`` with the failing
+    accuracy, ``epsilon=…``, before their message.
     """
     solver = run_basic if cfg.solver == "basic" else run_accel
     composite = ZeroComposite()
@@ -186,14 +188,6 @@ def run_experiment(cfg, trace_sink=None):
                 trace_sink=sink,
             )
         except Exception as exc:
-            msg = "epsilon=%g: %s" % (eps, exc)
-            try:
-                annotated = type(exc)(msg)
-            except TypeError:  # the type's constructor takes other arguments
-                annotated = None
-            if annotated is None:
-                exc.add_note(msg)
-                raise
-            raise annotated from exc
+            raise with_context(exc, "epsilon=%g" % eps)
         reports.append(report)
     return reports

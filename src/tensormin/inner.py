@@ -162,8 +162,11 @@ def secular_solve(factor, M, c):
 
     # The isotropic model lambda r + (M / 2) r^3 = ||c||, with lambda the
     # Rayleigh quotient of c, is exact when c is an eigenvector of T.  Its
-    # root, in a cancellation-free form of Cardano's formula:
-    lam = max(float(np.dot(c, factor.tri(c))) / (cnorm * cnorm), 0.0)
+    # root, in a cancellation-free form of Cardano's formula; lambda is read
+    # from c / 2^e ~ c / ||c||, exact in binary, so c^T T c cannot overflow:
+    c1norm, e = math.frexp(cnorm)
+    c1 = np.ldexp(c, -e)
+    lam = max(float(np.dot(c1, factor.tri(c1))) / (c1norm * c1norm), 0.0)
     p3 = lam / (3.0 * half_m)
     qh = 0.5 * cnorm / half_m
     u = (qh + math.sqrt(qh * qh + p3 * p3 * p3)) ** (1.0 / 3.0)

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from .oracles import Point, as_point, check_positive, grad_at, value_at
+from .oracles import (Point, SolveError, as_point, check_positive, grad_at,
+                      value_at)
 
 # A smallest Hessian eigenvalue below -max(EIG_FLOOR, ROUNDING_C n eps max|T|)
 # is a convexity violation; one between that floor and 0 is rounding noise,
@@ -47,7 +48,7 @@ EIG_FLOOR = 1e-10
 ROUNDING_C = 4.0
 
 
-class ConvexityError(RuntimeError):
+class ConvexityError(SolveError):
     """The anchor Hessian's smallest eigenvalue is below the convexity floor
     -max(EIG_FLOOR, ROUNDING_C n eps max|T|), with EIG_FLOOR = 1e-10,
     ROUNDING_C = 4 and T the tridiagonal factor of the n-by-n Hessian.
@@ -57,7 +58,7 @@ class ConvexityError(RuntimeError):
     """
 
 
-class SecularSolveError(RuntimeError):
+class SecularSolveError(SolveError):
     """The anchor factorization, a product with Q or a secular solve failed.
 
     Raised when a LAPACK routine (``dsytrd``, ``dormqr``, ``dpttrf``,
@@ -65,12 +66,6 @@ class SecularSolveError(RuntimeError):
     when a bracket end cannot be widened or the iteration does not converge,
     or when the solved step misses its residual bound.  The message names
     the cause, and the level M when a secular solve fails.
-    """
-
-
-class WeightEquationError(RuntimeError):
-    """``accel.solve_a`` found no root of the weight equation it can certify
-    (here so that ``basic.level_search``, which accel imports, can name it).
     """
 
 

@@ -92,7 +92,25 @@ class CallCounter:
             "%s=%d" % kv for kv in self.snapshot().items())
 
 
-class OracleError(RuntimeError):
+class SolveError(RuntimeError):
+    """The base of every typed failure a run can raise."""
+
+
+def with_context(exc, prefix):
+    """``exc`` with ``prefix: `` before its message, for the caller to raise:
+    a new exception of its type chained from ``exc``, or ``exc`` itself with
+    that message as a note when its type takes other constructor arguments."""
+    msg = "%s: %s" % (prefix, exc)
+    try:
+        annotated = type(exc)(msg)
+    except TypeError:
+        exc.add_note(msg)
+        return exc
+    annotated.__cause__ = exc
+    return annotated
+
+
+class OracleError(SolveError):
     """An oracle entry point returned a non-finite result."""
 
 

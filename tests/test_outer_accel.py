@@ -11,6 +11,7 @@ import pytest
 import tensormin.accel
 from tensormin.accel import (
     AccelState,
+    WeightEquationError,
     accept_test_accel,
     mix_z,
     phi_min_value,
@@ -22,7 +23,6 @@ from conftest import LowerBoundQuartic, iterate_rows, make_logistic
 from tensormin.basic import run_basic
 from tensormin.harness import bundled_dataset_path, load_dataset
 from tensormin.inner import StopReason
-from tensormin.model import WeightEquationError
 from tensormin.oracles import (
     OracleError,
     QuarticOracle,
@@ -155,8 +155,9 @@ def test_solve_a_newton_cap_raises(monkeypatch):
 def test_solve_a_roots_where_a_to_the_fourth_overflows():
     # For A >= 1e77 the root is representable but a^4 is not, so the
     # equation is checked in logarithms: 4 log a = log k + 3 log(A + a).
+    # At A = 1.7e308 the Newton derivative must not form 4 A first.
     for A, M in ((1e76, 1.0), (1e80, 1.0), (1e100, 1e8), (1e300, 1.0),
-                 (1e300, 1e8), (1e300, 1e-8)):
+                 (1e300, 1e8), (1e300, 1e-8), (1.7e308, 1e-300)):
         a = solve_a(A, M)
         assert 0.0 < a < np.inf
         lhs = 4.0 * math.log(a)
@@ -181,9 +182,8 @@ def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond():
         rhs = math.log(16.0 / (_SCALE * M)) + 3.0 * math.log(A + a)
         assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs)), (A, M)
     # Beyond it: k overflows to inf, k underflows to 0 (it used to divide by
-    # zero), gamma^4 underflows, and 4 A gamma^3 overflows.
-    for A, M in ((0.0, 5e-324), (1e308, 1e308), (1e300, 1e300),
-                 (1.7e308, 1e-300)):
+    # zero), and gamma^4 underflows.
+    for A, M in ((0.0, 5e-324), (1e308, 1e308), (1e300, 1e300)):
         with pytest.raises(WeightEquationError, match="weight-equation"):
             solve_a(A, M)
 
@@ -421,7 +421,11 @@ def test_run_accel_not_slower_than_basic_and_sandwiched(make):
      (38, 297, 38, 181), (38, 602, 75, 339)),
     (lambda: (make_logistic(2000, 49, seed=0)[1], np.zeros(50)), 1e-6,
      (7, 280, 11, 249), (7, 404, 17, 346)),
-], ids=["quartic", "lower-bound-quartic", "logistic-2000x50"])
+    # Gradients near 1e120 once overflowed the secular solve's c^T T c.
+    (lambda: (quartic_oracle(2), 1e40 * np.ones(2)), 1e-6,
+     (108, 10154, 216, 9612), (108, 13469, 323, 12394)),
+], ids=["quartic", "lower-bound-quartic", "logistic-2000x50",
+        "quartic-from-1e40"])
 def test_outer_loops_pin_their_counters(make, eps, basic, accel):
     # The exact (IT, CO, BGM_E, BGM_IT) of both loops, so that a refactor
     # of either cannot change the work done without this test noticing.

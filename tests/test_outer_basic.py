@@ -10,11 +10,10 @@ import pytest
 
 from conftest import QuadraticOracle, make_logistic
 import tensormin
-from tensormin.accel import run_accel
+from tensormin.accel import WeightEquationError, run_accel
 from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
 from tensormin.inner import StopReason
-from tensormin.model import (ConvexityError, SecularSolveError,
-                             WeightEquationError)
+from tensormin.model import ConvexityError, SecularSolveError
 from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
                                ZeroComposite, logistic_oracle, quartic_oracle)
 
@@ -383,6 +382,15 @@ def test_extreme_levels_fail_typed_and_name_the_level(m0, error, solve):
     assert oracle.calls.total() <= 40
 
 
+class _HookError(tensormin.SolveError):
+    """A caller's own typed failure."""
+
+
+class _FailingHessianOracle(QuadraticOracle):
+    def _hessian(self, p):
+        raise _HookError("the Hessian hook failed")
+
+
 STEP_FAILURES = {
     "nonconvex": (QuadraticOracle(np.diag([1.0, -1.0]), np.ones(2)), 1.0,
                   ConvexityError, "level M = 2.000e+00: anchor Hessian has "
@@ -393,6 +401,9 @@ STEP_FAILURES = {
     "overflow": (quartic_oracle(2), 1e308, LevelSearchError,
                  "level M = inf: OverflowError: the level overflowed float "
                  "range (m0 = 1.000e+308)", 0),
+    # Any SolveError, a caller's own subclass too, keeps its type.
+    "hook": (_FailingHessianOracle(np.eye(2), np.ones(2)), 1.0, _HookError,
+             "level M = 2.000e+00: the Hessian hook failed", 2),
 }
 
 

@@ -1,5 +1,8 @@
 """The package namespace exports exactly the public API."""
 
+import importlib
+import pkgutil
+
 import tensormin
 from tensormin.oracles import SmoothOracle
 
@@ -14,7 +17,8 @@ PUBLIC = {
     "Dataset", "ZeroComposite", "logistic_oracle", "quartic_oracle",
     "check_derivatives", "DerivativeReport",
     # errors
-    "ConvexityError", "LevelSearchError", "OracleError", "SecularSolveError",
+    "SolveError", "ConvexityError", "LevelSearchError", "OracleError",
+    "SecularSolveError", "WeightEquationError",
 }
 
 
@@ -23,6 +27,23 @@ def test_all_is_the_public_api_and_resolves():
     assert set(tensormin.__all__) == PUBLIC
     for name in tensormin.__all__:
         assert getattr(tensormin, name) is not None, name
+
+
+def test_every_error_class_is_an_exported_solve_error():
+    # level_search and the CLI catch SolveError, so an error class outside
+    # that family would escape both; each one is public, from the package.
+    modules = [importlib.import_module("tensormin." + m.name)
+               for m in pkgutil.iter_modules(tensormin.__path__)
+               if m.name != "__main__"]
+    errors = {obj for mod in modules for obj in vars(mod).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)
+              and obj.__module__.startswith("tensormin.")}
+    assert {e.__name__ for e in errors} == {
+        "SolveError", "OracleError", "ConvexityError", "SecularSolveError",
+        "WeightEquationError", "LevelSearchError"}
+    for error in errors:
+        assert issubclass(error, tensormin.SolveError), error
+        assert getattr(tensormin, error.__name__) is error
 
 
 def test_smooth_oracle_contract_is_four_hooks():
