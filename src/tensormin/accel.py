@@ -68,8 +68,8 @@ def solve_a(a_prev_total, m_level):
     The root satisfies |p(gamma)| <= 1e-12 (k + A gamma^4) for M in
     [1e-300, 1e300], A <= 1e307 and A M <= 1e300.  Beyond that k may be 0 or
     infinite, gamma^4 may underflow or 4 A gamma^3 overflow; a k of 0 or
-    inf, 200 Newton steps without convergence and a residual miss each
-    raise ``WeightEquationError``.
+    inf, 200 Newton steps without convergence, a residual bound that is not
+    finite and a residual miss each raise ``WeightEquationError``.
     """
     A = float(a_prev_total)
     if A < 0.0:
@@ -97,10 +97,10 @@ def solve_a(a_prev_total, m_level):
             "weight-equation Newton iteration did not converge in %d steps "
             "(A = %.17g, M = %.17g)" % (_MAX_NEWTON_STEPS, A, m_level))
 
-    res = abs(p(g))
-    if res > _WEIGHT_TOL * (k + A * g**4):
-        raise WeightEquationError(
-            "weight-equation residual %.3e exceeds tolerance" % res)
+    res, bound = abs(p(g)), _WEIGHT_TOL * (k + A * g**4)
+    if not res <= bound < math.inf:  # an infinite bound certifies nothing
+        raise WeightEquationError("weight-equation residual %.3e is not "
+                                  "within the finite bound %.3e" % (res, bound))
     return k / g**3
 
 

@@ -90,15 +90,15 @@ def run_basic(
         Iteration caps, integers >= 1; hitting either aborts the run with
         ``converged=False``.
     trace_sink : callable, optional
-        Receives one dict per inner iteration and per outer trial, tagged
-        with ``kind``.
+        Receives every line of the README's trace schema: one dict per inner
+        iteration and per outer trial, tagged with ``kind`` and ``epsilon``.
 
     Returns
     -------
     (x, report, rows) : (ndarray, RunReport, list of dict)
-        Final iterate, run counters, and the outer trial rows, one per inner
-        run (a level attempt, or an accelerated step's companion): the
-        README's outer trace lines without ``kind`` and ``epsilon``.  Only
+        Final iterate, run counters, and the outer trace lines, one per
+        inner run (a level attempt, or an accelerated step's companion): the
+        very dicts ``trace_sink`` receives with ``kind`` ``"outer"``.  Only
         evaluated trials carry their point (read-only) as ``x_trial``; the
         others have ``f_trial = grad_norm_trial = None``.
     """
@@ -124,15 +124,15 @@ class _BasicStep:
         return {}
 
 
-def _doubling_message(oracle, t, m_first, m_last, stop_reason, last, f_x, eps):
+def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
     msg = ("level doubling did not terminate at outer step t=%d: levels "
            "M = %.3e .. %.3e, last stop reason %s; "
            % (t, m_first, m_last, stop_reason))
     if last is None:
         return msg + "no trial was evaluated"
-    f_trial = last.data.get("value")
+    f_trial = last["f_trial"]
     msg += ("last evaluated trial has gradient norm %.3e > epsilon %.3e"
-            % (_gnorm(oracle, last), eps))
+            % (last["grad_norm_trial"], eps))
     if f_x is None or f_trial is None:
         return msg + " (its decrease was not evaluated)"
     return msg + " and decrease f_x - f_trial = %.3e" % (f_x - f_trial)
@@ -154,23 +154,27 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     ``ZeroComposite`` raises TypeError, and a non-finite ``x0``, a
     non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
     ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
-    nothing below these checks refers to psi.  A ``SolveError`` (an
-    ``OracleError``, ``ConvexityError``, ``SecularSolveError``,
-    ``WeightEquationError`` or ``LevelSearchError``) raised during outer
-    step t at level index i is re-raised by ``with_context`` with t, i and
-    the level M before its message, and an ``ArithmeticError`` as
-    ``LevelSearchError`` naming the same; a level 2^i M_t that overflows to
-    infinity raises one naming m0 before its inner run.  A step whose 201
+    nothing below these checks refers to psi.  A ``SolveError`` raised
+    during outer step t at level index i is re-raised by ``with_context``
+    with t, i and the level M before its message, and an ``ArithmeticError``
+    as ``LevelSearchError`` naming the same; a level 2^i M_t that overflows
+    to infinity raises one naming m0 before its inner run.  A step whose 201
     levels all fail raises ``LevelSearchError`` without that prefix, and so
     does one whose evaluated trial repeats the previous evaluated trial's
     point bit for bit with a decrease f_x - f_trial of exactly 0 (a method
     that does not evaluate rejected trials never meets this test).
 
+    Each inner run's outer line is built once; ``emit`` keeps the outer
+    lines as the rows and hands every line, unchanged, to ``trace_sink``.
+    The report's IT (accepted lines that are not companions), BGM_E (the
+    lines) and BGM_IT (their ``inner_iters``) are sums over the rows, and
+    the repeat test and the doubling message read the last evaluated line.
+
     ``make_step(oracle, x0)`` builds the method's part of the loop, which
     keeps no iterate: this loop owns x_t, each level's center and fields,
-    and the last evaluated trial.  Points travel as oracle ``Point``s, whose
-    f and grad f everyone reads through ``value_at`` and ``grad_at``, so
-    each is evaluated at most once.  The step object has
+    and the lines.  Points travel as oracle ``Point``s, whose f and grad f
+    everyone reads through ``value_at`` and ``grad_at``, so each is
+    evaluated at most once.  The step object has
 
     * ``center(x_t, m_level) -> (point, row fields)``, the model's anchor
       point at the iterate's point ``x_t``;
@@ -182,11 +186,11 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     The loop keeps one anchor, re-levelled while the center repeats its x
     bit for bit.  An accepted trial whose center is not x_t and that does
     not end the run is followed by a companion: the basic step from x_t at
-    the same level, one more inner run counted in BGM_E and BGM_IT, whose
-    row (the trial's fields and ``companion`` true) precedes the trial's.
-    The companion's point becomes the iterate when that run ended on
-    EpsilonSmall or ModelStationarity with f below the trial's (the row's
-    ``accepted``), and the trial otherwise.
+    the same level, one more inner run whose line (the trial's fields and
+    ``companion`` true) precedes the trial's.  The companion's point
+    becomes the iterate when that run ended on EpsilonSmall or
+    ModelStationarity with f below the trial's (the row's ``accepted``), and
+    the trial otherwise.
     """
     t_start = time.perf_counter()
     calls_start = oracle.calls.thread_total()
@@ -207,38 +211,33 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     step = make_step(oracle, x0)
     x_t = as_point(x0)
     m_t = m0
-    it = 0
-    bgm_e = 0
-    bgm_it = 0
     rows = []
     converged = aborted = False
 
-    def emit(row):
-        rows.append(row)
+    def emit(line):
+        if line["kind"] == "outer":
+            rows.append(line)
         if trace_sink is not None:
-            trace_sink(dict(row, kind="outer"))
+            trace_sink(line)
 
     anchor = None  # the one anchor, re-levelled while its x repeats
 
     def run_trial(center, m_level, t, i, fields):
         """One inner run anchored at the point ``center`` at level
-        ``m_level``, counted and traced, and its row; with the trial's point,
-        holding its gradient, unless the run ended on SlowConvergence or
-        IterationCap (then None)."""
-        nonlocal anchor, bgm_e, bgm_it
+        ``m_level``, its inner lines emitted, and its outer line; with the
+        trial's point, holding its gradient, unless the run ended on
+        SlowConvergence or IterationCap (then None)."""
+        nonlocal anchor
         if anchor is None or not np.array_equal(center.x, anchor.x):
             anchor = ModelAnchor.from_oracle(oracle, center, m_level)
         anchor = anchor.with_m(m_level)
-        inner_trace = None
-        if trace_sink is not None:
-            inner_trace = lambda r: trace_sink(dict(r, kind="inner", t=t, i=i))
+        inner_trace = None if trace_sink is None else (
+            lambda r: emit(dict(r, kind="inner", t=t, i=i, epsilon=eps)))
         res = run_inner(anchor, oracle, eps, max_inner, inner_trace)
-        bgm_e += 1
-        bgm_it += res.iterations
-        row = {"t": t, "i": i, "M_level": anchor.M,
+        row = {"kind": "outer", "t": t, "i": i, "M_level": anchor.M,
                "inner_iters": res.iterations, **fields, "f_trial": None,
                "grad_norm_trial": None, "accepted": False,
-               "stop_reason": res.stop_reason.value}
+               "stop_reason": res.stop_reason.value, "epsilon": eps}
         if res.stop_reason in (StopReason.SLOW_CONVERGENCE,
                                StopReason.ITERATION_CAP):
             return row, None
@@ -251,7 +250,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     try:
         for t in range(max_outer):
             i0 = 0 if m_t >= 2.0 * m0 else 1
-            last = None  # the point of the last evaluated trial
+            last = None  # the line of the last evaluated trial
             accepted = False
             for i in range(i0, i0 + _MAX_LEVEL_DOUBLINGS + 1):
                 m_level = m_t * 2.0**i
@@ -277,7 +276,6 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                 converged = row["grad_norm_trial"] <= eps
                 accepted = converged or step.accept(center, p_plus, m_level)
                 if accepted:
-                    it += 1
                     f_trial = value_at(oracle, p_plus)
                     p_next = p_plus
                     if not converged:
@@ -303,9 +301,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     break
                 repeated = (row["f_trial"] is not None
                             and row["f_trial"] == x_t.data.get("value")
-                            and last is not None
-                            and np.array_equal(p_plus.x, last.x))
-                last = p_plus
+                            and last is not None and np.array_equal(
+                                row["x_trial"], last["x_trial"]))
+                last = row
                 if repeated:
                     # Doubling the level moved neither the trial nor f, so
                     # the doublings left would only repeat it.
@@ -324,17 +322,17 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         raise with_context(exc, where)
     if not (accepted or aborted):
         raise LevelSearchError(_doubling_message(
-            oracle, t, m_t * 2.0**i0, m_level, row["stop_reason"], last,
+            t, m_t * 2.0**i0, m_level, row["stop_reason"], last,
             x_t.data.get("value"), eps))
 
     final_f = value_at(oracle, x_t)
     final_gnorm = _gnorm(oracle, x_t)
     report = RunReport(
         epsilon=eps,
-        IT=it,
+        IT=sum(r["accepted"] and not r.get("companion") for r in rows),
         CO=oracle.calls.thread_total() - calls_start,
-        BGM_E=bgm_e,
-        BGM_IT=bgm_it,
+        BGM_E=len(rows),
+        BGM_IT=sum(r["inner_iters"] for r in rows),
         final_grad_norm=final_gnorm,
         final_f=final_f,
         wall_time_s=time.perf_counter() - t_start,

@@ -165,18 +165,17 @@ def run_experiment(cfg, trace_sink=None):
     """Run the configured solver once per target accuracy on fresh counters.
 
     The dataset is read once per call; each accuracy gets a fresh oracle
-    built from it, so its counters start at zero.  Returns the list of ``RunReport``s in the order of ``cfg.epsilons``.
-    Solver exceptions are re-raised by ``with_context`` with the failing
-    accuracy, ``epsilon=…``, before their message.
+    built from it, so its counters start at zero, and ``trace_sink`` goes to
+    the solver, which tags each line with its ``epsilon``.  Returns the
+    ``RunReport``s in the order of ``cfg.epsilons``.  Solver exceptions are
+    re-raised by ``with_context`` with the failing accuracy, ``epsilon=…``,
+    before their message.
     """
     solver = run_basic if cfg.solver == "basic" else run_accel
     composite = ZeroComposite()
     reports = []
     data = None
     for eps in cfg.epsilons:
-        sink = None
-        if trace_sink is not None:
-            sink = lambda row, _e=eps: trace_sink(dict(row, epsilon=_e))
         try:
             if data is None:  # first accuracy: load errors are annotated too
                 data = _load_data(cfg)
@@ -185,7 +184,7 @@ def run_experiment(cfg, trace_sink=None):
             _, report, _ = solver(
                 oracle, composite, x0, cfg.m0, eps,
                 max_outer=cfg.max_outer, max_inner=cfg.max_inner,
-                trace_sink=sink,
+                trace_sink=trace_sink,
             )
         except Exception as exc:
             raise with_context(exc, "epsilon=%g" % eps)

@@ -218,8 +218,8 @@ def _confirm_end(phi_at, end, factor, limit, which, M):
     """Move a bracket end outward by ``factor`` until phi has its sign there.
 
     phi must be >= 0 at the upper end and < 0 at the lower one (or the lower
-    end 0).  The limits are those of the old search on ||h||: 60 doublings of
-    the upper end and 1100 halvings of the lower one.
+    end 0), with at most 60 doublings of the upper end and 1100 halvings of
+    the lower one.
     """
     upper = factor > 1.0
     for _ in range(limit + 1):

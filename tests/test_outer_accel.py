@@ -182,8 +182,10 @@ def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond():
         rhs = math.log(16.0 / (_SCALE * M)) + 3.0 * math.log(A + a)
         assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs)), (A, M)
     # Beyond it: k overflows to inf, k underflows to 0 (it used to divide by
-    # zero), and gamma^4 underflows.
-    for A, M in ((0.0, 5e-324), (1e308, 1e308), (1e300, 1e300)):
+    # zero), gamma^4 underflows, and the residual bound overflows (the root
+    # a ~ 3.98e308 is not representable).
+    for A, M in ((0.0, 5e-324), (1e308, 1e308), (1e300, 1e300),
+                 (1.7e308, 2e-311)):
         with pytest.raises(WeightEquationError, match="weight-equation"):
             solve_a(A, M)
 

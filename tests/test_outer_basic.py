@@ -12,7 +12,7 @@ from conftest import QuadraticOracle, make_logistic
 import tensormin
 from tensormin.accel import WeightEquationError, run_accel
 from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
-from tensormin.inner import StopReason
+from tensormin.inner import StopReason, run_inner
 from tensormin.model import ConvexityError, SecularSolveError
 from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
                                ZeroComposite, logistic_oracle, quartic_oracle)
@@ -302,21 +302,44 @@ def test_run_basic_inner_cap_aborts_run():
     assert np.array_equal(x, np.array([1.0, 1.0]))
 
 
-def test_run_basic_trace_sink_sees_both_levels_of_detail():
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_basic_trace_sink_sees_both_levels_of_detail(solve):
     sink = []
     oracle = quartic_oracle(2)
-    _, report, rows = run_basic(
+    _, report, rows = solve(
         oracle, ZeroComposite(), np.array([1.0, 1.0]), 1.0, 1e-6,
         trace_sink=sink.append,
     )
     outer = [r for r in sink if r["kind"] == "outer"]
     inner = [r for r in sink if r["kind"] == "inner"]
+    # The returned rows are the sink's outer lines themselves, in order.
     assert len(outer) == len(rows)
+    assert all(a is b for a, b in zip(outer, rows))
+    assert all(r["epsilon"] == 1e-6 for r in sink)
+    assert report.BGM_E == len(rows)
+    assert report.IT == sum(1 for r in rows
+                            if r["accepted"] and not r.get("companion"))
     assert len(inner) == report.BGM_IT
     outer_keys = {(r["t"], r["i"]) for r in outer}
     for r in inner:
         assert (r["t"], r["i"]) in outer_keys
         assert {"k", "model_grad_norm", "step_norm", "slow_rhs"} <= set(r)
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_untraced_run_passes_no_trace_to_the_inner_solver(solve, monkeypatch):
+    # Without a sink no inner line is built: every inner run gets trace=None.
+    traces = []
+
+    def spy(anchor, oracle, epsilon, max_inner, trace=None):
+        traces.append(trace)
+        return run_inner(anchor, oracle, epsilon, max_inner, trace)
+
+    monkeypatch.setattr(tensormin.basic, "run_inner", spy)
+    _, report, _ = solve(quartic_oracle(2), ZeroComposite(),
+                         np.array([1.0, 1.0]), 1.0, 1e-6)
+    assert len(traces) == report.BGM_E > 0
+    assert all(trace is None for trace in traces)
 
 
 def test_run_basic_rejects_bad_parameters():
