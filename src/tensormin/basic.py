@@ -80,15 +80,15 @@ def run_basic(
     composite : ZeroComposite
         The composite term psi; zero is the only one.
     x0 : array
-        Starting point (finite).
+        Starting point (finite, of shape (oracle.n,)).
     m0 : float
         Initial level estimate (finite, positive); every trial level is kept
         >= 2 m0.
     epsilon : float
         Target gradient norm (finite, positive).
     max_outer, max_inner : int
-        Iteration caps, integers >= 1; hitting either aborts the run with
-        ``converged=False``.
+        Iteration caps, integers >= 1.  Hitting max_outer, or max_inner in a
+        trial's inner run (not a companion's), ends it: ``converged=False``.
     trace_sink : callable, optional
         Receives every line of the README's trace schema: one dict per inner
         iteration and per outer trial, tagged with ``kind`` and ``epsilon``.
@@ -151,8 +151,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     norm is <= epsilon ends the run, and so does an accepted step whose next
     iterate has one.  Arguments and return value are those of
     ``run_basic``.  Before any oracle call, a ``composite`` other than a
-    ``ZeroComposite`` raises TypeError, and a non-finite ``x0``, a
-    non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
+    ``ZeroComposite`` raises TypeError, and a wrong-shape or non-finite ``x0``,
+    a non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
     ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
     nothing below these checks refers to psi.  A ``SolveError`` raised
     during outer step t at level index i is re-raised by ``with_context``
@@ -199,6 +199,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         raise TypeError("composite must be ZeroComposite (the only composite "
                         "term), got %s" % type(composite).__name__)
     x0 = np.asarray(x0, dtype=float).copy()
+    if x0.shape != (oracle.n,):
+        raise ValueError("x0 has shape %s, expected (%d,)" % (x0.shape, oracle.n))
     bad = ~np.isfinite(x0)
     if bad.any():
         i = int(np.argmax(bad))

@@ -25,8 +25,6 @@ from .reports import FORMATS, emit_report
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
     raise TypeError("not JSON serializable: %r" % type(value))
 
 

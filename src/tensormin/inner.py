@@ -20,15 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .model import (
-    SecularSolveError,
-    inner_constants,
-    lapack_check,
-    omega_grad,
-    rho_grad,
-)
+from .model import SecularSolveError, inner_constants, omega_grad, rho_grad
 from .oracles import check_cap, check_positive
 
 # Residual bound of every secular solve, relative to 1 + ||c||.
@@ -83,10 +76,9 @@ def secular_solve(factor, M, c):
 
     phi is increasing and concave (Moré and Sorensen, 1983), so Newton's
     method approaches the root from below, and from above it lands below the
-    root.  Each evaluation factors T + sigma I = L D L^T once (``dpttrf``) and
-    solves with it twice (``dpttrs``): for h and for the derivative
-    phi'(sigma) = <h, (T + sigma I)^{-1} h> / ||h||^3
-                  + (1/2) sqrt(M / 2) sigma^(-3/2).
+    root.  Each evaluation is one ``factor.shifted_solve(sigma, c)``, which
+    gives h and w = (T + sigma I)^{-1} h for the derivative
+    phi'(sigma) = <h, w> / ||h||^3 + (1/2) sqrt(M / 2) sigma^(-3/2).
     A sigma at which the factorization breaks down lies left of the root.
     Newton starts from the root of the isotropic model T = lambda I, with
     lambda the Rayleigh quotient of c (from the bracket's upper end when
@@ -107,8 +99,6 @@ def secular_solve(factor, M, c):
     gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
     check_positive("M", M)
-    d = factor.d
-    e_lapack = factor.e_lapack
 
     cnorm = math.sqrt(np.dot(c, c))
     if cnorm == 0.0 or cnorm < 1e-300:
@@ -118,25 +108,20 @@ def secular_solve(factor, M, c):
     root_half_m = math.sqrt(half_m)
 
     def evaluate(sigma):
-        """(h, ||h||, phi, phi') at sigma > 0.
+        """(h, ||h||, phi, phi', breakdown) at sigma > 0.
 
-        A breakdown of dpttrf (info > 0: T + sigma I is not numerically
-        positive definite, which a singular T allows for tiny sigma) puts
-        sigma left of the root; it is returned as phi = -inf with no h.  A
-        sigma that is not positive (a bisection that underflowed) or a NaN
-        phi raises SecularSolveError.
+        A breakdown of the solve (T + sigma I is not numerically positive
+        definite, which a singular T allows for tiny sigma) puts sigma left
+        of the root; it is returned as phi = -inf with no h and the solve's
+        unraised error.  A sigma that is not positive (a bisection that
+        underflowed) or a NaN phi raises SecularSolveError.
         """
         if not sigma > 0.0:
             raise SecularSolveError("secular iterate sigma = %.17g is not "
                                     "positive at M = %.17g" % (sigma, M))
-        ld, le, info = lapack.dpttrf(d + sigma, e_lapack)
-        if info > 0:
-            return None, 0.0, -math.inf, 1.0
-        lapack_check("dpttrf", info, sigma)
-        hh, info = lapack.dpttrs(ld, le, c)
-        lapack_check("dpttrs", info, sigma)
-        w, info = lapack.dpttrs(ld, le, hh)
-        lapack_check("dpttrs", info, sigma)
+        hh, w, breakdown = factor.shifted_solve(sigma, c)
+        if breakdown is not None:
+            return None, 0.0, -math.inf, 1.0, breakdown
         hsq = float(np.dot(hh, hh))
         hn = math.sqrt(hsq)
         phi = 1.0 / hn - root_half_m / math.sqrt(sigma)
@@ -145,7 +130,7 @@ def secular_solve(factor, M, c):
                                     "%.17g, M = %.17g" % (sigma, M))
         dphi = (float(np.dot(hh, w)) / (hsq * hn)
                 + 0.5 * root_half_m / (sigma * math.sqrt(sigma)))
-        return hh, hn, phi, dphi
+        return hh, hn, phi, dphi, None
 
     def phi_at(sigma):
         return evaluate(sigma)[2]
@@ -176,7 +161,7 @@ def secular_solve(factor, M, c):
     sigma = min(max(sigma, lo), hi) if math.isfinite(sigma) else hi
 
     for _ in range(_SECULAR_MAXIT):
-        hh, hn, phi, dphi = evaluate(sigma)
+        hh, hn, phi, dphi, breakdown = evaluate(sigma)
         if phi == 0.0:
             break
         if phi < 0.0:
@@ -201,8 +186,8 @@ def secular_solve(factor, M, c):
         raise SecularSolveError(
             "secular Newton iteration did not converge in %d steps at "
             "M = %.17g (bracket [%.17g, %.17g])" % (_SECULAR_MAXIT, M, lo, hi))
-    if hh is None:  # stopped at a breakdown: report it
-        lapack_check("dpttrf", lapack.dpttrf(d + sigma, e_lapack)[2], sigma)
+    if breakdown is not None:  # stopped at a breakdown: report it
+        raise breakdown
 
     res = factor.tri(hh) + half_m * hn * hn * hh - c
     res = math.sqrt(np.dot(res, res))

@@ -69,12 +69,17 @@ class SecularSolveError(SolveError):
     """
 
 
+def lapack_error(routine, info, sigma=None):
+    """The SecularSolveError naming a LAPACK routine's nonzero ``info``."""
+    at = "" if sigma is None else " at sigma = %.17g" % sigma
+    return SecularSolveError("LAPACK %s returned info = %d%s"
+                             % (routine, info, at))
+
+
 def lapack_check(routine, info, sigma=None):
-    """Raise SecularSolveError for a nonzero LAPACK ``info``."""
+    """Raise ``lapack_error`` for a nonzero LAPACK ``info``."""
     if info != 0:
-        at = "" if sigma is None else " at sigma = %.17g" % sigma
-        raise SecularSolveError("LAPACK %s returned info = %d%s"
-                                % (routine, info, at))
+        raise lapack_error(routine, info, sigma)
 
 
 class HessianFactor:
@@ -89,14 +94,13 @@ class HessianFactor:
 
     The diagonal d must be nonnegative (T positive semidefinite; the
     convexity shift is made upstream), else ValueError.  Besides products
-    with Q^T, Q and T, the factor holds the per-anchor constants of the
-    secular solves: ``trace`` = trace(T) = trace(H), ``gershgorin`` >=
-    lambda_max(T) by Gershgorin's theorem, and ``e_lapack``, the off-diagonal
-    as SciPy's ``dpttrf`` wrapper wants it (length 1 at n = 1).
+    with Q^T, Q and T and solves with T + sigma I, the factor holds the
+    per-anchor constants of the secular solves: ``trace`` = trace(T) =
+    trace(H) and ``gershgorin`` >= lambda_max(T) by Gershgorin's theorem.
     """
 
     __slots__ = ("d", "e", "reflectors", "tau", "trace", "gershgorin",
-                 "e_lapack")
+                 "_e_lapack")
 
     def __init__(self, d, e, reflectors, tau):
         if d.min() < 0.0:
@@ -111,7 +115,8 @@ class HessianFactor:
         bound[:-1] += np.abs(e)
         bound[1:] += np.abs(e)
         self.gershgorin = float(bound.max())
-        self.e_lapack = e if d.size > 1 else np.zeros(1)
+        # e as SciPy's dpttrf wrapper wants it: length 1 at n = 1.
+        self._e_lapack = e if d.size > 1 else np.zeros(1)
 
     def qt(self, v):
         """Q^T v, in O(n^2) without forming Q."""
@@ -139,6 +144,20 @@ class HessianFactor:
         y[:-1] += self.e * x[1:]
         y[1:] += self.e * x[:-1]
         return y
+
+    def shifted_solve(self, sigma, c):
+        """(h, w, None), h = (T + sigma I)^{-1} c and w = (T + sigma I)^{-1} h,
+        or (None, None, e) with e the unraised ``lapack_error`` of a
+        ``dpttrf`` breakdown (info > 0); any other nonzero info raises."""
+        ld, le, info = lapack.dpttrf(self.d + sigma, self._e_lapack)
+        if info > 0:
+            return None, None, lapack_error("dpttrf", info, sigma)
+        lapack_check("dpttrf", info, sigma)
+        h, info = lapack.dpttrs(ld, le, c)
+        lapack_check("dpttrs", info, sigma)
+        w, info = lapack.dpttrs(ld, le, h)
+        lapack_check("dpttrs", info, sigma)
+        return h, w, None
 
 
 def tridiagonal_factor(H):

@@ -317,8 +317,6 @@ class LogisticOracle(SmoothOracle):
     """
 
     def __init__(self, dataset):
-        if not isinstance(dataset, Dataset):
-            dataset = Dataset(*dataset)
         super().__init__(dataset.dim)
         self.dataset = dataset
 

@@ -386,6 +386,8 @@ def test_parse_report_csv_rejects_inconsistent_rows():
     bad = header + "\n" + row.replace("12.4000", "12.5000") + "\n"
     with pytest.raises(ValueError, match="row 2: BGM_A 12.5000 disagrees"):
         parse_report_csv(bad)
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        parse_report_csv(header.replace("CO", "calls") + "\n" + row + "\n")
     with pytest.raises(ValueError, match="row 2 has 9 columns, expected 10"):
         parse_report_csv(header + "\n" + row.rsplit(",", 1)[0] + "\n")
     with pytest.raises(ValueError, match="converged must be True or False"):
@@ -402,6 +404,9 @@ def test_parse_report_csv_rejects_inconsistent_rows():
     assert empty.BGM_A == 0.0
     text = emit_report([empty], format="csv", sink=io.StringIO())
     assert parse_report_csv(text) == [empty]
+    # Blank rows between reports are skipped.
+    assert parse_report_csv(text + "\n" + row + "\n\n") == [empty,
+                                                            sample_report()]
 
 
 def test_emit_report_json_lines_and_alias():
@@ -464,6 +469,9 @@ def test_cli_usage_and_io_errors_exit_one(tmp_path, capsys):
                  "--solver", "basic"]) == 1  # missing --eps
     assert main(["solve", "--problem", "quartic", "--n", "2",
                  "--solver", "basic", "--eps", "abc"]) == 1
+    assert main(["solve", "--problem", "quartic", "--n", "2",
+                 "--solver", "basic", "--eps", ","]) == 1
+    assert "no accuracies given" in capsys.readouterr().err
     assert main(["solve", "--problem", "quartic",
                  "--solver", "basic", "--eps", "1e-2"]) == 1  # missing --n
     assert main(["solve", "--problem", "logistic", "--solver", "basic",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import QuadraticOracle, hat, make_logistic, tri_factor
-from tensormin import inner
+from tensormin import model
 from tensormin.inner import (
     StopReason,
     bregman_step,
@@ -136,10 +136,28 @@ def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
     def failing_dpttrs(d, e, b):
         return b, -3
 
-    monkeypatch.setattr(inner.lapack, "dpttrs", failing_dpttrs)
+    monkeypatch.setattr(model.lapack, "dpttrs", failing_dpttrs)
     with pytest.raises(SecularSolveError,
                        match="dpttrs returned info = -3 at sigma = "):
         secular_solve(tri_factor([1.0, 2.0], [0.5]), 1.0, np.ones(2))
+
+
+def test_secular_breakdown_at_last_iterate_is_reported_once(monkeypatch):
+    # T = 0 with T + sigma I made to break down below sigma = 3 (the root is
+    # 2^(1/3)): Newton and bisection close in on 3 and stop at a breakdown,
+    # reported from that evaluation without factoring its sigma again.
+    calls = []
+    real = model.lapack.dpttrf
+
+    def dpttrf_failing_below_3(d, e):
+        calls.append(float(d[0]))
+        return (d, e, 1) if d[0] < 3.0 else real(d, e)
+
+    monkeypatch.setattr(model.lapack, "dpttrf", dpttrf_failing_below_3)
+    with pytest.raises(SecularSolveError,
+                       match="dpttrf returned info = 1 at sigma = 2.99999"):
+        secular_solve(tri_factor(np.zeros(2)), 2.0, np.ones(2))
+    assert calls.count(calls[-1]) == 1
 
 
 @pytest.mark.parametrize("factor, M, c, match", [
@@ -155,13 +173,13 @@ def test_secular_lapack_failure_names_routine_and_sigma(monkeypatch):
 def test_secular_non_finite_start_or_phi_fails_at_once(monkeypatch, factor,
                                                         M, c, match):
     calls = []
-    real = inner.lapack.dpttrf
+    real = model.lapack.dpttrf
 
     def counting_dpttrf(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(inner.lapack, "dpttrf", counting_dpttrf)
+    monkeypatch.setattr(model.lapack, "dpttrf", counting_dpttrf)
     with pytest.raises(SecularSolveError, match=match):
         secular_solve(factor, M, c)
     assert len(calls) <= 3

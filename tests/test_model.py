@@ -13,6 +13,7 @@ from conftest import (
     make_logistic,
     omega_grad_at,
     rho_grad_at,
+    tri_factor,
 )
 import tensormin.model
 from tensormin.inner import bregman_step
@@ -20,6 +21,7 @@ from tensormin.model import (
     EIG_FLOOR,
     ConvexityError,
     ModelAnchor,
+    SecularSolveError,
     bregman_div,
     d4_grad,
     d4_value,
@@ -513,6 +515,39 @@ def test_factor_products_match_dense_q(n):
         factor.qt(v)
         factor.q(v)
         assert np.array_equal(v, w)
+
+
+def test_shifted_solve_matches_dense_solve():
+    # Seeded PSD T from full-rank and rank-deficient B^T B (T singular;
+    # at n = 1 with no rows, T = 0), at shifts across eight decades.
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 8, 30):
+        for rows in (n // 2, n + 2):
+            b = rng.standard_normal((rows, n))
+            factor = tridiagonal_factor(b.T @ b)
+            t = tridiag_dense(factor.d, factor.e)
+            c = rng.standard_normal(n)
+            for sigma in (1e-4, 1.0, 1e4):
+                a = t + sigma * np.eye(n)
+                h, w, breakdown = factor.shifted_solve(sigma, c)
+                assert breakdown is None
+                h_ref = np.linalg.solve(a, c)
+                w_ref = np.linalg.solve(a, h_ref)
+                # Forward error of a backward-stable solve: eps cond(a).
+                tol = 10.0 * np.finfo(float).eps * np.linalg.cond(a)
+                assert np.linalg.norm(h - h_ref) <= tol * np.linalg.norm(h_ref)
+                assert np.linalg.norm(w - w_ref) <= tol * np.linalg.norm(w_ref)
+
+
+def test_shifted_solve_reports_breakdown_unraised():
+    # T = [[1, 1], [1, 1]] is singular, and 1 + 1e-20 rounds to 1, so the
+    # second pivot of T + 1e-20 I is exactly 0: dpttrf returns info = 2.
+    h, w, breakdown = tri_factor([1.0, 1.0], [1.0]).shifted_solve(1e-20,
+                                                                  np.ones(2))
+    assert h is None and w is None
+    assert isinstance(breakdown, SecularSolveError)
+    assert str(breakdown) == ("LAPACK dpttrf returned info = 2 at sigma = "
+                              "9.9999999999999995e-21")
 
 
 def test_factor_trace_matches_hessian_trace():

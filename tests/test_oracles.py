@@ -274,6 +274,7 @@ def test_counter_totals_match_an_independent_recorder():
 
         def __init__(self, base):
             self.base = base
+            self.n = base.n
             self.calls = base.calls
             self.tally = dict.fromkeys(("value", "grad", "hessian", "third", "trace"), 0)
 

@@ -41,6 +41,10 @@ BAD_ENTRY_ARGUMENTS = [
                  r"x0 must be finite, got x0\[0\] = nan", id="x0-nan"),
     pytest.param({"x0": np.array([1.0, -np.inf])}, ValueError,
                  r"x0 must be finite, got x0\[1\] = -inf", id="x0-inf"),
+    pytest.param({"x0": np.ones(3)}, ValueError,
+                 r"x0 has shape \(3,\), expected \(2,\)", id="x0-length"),
+    pytest.param({"x0": np.ones((2, 1))}, ValueError,
+                 r"x0 has shape \(2, 1\), expected \(2,\)", id="x0-2d"),
     pytest.param({"composite": AbsComposite()}, TypeError,
                  "composite must be ZeroComposite .*, got AbsComposite",
                  id="composite-l1"),
@@ -58,7 +62,7 @@ BAD_ENTRY_ARGUMENTS = [
 @pytest.mark.parametrize("bad, error, match", BAD_ENTRY_ARGUMENTS)
 def test_nonfinite_or_nonpositive_m0_and_epsilon_fail_before_any_call(
         solve, bad, error, match):
-    # Also a non-finite x0, any composite other than ZeroComposite and an
+    # Also a non-finite or wrong-shape x0, any composite other than ZeroComposite and an
     # iteration cap that is not an integer >= 1.
     oracle = quartic_oracle(2)
     args = {"composite": ZeroComposite(), "x0": np.ones(2), "m0": 1.0,
@@ -367,22 +371,39 @@ class _NoDecreaseOracle(SmoothOracle):
         return np.zeros(self.n)
 
 
-def test_run_basic_level_doubling_failure_is_typed_and_named():
-    oracle = _NoDecreaseOracle(3)
-    with pytest.raises(LevelSearchError) as info:
-        run_basic(oracle, ZeroComposite(), np.zeros(3), 1.0, 1e-6)
-    assert tensormin.LevelSearchError is LevelSearchError
-    assert isinstance(info.value, RuntimeError)
-    msg = str(info.value)
+@pytest.mark.parametrize("solve, make, m0, cap, msg, calls", [
     # The trial at level 2^2 repeats the one at 2^1 (the first is the
     # smallest 2^i >= 2 m0) bit for bit, with zero decrease: the search
     # stops there instead of doubling on to 2^201.
-    assert msg.startswith("level doubling did not terminate at outer step t=0")
-    assert "M = 2.000e+00 .. 4.000e+00" in msg
-    assert "last stop reason %s" % StopReason.EPSILON_SMALL.value in msg
-    assert oracle.calls.total() < 100
-    assert "gradient norm 1.000e+00 > epsilon 1.000e-06" in msg
-    assert "decrease f_x - f_trial = 0.000e+00" in msg
+    (run_basic, lambda: (_NoDecreaseOracle(3), np.zeros(3)), 1.0, None,
+     "M = 2.000e+00 .. 4.000e+00, last stop reason EpsilonSmall; last "
+     "evaluated trial has gradient norm 1.000e+00 > epsilon 1.000e-06 and "
+     "decrease f_x - f_trial = 0.000e+00", (3, 3, 1, 78)),
+    # Every capped level certifies slow convergence: nothing was evaluated.
+    *[(solve, lambda: (quartic_oracle(2), np.ones(2)), 1e-80, 3,
+       "M = 2.000e-80 .. 1.600e-79, last stop reason SlowConvergence; no "
+       "trial was evaluated", (0, 1, 1, 136)) for solve in (run_basic,
+                                                           run_accel)],
+    # The accelerated method rejects a trial without reading its value.
+    (run_accel, lambda: (_NoDecreaseOracle(3), np.ones(3)), 1.0, 3,
+     "M = 2.000e+00 .. 1.600e+01, last stop reason EpsilonSmall; last "
+     "evaluated trial has gradient norm 1.000e+00 > epsilon 1.000e-06 (its "
+     "decrease was not evaluated)", (0, 5, 1, 156)),
+])
+def test_run_basic_level_doubling_failure_is_typed_and_named(
+        monkeypatch, solve, make, m0, cap, msg, calls):
+    if cap is not None:
+        monkeypatch.setattr(tensormin.basic, "_MAX_LEVEL_DOUBLINGS", cap)
+    oracle, x0 = make()
+    with pytest.raises(LevelSearchError) as info:
+        solve(oracle, ZeroComposite(), x0, m0, 1e-6)
+    assert tensormin.LevelSearchError is LevelSearchError
+    assert isinstance(info.value, RuntimeError)
+    assert str(info.value) == ("level doubling did not terminate at outer "
+                               "step t=0: levels " + msg)
+    snap = oracle.calls.snapshot()
+    assert (snap["value"], snap["grad"], snap["hessian"],
+            snap["third"]) == calls
 
 
 @pytest.mark.parametrize("m0, error, solve", [
