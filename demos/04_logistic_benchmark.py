@@ -2,8 +2,9 @@
 Benchmark harness on the bundled logistic problem
 =================================================
 
-The harness runs one solver over a sweep of target accuracies with fresh
-oracle counters per run, and reports five counters for each target:
+The harness runs one solver over a sweep of target accuracies on one
+oracle, each run counting only its own calls, and reports five counters for
+each target:
 
   IT      outer iterations (point updates, including the final stop)
   CO      oracle calls (values, gradients, Hessians, traces, third-order)

@@ -25,7 +25,8 @@ from .oracles import (Dataset, FdThirdOracle, ZeroComposite, check_cap,
 
 @dataclass
 class RunConfig:
-    """One harness invocation: a problem, a solver, and an accuracy sweep."""
+    """One harness invocation: a problem, a start-point policy, a solver and
+    an accuracy sweep; it accepts exactly what ``tensormin solve`` can say."""
 
     PROBLEMS = ("logistic", "quartic")  # the choices of the string fields
     SOLVERS = ("basic", "accel")
@@ -38,33 +39,33 @@ class RunConfig:
     has_header: bool = False
     n: int | None = None              # quartic dimension
     m0: float = 1.0
-    x0: str | np.ndarray = "ones"     # one of X0_POLICIES, or a vector
+    x0: str = "ones"                  # one of X0_POLICIES
     fd_tau: float | None = None       # replace third derivatives by differences
     max_outer: int = MAX_OUTER
     max_inner: int = MAX_INNER
 
     def __post_init__(self):
         for name, choices in (("problem", self.PROBLEMS),
-                              ("solver", self.SOLVERS)):
-            if getattr(self, name) not in choices:
-                raise ValueError("%s must be %s" % (
-                    name, " or ".join(map(repr, choices))))
-        if not self.epsilons:
-            raise ValueError("at least one target accuracy is required")
+                              ("solver", self.SOLVERS),
+                              ("x0", self.X0_POLICIES)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in choices):
+                raise ValueError("%s must be %s, got %r" % (
+                    name, " or ".join(map(repr, choices)), value))
+        if not (isinstance(self.epsilons, (list, tuple)) and self.epsilons):
+            raise ValueError("epsilons must be a non-empty list of target "
+                             "accuracies, got %r" % (self.epsilons,))
         for k, eps in enumerate(self.epsilons):
             check_positive("epsilons[%d]" % k, eps)
         check_positive("m0", self.m0)
         if self.problem == "quartic":
             check_cap("n", self.n)
-            if self.dataset_path is not None:
-                raise ValueError("dataset_path only applies to the logistic "
-                                 "problem")
+            if self.dataset_path is not None or self.has_header:
+                raise ValueError("dataset_path and has_header only apply to "
+                                 "the logistic problem")
         elif self.n is not None:
             raise ValueError("n only applies to the quartic problem, got %r"
                              % (self.n,))
-        if isinstance(self.x0, str) and self.x0 not in self.X0_POLICIES:
-            raise ValueError("x0 must be %s or a vector, got %r" % (
-                ", ".join(map(repr, self.X0_POLICIES)), self.x0))
         if self.fd_tau is not None:
             check_positive("fd_tau", self.fd_tau)
         check_cap("max_outer", self.max_outer)
@@ -134,17 +135,11 @@ def load_dataset(path, has_header=False):
     return Dataset(features=features, labels=data[:, -1])
 
 
-def _load_data(cfg):
-    """The logistic dataset ``cfg`` names (None for the quartic)."""
-    if cfg.problem != "logistic":
-        return None
-    path = cfg.dataset_path if cfg.dataset_path is not None else bundled_dataset_path()
-    return load_dataset(path, has_header=cfg.has_header)
-
-
-def _build_oracle(cfg, data):
+def _build_oracle(cfg):
+    """The oracle ``cfg`` names; a logistic one reads its dataset."""
     if cfg.problem == "logistic":
-        oracle = logistic_oracle(data)
+        path = cfg.dataset_path if cfg.dataset_path is not None else bundled_dataset_path()
+        oracle = logistic_oracle(load_dataset(path, has_header=cfg.has_header))
     else:
         oracle = quartic_oracle(cfg.n)
     if cfg.fd_tau is not None:
@@ -152,35 +147,27 @@ def _build_oracle(cfg, data):
     return oracle
 
 
-def _start_point(cfg, dim):
-    if isinstance(cfg.x0, str):
-        return np.ones(dim) if cfg.x0 == "ones" else np.zeros(dim)
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (dim,):
-        raise ValueError("explicit x0 has shape %s, expected (%d,)" % (x0.shape, dim))
-    return x0
-
-
 def run_experiment(cfg, trace_sink=None):
-    """Run the configured solver once per target accuracy on fresh counters.
+    """Run the configured solver once per target accuracy.
 
-    The dataset is read once per call; each accuracy gets a fresh oracle
-    built from it, so its counters start at zero, and ``trace_sink`` goes to
-    the solver, which tags each line with its ``epsilon``.  Returns the
-    ``RunReport``s in the order of ``cfg.epsilons``.  Solver exceptions are
-    re-raised by ``with_context`` with the failing accuracy, ``epsilon=…``,
-    before their message.
+    The problem is set up once per call: one oracle (a logistic dataset is
+    read once) and one start vector from the ``cfg.x0`` policy, on which
+    every accuracy runs; each report counts only its own run's oracle calls.
+    ``trace_sink`` goes to the solver, which tags each line with its
+    ``epsilon``.  Returns the ``RunReport``s in the order of
+    ``cfg.epsilons``.  Set-up and solver exceptions are re-raised by
+    ``with_context`` with the failing accuracy, ``epsilon=…``, before their
+    message.
     """
     solver = run_basic if cfg.solver == "basic" else run_accel
     composite = ZeroComposite()
     reports = []
-    data = None
+    oracle = None
     for eps in cfg.epsilons:
         try:
-            if data is None:  # first accuracy: load errors are annotated too
-                data = _load_data(cfg)
-            oracle = _build_oracle(cfg, data)
-            x0 = _start_point(cfg, oracle.n)
+            if oracle is None:  # first accuracy: set-up errors are annotated too
+                oracle = _build_oracle(cfg)
+                x0 = (np.ones if cfg.x0 == "ones" else np.zeros)(oracle.n)
             _, report, _ = solver(
                 oracle, composite, x0, cfg.m0, eps,
                 max_outer=cfg.max_outer, max_inner=cfg.max_inner,

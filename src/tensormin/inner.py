@@ -42,7 +42,7 @@ class StopReason(Enum):
     EPSILON_SMALL = "EpsilonSmall"          # model gradient <= epsilon / 7
     MODEL_STATIONARITY = "ModelStationarity"  # <= (M / 6) ||y - x||^3
     SLOW_CONVERGENCE = "SlowConvergence"    # certificate: level M too small
-    ITERATION_CAP = "IterationCap"          # max_inner exhausted (run abort)
+    ITERATION_CAP = "IterationCap"          # max_inner hit (a trial's ends the run)
 
 
 @dataclass
@@ -281,7 +281,8 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
     * G^4 above the geometric decay envelope -> SLOW_CONVERGENCE exit (the
       level-doubling certificate),
-    * otherwise iterate, up to ``max_inner`` steps (ITERATION_CAP, run abort).
+    * otherwise iterate, up to ``max_inner`` steps (ITERATION_CAP; a trial's
+      cap ends the run, a companion's leaves the trial as the iterate).
 
     Every exit reports the last tested G; G and ||y - x|| are the same in
     the coordinates of Q.  The first step starts from the anchor's

@@ -21,6 +21,7 @@ one run and one oracle; the oracle keeps no state besides its call counter.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -40,8 +41,9 @@ def check_cap(name, cap):
 
 def check_positive(name, value):
     """``value`` as a float; raise ValueError naming ``name`` unless it is a
-    finite real > 0 (a bool is not)."""
-    if isinstance(value, bool) or not 0.0 < float(value) < math.inf:
+    finite real > 0: a ``numbers.Real``, NumPy's included, but not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < math.inf):
         raise ValueError("%s must be finite and positive, got %r"
                          % (name, value))
     return float(value)

@@ -146,11 +146,19 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="n only applies to the quartic "
                        "problem, got 7"):
         RunConfig(problem="logistic", n=7)
-    with pytest.raises(ValueError, match="x0 must be 'ones', 'zeros' or a "
-                       "vector, got 'ONES'"):
+    with pytest.raises(ValueError, match="x0 must be 'ones' or 'zeros', "
+                       "got 'ONES'"):
         RunConfig(problem="logistic", x0="ONES")
+    # x0 is a policy, as on the command line; a vector is refused at once.
+    with pytest.raises(ValueError, match=re.escape(
+            "x0 must be 'ones' or 'zeros', got array([0., 0.])")):
+        RunConfig(problem="quartic", n=2, x0=np.zeros(2))
+    with pytest.raises(ValueError, match="epsilons must be a non-empty list"):
+        RunConfig(problem="quartic", n=2, epsilons=1e-6)
     with pytest.raises(ValueError):
         RunConfig(problem="quartic", n=2, dataset_path="x.csv")
+    with pytest.raises(ValueError, match="has_header only appl"):
+        RunConfig(problem="quartic", n=2, has_header=True)
     with pytest.raises(ValueError):
         RunConfig(problem="quartic", n=2, fd_tau=0.0)
     for name in ("max_outer", "max_inner"):
@@ -238,8 +246,8 @@ def test_experiment_bundled_dataset_paper_counters():
 
 
 def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
-    # One load per call; each accuracy still gets a fresh oracle (zero
-    # counters) over the shared dataset.
+    # One load and one oracle per call; each report counts only its own
+    # run's calls on it.
     loads, seen = [], []
     real_load, real_solver = harness.load_dataset, harness.run_basic
 
@@ -258,9 +266,10 @@ def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
     ))
     assert len(reports) == 4 and all(r.converged for r in reports)
     assert len(loads) == 1
-    assert len({id(oracle) for oracle, _ in seen}) == 4
-    assert len({id(oracle.base.dataset) for oracle, _ in seen}) == 1
-    assert all(total == 0 for _, total in seen)
+    assert len({id(oracle) for oracle, _ in seen}) == 1
+    before = [sum(r.CO for r in reports[:k]) for k in range(len(reports))]
+    assert [total for _, total in seen] == before
+    assert seen[0][0].calls.total() == sum(r.CO for r in reports)
 
 
 def test_experiment_errors_annotated_with_accuracy(tmp_path, monkeypatch):
@@ -271,18 +280,20 @@ def test_experiment_errors_annotated_with_accuracy(tmp_path, monkeypatch):
     )
     with pytest.raises(OSError, match="epsilon=0.01"):
         run_experiment(cfg)
-    bad_x0 = RunConfig(problem="quartic", n=3, x0=np.zeros(2), epsilons=[1e-2])
-    with pytest.raises(ValueError, match="epsilon=0.01"):
-        run_experiment(bad_x0)
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("1.0,0\n2.0,3\n")
+    with pytest.raises(ValueError, match="^epsilon=0.01: row 2 label "):
+        run_experiment(RunConfig(problem="logistic", dataset_path=str(malformed),
+                                 epsilons=[1e-2]))
     # UnicodeDecodeError's constructor takes five arguments, so no annotated
     # copy can be built: the original is re-raised with the accuracy added
     # as a note.
     original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
-    def fail(cfg):
+    def fail(*args, **kwargs):
         raise original
 
-    monkeypatch.setattr(harness, "_load_data", fail)
+    monkeypatch.setattr(harness, "load_dataset", fail)
     with pytest.raises(UnicodeDecodeError) as info:
         run_experiment(RunConfig(problem="logistic", epsilons=[1e-2]))
     assert info.value is original
@@ -294,10 +305,6 @@ def test_experiment_start_point_policies():
         RunConfig(problem="quartic", n=3, x0="zeros", epsilons=[1e-6])
     )[0]
     assert zeros.IT == 1  # stationary start
-    explicit = run_experiment(
-        RunConfig(problem="quartic", n=3, x0=np.zeros(3), epsilons=[1e-6])
-    )[0]
-    assert explicit.IT == 1
 
 
 def test_experiment_runs_are_deterministic():

@@ -435,13 +435,22 @@ POSITIVE_SITES = {
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, True],
-                         ids=["nan", "inf", "0", "-1", "True"])
-@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+_NOT_POSITIVE_REALS = {"nan": np.nan, "inf": np.inf, "0": 0.0, "-1": -1.0,
+                       "True": True, "None": None, "str": "1", "list": [1.0],
+                       "complex": 1j, "array": np.ones(2)}
+
+
+@pytest.mark.parametrize("site, bad", [
+    pytest.param(site, bad, id="%s-%s" % (site, key))
+    for site in sorted(POSITIVE_SITES)
+    for key, bad in _NOT_POSITIVE_REALS.items()
+    # fd_tau=None means "no finite differences".
+    if not (site == "RunConfig-fd_tau" and bad is None)])
 def test_every_positive_real_is_checked_alike(site, bad):
     # Sites that only refused <= 0 let NaN and inf through (with_m(inf)
     # returned an anchor, solve_a(1, nan) ran 200 Newton steps), and none
-    # refused a bool.
+    # refused a bool; a value that is not a real number raised a TypeError
+    # naming no argument, or a string such as "1" was read as a number.
     name, call = POSITIVE_SITES[site]
     with pytest.raises(ValueError, match="^%s must be finite and positive, "
                                          "got " % name):

@@ -18,9 +18,9 @@ from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
                                ZeroComposite, logistic_oracle, quartic_oracle)
 
 
-def run_quartic(n, x0, m0, epsilon, **kw):
+def run_quartic(n, x0, m0, epsilon, solve=run_basic, **kw):
     oracle = quartic_oracle(n)
-    x, report, rows = run_basic(
+    x, report, rows = solve(
         oracle, ZeroComposite(), np.asarray(x0, dtype=float), m0, epsilon, **kw
     )
     return oracle, x, report, rows
@@ -84,8 +84,9 @@ def test_accept_test_points_and_boundary():
 # -- terminal behavior --------------------------------------------------------------
 
 
-def test_run_basic_already_stationary_start():
-    oracle, x, report, rows = run_quartic(3, np.zeros(3), 1.0, 1e-8)
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_already_stationary_start(solve):
+    oracle, x, report, rows = run_quartic(3, np.zeros(3), 1.0, 1e-8, solve)
     assert report.converged is True
     assert report.IT == 1
     assert report.BGM_E == 1
@@ -250,10 +251,11 @@ def test_fd_run_evaluates_each_anchor_gradient_once(solve, grad, co, counters):
     assert (oracle.calls.grad, report.CO) == (grad, co)
 
 
-def test_run_basic_is_deterministic_except_wall_time():
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_is_deterministic_except_wall_time(solve):
     x0 = [0.8, -1.2, 0.4]
-    _, x_a, rep_a, rows_a = run_quartic(3, x0, 1.0, 1e-7)
-    _, x_b, rep_b, rows_b = run_quartic(3, x0, 1.0, 1e-7)
+    _, x_a, rep_a, rows_a = run_quartic(3, x0, 1.0, 1e-7, solve)
+    _, x_b, rep_b, rows_b = run_quartic(3, x0, 1.0, 1e-7, solve)
     assert np.array_equal(x_a, x_b)
     assert (rep_a.IT, rep_a.CO, rep_a.BGM_E, rep_a.BGM_IT) == (
         rep_b.IT, rep_b.CO, rep_b.BGM_E, rep_b.BGM_IT
@@ -264,6 +266,7 @@ def test_run_basic_is_deterministic_except_wall_time():
     for ra, rb in zip(rows_a, rows_b):
         assert ra["t"] == rb["t"] and ra["i"] == rb["i"]
         assert ra["M_level"] == rb["M_level"]
+        assert ra.get("a") == rb.get("a")  # the accel step weight
         assert ra["accepted"] == rb["accepted"]
 
 
@@ -289,15 +292,20 @@ def test_run_basic_no_slow_certificates_above_curvature():
         assert row["stop_reason"] != "SlowConvergence"
 
 
-def test_run_basic_outer_cap_reports_honestly():
-    _, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-12, max_outer=2)
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_outer_cap_reports_honestly(solve):
+    _, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-12, solve,
+                                     max_outer=2)
     assert report.converged is False
     assert report.IT == 2
+    assert np.isfinite(report.final_f)
     assert report.final_grad_norm > 1e-12
 
 
-def test_run_basic_inner_cap_aborts_run():
-    oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-10, max_inner=1)
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_inner_cap_aborts_run(solve):
+    oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-10, solve,
+                                          max_inner=1)
     assert report.converged is False
     assert report.IT == 0
     assert rows[-1]["stop_reason"] == StopReason.ITERATION_CAP.value
@@ -344,14 +352,6 @@ def test_untraced_run_passes_no_trace_to_the_inner_solver(solve, monkeypatch):
                          np.array([1.0, 1.0]), 1.0, 1e-6)
     assert len(traces) == report.BGM_E > 0
     assert all(trace is None for trace in traces)
-
-
-def test_run_basic_rejects_bad_parameters():
-    oracle = quartic_oracle(2)
-    with pytest.raises(ValueError):
-        run_basic(oracle, ZeroComposite(), np.ones(2), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        run_basic(oracle, ZeroComposite(), np.ones(2), -1.0, 1e-6)
 
 
 class _NoDecreaseOracle(SmoothOracle):

@@ -4,8 +4,9 @@
 callers look up (``secular_solve``, the ``from_oracle`` classmethod, ...).
 A refactor that inlines such a call or changes how a name is bound would
 make a traced benchmark run under-report a layer or fail.  These tests load
-``perfbench/`` as it is, trace one small solve through each outer loop, and
-require the span counts to reconcile with the program's own counters.
+``perfbench/`` as it is, trace one small solve through each outer loop and
+one harness sweep, and require the span counts to reconcile with the
+program's own counters.
 """
 
 import sys
@@ -63,3 +64,17 @@ def test_traced_solve_reconciles(spans, module, loop):
     # Every name is restored once the block exits.
     for (owner, attr, _), raw in zip(targets, shipped):
         assert owner.__dict__[attr] is raw
+
+
+def test_traced_experiment_reconciles(spans):
+    # The harness looks up load_dataset by name when it sets up its oracle,
+    # so a traced sweep records one load for the whole call.
+    tracer = spans.Tracer()
+    with tracer.installed(tm):
+        reports = tm.harness.run_experiment(tm.harness.RunConfig(
+            problem="logistic", solver="accel", epsilons=[1e-2, 1e-6]))
+    totals = {key: sum(getattr(r, key) for r in reports)
+              for key in ("CO", "BGM_E", "BGM_IT")}
+    assert spans.reconcile(tracer, totals) == []
+    assert tracer.calls("harness.load_dataset") == 1
+    assert tracer.calls("harness.run_experiment") == 1
