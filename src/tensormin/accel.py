@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basic import MAX_OUTER, decrease_rhs, level_search
+from .basic import MAX_OUTER, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
 from .oracles import SolveError, as_point, check_positive, grad_at, value_at
 
@@ -67,13 +67,15 @@ def solve_a(a_prev_total, m_level):
 
     The root satisfies |p(gamma)| <= 1e-12 (k + A gamma^4) for M in
     [1e-300, 1e300], A <= 1e307 and A M <= 1e300.  Beyond that k may be 0 or
-    infinite, gamma^4 may underflow or 4 A gamma^3 overflow; a k of 0 or
-    inf, 200 Newton steps without convergence, a residual bound that is not
-    finite and a residual miss each raise ``WeightEquationError``.
+    infinite, gamma^4 may underflow or 4 A gamma^3 overflow; a non-finite A
+    or residual bound, a k of 0 or inf, 200 Newton steps without convergence
+    and a residual miss each raise ``WeightEquationError``.
     """
     A = float(a_prev_total)
     if A < 0.0:
         raise ValueError("accumulated weight A must be nonnegative")
+    if not A < math.inf:
+        raise WeightEquationError("weight-equation A = %g is not finite" % A)
     check_positive("M", m_level)
     k = 16.0 / (_SCALE * m_level)
     if not 0.0 < k < math.inf:
@@ -110,13 +112,6 @@ def mix_z(x_t, v_t, a_total, a_t):
     return (1.0 - gamma) * np.asarray(x_t, dtype=float) + gamma * np.asarray(
         v_t, dtype=float
     )
-
-
-def accept_test_accel(grad_trial, z, x_trial, m_level):
-    """Accept when <grad(trial), z - trial> >= ||grad(trial)||^(4/3) / (6 M^(1/3))."""
-    g = np.asarray(grad_trial, dtype=float)
-    lhs = float(np.dot(g, np.asarray(z, dtype=float) - np.asarray(x_trial, dtype=float)))
-    return lhs >= decrease_rhs(float(np.linalg.norm(g)), m_level)
 
 
 @dataclass
@@ -202,8 +197,8 @@ def run_accel(
 
 
 class _AccelStep:
-    """Anchor at the mixture z(a), accept on the angle test, and fold every
-    accepted trial into the estimating sequence ``state``, all it keeps.
+    """Anchor at the mixture z(a), measure <grad f(trial), z - trial>, fold
+    each accepted trial into the estimating sequence ``state``, all it keeps.
 
     The center is the iterate's own point while z equals x_t bit for bit, as
     at every level of the first step, where x = v = x0, and a point at z
@@ -229,9 +224,8 @@ class _AccelStep:
         }
         return (x_t if np.array_equal(z, x_t.x) else as_point(z)), fields
 
-    def accept(self, center, p, m_level):
-        return accept_test_accel(grad_at(self.oracle, p), center.x, p.x,
-                                 m_level)
+    def decrease(self, center, p):
+        return float(np.dot(grad_at(self.oracle, p), center.x - p.x))
 
     def update(self, p, fields):
         # A_t f(x_t) <= phi*_t needs only f(x_{t+1}) <= f(T(z_t)), so phi

@@ -8,7 +8,7 @@ iteration.  The level therefore tracks the (unknown) third-derivative
 Lipschitz constant from below without ever being told it.
 
 ``level_search`` is that level rule; the accelerated method runs it too,
-with its own anchor center, acceptance test and update.
+with its own anchor center, measure of decrease and update.
 """
 
 from __future__ import annotations
@@ -47,13 +47,8 @@ class LevelSearchError(SolveError):
 
 
 def decrease_rhs(grad_norm_trial, m_level):
-    """||grad(trial)||^(4/3) / (6 M^(1/3)), both acceptance tests' bound."""
+    """||grad(trial)||^(4/3) / (6 M^(1/3)), the acceptance bound."""
     return grad_norm_trial ** (4.0 / 3.0) / (6.0 * m_level ** (1.0 / 3.0))
-
-
-def accept_test_basic(f_x, f_trial, grad_norm_trial, m_level):
-    """Sufficient decrease:  f(x) - f(trial) >= ||grad(trial)||^(4/3) / (6 M^(1/3))."""
-    return f_x - f_trial >= decrease_rhs(grad_norm_trial, m_level)
 
 
 def _gnorm(oracle, p):
@@ -107,7 +102,7 @@ def run_basic(
 
 
 class _BasicStep:
-    """Anchor at the iterate, accept on sufficient decrease."""
+    """Anchor at the iterate; the decrease is f(x_t) - f(trial)."""
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
@@ -115,10 +110,8 @@ class _BasicStep:
     def center(self, x_t, m_level):
         return x_t, {}
 
-    def accept(self, center, p, m_level):
-        oracle = self.oracle
-        return accept_test_basic(value_at(oracle, center), value_at(oracle, p),
-                                 _gnorm(oracle, p), m_level)
+    def decrease(self, center, p):
+        return value_at(self.oracle, center) - value_at(self.oracle, p)
 
     def update(self, p, fields):
         return {}
@@ -144,21 +137,23 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     Each outer step t runs the inner solver at levels 2^i M_t, doubling
     while the solver certifies slow progress or the trial is rejected, and
-    sets M_{t+1} to half the accepted level.  M_0 = m0 and every accepted
-    level is >= 2 m0, so each M_t is m0 2^k (k >= 0) exactly in floating
-    point, and the first index i, the smallest that keeps the trial level
-    >= 2 m0, is 1 when M_t = m0 and 0 otherwise.  A trial whose gradient
-    norm is <= epsilon ends the run, and so does an accepted step whose next
-    iterate has one.  Arguments and return value are those of
-    ``run_basic``.  Before any oracle call, a ``composite`` other than a
-    ``ZeroComposite`` raises TypeError, and a wrong-shape or non-finite ``x0``,
-    a non-finite or nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or
-    ``max_inner`` that is not an integer >= 1 raises ValueError naming it;
-    nothing below these checks refers to psi.  A ``SolveError`` raised
-    during outer step t at level index i is re-raised by ``with_context``
-    with t, i and the level M before its message, and an ``ArithmeticError``
-    as ``LevelSearchError`` naming the same; a level 2^i M_t that overflows
-    to infinity raises one naming m0 before its inner run.  A step whose 201
+    sets M_{t+1} to half the accepted level.  A trial at level M is accepted
+    when the step's ``decrease`` to it is >= ``decrease_rhs`` of its
+    gradient norm and M.  M_0 = m0 and every accepted level is >= 2 m0, so
+    each M_t is m0 2^k (k >= 0) exactly in floating point, and the first
+    index i, the smallest that keeps the trial level >= 2 m0, is 1 when
+    M_t = m0 and 0 otherwise.  A trial whose gradient norm is <= epsilon
+    ends the run, and so does an accepted step whose next iterate has one.
+    Arguments and return value are those of ``run_basic``.  Before any
+    oracle call, a ``composite`` other than a ``ZeroComposite`` raises
+    TypeError, and a wrong-shape or non-finite ``x0``, a non-finite or
+    nonpositive ``m0`` or ``epsilon``, or a ``max_outer`` or ``max_inner``
+    that is not an integer >= 1 raises ValueError naming it; nothing below
+    these checks refers to psi.  A ``SolveError`` raised during outer step t
+    at level index i is re-raised by ``with_context`` with t, i and the
+    level M before its message, and an ``ArithmeticError`` as
+    ``LevelSearchError`` naming the same; a level 2^i M_t that overflows to
+    infinity raises one naming m0 before its inner run.  A step whose 201
     levels all fail raises ``LevelSearchError`` without that prefix, and so
     does one whose evaluated trial repeats the previous evaluated trial's
     point bit for bit with a decrease f_x - f_trial of exactly 0 (a method
@@ -178,7 +173,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     * ``center(x_t, m_level) -> (point, row fields)``, the model's anchor
       point at the iterate's point ``x_t``;
-    * ``accept(center, p, m_level) -> accepted`` for the trial's point ``p``;
+    * ``decrease(center, p) -> float``, its progress to the trial's ``p``;
     * ``update(p, fields) -> row fields``, called with ``center``'s fields on
       the acceptance of the trial ``p`` when it does not end the run; the
       returned fields join the trial's row.
@@ -276,7 +271,8 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                     continue
 
                 converged = row["grad_norm_trial"] <= eps
-                accepted = converged or step.accept(center, p_plus, m_level)
+                accepted = converged or step.decrease(center, p_plus) >= (
+                    decrease_rhs(row["grad_norm_trial"], m_level))
                 if accepted:
                     f_trial = value_at(oracle, p_plus)
                     p_next = p_plus

@@ -278,6 +278,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array")
+        if self.features.shape[1] == 0:
+            raise ValueError("features have no columns: no intercept column")
         m = self.features.shape[0]
         if self.labels.shape != (m,):
             raise ValueError(

@@ -9,6 +9,8 @@ import sys
 from dataclasses import dataclass
 from typing import get_type_hints
 
+import numpy as np
+
 
 @dataclass
 class RunReport:
@@ -75,9 +77,9 @@ def emit_report(reports, format="table", sink=None):
     """Render run reports as an aligned table, CSV, or JSON lines.
 
     Counters print as integers and BGM_A with four decimals in all formats;
-    the table shows every column but the final state and the time.  Writes
-    to ``sink`` (a text stream; stdout when omitted) and also returns the
-    rendered text.
+    the table shows every column but the final state and the time, epsilon
+    in its shortest round-trip form.  Writes to ``sink`` (a text stream;
+    stdout when omitted) and also returns the rendered text.
     """
     if format not in FORMATS:
         raise ValueError("format must be one of %s" % (FORMATS,))
@@ -88,8 +90,8 @@ def emit_report(reports, format="table", sink=None):
     if format == "table":
         names = [name for name in CSV_HEADER if name not in _CSV_ONLY]
         header = [name.replace("_", "-") for name in names]
-        rows = [["%.0e" % r.epsilon] + [_cell(r, name) for name in names[1:]]
-                for r in reports]
+        rows = [[np.format_float_scientific(r.epsilon, trim="-", exp_digits=2)]
+                + [_cell(r, name) for name in names[1:]] for r in reports]
         widths = [max(map(len, column)) for column in zip(header, *rows)]
         for row in [header] + rows:
             buf.write("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n")

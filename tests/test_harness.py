@@ -4,7 +4,7 @@ exit codes."""
 import io
 import json
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -348,11 +348,14 @@ def sample_report():
 
 def test_emit_report_table_layout():
     sink = io.StringIO()
-    text = emit_report([sample_report()], format="table", sink=sink)
+    # Epsilon prints in the shortest form that reads back exactly.
+    reports = [sample_report(), replace(sample_report(), epsilon=1.5e-3)]
+    text = emit_report(reports, format="table", sink=sink)
     assert text == sink.getvalue()
     lines = text.splitlines()
     assert lines[0] == "epsilon  IT  CO  BGM-E  BGM-IT    BGM-A  converged"
     assert lines[1] == "  1e-02   4  20      5      62  12.4000       True"
+    assert lines[2] == "1.5e-03   4  20      5      62  12.4000       True"
 
 
 def test_emit_report_csv_layout_and_round_trip():

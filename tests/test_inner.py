@@ -2,6 +2,7 @@
 slow-convergence certificate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ def test_secular_residual_miss_raises_typed_error(monkeypatch):
     factor = tridiagonal_factor(0.5 * (H + H.T))
     with pytest.raises(SecularSolveError, match="residual"):
         secular_solve(factor, 1.0, rng.standard_normal(6))
+
+
+def test_secular_iteration_cap_raises_typed_error(monkeypatch):
+    monkeypatch.setattr("tensormin.inner._SECULAR_MAXIT", 1)
+    with pytest.raises(SecularSolveError, match=re.escape(
+            "secular Newton iteration did not converge in 1 steps at M = 1 "
+            "(bracket [")):
+        secular_solve(tri_factor([1.0, 2.0, 3.0], [0.5, 0.5]), 1.0,
+                      np.array([1.0, -2.0, 0.5]))
 
 
 def test_secular_bracket_expansion_failure_raises_typed_error():

@@ -266,6 +266,9 @@ def test_every_entry_point_bumps_its_counter_once():
     assert oracle.calls.total() == 6
     oracle.calls.reset()
     assert oracle.calls.total() == 0
+    oracle.calls.bump("grad")
+    assert repr(oracle.calls) == (
+        "CallCounter(value=0, grad=1, hessian=0, third=0, trace=0)")
 
 
 def test_counter_totals_match_an_independent_recorder():
@@ -365,6 +368,8 @@ def test_dataset_rejects_bad_inputs():
         Dataset(np.ones((0, 2)), np.zeros(0))  # empty
     with pytest.raises(ValueError):
         Dataset(np.ones(4), np.zeros(4))  # not 2-d
+    with pytest.raises(ValueError, match="no intercept column"):
+        Dataset(np.zeros((3, 0)), np.zeros(3))  # no columns
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="features must be finite"):
             Dataset(np.array([[1.0, bad], [1.0, 0.0]]), np.array([0.0, 1.0]))

@@ -1,5 +1,5 @@
-"""Accelerated outer loop: weight equation, mixtures, estimating sequence,
-and the directional acceptance test."""
+"""Accelerated outer loop: weight equation, mixtures and estimating sequence
+(its decrease is tested with the basic step's in test_outer_basic)."""
 
 import json
 import math
@@ -12,7 +12,6 @@ import tensormin.accel
 from tensormin.accel import (
     AccelState,
     WeightEquationError,
-    accept_test_accel,
     mix_z,
     phi_min_value,
     run_accel,
@@ -165,7 +164,8 @@ def test_solve_a_roots_where_a_to_the_fourth_overflows():
         assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
 
 
-def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond():
+def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond(
+        monkeypatch):
     # The stated range: M in [1e-300, 1e300], A <= 1e307 and A M <= 1e300,
     # checked in logarithms, 4 log a = log k + 3 log(A + a), at its corners
     # and at log-uniform samples.
@@ -182,15 +182,19 @@ def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond():
         rhs = math.log(16.0 / (_SCALE * M)) + 3.0 * math.log(A + a)
         assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs)), (A, M)
     # Beyond it: k overflows to inf, k underflows to 0 (it used to divide by
-    # zero), gamma^4 underflows, and the residual bound overflows (the root
-    # a ~ 3.98e308 is not representable).
+    # zero), gamma^4 underflows, the residual bound overflows (the root
+    # a ~ 3.98e308 is not representable), and A is not finite.
     for A, M in ((0.0, 5e-324), (1e308, 1e308), (1e300, 1e300),
-                 (1.7e308, 2e-311)):
+                 (1.7e308, 2e-311), (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(WeightEquationError, match="weight-equation"):
             solve_a(A, M)
+    # A non-finite A fails before any Newton step.
+    monkeypatch.setattr(tensormin.accel, "_MAX_NEWTON_STEPS", 0)
+    with pytest.raises(WeightEquationError, match="A = nan is not finite"):
+        solve_a(math.nan, 1.0)
 
 
-# -- mixture and acceptance test ------------------------------------------------------
+# -- mixture ------------------------------------------------------
 
 
 def test_mix_z_cases():
@@ -199,18 +203,6 @@ def test_mix_z_cases():
     assert np.array_equal(mix_z(x, v, 0.0, 0.7), v)
     assert np.allclose(mix_z(x, x, 2.0, 0.5), x)
     assert np.allclose(mix_z(x, v, 1.0, 1.0), 0.5 * (x + v))
-
-
-def test_accept_test_accel_points_and_boundary():
-    z = np.array([1.0])
-    assert accept_test_accel(np.array([0.0]), z, np.array([0.3]), 1.0) is True
-    assert accept_test_accel(np.array([2.0]), z, z, 1.0) is False
-    # Unit gradient against unit displacement at level 1/216: equality.
-    assert accept_test_accel(np.array([1.0]), z, np.array([0.0]), 1.0 / 216.0) is True
-    assert (
-        accept_test_accel(np.array([1.0]), z * (1.0 - 1e-9), np.array([0.0]), 1.0 / 216.0)
-        is False
-    )
 
 
 # -- estimating sequence --------------------------------------------------------------

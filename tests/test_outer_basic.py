@@ -10,12 +10,14 @@ import pytest
 
 from conftest import QuadraticOracle, make_logistic
 import tensormin
-from tensormin.accel import WeightEquationError, run_accel
-from tensormin.basic import LevelSearchError, accept_test_basic, run_basic
+from tensormin.accel import WeightEquationError, _AccelStep, run_accel
+from tensormin.basic import (LevelSearchError, _BasicStep, decrease_rhs,
+                             run_basic)
 from tensormin.inner import StopReason, run_inner
 from tensormin.model import ConvexityError, SecularSolveError
-from tensormin.oracles import (FdThirdOracle, OracleError, SmoothOracle,
-                               ZeroComposite, logistic_oracle, quartic_oracle)
+from tensormin.oracles import (FdThirdOracle, OracleError, Point,
+                               SmoothOracle, ZeroComposite, logistic_oracle,
+                               quartic_oracle)
 
 
 def run_quartic(n, x0, m0, epsilon, solve=run_basic, **kw):
@@ -72,13 +74,40 @@ def test_nonfinite_or_nonpositive_m0_and_epsilon_fail_before_any_call(
     assert oracle.calls.total() == 0
 
 
-def test_accept_test_points_and_boundary():
-    assert accept_test_basic(5.0, 5.0, 0.0, 1.0) is True
-    assert accept_test_basic(5.0, 5.0, 0.5, 1.0) is False
-    # Unit decrease against unit gradient at level 1/216: the threshold is
+def held(x, **data):
+    """A ``Point`` at the scalar x whose f or grad f is already known."""
+    p = Point([x])
+    p.data.update(data)
+    return p
+
+
+@pytest.mark.parametrize("make_step, center, trial, gnorm, m_level, accepted", [
+    # Basic: the decrease is f(center) - f(trial).
+    (_BasicStep, held(0.0, value=5.0), held(0.0, value=5.0), 0.0, 1.0, True),
+    (_BasicStep, held(0.0, value=5.0), held(0.0, value=5.0), 0.5, 1.0, False),
+    # Unit decrease against unit gradient at level 1/216: the bound is
     # exactly 1, so the test passes at equality.
-    assert accept_test_basic(1.0, 0.0, 1.0, 1.0 / 216.0) is True
-    assert accept_test_basic(1.0, 1e-9, 1.0, 1.0 / 216.0) is False
+    (_BasicStep, held(0.0, value=1.0), held(0.0, value=0.0), 1.0, 1 / 216,
+     True),
+    (_BasicStep, held(0.0, value=1.0), held(0.0, value=1e-9), 1.0, 1 / 216,
+     False),
+    # Accel: the decrease is <grad f(trial), z - trial> with z the center.
+    (_AccelStep, held(1.0), held(0.3, grad=np.array([0.0])), 0.0, 1.0, True),
+    (_AccelStep, held(1.0), held(1.0, grad=np.array([2.0])), 2.0, 1.0, False),
+    # Unit gradient against unit displacement at level 1/216: equality.
+    (_AccelStep, held(1.0), held(0.0, grad=np.array([1.0])), 1.0, 1 / 216,
+     True),
+    (_AccelStep, held(1.0 - 1e-9), held(0.0, grad=np.array([1.0])), 1.0,
+     1 / 216, False),
+])
+def test_step_decrease_against_the_bound_at_points_and_boundary(
+        make_step, center, trial, gnorm, m_level, accepted):
+    # The comparison level_search makes, on points whose f or grad f is held.
+    oracle = quartic_oracle(1)
+    step = make_step(oracle, np.zeros(1))
+    assert (step.decrease(center, trial)
+            >= decrease_rhs(gnorm, m_level)) is accepted
+    assert oracle.calls.total() == 0
 
 
 # -- terminal behavior --------------------------------------------------------------
