@@ -3,7 +3,7 @@
 The accelerated method keeps, besides the iterate x_t, a dual center v_t that
 minimizes an estimating function
 
-    phi_t(x) = 1/4 ||x - x_0||^4 + <lin_acc, x> + phi_const,
+    phi_t(x) = 1/4 ||x - x_0||^4 + <lin, x> + const,
 
 built from the linearizations of accepted steps.  Trial anchors are mixtures
 z = (1 - gamma) x_t + gamma v_t with gamma = a / (A + a), where the step
@@ -22,24 +22,20 @@ lower f; a companion that ends on SlowConvergence or IterationCap leaves the
 trial in place.  phi still takes a, f(T(z)) and grad f(T(z)).  This is the
 monotone variant of Monteiro and Svaiter's A-HPE framework (SIAM J. Optim.,
 2013), as in Carmon, Hausler, Jambulapati, Jin and Sidford, "Optimal and
-adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  The step here
-keeps only phi: ``level_search`` owns the iterate, hands it to the step,
-which names its center, z or the iterate itself, and runs the companion
-whenever the accepted trial's center is not the iterate, so while x_t = z
-(on the first step, x = v = x0) the trial is the basic step and no companion
-runs.
+adaptive Monteiro-Svaiter acceleration" (NeurIPS 2022).  ``level_search``
+owns the iterate and runs the companion; the step object holds phi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basic import MAX_OUTER, level_search
 from .inner import MAX_INNER, run_inner  # noqa: F401  (run_inner: perfbench/spans.py rebinds it)
-from .oracles import SolveError, as_point, check_positive, grad_at, value_at
+from .oracles import (SolveError, as_point, check_positive, grad_at, norm,
+                       value_at)
 
 _SCALE = 18.0**3  # 5832; the weight equation's fixed scaling
 _MAX_NEWTON_STEPS = 200
@@ -106,75 +102,6 @@ def solve_a(a_prev_total, m_level):
     return k / g**3
 
 
-def mix_z(x_t, v_t, a_total, a_t):
-    """Anchor mixture z = (1 - gamma) x_t + gamma v_t, gamma = a_t / (A + a_t)."""
-    gamma = a_t / (a_total + a_t)
-    return (1.0 - gamma) * np.asarray(x_t, dtype=float) + gamma * np.asarray(
-        v_t, dtype=float
-    )
-
-
-@dataclass
-class AccelState:
-    """Estimating-sequence state of the accelerated method.
-
-    Invariants: ``a_total`` starts at 0 with ``v = x0``; after every update
-    ``v = x0 - lin_acc / ||lin_acc||^(2/3)`` (so ``||v - x0||^3 = ||lin_acc||``)
-    minimizes phi_t in closed form.
-    """
-
-    x0: np.ndarray
-    v: np.ndarray
-    lin_acc: np.ndarray
-    phi_const: float
-    a_total: float
-
-    @classmethod
-    def fresh(cls, x0):
-        x0 = np.asarray(x0, dtype=float).copy()
-        return cls(
-            x0=x0,
-            v=x0.copy(),
-            lin_acc=np.zeros_like(x0),
-            phi_const=0.0,
-            a_total=0.0,
-        )
-
-
-def phi_min_value(state):
-    """phi_t at its minimizer v_t:  1/4 ||v - x0||^4 + <lin_acc, v> + const."""
-    d = state.v - state.x0
-    nsq = float(np.dot(d, d))
-    return 0.25 * nsq * nsq + float(np.dot(state.lin_acc, state.v)) + state.phi_const
-
-
-def update_phi_and_v(state, a_t, grad_xnext, f_xnext, x_next):
-    """Fold an accepted step into the estimating sequence.
-
-    Adds a_t times the linearization of f at x_next to phi, which shifts the
-    accumulated linear term and its constant; the new minimizer of
-    1/4 ||x - x0||^4 + <lin, x> is closed-form:
-
-        v = x0 - lin / ||lin||^(2/3)      (v = x0 when lin = 0).
-    """
-    grad_xnext = np.asarray(grad_xnext, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    lin = state.lin_acc + a_t * grad_xnext
-    const = state.phi_const + a_t * (float(f_xnext) - float(np.dot(grad_xnext, x_next)))
-    lin_norm = float(np.linalg.norm(lin))
-    if lin_norm == 0.0:
-        v = state.x0.copy()
-    else:
-        v = state.x0 - lin / lin_norm ** (2.0 / 3.0)
-    return replace(
-        state,
-        v=v,
-        lin_acc=lin,
-        phi_const=const,
-        a_total=state.a_total + a_t,
-    )
-
-
 def run_accel(
     oracle,
     composite,
@@ -197,31 +124,47 @@ def run_accel(
 
 
 class _AccelStep:
-    """Anchor at the mixture z(a), measure <grad f(trial), z - trial>, fold
-    each accepted trial into the estimating sequence ``state``, all it keeps.
+    """The estimating sequence, all the accelerated step keeps:
 
-    The center is the iterate's own point while z equals x_t bit for bit, as
+        phi_t(x) = 1/4 ||x - x0||^4 + <lin, x> + const
+
+    with total weight ``a_total`` = A_t.  phi_0 has A_0 = 0, lin = 0 and
+    const = 0; each accepted trial adds a times f's linearization at it, with
+    the weight a of its level.  The minimizer of phi_t is closed-form,
+
+        v = x0 - lin / ||lin||^(2/3)      (v = x0 when lin = 0),
+
+    so ||v - x0||^3 = ||lin||.  ``center`` anchors at the mixture
+    z = (1 - gamma) x_t + gamma v, gamma = a / (A + a), with a from
+    ``solve_a``: the iterate's own point while z equals x_t bit for bit, as
     at every level of the first step, where x = v = x0, and a point at z
-    otherwise; ``level_search`` then follows each accepted trial with the
-    basic companion step from x_t and keeps the lower of the two.  The
+    otherwise.  ``decrease`` measures <grad f(trial), z - trial>, and
+    ``level_search`` follows each accepted trial whose center is z with the
+    basic companion step from x_t, keeping the lower of the two.  The
     objective is evaluated only at evaluated companions and accepted trials,
     never at an anchor or a rejected trial.
     """
 
     def __init__(self, oracle, x0):
         self.oracle = oracle
-        self.state = AccelState.fresh(x0)
+        self.x0 = np.array(x0, dtype=float)
+        self.v = self.x0
+        self.lin = np.zeros_like(self.x0)
+        self.const = 0.0
+        self.a_total = 0.0
+
+    def phi_star(self):
+        """phi_t at its minimizer v:  1/4 ||v - x0||^4 + <lin, v> + const."""
+        d = self.v - self.x0
+        nsq = float(np.dot(d, d))
+        return 0.25 * nsq * nsq + float(np.dot(self.lin, self.v)) + self.const
 
     def center(self, x_t, m_level):
-        state = self.state
-        a = solve_a(state.a_total, m_level)
-        z = mix_z(x_t.x, state.v, state.a_total, a)
-        fields = {
-            "a": a, "gamma": a / (state.a_total + a),
-            "a_total": state.a_total,
-            "v_dist": float(np.linalg.norm(state.v - state.x0)),
-            "phi_star": phi_min_value(state),
-        }
+        a = solve_a(self.a_total, m_level)
+        gamma = a / (self.a_total + a)
+        z = (1.0 - gamma) * x_t.x + gamma * self.v
+        fields = {"a": a, "gamma": gamma, "a_total": self.a_total,
+                  "v_dist": norm(self.v - self.x0), "phi_star": self.phi_star()}
         return (x_t if np.array_equal(z, x_t.x) else as_point(z)), fields
 
     def decrease(self, center, p):
@@ -230,8 +173,13 @@ class _AccelStep:
     def update(self, p, fields):
         # A_t f(x_t) <= phi*_t needs only f(x_{t+1}) <= f(T(z_t)), so phi
         # takes the trial whichever point is kept.
-        self.state = update_phi_and_v(self.state, fields["a"],
-                                      grad_at(self.oracle, p),
-                                      value_at(self.oracle, p), p.x)
-        return {"a_total_next": self.state.a_total,
-                "phi_star_next": phi_min_value(self.state)}
+        a = fields["a"]
+        g = grad_at(self.oracle, p)
+        self.lin = self.lin + a * g
+        self.const += a * (float(value_at(self.oracle, p))
+                           - float(np.dot(g, p.x)))
+        lin_norm = norm(self.lin)
+        self.v = (self.x0 if lin_norm == 0.0
+                  else self.x0 - self.lin / lin_norm ** (2.0 / 3.0))
+        self.a_total += a
+        return {"a_total_next": self.a_total, "phi_star_next": self.phi_star()}

@@ -22,7 +22,8 @@ import numpy as np
 from .inner import MAX_INNER, StopReason, run_inner
 from .model import ModelAnchor
 from .oracles import (SolveError, ZeroComposite, as_point, check_cap,
-                      check_positive, grad_at, value_at, with_context)
+                      check_finite, check_positive, grad_at, norm, value_at,
+                      with_context)
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -53,7 +54,7 @@ def decrease_rhs(grad_norm_trial, m_level):
 
 def _gnorm(oracle, p):
     """||grad f|| at the ``Point`` p, read through ``grad_at``."""
-    return float(np.linalg.norm(grad_at(oracle, p)))
+    return norm(grad_at(oracle, p))
 
 
 def run_basic(
@@ -196,10 +197,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (oracle.n,):
         raise ValueError("x0 has shape %s, expected (%d,)" % (x0.shape, oracle.n))
-    bad = ~np.isfinite(x0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError("x0 must be finite, got x0[%d] = %g" % (i, x0.flat[i]))
+    check_finite("x0", x0)
     eps = check_positive("epsilon", epsilon)
     m0 = check_positive("m0", m0)
     check_cap("max_outer", max_outer)

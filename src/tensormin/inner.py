@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .model import SecularSolveError, inner_constants, omega_grad, rho_grad
-from .oracles import check_cap, check_positive
+from .oracles import check_cap, check_positive, norm
 
 # Residual bound of every secular solve, relative to 1 + ||c||.
 SECULAR_TOL = 1e-12
@@ -100,7 +100,7 @@ def secular_solve(factor, M, c):
     """
     check_positive("M", M)
 
-    cnorm = math.sqrt(np.dot(c, c))
+    cnorm = norm(c)
     if cnorm == 0.0 or cnorm < 1e-300:
         return np.zeros_like(c)
 
@@ -189,8 +189,7 @@ def secular_solve(factor, M, c):
     if breakdown is not None:  # stopped at a breakdown: report it
         raise breakdown
 
-    res = factor.tri(hh) + half_m * hn * hn * hh - c
-    res = math.sqrt(np.dot(res, res))
+    res = norm(factor.tri(hh) + half_m * hn * hn * hh - c)
     bound = SECULAR_TOL * (1.0 + cnorm)
     if res > bound:
         raise SecularSolveError(
@@ -320,9 +319,8 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
         hh_next, r, grho = bregman_step(anchor, gom, grho)
         h = anchor.factor.q(hh_next)
         gom = omega_grad(anchor, oracle, hh_next, h)
-        grad_model = gom + r
-        G = math.sqrt(np.dot(grad_model, grad_model))
-        step_norm = math.sqrt(np.dot(hh_next, hh_next))
+        G = norm(gom + r)
+        step_norm = norm(hh_next)
 
         if trace is not None:
             trace(

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .oracles import (Point, SolveError, as_point, check_positive, grad_at,
-                      value_at)
+                      norm, value_at)
 
 # A smallest Hessian eigenvalue below -max(EIG_FLOOR, ROUNDING_C n eps max|T|)
 # is a convexity violation; one between that floor and 0 is rounding noise,
@@ -255,7 +255,7 @@ class ModelAnchor:
         factor = tridiagonal_factor(oracle.hessian(p))
         g_hat = factor.qt(g)
         g_hat.setflags(write=False)
-        return cls(x=p.x, grad_norm=float(np.linalg.norm(g)), g_hat=g_hat,
+        return cls(x=p.x, grad_norm=norm(g), g_hat=g_hat,
                    factor=factor, M=M, point=p)
 
     def with_m(self, M):

@@ -49,6 +49,31 @@ def check_positive(name, value):
     return float(value)
 
 
+def check_finite(name, x):
+    """Raise ValueError naming ``name`` and its first bad entry unless every
+    entry of the array ``x`` is finite."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError("%s must be finite, got %s[%d] = %g"
+                         % (name, name, i, x.flat[i]))
+
+
+def norm(v):
+    """||v|| for a vector v, as a float rounded as ``np.linalg.norm`` rounds
+    it, and finite whenever every entry is: a sum of squares that overflows
+    is taken again with v scaled by max |v_i|.  inf or NaN entries give inf
+    or NaN."""
+    with np.errstate(over="ignore"):
+        s = math.sqrt(np.dot(v, v))
+    if s == math.inf:
+        scale = float(np.max(np.abs(v)))
+        if scale < math.inf:
+            w = v / scale
+            return scale * math.sqrt(np.dot(w, w))
+    return s
+
+
 class CallCounter:
     """Thread-safe per-entry-point call counts for a smooth oracle.
 
@@ -448,8 +473,8 @@ class FdThirdOracle(SmoothOracle):
         return self.base._hessian(p)
 
     def _third_directional(self, p, h):
-        h_norm = float(np.linalg.norm(h))
-        if h_norm > 0.0 and self.tau * h_norm <= _EPS * np.linalg.norm(p.x):
+        h_norm = norm(h)
+        if h_norm > 0.0 and self.tau * h_norm <= _EPS * norm(p.x):
             raise OracleError(
                 "third_directional (tau=%r): the difference step tau ||h|| = "
                 "%.3e is at most eps ||x||, so x +- tau h round to x"
@@ -501,8 +526,9 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
     check_cap("n_directions", n_directions)
     p = Point(x)
     x = p.x
+    check_finite("x", x)
     rng = np.random.default_rng(seed)
-    scale = 1.0 + float(np.linalg.norm(x))
+    scale = 1.0 + norm(x)
     d1 = scale * _EPS ** (1.0 / 3.0)  # central value difference: O(d^2) + O(eps/d)
     d3 = scale * _EPS**0.25           # second gradient difference: O(d^2) + O(eps/d^2)
 
@@ -512,7 +538,7 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
     err = {1: 0.0, 2: 0.0, 3: 0.0}
     for _ in range(n_directions):
         h = rng.standard_normal(x.shape[0])
-        h /= np.linalg.norm(h)
+        h /= norm(h)
 
         fd1 = (oracle.value(x + d1 * h) - oracle.value(x - d1 * h)) / (2.0 * d1)
         ref1 = float(np.dot(g, h))
@@ -520,17 +546,11 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
 
         fd2 = (oracle.grad(x + d1 * h) - oracle.grad(x - d1 * h)) / (2.0 * d1)
         ref2 = hess @ h
-        err[2] = max(
-            err[2],
-            float(np.linalg.norm(fd2 - ref2)) / (1.0 + float(np.linalg.norm(ref2))),
-        )
+        err[2] = max(err[2], norm(fd2 - ref2) / (1.0 + norm(ref2)))
 
         fd3 = fd_third_directional(oracle, p, h, d3)
         ref3 = oracle.third_directional(p, h)
-        err[3] = max(
-            err[3],
-            float(np.linalg.norm(fd3 - ref3)) / (1.0 + float(np.linalg.norm(ref3))),
-        )
+        err[3] = max(err[3], norm(fd3 - ref3) / (1.0 + norm(ref3)))
 
     failed = [k for k in (1, 2, 3) if err[k] > tol]
     return DerivativeReport(

@@ -1,6 +1,7 @@
 """Oracle layer: derivative formulas, call counting, datasets, fd surrogate."""
 
 import itertools
+import math
 import re
 import sys
 import threading
@@ -31,6 +32,7 @@ from tensormin.oracles import (
     fd_third_directional,
     grad_at,
     logistic_oracle,
+    norm,
     quartic_oracle,
     value_at,
 )
@@ -617,14 +619,24 @@ def test_check_derivatives_passes_on_logistic():
     ({"n_directions": -1}, "n_directions must be at least 1"),
     ({"tol": 0.0}, "tol must be finite and positive"),
     ({"tol": -1e-5}, "tol must be finite and positive"),
+    ({"x": np.array([math.nan, 1.0])}, r"x must be finite, got x\[0\] = nan"),
+    ({"x": np.array([1.0, -math.inf])}, r"x must be finite, got x\[1\] = -inf"),
 ])
 def test_check_derivatives_refuses_an_audit_that_checks_nothing(kwargs, match):
     # With no direction every error stayed 0 and the audit passed; no error
-    # can be at most a tolerance <= 0.
+    # can be at most a tolerance <= 0.  A non-finite x is named before any
+    # oracle call, not blamed on the gradient.
     oracle = quartic_oracle(2)
     with pytest.raises(ValueError, match=match):
-        check_derivatives(oracle, np.ones(2), **kwargs)
+        check_derivatives(oracle, **{"x": np.ones(2), **kwargs})
     assert oracle.calls.total() == 0
+
+
+def test_norm_survives_squares_that_overflow():
+    assert norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert norm(np.array([3.0, 4.0])) == 5.0
+    assert norm(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(norm(np.array([math.nan, 1.0])))
 
 
 def test_check_derivatives_flags_a_corrupted_gradient():

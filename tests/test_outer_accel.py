@@ -9,15 +9,7 @@ import numpy as np
 import pytest
 
 import tensormin.accel
-from tensormin.accel import (
-    AccelState,
-    WeightEquationError,
-    mix_z,
-    phi_min_value,
-    run_accel,
-    solve_a,
-    update_phi_and_v,
-)
+from tensormin.accel import WeightEquationError, _AccelStep, run_accel, solve_a
 from conftest import LowerBoundQuartic, iterate_rows, make_logistic
 from tensormin.basic import run_basic
 from tensormin.harness import bundled_dataset_path, load_dataset
@@ -26,6 +18,7 @@ from tensormin.oracles import (
     OracleError,
     QuarticOracle,
     ZeroComposite,
+    as_point,
     logistic_oracle,
     quartic_oracle,
 )
@@ -197,78 +190,102 @@ def test_solve_a_holds_over_its_stated_range_and_fails_typed_beyond(
 # -- mixture ------------------------------------------------------
 
 
-def test_mix_z_cases():
-    x = np.array([1.0, 2.0])
-    v = np.array([-3.0, 4.0])
-    assert np.array_equal(mix_z(x, v, 0.0, 0.7), v)
-    assert np.allclose(mix_z(x, x, 2.0, 0.5), x)
-    assert np.allclose(mix_z(x, v, 1.0, 1.0), 0.5 * (x + v))
+def fed_point(x, grad, value=0.0):
+    """A ``Point`` at x that already holds its gradient and value."""
+    p = as_point(np.asarray(x, dtype=float))
+    p.data["grad"] = np.asarray(grad, dtype=float)
+    p.data["value"] = float(value)
+    return p
+
+
+def test_center_mixes_the_iterate_and_v():
+    oracle = quartic_oracle(2)
+    x = as_point(np.array([1.0, 2.0]))
+    # A = 0 gives gamma = 1: z is v exactly.
+    step = _AccelStep(oracle, np.array([-3.0, 4.0]))
+    z, fields = step.center(x, 1.0)
+    assert fields["gamma"] == 1.0 and fields["a_total"] == 0.0
+    assert np.array_equal(z.x, step.v)
+    # v = x_t, as on the first step: the center is the iterate's own point.
+    step = _AccelStep(oracle, x.x)
+    z, _ = step.center(x, 1.0)
+    assert z is x
+    # Otherwise z = (1 - gamma) x_t + gamma v, bit for bit.
+    step = _AccelStep(oracle, np.array([-3.0, 4.0]))
+    step.update(fed_point([0.0, 0.0], [1.0, 0.0]), {"a": 1.0})
+    z, fields = step.center(x, 1.0)
+    g = fields["gamma"]
+    assert 0.0 < g < 1.0 and g == fields["a"] / (1.0 + fields["a"])
+    assert np.array_equal(z.x, (1.0 - g) * x.x + g * step.v)
+    assert oracle.calls.total() == 0
 
 
 # -- estimating sequence --------------------------------------------------------------
 
 
-def test_accel_state_fresh_invariants():
+def test_accel_step_fresh_invariants():
     x0 = np.array([2.0, -1.0])
-    state = AccelState.fresh(x0)
-    assert state.a_total == 0.0
-    assert np.array_equal(state.v, x0)
-    assert np.array_equal(state.lin_acc, np.zeros(2))
-    assert phi_min_value(state) == 0.0
-    x0[0] = 99.0  # the state must hold its own copies
-    assert state.x0[0] == 2.0 and state.v[0] == 2.0
+    step = _AccelStep(quartic_oracle(2), x0)
+    assert step.a_total == 0.0
+    assert np.array_equal(step.v, x0)
+    assert np.array_equal(step.lin, np.zeros(2))
+    assert step.phi_star() == 0.0
+    x0[0] = 99.0  # the step must hold its own copies
+    assert step.x0[0] == 2.0 and step.v[0] == 2.0
 
 
 def test_update_phi_one_step_closed_form():
-    state = AccelState.fresh(np.zeros(2))
-    nxt = update_phi_and_v(
-        state, 1.0, np.array([8.0, 0.0]), 0.0, np.array([0.0, 0.0])
-    )
-    assert np.array_equal(nxt.lin_acc, np.array([8.0, 0.0]))
-    assert np.allclose(nxt.v, np.array([-2.0, 0.0]), atol=1e-14)
+    oracle = quartic_oracle(2)
+    step = _AccelStep(oracle, np.zeros(2))
+    fields = step.update(fed_point([0.0, 0.0], [8.0, 0.0], 0.0), {"a": 1.0})
+    assert np.array_equal(step.lin, np.array([8.0, 0.0]))
+    assert np.allclose(step.v, np.array([-2.0, 0.0]), atol=1e-14)
     # v minimizes phi: the gradient ||v - x0||^2 (v - x0) + lin vanishes,
     # and the cubed distance equals the linear term's norm.
-    d = nxt.v - nxt.x0
-    grad_phi = float(np.dot(d, d)) * d + nxt.lin_acc
+    d = step.v - step.x0
+    grad_phi = float(np.dot(d, d)) * d + step.lin
     assert np.allclose(grad_phi, 0.0, atol=1e-12)
-    assert np.linalg.norm(d) ** 3 == pytest.approx(np.linalg.norm(nxt.lin_acc), rel=1e-12)
-    assert phi_min_value(nxt) == pytest.approx(-12.0, abs=1e-12)
-    assert nxt.a_total == 1.0
+    assert np.linalg.norm(d) ** 3 == pytest.approx(np.linalg.norm(step.lin), rel=1e-12)
+    assert step.phi_star() == pytest.approx(-12.0, abs=1e-12)
+    assert step.a_total == 1.0
+    assert fields == {"a_total_next": 1.0, "phi_star_next": step.phi_star()}
+    assert oracle.calls.total() == 0
 
 
 def test_update_phi_zero_gradient_keeps_center():
-    state = AccelState.fresh(np.array([1.0, 1.0]))
-    nxt = update_phi_and_v(state, 2.0, np.zeros(2), 5.0, np.array([0.5, 0.5]))
-    assert np.array_equal(nxt.v, state.x0)
-    assert nxt.a_total == 2.0
+    oracle = quartic_oracle(2)
+    step = _AccelStep(oracle, np.array([1.0, 1.0]))
+    step.update(fed_point([0.5, 0.5], np.zeros(2), 5.0), {"a": 2.0})
+    assert np.array_equal(step.v, step.x0)
+    assert step.a_total == 2.0
+    assert oracle.calls.total() == 0
 
 
 def test_update_phi_chained_minimizer_identities():
     rng = np.random.default_rng(41)
-    state = AccelState.fresh(rng.standard_normal(3))
+    oracle = quartic_oracle(3)
+    step = _AccelStep(oracle, rng.standard_normal(3))
     for _ in range(10):
-        state = update_phi_and_v(
-            state,
-            float(rng.uniform(0.1, 2.0)),
-            rng.standard_normal(3),
-            float(rng.standard_normal()),
-            rng.standard_normal(3),
-        )
-        d = state.v - state.x0
-        lin_norm = np.linalg.norm(state.lin_acc)
+        a = float(rng.uniform(0.1, 2.0))
+        grad = rng.standard_normal(3)
+        value = float(rng.standard_normal())
+        step.update(fed_point(rng.standard_normal(3), grad, value), {"a": a})
+        d = step.v - step.x0
+        lin_norm = np.linalg.norm(step.lin)
         assert np.linalg.norm(d) ** 3 == pytest.approx(lin_norm, rel=1e-12)
-        grad_phi = float(np.dot(d, d)) * d + state.lin_acc
+        grad_phi = float(np.dot(d, d)) * d + step.lin
         assert np.linalg.norm(grad_phi) <= 1e-9 * (1.0 + lin_norm)
         # v is the minimizer: random competitors never do better
         for _ in range(5):
-            y = state.x0 + rng.standard_normal(3)
-            dy = y - state.x0
+            y = step.x0 + rng.standard_normal(3)
+            dy = y - step.x0
             phi_y = (
                 0.25 * float(np.dot(dy, dy)) ** 2
-                + float(np.dot(state.lin_acc, y))
-                + state.phi_const
+                + float(np.dot(step.lin, y))
+                + step.const
             )
-            assert phi_min_value(state) <= phi_y + 1e-10 * (1.0 + abs(phi_y))
+            assert step.phi_star() <= phi_y + 1e-10 * (1.0 + abs(phi_y))
+    assert oracle.calls.total() == 0
 
 
 # -- full accelerated runs -------------------------------------------------------------

@@ -331,6 +331,20 @@ def test_run_outer_cap_reports_honestly(solve):
     assert report.final_grad_norm > 1e-12
 
 
+@pytest.mark.parametrize("solve, counters", [
+    (run_basic, (3, 284, 6, 267)), (run_accel, (3, 344, 8, 319))])
+def test_run_from_a_start_whose_squared_gradient_norm_overflows(solve, counters):
+    # grad f = 4e180 is finite but ||grad f||^2 = 1.6e361 is not; the norm
+    # once overflowed to inf and ended the run in a ZeroDivisionError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, report, _ = run_quartic(2, 1e60 * np.ones(2), 1.0, 1e-6, solve,
+                                      max_outer=3)
+    assert report.converged is False
+    assert report.final_f < 2e240
+    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == counters
+
+
 @pytest.mark.parametrize("solve", [run_basic, run_accel])
 def test_run_inner_cap_aborts_run(solve):
     oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-10, solve,
