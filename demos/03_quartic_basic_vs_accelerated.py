@@ -20,7 +20,7 @@ rate would show in the tail of a run that lasts 100 steps or more.
 import numpy as np
 
 from tensormin.accel import run_accel
-from tensormin.basic import run_basic
+from tensormin.basic import iterate_rows, run_basic
 from tensormin.oracles import ZeroComposite, quartic_oracle
 
 print("Basic vs accelerated on the separable quartic (n = 10)")
@@ -53,18 +53,8 @@ for name, rep in (("basic", rep_b), ("accelerated", rep_a)):
 # The quartic's minimum value is zero, so f itself is the value gap.  The
 # next iterate of step t is the point of its first accepted row: the
 # accepted trial's, or the accelerated loop's companion where it won.
-
-
-def iterate_values(rows):
-    first = {}
-    for r in rows:
-        if r["accepted"]:
-            first.setdefault(r["t"], r["f_trial"])
-    return list(first.values())
-
-
-gaps_b = iterate_values(rows_b)
-gaps_a = iterate_values(rows_a)
+gaps_b = [r["f_trial"] for r in iterate_rows(rows_b)]
+gaps_a = [r["f_trial"] for r in iterate_rows(rows_a)]
 won = sum(1 for r in rows_a if r.get("companion") and r["accepted"])
 print(f"\naccelerated steps where the basic companion won: {won} of"
       f" {len(gaps_a)}")

@@ -5,7 +5,7 @@ derivative and psi is zero, passed as the ``ZeroComposite`` token.  Each outer
 step minimizes a quartically regularized third-order Taylor model with a
 Bregman-gradient inner solver whose only tuning knob, the regularization
 level M, is adapted automatically by doubling on a slow-convergence
-certificate and halving after accepted steps.
+certificate or a rejected trial and halving after accepted steps.
 """
 
 from .accel import WeightEquationError, run_accel

@@ -132,6 +132,17 @@ def _doubling_message(t, m_first, m_last, stop_reason, last, f_x, eps):
     return msg + " and decrease f_x - f_trial = %.3e" % (f_x - f_trial)
 
 
+def iterate_rows(rows):
+    """The row of each point that became an iterate x_{t+1}, in step order:
+    the first accepted row of each outer step t (an accel companion that won
+    is written just before its trial's row)."""
+    first = {}
+    for row in rows:
+        if row["accepted"]:
+            first.setdefault(row["t"], row)
+    return list(first.values())
+
+
 def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                  max_inner, trace_sink):
     """The adaptive level rule shared by the basic and accelerated methods.
@@ -162,9 +173,10 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     Each inner run's outer line is built once; ``emit`` keeps the outer
     lines as the rows and hands every line, unchanged, to ``trace_sink``.
-    The report's IT (accepted lines that are not companions), BGM_E (the
-    lines) and BGM_IT (their ``inner_iters``) are sums over the rows, and
-    the repeat test and the doubling message read the last evaluated line.
+    The report's IT (the steps with an accepted line, ``iterate_rows``),
+    BGM_E (the lines) and BGM_IT (their ``inner_iters``) are read off the
+    rows, and the repeat test and the doubling message read the last
+    evaluated line.
 
     ``make_step(oracle, x0)`` builds the method's part of the loop, which
     keeps no iterate: this loop owns x_t, each level's center and fields,
@@ -325,7 +337,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
     final_gnorm = _gnorm(oracle, x_t)
     report = RunReport(
         epsilon=eps,
-        IT=sum(r["accepted"] and not r.get("companion") for r in rows),
+        IT=len(iterate_rows(rows)),
         CO=oracle.calls.thread_total() - calls_start,
         BGM_E=len(rows),
         BGM_IT=sum(r["inner_iters"] for r in rows),

@@ -24,7 +24,9 @@ import numpy as np
 from .model import SecularSolveError, inner_constants, omega_grad, rho_grad
 from .oracles import check_cap, check_positive, norm
 
-# Residual bound of every secular solve, relative to 1 + ||c||.
+# Residual bound of every secular solve, relative to 1 + ||c|| + ||T|| ||h||
+# (||T|| bounded by the Gershgorin bound): the last term is the rounding
+# error of evaluating the residual itself.
 SECULAR_TOL = 1e-12
 
 # Default cap on the Bregman steps of one inner run.
@@ -92,11 +94,14 @@ def secular_solve(factor, M, c):
     bisection; the bracket's ends are checked, and widened if needed, only
     then.  The returned h satisfies
 
-        || (T + (M / 2) ||h||^2 I) h - c ||  <=  SECULAR_TOL * (1 + ||c||),
+        || (T + (M / 2) ||h||^2 I) h - c ||
+            <=  SECULAR_TOL * (1 + ||c|| + gershgorin ||h||),
 
-    which Q carries over unchanged to h' and c'; a miss raises
-    SecularSolveError.  c = 0 returns h = 0 exactly; T = 0 (zero Hessian)
-    gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
+    with the factor's Gershgorin bound >= ||T||, so the bound covers the
+    rounding error of evaluating T h.  Q carries it over unchanged to h' and
+    c'; a miss raises SecularSolveError.  c = 0 returns h = 0 exactly;
+    T = 0 (zero Hessian) gives the closed form
+    h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
     check_positive("M", M)
 
@@ -190,7 +195,7 @@ def secular_solve(factor, M, c):
         raise breakdown
 
     res = norm(factor.tri(hh) + half_m * hn * hn * hh - c)
-    bound = SECULAR_TOL * (1.0 + cnorm)
+    bound = SECULAR_TOL * (1.0 + cnorm + factor.gershgorin * hn)
     if res > bound:
         raise SecularSolveError(
             "secular residual %.3e exceeds %.3e at M = %.17g"

@@ -408,6 +408,51 @@ class QuarticOracle(SmoothOracle):
         return 24.0 * p.x * h * h
 
 
+class LowerBoundQuartic(SmoothOracle):
+    """Nesterov's lower-bound quartic for tensor methods,
+
+        f(x) = 1/4 sum_{i<n} (x_i - x_{i+1})^4 + 1/4 x_n^4 - x_1
+             = 1/4 sum_i (D x)_i^4 - x_1,
+
+    with D the upper bidiagonal matrix of ones and minus ones.  Its
+    minimizer is x*_i = n - i + 1 (D x* = ones) and f* = -3n/4.  Nesterov,
+    "Implementable tensor methods in unconstrained convex optimization",
+    Math. Program. (2021).
+    """
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.minimizer = np.arange(self.n, 0, -1, dtype=float)
+        self.f_min = -0.75 * self.n
+
+    @staticmethod
+    def _d(x):
+        d = x.copy()
+        d[:-1] -= x[1:]
+        return d
+
+    @staticmethod
+    def _dt(y):
+        out = y.copy()
+        out[1:] -= y[:-1]
+        return out
+
+    def _value(self, p):
+        return 0.25 * float(np.sum(self._d(p.x) ** 4)) - p.x[0]
+
+    def _grad(self, p):
+        g = self._dt(self._d(p.x) ** 3)
+        g[0] -= 1.0
+        return g
+
+    def _hessian(self, p):
+        dmat = np.eye(self.n) - np.eye(self.n, k=1)
+        return dmat.T @ (3.0 * self._d(p.x)[:, None] ** 2 * dmat)
+
+    def _third_directional(self, p, h):
+        return self._dt(6.0 * self._d(p.x) * self._d(h) ** 2)
+
+
 def logistic_oracle(dataset):
     """Build the logistic-regression oracle for ``dataset``."""
     return LogisticOracle(dataset)
@@ -416,6 +461,22 @@ def logistic_oracle(dataset):
 def quartic_oracle(n):
     """Build the separable quartic oracle on R^n."""
     return QuarticOracle(n)
+
+
+def make_logistic(m, n_raw_features, seed):
+    """Random logistic problem: m samples, intercept + n_raw_features columns.
+
+    Labels are drawn from the model itself so the problem is realistic and
+    (for moderate m) non-separable.  Returns (dataset, oracle).
+    """
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, n_raw_features))
+    features = np.hstack([np.ones((m, 1)), raw])
+    w = rng.standard_normal(n_raw_features + 1)
+    p = 1.0 / (1.0 + np.exp(-(features @ w)))
+    labels = (rng.random(m) < p).astype(float)
+    data = Dataset(features=features, labels=labels)
+    return data, logistic_oracle(data)
 
 
 # -- finite-difference third derivative ---------------------------------------

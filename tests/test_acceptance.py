@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from conftest import iterate_rows, tri_factor
+from conftest import tri_factor
 from tensormin.accel import run_accel
-from tensormin.basic import run_basic
+from tensormin.basic import iterate_rows, run_basic
 from tensormin.harness import RunConfig, run_experiment
 from tensormin.inner import StopReason, run_inner, secular_solve
 from tensormin.model import ModelAnchor, inner_constants

@@ -1,12 +1,16 @@
-"""Every name a tensormin module imports is used there or exported in its
-``__all__``: a refactor that leaves a dead import behind fails here."""
+"""Every name a tensormin module, test file or demo imports is used there or
+exported in its ``__all__``: a refactor that leaves a dead import behind
+fails here."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tensormin"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tensormin"
+FILES = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
+         for path in sorted(folder.glob("*.py"))]
 
 # Imported for a reason the module's own code does not show.
 ALLOWED = {
@@ -35,12 +39,16 @@ def exported_names(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+def file_id(path):
+    """A package module by its name, any other file by its path."""
+    return path.name if path.parent == PACKAGE else str(path.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("path", FILES, ids=file_id)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= exported_names(tree)
     dead = [name for name in imported_names(tree)
-            if name not in used and (path.name, name) not in ALLOWED]
-    assert dead == [], "%s imports unused names %s" % (path.name, dead)
+            if name not in used and (file_id(path), name) not in ALLOWED]
+    assert dead == [], "%s imports unused names %s" % (file_id(path), dead)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle, hat, make_logistic, tri_factor
+from conftest import QuadraticOracle, hat, tri_factor
 from tensormin import model
 from tensormin.inner import (
     StopReason,
@@ -25,7 +25,7 @@ from tensormin.model import (
     rho_grad,
     tridiagonal_factor,
 )
-from tensormin.oracles import quartic_oracle
+from tensormin.oracles import make_logistic, quartic_oracle
 
 
 def quartic_anchor(x, M):

@@ -10,7 +10,6 @@ from scipy.linalg import lapack
 from conftest import (
     QuadraticOracle,
     dense_q,
-    make_logistic,
     omega_grad_at,
     rho_grad_at,
     tri_factor,
@@ -33,7 +32,7 @@ from tensormin.model import (
     taylor3_value,
     tridiagonal_factor,
 )
-from tensormin.oracles import Point, grad_at, quartic_oracle
+from tensormin.oracles import Point, grad_at, make_logistic, quartic_oracle
 
 
 def quad_anchor(P, q, x, M):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import QuadraticOracle, make_logistic
+from conftest import QuadraticOracle
 from tensormin.accel import solve_a
 from tensormin.basic import run_basic
 from tensormin.harness import RunConfig
@@ -21,6 +21,7 @@ from tensormin.oracles import (
     Dataset,
     DerivativeReport,
     FdThirdOracle,
+    LowerBoundQuartic,
     OracleError,
     Point,
     QuarticOracle,
@@ -32,6 +33,7 @@ from tensormin.oracles import (
     fd_third_directional,
     grad_at,
     logistic_oracle,
+    make_logistic,
     norm,
     quartic_oracle,
     value_at,
@@ -612,6 +614,17 @@ def test_check_derivatives_passes_on_logistic():
     x = np.random.default_rng(14).standard_normal(oracle.n)
     report = check_derivatives(oracle, x, tol=1e-5)
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 30])
+def test_lower_bound_quartic_derivatives_and_minimizer(n):
+    oracle = LowerBoundQuartic(n)
+    x = np.random.default_rng(n).standard_normal(n)
+    report = check_derivatives(oracle, x, tol=1e-5)
+    assert report.passed, report.max_rel_err
+    # D x* = ones, so f and grad f at x* are exact in floating point.
+    assert oracle.value(oracle.minimizer) == oracle.f_min
+    assert np.all(oracle.grad(oracle.minimizer) == 0.0)
 
 
 @pytest.mark.parametrize("kwargs, match", [

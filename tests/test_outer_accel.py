@@ -10,16 +10,17 @@ import pytest
 
 import tensormin.accel
 from tensormin.accel import WeightEquationError, _AccelStep, run_accel, solve_a
-from conftest import LowerBoundQuartic, iterate_rows, make_logistic
-from tensormin.basic import run_basic
+from tensormin.basic import iterate_rows, run_basic
 from tensormin.harness import bundled_dataset_path, load_dataset
 from tensormin.inner import StopReason
 from tensormin.oracles import (
+    LowerBoundQuartic,
     OracleError,
     QuarticOracle,
     ZeroComposite,
     as_point,
     logistic_oracle,
+    make_logistic,
     quartic_oracle,
 )
 

@@ -8,16 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle, make_logistic
+from conftest import QuadraticOracle
 import tensormin
 from tensormin.accel import WeightEquationError, _AccelStep, run_accel
 from tensormin.basic import (LevelSearchError, _BasicStep, decrease_rhs,
                              run_basic)
 from tensormin.inner import StopReason, run_inner
 from tensormin.model import ConvexityError, SecularSolveError
-from tensormin.oracles import (FdThirdOracle, OracleError, Point,
+from tensormin.oracles import (Dataset, FdThirdOracle, OracleError, Point,
                                SmoothOracle, ZeroComposite, logistic_oracle,
-                               quartic_oracle)
+                               make_logistic, quartic_oracle)
 
 
 def run_quartic(n, x0, m0, epsilon, solve=run_basic, **kw):
@@ -343,6 +343,25 @@ def test_run_from_a_start_whose_squared_gradient_norm_overflows(solve, counters)
     assert report.converged is False
     assert report.final_f < 2e240
     assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == counters
+
+
+def test_run_on_unnormalized_logistic_data_converges():
+    # Features near 1e5 put ||T|| near 1e11, so merely evaluating the
+    # secular residual errs by about eps ||T|| ||h|| = 1e-6; the residual
+    # bound once ignored that term and failed an exact solve at t = 60.
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((40, 3)) * 1e5
+    labels = (rng.random(40) < 0.5).astype(float)
+    oracle = logistic_oracle(Dataset(np.hstack([np.ones((40, 1)), features]),
+                                     labels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report, _ = run_basic(oracle, ZeroComposite(), np.ones(4), 1.0,
+                                 1e-2)
+    assert report.converged
+    assert report.final_grad_norm <= 1e-2
+    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == (
+        74, 1943, 157, 1609)
 
 
 @pytest.mark.parametrize("solve", [run_basic, run_accel])

@@ -6,9 +6,11 @@ A refactor that inlines such a call or changes how a name is bound would
 make a traced benchmark run under-report a layer or fail.  These tests load
 ``perfbench/`` as it is, trace one small solve through each outer loop and
 one harness sweep, and require the span counts to reconcile with the
-program's own counters.
+program's own counters.  The benchmark's copy of the logistic draw must also
+equal the package's ``make_logistic`` bit for bit.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import tensormin as tm
-from conftest import make_logistic
+from tensormin.oracles import make_logistic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,6 +31,27 @@ def spans():
     finally:
         sys.path.remove(str(PERFBENCH))
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads as module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+def test_benchmark_draw_is_the_shipped_draw(workloads):
+    # perfbench keeps its own copy of the logistic draw; at the gated
+    # shapes and instances it must equal the package's bit for bit.
+    for (m, p), k in itertools.product([(5000, 199), (3000, 500)], range(3)):
+        features, labels = workloads.model_logistic(m, p, k)
+        data, _ = make_logistic(m, p, k)
+        for ours, theirs in ((data.features, features), (data.labels, labels)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes(), (m, p, k)
 
 
 def test_every_rebind_target_resolves(spans):
