@@ -11,14 +11,8 @@ or provably-too-slow decay at an underestimated regularization level.
 
 import numpy as np
 
-from tensormin.inner import StopReason, run_inner
-from tensormin.model import (
-    ModelAnchor,
-    inner_constants,
-    omega_value,
-    rho_value,
-    taylor3_value,
-)
+from tensormin.inner import StopReason, inner_constants, run_inner
+from tensormin.model import ModelAnchor, omega_value, rho_value, taylor3_value
 from tensormin.oracles import quartic_oracle
 
 print("Inner solver anatomy")

@@ -9,8 +9,11 @@ relative to the scaling function rho,
 each of which is one n-dimensional linear solve with a scalar secular
 equation on the step norm.  It exits when the model gradient is small
 in absolute terms, small relative to the cube of the step from the anchor, or
-provably decaying too slowly for the current level (the certificate that M is
-too small and must be doubled).
+provably decaying too slowly for the current level: the certificate that M is
+too small and must be doubled.  The certificate is G^4 above the envelope
+3^8 L^4 beta / (2 M (6/5)^k) after k steps, with L and beta read from the
+anchor (``inner_constants``); each run takes the envelope's log at k = 0
+(``certificate_log_bound``) once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import SecularSolveError, inner_constants, omega_grad, rho_grad
+from .model import SecularSolveError, omega_grad, rho_grad
 from .oracles import check_cap, check_positive, norm
 
 # Residual bound of every secular solve, relative to 1 + ||c|| + ||T|| ||h||
@@ -245,29 +248,48 @@ def bregman_step(anchor, gom, grho):
     return hh_next, r, grho_next
 
 
-def _log_envelope(lips, beta, M, k):
-    """log(3^8 L^4 beta / (2 M (6/5)^k)); -inf when L or beta is not positive."""
+def inner_constants(anchor):
+    """Smoothness and divergence constants used by the inner solver.
+
+    With g = ||grad f at the anchor|| and trace(H) read from the anchor and
+    its factor, and B = (96 g / M)^(2/3):
+
+        L    = trace(H) + (3 M / 2) B
+        beta = 1/2 trace(H) B + (M / 8) B^2
+
+    L bounds the model's curvature relative to the scaling function on the
+    relevant sublevel set; beta bounds the initial Bregman divergence to the
+    model minimizer.  Both are what the slow-convergence certificate compares
+    against.
+    """
+    bracket = (96.0 * anchor.grad_norm / anchor.M) ** (2.0 / 3.0)
+    trace_h = anchor.factor.trace
+    lips = trace_h + 1.5 * anchor.M * bracket
+    beta = 0.5 * trace_h * bracket + anchor.M / 8.0 * bracket**2
+    return lips, beta
+
+
+def certificate_log_bound(anchor):
+    """log(3^8 L^4 beta / (2 M)), with L and beta from ``inner_constants``;
+    -inf when L or beta is not positive.  The slow-convergence envelope after
+    k steps has log this bound - k log(6/5)."""
+    lips, beta = inner_constants(anchor)
     if beta <= 0.0 or lips <= 0.0:
         return -math.inf
     return (8.0 * _LOG3 + 4.0 * math.log(lips) + math.log(beta)
-            - math.log(2.0 * M) - k * _LOG65)
+            - math.log(2.0 * anchor.M))
 
 
-def slow_decay_violated(G, lips, beta, M, k):
-    """True when G^4 exceeds 3^8 L^4 beta / (2 M (6/5)^k).
+def slow_decay_violated(G, log_env):
+    """True when 4 log G exceeds ``log_env``, the log of the envelope
+    3^8 L^4 beta / (2 M (6/5)^k).
 
     A model-gradient norm above this envelope after k completed steps
     certifies the level M is below the curvature the convergence guarantee
     needs, so the outer loop must double it.  Compared in log space: the
     envelope underflows/overflows for large k or extreme constants.
     """
-    return G > 0.0 and 4.0 * math.log(G) > _log_envelope(lips, beta, M, k)
-
-
-def _slow_rhs(lips, beta, M, k):
-    """The certificate envelope itself (for traces), clamped to float range."""
-    log_rhs = _log_envelope(lips, beta, M, k)
-    return math.inf if log_rhs > 709.0 else math.exp(log_rhs)
+    return G > 0.0 and 4.0 * math.log(G) > log_env
 
 
 def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
@@ -313,7 +335,7 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     """
     check_positive("epsilon", epsilon)
     check_cap("max_inner", max_inner)
-    lips, beta = inner_constants(anchor)
+    log_bound = certificate_log_bound(anchor)
     eps_exit = epsilon / 7.0
     gom, grho = anchor.g_hat, 0.0
 
@@ -326,22 +348,18 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
         gom = omega_grad(anchor, oracle, hh_next, h)
         G = norm(gom + r)
         step_norm = norm(hh_next)
+        log_env = log_bound - k * _LOG65
 
         if trace is not None:
-            trace(
-                {
-                    "k": k,
-                    "model_grad_norm": G,
-                    "step_norm": step_norm,
-                    "slow_rhs": _slow_rhs(lips, beta, anchor.M, k),
-                }
-            )
+            trace({"k": k, "model_grad_norm": G, "step_norm": step_norm,
+                   "slow_rhs": (math.inf if log_env > 709.0
+                                else math.exp(log_env))})
 
         if G <= eps_exit:
             return result(k + 1, StopReason.EPSILON_SMALL, G)
         if G <= anchor.M / 6.0 * step_norm**3:
             return result(k + 1, StopReason.MODEL_STATIONARITY, G)
-        if slow_decay_violated(G, lips, beta, anchor.M, k):
+        if slow_decay_violated(G, log_env):
             return result(k + 1, StopReason.SLOW_CONVERGENCE, G)
 
     return result(max_inner, StopReason.ITERATION_CAP, G)

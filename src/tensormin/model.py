@@ -339,23 +339,3 @@ def bregman_div(anchor, u, v):
         np.dot(rho_grad(anchor, qt(u - anchor.x)), qt(v - u))
     )
 
-
-def inner_constants(anchor):
-    """Smoothness and divergence constants used by the inner solver.
-
-    With g = ||grad f at the anchor|| and trace(H) read from the anchor and
-    its factor, and B = (96 g / M)^(2/3):
-
-        L    = trace(H) + (3 M / 2) B
-        beta = 1/2 trace(H) B + (M / 8) B^2
-
-    L bounds the model's curvature relative to the scaling function on the
-    relevant sublevel set; beta bounds the initial Bregman divergence to the
-    model minimizer.  Both are what the slow-convergence certificate compares
-    against.
-    """
-    bracket = (96.0 * anchor.grad_norm / anchor.M) ** (2.0 / 3.0)
-    trace_h = anchor.factor.trace
-    lips = trace_h + 1.5 * anchor.M * bracket
-    beta = 0.5 * trace_h * bracket + anchor.M / 8.0 * bracket**2
-    return lips, beta

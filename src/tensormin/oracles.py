@@ -5,9 +5,10 @@ gradient, Hessian, directional third derivative ``D3f(x)[h]^2`` (a vector; the
 full third-derivative tensor is never materialized), and the Hessian trace,
 taken from the Hessian hook.  Every entry-point invocation is counted, so
 solver-level oracle-call statistics can be read off the oracle afterwards, and
-every result is checked to be finite (``OracleError`` names the entry point
-otherwise).  The composite term ``psi`` is zero, and ``ZeroComposite`` is the
-token the solvers accept for it.
+every result is checked to be finite and of the entry point's shape
+(``OracleError`` names the entry point otherwise).  The composite term
+``psi`` is zero, and ``ZeroComposite`` is the token the solvers accept for
+it.
 
 Each entry point takes either an array or a ``Point``: a read-only copy of x
 plus what is known there (for the logistic loss, the margins ``A x``, the
@@ -57,6 +58,13 @@ def check_finite(name, x):
         i = int(np.argmax(bad))
         raise ValueError("%s must be finite, got %s[%d] = %g"
                          % (name, name, i, x.flat[i]))
+
+
+def _check_vector(name, a, n):
+    """Raise ValueError naming ``name`` unless the array ``a`` has shape
+    (n,)."""
+    if a.shape != (n,):
+        raise ValueError("%s has shape %s, expected (%d,)" % (name, a.shape, n))
 
 
 def norm(v):
@@ -138,7 +146,8 @@ def with_context(exc, prefix):
 
 
 class OracleError(SolveError):
-    """An oracle entry point returned a non-finite result."""
+    """An oracle entry point returned a non-finite result, or one that is not
+    an array of its shape."""
 
 
 class Point:
@@ -194,9 +203,11 @@ class SmoothOracle(ABC):
     ``h`` as an array).  Each public entry point is one call of ``_call``,
     the one path that checks shapes, counts the call in ``self.calls``, runs
     the hook afresh without NumPy floating-point warnings (see ``value_at``)
-    and checks that its result is finite.  ``_hessian`` must return a fresh
-    array, because the anchor factors it in place (see
-    ``ModelAnchor.from_oracle``).
+    and checks that its result is finite, then that it is an array of the
+    entry point's shape: () for the value and the trace (a real number is
+    also accepted), (n,) for the gradient and the third derivative, and
+    (n, n) for the Hessian.  ``_hessian`` must return a fresh array, because
+    the anchor factors it in place (see ``ModelAnchor.from_oracle``).
 
     Attributes
     ----------
@@ -215,51 +226,58 @@ class SmoothOracle(ABC):
         self.calls = CallCounter()
         self.lipschitz_third = None
 
-    def _call(self, kind, entry, x, hook, *args):
+    def _call(self, kind, entry, ndim, x, hook, *args):
         """``hook(p, *args)`` at the ``Point`` p of x: every entry point's one
         path.  x and h (the only hook argument) must have shape (n,), else
         ValueError before anything is counted; the call is counted under
         ``kind`` (unless None), run without NumPy floating-point warnings and
-        checked to be finite, else OracleError naming ``entry``."""
+        checked to be finite, then to be an array of shape (n,) * ``ndim``
+        (for ndim = 0 also a real number), else OracleError naming
+        ``entry``."""
         p = as_point(x)
         args = [np.asarray(a, dtype=float) for a in args]
         for name, a in zip("xh", (p.x, *args)):
-            if a.shape != (self.n,):
-                raise ValueError("%s has shape %s, expected (%d,)"
-                                 % (name, a.shape, self.n))
+            _check_vector(name, a, self.n)
         if kind is not None:
             self.calls.bump(kind)
         with np.errstate(all="ignore"):
             out = hook(p, *args)
         if not np.isfinite(out).all():
             raise OracleError("%s returned a non-finite result" % entry)
+        shape = (self.n,) * ndim
+        types = np.ndarray if ndim else (np.ndarray, numbers.Real)
+        if not isinstance(out, types) or np.shape(out) != shape:
+            got = ("an array" if isinstance(out, np.ndarray)
+                   else "a " + type(out).__name__)
+            raise OracleError("%s returned %s of shape %s, expected an array "
+                              "of shape %s" % (entry, got, np.shape(out), shape))
         return out
 
     # -- counted entry points -------------------------------------------------
 
     def value(self, x):
         """Objective value f(x)."""
-        return float(self._call("value", "value", x, self._value))
+        return float(self._call("value", "value", 0, x, self._value))
 
     def grad(self, x):
         """Gradient of f at x."""
-        return self._call("grad", "grad", x, self._grad)
+        return self._call("grad", "grad", 1, x, self._grad)
 
     def hessian(self, x):
         """Hessian of f at x as a symmetric (n, n) array."""
-        return self._call("hessian", "hessian", x, self._hessian)
+        return self._call("hessian", "hessian", 2, x, self._hessian)
 
     def third_directional(self, x, h):
         """The vector D3f(x)[h]^2: third derivative applied to (h, h).
 
         Only this directional form is ever exposed; no n**3 tensor is built.
         """
-        return self._call("third", "third_directional", x,
+        return self._call("third", "third_directional", 1, x,
                           self._third_directional, h)
 
     def hessian_trace(self, x):
         """Trace of the Hessian at x, that of the ``_hessian`` matrix."""
-        return float(self._call("trace", "hessian_trace", x,
+        return float(self._call("trace", "hessian_trace", 0, x,
                                 lambda p: np.trace(self._hessian(p))))
 
     # -- hooks ----------------------------------------------------------------
@@ -521,8 +539,8 @@ class FdThirdOracle(SmoothOracle):
 
     def third_directional(self, x, h):
         """T_tau(h) at x, in place of D3f(x)[h]^2, counted as its gradients."""
-        return self._call(None, "third_directional (tau=%r)" % self.tau, x,
-                          self._third_directional, h)
+        return self._call(None, "third_directional (tau=%r)" % self.tau, 1,
+                          x, self._third_directional, h)
 
     def _value(self, p):
         return self.base._value(p)
@@ -587,6 +605,7 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
     check_cap("n_directions", n_directions)
     p = Point(x)
     x = p.x
+    _check_vector("x", x, oracle.n)
     check_finite("x", x)
     rng = np.random.default_rng(seed)
     scale = 1.0 + norm(x)

@@ -1,9 +1,9 @@
 """Shared test doubles: a quadratic oracle with a fixed Hessian, and helpers
-that build or read a model anchor's factor in the original coordinates."""
+that build a model anchor or read its factor in the original coordinates."""
 
 import numpy as np
 
-from tensormin.model import HessianFactor, omega_grad, rho_grad
+from tensormin.model import HessianFactor, ModelAnchor, omega_grad, rho_grad
 from tensormin.oracles import SmoothOracle
 
 
@@ -32,6 +32,13 @@ class QuadraticOracle(SmoothOracle):
 
     def _third_directional(self, p, h):
         return np.zeros_like(p.x)
+
+
+def quad_anchor(P, q, x, M):
+    """The anchor of ``QuadraticOracle(P, q)`` at x and level M, and the
+    oracle."""
+    oracle = QuadraticOracle(np.asarray(P, dtype=float), np.asarray(q, dtype=float))
+    return ModelAnchor.from_oracle(oracle, np.asarray(x, dtype=float), M), oracle
 
 
 def tri_factor(d, e=None):

@@ -15,8 +15,9 @@ from conftest import tri_factor
 from tensormin.accel import run_accel
 from tensormin.basic import iterate_rows, run_basic
 from tensormin.harness import RunConfig, run_experiment
-from tensormin.inner import StopReason, run_inner, secular_solve
-from tensormin.model import ModelAnchor, inner_constants
+from tensormin.inner import (StopReason, inner_constants, run_inner,
+                             secular_solve)
+from tensormin.model import ModelAnchor
 from tensormin.oracles import (
     Dataset,
     FdThirdOracle,

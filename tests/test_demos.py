@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter,
+with warnings as errors."""
 
 import os
 import subprocess
@@ -22,7 +23,8 @@ def test_demo_exits_cleanly(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     # Run from an empty directory so a demo cannot rely on, or litter, the
-    # working directory.
-    out = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                         text=True, env=env, cwd=tmp_path, timeout=120)
+    # working directory, and with warnings as errors, as the suite runs.
+    out = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                         capture_output=True, text=True, env=env,
+                         cwd=tmp_path, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]

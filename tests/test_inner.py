@@ -3,15 +3,18 @@ slow-convergence certificate."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle, hat, tri_factor
+from conftest import QuadraticOracle, hat, quad_anchor, tri_factor
 from tensormin import model
 from tensormin.inner import (
     StopReason,
     bregman_step,
+    certificate_log_bound,
+    inner_constants,
     run_inner,
     secular_solve,
     slow_decay_violated,
@@ -19,7 +22,6 @@ from tensormin.inner import (
 from tensormin.model import (
     ModelAnchor,
     SecularSolveError,
-    inner_constants,
     omega_grad,
     omega_value,
     rho_grad,
@@ -336,11 +338,11 @@ def test_run_inner_slow_certificate_at_tiny_level():
         anchor, oracle = quartic_anchor(3.0 * np.ones(3), M=M)
         res = run_inner(anchor, oracle, 1e-8)
         assert res.stop_reason is StopReason.SLOW_CONVERGENCE
-        lips, beta = inner_constants(anchor)
         k_exit = res.iterations - 1
         G = float(np.linalg.norm(omega_grad(anchor, oracle,
                                             hat(anchor, res.x_plus))))
-        assert slow_decay_violated(G, lips, beta, anchor.M, k_exit)
+        log_env = certificate_log_bound(anchor) - k_exit * math.log(1.2)
+        assert slow_decay_violated(G, log_env)
 
 
 def test_run_inner_monotone_model_decrease():
@@ -359,26 +361,66 @@ def test_run_inner_monotone_model_decrease():
             om = om_next
 
 
+def test_inner_constants_closed_form_point():
+    # trace H = 2, M = 96, gradient norm 1: bracket (96/96)^(2/3) = 1,
+    # L = 2 + 144 = 146, beta = 1 + 12 = 13.
+    anchor, _ = quad_anchor(np.eye(2), [0.0, 0.0], [0.0, 0.0], 96.0)
+    lips, beta = inner_constants(replace(anchor, grad_norm=1.0))
+    assert lips == pytest.approx(146.0, abs=1e-12)
+    assert beta == pytest.approx(13.0, abs=1e-12)
+
+
+def test_inner_constants_zero_gradient():
+    anchor, _ = quad_anchor([[4.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1.0, -1.0], 3.0)
+    lips, beta = inner_constants(replace(anchor, grad_norm=0.0))
+    assert lips == pytest.approx(anchor.factor.trace, abs=1e-15)
+    assert beta == 0.0
+
+
+def test_inner_constants_bracket_shrinks_as_m_grows():
+    anchor, _ = quad_anchor(np.eye(3), np.zeros(3), np.zeros(3), 1.0)
+    anchor = replace(anchor, grad_norm=2.5)
+    prev_excess = None
+    for M in (1.0, 2.0, 4.0, 8.0):
+        lev = anchor.with_m(M)
+        lips, _ = inner_constants(lev)
+        bracket = (lips - lev.factor.trace) / (1.5 * M)
+        if prev_excess is not None:
+            assert bracket < prev_excess
+        prev_excess = bracket
+
+
 def test_slow_decay_certificate_unit_cases():
     # Zero gradient can never certify slowness; a degenerate envelope always
     # does; and the comparison survives exponents that would overflow the
     # plain (6/5)^k evaluation.
-    assert slow_decay_violated(0.0, 10.0, 5.0, 1.0, 0) is False
-    assert slow_decay_violated(1e-3, 10.0, 0.0, 1.0, 0) is True
+    assert slow_decay_violated(0.0, 0.0) is False
+    assert slow_decay_violated(0.0, -math.inf) is False
+    assert slow_decay_violated(1e-3, -math.inf) is True
+    # beta = 0 at a zero gradient: the bound is -inf, not a log error.
+    anchor, _ = quad_anchor(np.eye(2), [0.0, 0.0], [1.0, -1.0], 3.0)
+    assert certificate_log_bound(replace(anchor, grad_norm=0.0)) == -math.inf
 
-    # Constants chosen so the envelope at k = 0 is exactly 1: 3^8 = 6561 and
-    # 2M = 6561 with L = beta = 1.
-    M = 6561.0 / 2.0
-    assert slow_decay_violated(1.0, 1.0, 1.0, M, 0) is False
-    assert slow_decay_violated(1.0 + 1e-9, 1.0, 1.0, M, 0) is True
+    # An envelope of exactly 1 puts G = 1 on the boundary.
+    assert slow_decay_violated(1.0, 0.0) is False
+    assert slow_decay_violated(1.0 + 1e-9, 0.0) is True
     # After many steps the envelope has decayed below any fixed gradient.
-    assert slow_decay_violated(1e-6, 1.0, 1.0, M, 2000) is True
-    assert not slow_decay_violated(1e-6, 1.0, 1.0, M, 0)
+    assert slow_decay_violated(1e-6, -2000 * math.log(1.2)) is True
+    assert not slow_decay_violated(1e-6, 0.0)
 
-    # Against a direct evaluation at moderate constants.
-    G, lips, beta, M, k = 0.7, 3.0, 2.0, 5.0, 4
-    direct = G**4 > 3.0**8 * lips**4 * beta / (2.0 * M * 1.2**k)
-    assert slow_decay_violated(G, lips, beta, M, k) is direct
+    # Against a direct evaluation of G^4 > 3^8 L^4 beta / (2 M 1.2^k) at
+    # L = 146, beta = 13, M = 96, on both sides of the envelope.
+    anchor = replace(quad_anchor(np.eye(2), [0.0, 0.0], [0.0, 0.0], 96.0)[0],
+                     grad_norm=1.0)
+    lips, beta = inner_constants(anchor)
+    outcomes = set()
+    for k in (0, 4, 40):
+        log_env = certificate_log_bound(anchor) - k * math.log(1.2)
+        for G in (1.0, 500.0, 600.0, 1e4):
+            direct = G**4 > 3.0**8 * lips**4 * beta / (2.0 * 96.0 * 1.2**k)
+            assert slow_decay_violated(G, log_env) is direct, (k, G)
+            outcomes.add(direct)
+    assert outcomes == {False, True}
 
 
 def test_run_inner_validation():

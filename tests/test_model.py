@@ -1,7 +1,5 @@
 """Model layer: Taylor polynomial, quartic regularizer, scaling function,
-Bregman divergence, anchor caching, and the inner-solver constants."""
-
-from dataclasses import replace
+Bregman divergence, anchor caching and the anchor's Hessian factor."""
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from conftest import (
     QuadraticOracle,
     dense_q,
     omega_grad_at,
+    quad_anchor,
     rho_grad_at,
     tri_factor,
 )
@@ -24,7 +23,6 @@ from tensormin.model import (
     bregman_div,
     d4_grad,
     d4_value,
-    inner_constants,
     omega_grad,
     omega_value,
     rho_grad,
@@ -33,11 +31,6 @@ from tensormin.model import (
     tridiagonal_factor,
 )
 from tensormin.oracles import Point, grad_at, make_logistic, quartic_oracle
-
-
-def quad_anchor(P, q, x, M):
-    oracle = QuadraticOracle(np.asarray(P, dtype=float), np.asarray(q, dtype=float))
-    return ModelAnchor.from_oracle(oracle, np.asarray(x, dtype=float), M), oracle
 
 
 # -- quartic regularizer -------------------------------------------------------
@@ -226,38 +219,6 @@ def test_bregman_from_anchor_is_rho():
         assert bregman_div(anchor, anchor.x, v) == pytest.approx(
             rho_value(anchor, v), rel=1e-13, abs=1e-13
         )
-
-
-# -- inner-solver constants ------------------------------------------------------
-
-
-def test_inner_constants_closed_form_point():
-    # trace H = 2, M = 96, gradient norm 1: bracket (96/96)^(2/3) = 1,
-    # L = 2 + 144 = 146, beta = 1 + 12 = 13.
-    anchor, _ = quad_anchor(np.eye(2), [0.0, 0.0], [0.0, 0.0], 96.0)
-    lips, beta = inner_constants(replace(anchor, grad_norm=1.0))
-    assert lips == pytest.approx(146.0, abs=1e-12)
-    assert beta == pytest.approx(13.0, abs=1e-12)
-
-
-def test_inner_constants_zero_gradient():
-    anchor, _ = quad_anchor([[4.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1.0, -1.0], 3.0)
-    lips, beta = inner_constants(replace(anchor, grad_norm=0.0))
-    assert lips == pytest.approx(anchor.factor.trace, abs=1e-15)
-    assert beta == 0.0
-
-
-def test_inner_constants_bracket_shrinks_as_m_grows():
-    anchor, _ = quad_anchor(np.eye(3), np.zeros(3), np.zeros(3), 1.0)
-    anchor = replace(anchor, grad_norm=2.5)
-    prev_excess = None
-    for M in (1.0, 2.0, 4.0, 8.0):
-        lev = anchor.with_m(M)
-        lips, _ = inner_constants(lev)
-        bracket = (lips - lev.factor.trace) / (1.5 * M)
-        if prev_excess is not None:
-            assert bracket < prev_excess
-        prev_excess = bracket
 
 
 # -- model-vs-function inequalities ----------------------------------------------

@@ -199,23 +199,24 @@ def test_logistic_hessian_matches_the_general_product():
             assert np.linalg.norm(H - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-# Each entry point: its counter, the hook whose output it checks, and its
-# arguments after x.
-ENTRY_POINTS = [("value", "value", "_value", ()),
-                ("grad", "grad", "_grad", ()),
-                ("hessian", "hessian", "_hessian", ()),
+# Each entry point: its counter, the hook whose output it checks, its
+# arguments after x and the shape of its result at n = 3.
+ENTRY_POINTS = [("value", "value", "_value", (), ()),
+                ("grad", "grad", "_grad", (), (3,)),
+                ("hessian", "hessian", "_hessian", (), (3, 3)),
                 ("third_directional", "third", "_third_directional",
-                 (np.ones(3),)),
-                ("hessian_trace", "trace", "_hessian", ())]
+                 (np.ones(3),), (3,)),
+                ("hessian_trace", "trace", "_hessian", (), ())]
 
 
 def test_query_dimension_is_validated():
     # Every entry point of both oracles takes the one call path: a wrong
-    # shape fails before anything is counted, a non-finite hook output is an
-    # OracleError naming the entry point, and the finite-difference third
-    # derivative is counted as its gradient calls, never as a third call.
+    # shape fails before anything is counted, a non-finite or wrong-shape
+    # hook output is an OracleError naming the entry point, and the
+    # finite-difference third derivative is counted as its gradient calls,
+    # never as a third call.
     for fd in (False, True):
-        for entry, kind, hook, args in ENTRY_POINTS:
+        for entry, kind, hook, args, shape in ENTRY_POINTS:
             oracle = quartic_oracle(3)
             name = entry
             if fd:
@@ -238,8 +239,15 @@ def test_query_dimension_is_validated():
             with pytest.raises(OracleError, match="^%s returned a non-finite "
                                "result$" % re.escape(name)):
                 call(np.ones(3), *args)
+            setattr(oracle, hook, lambda p, *_: np.ones((3, 3, 3)))
+            # The trace of a (3, 3, 3) "Hessian" has shape (3,).
+            got = (3,) if entry == "hessian_trace" else (3, 3, 3)
+            with pytest.raises(OracleError, match="^%s$" % re.escape(
+                    "%s returned an array of shape %s, expected an array of "
+                    "shape %s" % (name, got, shape))):
+                call(np.ones(3), *args)
             if kind is not None:
-                before[kind] += 1
+                before[kind] += 2
             assert oracle.calls.snapshot() == before
             assert not fd or before["third"] == 0
 
@@ -634,11 +642,13 @@ def test_lower_bound_quartic_derivatives_and_minimizer(n):
     ({"tol": -1e-5}, "tol must be finite and positive"),
     ({"x": np.array([math.nan, 1.0])}, r"x must be finite, got x\[0\] = nan"),
     ({"x": np.array([1.0, -math.inf])}, r"x must be finite, got x\[1\] = -inf"),
+    ({"x": np.ones((1, 2))}, r"x has shape \(1, 2\), expected \(2,\)"),
+    ({"x": np.ones(3)}, r"x has shape \(3,\), expected \(2,\)"),
 ])
 def test_check_derivatives_refuses_an_audit_that_checks_nothing(kwargs, match):
     # With no direction every error stayed 0 and the audit passed; no error
-    # can be at most a tolerance <= 0.  A non-finite x is named before any
-    # oracle call, not blamed on the gradient.
+    # can be at most a tolerance <= 0.  A non-finite or wrong-shape x is
+    # named before any oracle call, not blamed on the gradient or the norm.
     oracle = quartic_oracle(2)
     with pytest.raises(ValueError, match=match):
         check_derivatives(oracle, **{"x": np.ones(2), **kwargs})

@@ -417,29 +417,6 @@ def test_run_accel_not_slower_than_basic_and_sandwiched(make):
     assert checked >= rep_a.IT - 1
 
 
-@pytest.mark.parametrize("make, eps, basic, accel", [
-    (lambda: (quartic_oracle(10), np.ones(10)), 1e-7,
-     (11, 200, 11, 165), (11, 389, 21, 315)),
-    (lambda: (LowerBoundQuartic(10), np.zeros(10)), 1e-6,
-     (38, 297, 38, 181), (38, 602, 75, 339)),
-    (lambda: (make_logistic(2000, 49, seed=0)[1], np.zeros(50)), 1e-6,
-     (7, 280, 11, 249), (7, 404, 17, 346)),
-    # Gradients near 1e120 once overflowed the secular solve's c^T T c.
-    (lambda: (quartic_oracle(2), 1e40 * np.ones(2)), 1e-6,
-     (108, 10154, 216, 9612), (108, 13469, 323, 12394)),
-], ids=["quartic", "lower-bound-quartic", "logistic-2000x50",
-        "quartic-from-1e40"])
-def test_outer_loops_pin_their_counters(make, eps, basic, accel):
-    # The exact (IT, CO, BGM_E, BGM_IT) of both loops, so that a refactor
-    # of either cannot change the work done without this test noticing.
-    for solve, expected in ((run_basic, basic), (run_accel, accel)):
-        oracle, x0 = make()
-        _, rep, _ = solve(oracle, ZeroComposite(), x0, 1.0, eps,
-                          max_outer=400)
-        assert rep.converged
-        assert (rep.IT, rep.CO, rep.BGM_E, rep.BGM_IT) == expected, solve
-
-
 def test_run_accel_epsilon_sweep_nondecreasing_cost():
     its = []
     inner_totals = []

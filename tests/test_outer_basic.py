@@ -15,9 +15,9 @@ from tensormin.basic import (LevelSearchError, _BasicStep, decrease_rhs,
                              run_basic)
 from tensormin.inner import StopReason, run_inner
 from tensormin.model import ConvexityError, SecularSolveError
-from tensormin.oracles import (Dataset, FdThirdOracle, OracleError, Point,
-                               SmoothOracle, ZeroComposite, logistic_oracle,
-                               make_logistic, quartic_oracle)
+from tensormin.oracles import (Dataset, FdThirdOracle, LowerBoundQuartic,
+                               OracleError, Point, SmoothOracle, ZeroComposite,
+                               logistic_oracle, make_logistic, quartic_oracle)
 
 
 def run_quartic(n, x0, m0, epsilon, solve=run_basic, **kw):
@@ -248,21 +248,40 @@ def test_logistic_solves_make_no_trace_and_no_anchor_value_calls(solve):
         assert snap["value"] == accepted + evaluated_companions
 
 
-@pytest.mark.parametrize("solve, counters, calls", [
-    (run_basic, (7, 280, 11, 249), (12, 12, 7, 249)),
-    (run_accel, (7, 404, 17, 346), (13, 28, 17, 346)),
-], ids=["basic", "accel"])
-def test_logistic_counters_and_oracle_calls_are_pinned(solve, counters, calls):
-    # IT/CO/BGM_E/BGM_IT and value/grad/hessian/third calls of one fixed
-    # solve, so that a change in how oracle data travels through the loops
-    # cannot move a counter unnoticed.
-    _, oracle = make_logistic(2000, 49, seed=0)
-    _, report, _ = solve(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0,
-                         1e-6)
-    assert report.converged
-    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == counters
-    snap = oracle.calls.snapshot()
-    assert (snap["value"], snap["grad"], snap["hessian"], snap["third"]) == calls
+# Per problem: its oracle and start, epsilon, and for each loop (basic,
+# accel) its IT, CO, BGM_E, BGM_IT and value/grad/hessian/third calls.
+PINNED_COUNTERS = {
+    "quartic": (lambda: (quartic_oracle(10), np.ones(10)), 1e-7,
+                (11, 200, 11, 165, 12, 12, 11, 165),
+                (11, 389, 21, 315, 21, 32, 21, 315)),
+    "lower-bound-quartic": (lambda: (LowerBoundQuartic(10), np.zeros(10)), 1e-6,
+                            (38, 297, 38, 181, 39, 39, 38, 181),
+                            (38, 602, 75, 339, 75, 113, 75, 339)),
+    "logistic-2000x50": (
+        lambda: (make_logistic(2000, 49, seed=0)[1], np.zeros(50)), 1e-6,
+        (7, 280, 11, 249, 12, 12, 7, 249),
+        (7, 404, 17, 346, 13, 28, 17, 346)),
+    # Gradients near 1e120 once overflowed the secular solve's c^T T c.
+    "quartic-from-1e40": (lambda: (quartic_oracle(2), 1e40 * np.ones(2)), 1e-6,
+                          (108, 10154, 216, 9612, 217, 217, 108, 9612),
+                          (108, 13469, 323, 12394, 215, 538, 322, 12394)),
+}
+
+
+@pytest.mark.parametrize("make, eps, basic, accel", PINNED_COUNTERS.values(),
+                         ids=PINNED_COUNTERS.keys())
+def test_outer_loops_pin_their_counters(make, eps, basic, accel):
+    # The exact counters and per-kind oracle calls of both loops, so that a
+    # refactor of either, or a change in how oracle data travels through
+    # them, cannot change the work done without this test noticing.
+    for solve, expected in ((run_basic, basic), (run_accel, accel)):
+        oracle, x0 = make()
+        _, rep, _ = solve(oracle, ZeroComposite(), x0, 1.0, eps,
+                          max_outer=400)
+        assert rep.converged
+        snap = oracle.calls.snapshot()
+        assert (rep.IT, rep.CO, rep.BGM_E, rep.BGM_IT, snap["value"],
+                snap["grad"], snap["hessian"], snap["third"]) == expected, solve
 
 
 @pytest.mark.parametrize("solve, grad, co, counters", [
@@ -541,6 +560,43 @@ def test_overflowing_oracle_fails_typed_without_numpy_warnings():
             run_basic(oracle, ZeroComposite(), 1e150 * np.ones(2), 1.0, 1e-6)
 
 
+MALFORMED_HOOKS = [
+    pytest.param("_grad", lambda p: (4.0 * p.x**3)[:, None],
+                 "grad returned an array of shape (3, 1), expected an array "
+                 "of shape (3,)", id="grad-3x1"),
+    pytest.param("_grad", lambda p: (4.0 * p.x**3)[:2],
+                 "grad returned an array of shape (2,), expected an array of "
+                 "shape (3,)", id="grad-2"),
+    pytest.param("_third_directional", lambda p, h: (24.0 * p.x * h * h)[:2],
+                 "third_directional returned an array of shape (2,), expected "
+                 "an array of shape (3,)", id="third-2"),
+    pytest.param("_hessian", lambda p: np.diag(12.0 * p.x**2)[:, :2],
+                 "hessian returned an array of shape (3, 2), expected an "
+                 "array of shape (3, 3)", id="hessian-3x2"),
+    pytest.param("_hessian", lambda p: np.diag(12.0 * p.x**2).tolist(),
+                 "hessian returned a list of shape (3, 3), expected an array "
+                 "of shape (3, 3)", id="hessian-list"),
+    pytest.param("_value", lambda p: np.full(2, np.sum(p.x**4)),
+                 "value returned an array of shape (2,), expected an array of "
+                 "shape ()", id="value-2"),
+]
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+@pytest.mark.parametrize("hook, result, message", MALFORMED_HOOKS)
+def test_malformed_hook_results_fail_typed_and_named(solve, hook, result,
+                                                     message, capfd):
+    # A malformed hook result is named at its entry point, before a NumPy,
+    # f2py or LAPACK routine meets it: a (2,) gradient or third derivative
+    # would make dormqr write to stderr and the secular solve take the blame.
+    oracle = quartic_oracle(3)
+    setattr(oracle, hook, result)
+    with pytest.raises(OracleError, match=r"^outer step t=0, level index "
+                       r"i=\d+, level M = [^:]+: %s$" % re.escape(message)):
+        solve(oracle, ZeroComposite(), np.ones(3), 1.0, 1e-6)
+    assert capfd.readouterr().err == ""
+
+
 def test_runs_sharing_an_oracle_count_their_own_calls():
     data, _ = make_logistic(2000, 49, seed=0)
     args = (ZeroComposite(), np.zeros(50), 1.0, 1e-6)
@@ -557,6 +613,6 @@ def test_runs_sharing_an_oracle_count_their_own_calls():
     for th in threads:
         th.join(timeout=120)
         assert not th.is_alive()
-    assert solo == 280
+    assert solo == PINNED_COUNTERS["logistic-2000x50"][2][1]  # basic's CO
     assert cos == [solo, solo]
     assert sum(cos) == shared.calls.total()
