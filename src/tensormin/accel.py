@@ -136,13 +136,13 @@ class _AccelStep:
 
     so ||v - x0||^3 = ||lin||.  ``center`` anchors at the mixture
     z = (1 - gamma) x_t + gamma v, gamma = a / (A + a), with a from
-    ``solve_a``: the iterate's own point while z equals x_t bit for bit, as
-    at every level of the first step, where x = v = x0, and a point at z
-    otherwise.  ``decrease`` measures <grad f(trial), z - trial>, and
-    ``level_search`` follows each accepted trial whose center is z with the
-    basic companion step from x_t, keeping the lower of the two.  The
-    objective is evaluated only at evaluated companions and accepted trials,
-    never at an anchor or a rejected trial.
+    ``solve_a``: the iterate's own point, and with it its anchor data,
+    while z equals x_t bit for bit, as at every level of the first step,
+    where x = v = x0, and a point at z otherwise.  ``decrease`` measures
+    <grad f(trial), z - trial>, and ``level_search`` follows each accepted
+    trial whose center is z with the basic companion step from x_t, keeping
+    the lower of the two.  The objective is evaluated only at evaluated
+    companions and accepted trials, never at an anchor or a rejected trial.
     """
 
     def __init__(self, oracle, x0):

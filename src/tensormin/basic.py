@@ -21,9 +21,9 @@ import numpy as np
 
 from .inner import MAX_INNER, StopReason, run_inner
 from .model import ModelAnchor
-from .oracles import (SolveError, ZeroComposite, as_point, check_cap,
-                      check_finite, check_positive, grad_at, norm, value_at,
-                      with_context)
+from .oracles import (SolveError, ZeroComposite, _check_vector, as_point,
+                      check_cap, check_finite, check_positive, grad_norm_at,
+                      value_at, with_context)
 from .reports import RunReport
 
 logger = logging.getLogger(__name__)
@@ -50,11 +50,6 @@ class LevelSearchError(SolveError):
 def decrease_rhs(grad_norm_trial, m_level):
     """||grad(trial)||^(4/3) / (6 M^(1/3)), the acceptance bound."""
     return grad_norm_trial ** (4.0 / 3.0) / (6.0 * m_level ** (1.0 / 3.0))
-
-
-def _gnorm(oracle, p):
-    """||grad f|| at the ``Point`` p, read through ``grad_at``."""
-    return norm(grad_at(oracle, p))
 
 
 def run_basic(
@@ -180,9 +175,9 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
 
     ``make_step(oracle, x0)`` builds the method's part of the loop, which
     keeps no iterate: this loop owns x_t, each level's center and fields,
-    and the lines.  Points travel as oracle ``Point``s, whose f and grad f
-    everyone reads through ``value_at`` and ``grad_at``, so each is
-    evaluated at most once.  The step object has
+    and the lines.  Points travel as oracle ``Point``s, which keep all that
+    is known at them (see ``oracles``), so each f, grad f and anchor Hessian
+    is evaluated at most once.  The step object has
 
     * ``center(x_t, m_level) -> (point, row fields)``, the model's anchor
       point at the iterate's point ``x_t``;
@@ -191,14 +186,12 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
       the acceptance of the trial ``p`` when it does not end the run; the
       returned fields join the trial's row.
 
-    The loop keeps one anchor, re-levelled while the center repeats its x
-    bit for bit.  An accepted trial whose center is not x_t and that does
-    not end the run is followed by a companion: the basic step from x_t at
-    the same level, one more inner run whose line (the trial's fields and
-    ``companion`` true) precedes the trial's.  The companion's point
-    becomes the iterate when that run ended on EpsilonSmall or
-    ModelStationarity with f below the trial's (the row's ``accepted``), and
-    the trial otherwise.
+    An accepted trial whose center is not x_t and that does not end the run
+    is followed by a companion: the basic step from x_t at the same level,
+    one more inner run whose line (the trial's fields and ``companion``
+    true) precedes the trial's.  The companion's point becomes the iterate
+    when that run ended on EpsilonSmall or ModelStationarity with f below
+    the trial's (the row's ``accepted``), and the trial otherwise.
     """
     t_start = time.perf_counter()
     calls_start = oracle.calls.thread_total()
@@ -207,8 +200,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         raise TypeError("composite must be ZeroComposite (the only composite "
                         "term), got %s" % type(composite).__name__)
     x0 = np.asarray(x0, dtype=float).copy()
-    if x0.shape != (oracle.n,):
-        raise ValueError("x0 has shape %s, expected (%d,)" % (x0.shape, oracle.n))
+    _check_vector("x0", x0, oracle.n)
     check_finite("x0", x0)
     eps = check_positive("epsilon", epsilon)
     m0 = check_positive("m0", m0)
@@ -227,17 +219,12 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         if trace_sink is not None:
             trace_sink(line)
 
-    anchor = None  # the one anchor, re-levelled while its x repeats
-
     def run_trial(center, m_level, t, i, fields):
         """One inner run anchored at the point ``center`` at level
         ``m_level``, its inner lines emitted, and its outer line; with the
         trial's point, holding its gradient, unless the run ended on
         SlowConvergence or IterationCap (then None)."""
-        nonlocal anchor
-        if anchor is None or not np.array_equal(center.x, anchor.x):
-            anchor = ModelAnchor.from_oracle(oracle, center, m_level)
-        anchor = anchor.with_m(m_level)
+        anchor = ModelAnchor.from_oracle(oracle, center, m_level)
         inner_trace = None if trace_sink is None else (
             lambda r: emit(dict(r, kind="inner", t=t, i=i, epsilon=eps)))
         res = run_inner(anchor, oracle, eps, max_inner, inner_trace)
@@ -251,7 +238,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
         # One point for the trial's gradient and value, and for the next
         # anchor if the trial becomes the iterate.
         p = as_point(res.x_plus)
-        row.update(grad_norm_trial=_gnorm(oracle, p), x_trial=p.x)
+        row.update(grad_norm_trial=grad_norm_at(oracle, p), x_trial=p.x)
         return row, p
 
     try:
@@ -301,7 +288,7 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
                                 if c_row["accepted"]:
                                     p_next = p_c
                             emit(c_row)
-                        converged = _gnorm(oracle, p_next) <= eps
+                        converged = grad_norm_at(oracle, p_next) <= eps
                     x_t = p_next
                 row.update(f_trial=p_plus.data.get("value"), accepted=accepted)
                 emit(row)
@@ -334,14 +321,14 @@ def level_search(make_step, oracle, composite, x0, m0, epsilon, max_outer,
             x_t.data.get("value"), eps))
 
     final_f = value_at(oracle, x_t)
-    final_gnorm = _gnorm(oracle, x_t)
+    final_grad_norm = grad_norm_at(oracle, x_t)
     report = RunReport(
         epsilon=eps,
         IT=len(iterate_rows(rows)),
         CO=oracle.calls.thread_total() - calls_start,
         BGM_E=len(rows),
         BGM_IT=sum(r["inner_iters"] for r in rows),
-        final_grad_norm=final_gnorm,
+        final_grad_norm=final_grad_norm,
         final_f=final_f,
         wall_time_s=time.perf_counter() - t_start,
         converged=converged,

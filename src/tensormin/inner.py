@@ -102,14 +102,14 @@ def secular_solve(factor, M, c):
 
     with the factor's Gershgorin bound >= ||T||, so the bound covers the
     rounding error of evaluating T h.  Q carries it over unchanged to h' and
-    c'; a miss raises SecularSolveError.  c = 0 returns h = 0 exactly;
-    T = 0 (zero Hessian) gives the closed form
-    h = (2 / M)^(1/3) c / ||c||^(2/3).
+    c'; a miss raises SecularSolveError.  Every c with ||c|| < 1e-300,
+    c = 0 among them, returns h = 0 exactly, within that bound; T = 0 (zero
+    Hessian) gives the closed form h = (2 / M)^(1/3) c / ||c||^(2/3).
     """
     check_positive("M", M)
 
     cnorm = norm(c)
-    if cnorm == 0.0 or cnorm < 1e-300:
+    if cnorm < 1e-300:
         return np.zeros_like(c)
 
     half_m = 0.5 * M

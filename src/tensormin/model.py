@@ -10,9 +10,9 @@ derivative T(h) = D3f(x)[h]^2, the pieces are
 
 rho is the scaling function relative to which Omega is smooth and convex; its
 Bregman divergence drives the inner solver.  All oracle data at the anchor is
-evaluated once and frozen; only the directional third derivative is queried
-per displacement, through the anchor's oracle ``Point`` so that the oracle's
-intermediates at x are computed once.
+evaluated once and kept on its oracle ``Point``, for every level; only the
+directional third derivative is queried per displacement, through that
+``Point`` so that the oracle's intermediates at x are computed once.
 
 The inner solver needs products with H and solves with H + sigma I, never
 H's eigenvectors, so the anchor factors H by Householder tridiagonal
@@ -31,13 +31,13 @@ third derivative needs Q, once each way.  The values ``taylor3_value``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .oracles import (Point, SolveError, as_point, check_positive, grad_at,
-                      norm, value_at)
+                      grad_norm_at, value_at)
 
 # A smallest Hessian eigenvalue below -max(EIG_FLOOR, ROUNDING_C n eps max|T|)
 # is a convexity violation; one between that floor and 0 is rounding noise,
@@ -221,13 +221,11 @@ def d4_grad(h):
 class ModelAnchor:
     """Frozen oracle data of f at one anchor point, plus the level M.
 
-    All cached quantities belong to the same x, queried through the oracle
-    ``point``: the gradient g only as its norm ``grad_norm`` and its image
-    ``g_hat`` = Q^T g, the Hessian only as its ``HessianFactor``
-    H = Q T Q^T after the convexity shift (which holds trace(H)), used by the
-    model, the scaling function and the secular solves alike.  ``with_m``
-    re-levels the anchor without touching the cached data, so level
-    escalations at a fixed anchor cost no oracle calls.
+    All data belongs to the same x and is kept on its oracle ``point``: the
+    gradient g only as its norm ``grad_norm`` and its image ``g_hat`` =
+    Q^T g, the Hessian only as its ``HessianFactor`` H = Q T Q^T after the
+    convexity shift (which holds trace(H)), used by the model, the scaling
+    function and the secular solves alike.  The anchor adds only M.
     """
 
     x: np.ndarray
@@ -239,28 +237,30 @@ class ModelAnchor:
 
     @classmethod
     def from_oracle(cls, oracle, x, M):
-        """Evaluate and freeze the anchor data of ``oracle`` at ``x``.
+        """The anchor of ``oracle`` at ``x`` and level M.
 
-        ``x`` is an array or an oracle ``Point``.  Costs one Hessian call,
-        plus one gradient call unless the ``Point`` holds the gradient (see
-        ``grad_at``); only ||g|| and Q^T g are kept.  Neither f(x) nor
-        trace(H) is queried: no solver reads f(x) at an anchor, and the
-        factor holds the trace.  The Hessian array the oracle returns is
-        factored in place (see ``tridiagonal_factor``), so an oracle must
-        return a fresh array, as the shipped ones do.
+        ``x`` is an array or an oracle ``Point``.  The first anchor at a
+        ``Point`` costs one Hessian call, plus one gradient call unless the
+        ``Point`` holds the gradient (see ``grad_at``), and keeps the factor
+        and Q^T g there; later anchors at it, at any level, cost none.
+        Neither f(x) nor trace(H) is queried: no solver reads f(x) at an
+        anchor, and the factor holds the trace.  The Hessian array the
+        oracle returns is factored in place (see ``tridiagonal_factor``), so
+        an oracle must return a fresh array, as the shipped ones do.
         """
         M = check_positive("M", M)
         p = as_point(x)
-        g = grad_at(oracle, p)
-        factor = tridiagonal_factor(oracle.hessian(p))
-        g_hat = factor.qt(g)
-        g_hat.setflags(write=False)
-        return cls(x=p.x, grad_norm=norm(g), g_hat=g_hat,
-                   factor=factor, M=M, point=p)
 
-    def with_m(self, M):
-        """Same anchor data at a different level M (no oracle calls)."""
-        return replace(self, M=check_positive("M", M))
+        def factor_and_g_hat():
+            g = grad_at(oracle, p)
+            factor = tridiagonal_factor(oracle.hessian(p))
+            g_hat = factor.qt(g)
+            g_hat.setflags(write=False)
+            return factor, g_hat
+
+        factor, g_hat = p.memo("anchor", factor_and_g_hat)
+        return cls(x=p.x, grad_norm=grad_norm_at(oracle, p), g_hat=g_hat,
+                   factor=factor, M=M, point=p)
 
     def third_at(self, oracle, h):
         """D3f(x)[h]^2 at this anchor, queried through its oracle point.

@@ -14,9 +14,10 @@ Each entry point takes either an array or a ``Point``: a read-only copy of x
 plus what is known there (for the logistic loss, the margins ``A x``, the
 sigmoid and its derivative weights).  Querying several entry points, or
 ``third_directional`` along many directions, through one ``Point`` computes
-those intermediates once, and the solvers read f(x) and grad f(x) through
-``value_at``/``grad_at``, which keep them in the point.  A point belongs to
-one run and one oracle; the oracle keeps no state besides its call counter.
+those intermediates once.  The solvers keep there all they read at x: f,
+grad f and its norm (``value_at``, ``grad_at``, ``grad_norm_at``) and the
+anchor data (``ModelAnchor.from_oracle``).  A point belongs to one run and
+one oracle; the oracle keeps no state besides its call counter.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ class Point:
 
     ``x`` is a read-only copy of the array the point was built from;
     ``data`` maps a name to a value at x, filled lazily through ``memo``:
-    oracles' intermediates, and f and grad f under ``"value"``/``"grad"``.
+    oracles' intermediates, f, grad f, ||grad f|| and an anchor's data
+    under ``"value"``, ``"grad"``, ``"grad_norm"`` and ``"anchor"``.
     """
 
     __slots__ = ("x", "data")
@@ -192,6 +194,11 @@ def grad_at(oracle, p):
     return g
 
 
+def grad_norm_at(oracle, p):
+    """||grad f|| at the ``Point`` p, taken once from ``grad_at``."""
+    return p.memo("grad_norm", lambda: norm(grad_at(oracle, p)))
+
+
 _EPS = np.finfo(float).eps
 
 
@@ -204,10 +211,11 @@ class SmoothOracle(ABC):
     the one path that checks shapes, counts the call in ``self.calls``, runs
     the hook afresh without NumPy floating-point warnings (see ``value_at``)
     and checks that its result is finite, then that it is an array of the
-    entry point's shape: () for the value and the trace (a real number is
-    also accepted), (n,) for the gradient and the third derivative, and
-    (n, n) for the Hessian.  ``_hessian`` must return a fresh array, because
-    the anchor factors it in place (see ``ModelAnchor.from_oracle``).
+    entry point's shape: () for the value (a real number is also accepted),
+    (n,) for the gradient and the third derivative, and (n, n) for the
+    Hessian, also in ``hessian_trace``.  ``_hessian`` must return a fresh
+    array, because the anchor factors it in place (see
+    ``ModelAnchor.from_oracle``).
 
     Attributes
     ----------
@@ -276,9 +284,13 @@ class SmoothOracle(ABC):
                           self._third_directional, h)
 
     def hessian_trace(self, x):
-        """Trace of the Hessian at x, that of the ``_hessian`` matrix."""
-        return float(self._call("trace", "hessian_trace", 0, x,
-                                lambda p: np.trace(self._hessian(p))))
+        """Trace of the ``_hessian`` matrix at x, both checked as above."""
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(self._call("trace", "hessian_trace", 2, x,
+                                              self._hessian)))
+        if not math.isfinite(trace):
+            raise OracleError("hessian_trace returned a non-finite result")
+        return trace
 
     # -- hooks ----------------------------------------------------------------
 

@@ -382,7 +382,7 @@ def test_inner_constants_bracket_shrinks_as_m_grows():
     anchor = replace(anchor, grad_norm=2.5)
     prev_excess = None
     for M in (1.0, 2.0, 4.0, 8.0):
-        lev = anchor.with_m(M)
+        lev = replace(anchor, M=M)
         lips, _ = inner_constants(lev)
         bracket = (lips - lev.factor.trace) / (1.5 * M)
         if prev_excess is not None:

@@ -423,7 +423,7 @@ def test_anchor_rejects_nonpositive_m():
         ModelAnchor.from_oracle(oracle, np.ones(2), M=0.0)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
     with pytest.raises(ValueError):
-        anchor.with_m(-2.0)
+        ModelAnchor.from_oracle(oracle, anchor.point, M=-2.0)
 
 
 def test_anchor_tridiagonal_factor_reconstructs_hessian():
@@ -550,15 +550,18 @@ def test_anchor_one_dimensional_factor():
     assert np.array_equal(anchor.factor.qt(np.array([3.0])), [3.0])
 
 
-def test_with_m_shares_anchor_data_without_oracle_calls():
+def test_from_oracle_at_an_anchored_point_shares_its_data_without_calls():
+    # A second anchor at the same Point, at another level, reads the data
+    # the first one kept there.
     oracle = quartic_oracle(3)
     anchor = ModelAnchor.from_oracle(oracle, np.ones(3), M=2.0)
     before = oracle.calls.total()
-    lifted = anchor.with_m(16.0)
+    lifted = ModelAnchor.from_oracle(oracle, anchor.point, M=16.0)
     assert oracle.calls.total() == before
     assert lifted.M == 16.0
     assert lifted.x is anchor.x
     assert lifted.factor is anchor.factor
+    assert lifted.g_hat is anchor.g_hat
     assert lifted.point is anchor.point
 
 

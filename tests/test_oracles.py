@@ -32,6 +32,7 @@ from tensormin.oracles import (
     check_positive,
     fd_third_directional,
     grad_at,
+    grad_norm_at,
     logistic_oracle,
     make_logistic,
     norm,
@@ -200,13 +201,14 @@ def test_logistic_hessian_matches_the_general_product():
 
 
 # Each entry point: its counter, the hook whose output it checks, its
-# arguments after x and the shape of its result at n = 3.
+# arguments after x and the shape it checks that output has at n = 3 (the
+# trace's hook is the Hessian's).
 ENTRY_POINTS = [("value", "value", "_value", (), ()),
                 ("grad", "grad", "_grad", (), (3,)),
                 ("hessian", "hessian", "_hessian", (), (3, 3)),
                 ("third_directional", "third", "_third_directional",
                  (np.ones(3),), (3,)),
-                ("hessian_trace", "trace", "_hessian", (), ())]
+                ("hessian_trace", "trace", "_hessian", (), (3, 3))]
 
 
 def test_query_dimension_is_validated():
@@ -239,15 +241,23 @@ def test_query_dimension_is_validated():
             with pytest.raises(OracleError, match="^%s returned a non-finite "
                                "result$" % re.escape(name)):
                 call(np.ones(3), *args)
-            setattr(oracle, hook, lambda p, *_: np.ones((3, 3, 3)))
-            # The trace of a (3, 3, 3) "Hessian" has shape (3,).
-            got = (3,) if entry == "hessian_trace" else (3, 3, 3)
-            with pytest.raises(OracleError, match="^%s$" % re.escape(
-                    "%s returned an array of shape %s, expected an array of "
-                    "shape %s" % (name, got, shape))):
-                call(np.ones(3), *args)
+            # np.trace takes a (3, 2) array too, so hessian_trace must check
+            # the matrix's shape, not only its trace's.
+            for got in ((3, 3, 3), (3, 2)):
+                setattr(oracle, hook, lambda p, *_, got=got: np.ones(got))
+                with pytest.raises(OracleError, match="^%s$" % re.escape(
+                        "%s returned an array of shape %s, expected an array "
+                        "of shape %s" % (name, got, shape))):
+                    call(np.ones(3), *args)
             if kind is not None:
-                before[kind] += 2
+                before[kind] += 3
+            if entry == "hessian_trace":
+                # A finite Hessian whose trace overflows.
+                setattr(oracle, hook, lambda p: np.diag(np.full(3, 1e308)))
+                with pytest.raises(OracleError, match="^hessian_trace "
+                                   "returned a non-finite result$"):
+                    call(np.ones(3))
+                before[kind] += 1
             assert oracle.calls.snapshot() == before
             assert not fd or before["third"] == 0
 
@@ -443,7 +453,9 @@ POSITIVE_SITES = {
     "FdThirdOracle": ("tau", lambda v: FdThirdOracle(quartic_oracle(2), v)),
     "from_oracle": ("M", lambda v: ModelAnchor.from_oracle(
         quartic_oracle(2), np.ones(2), v)),
-    "with_m": ("M", lambda v: _ANCHOR.with_m(v)),
+    # At a Point that holds anchor data: the new level is still checked.
+    "from_oracle-anchored": ("M", lambda v: ModelAnchor.from_oracle(
+        quartic_oracle(2), _ANCHOR.point, v)),
     "secular_solve": ("M", lambda v: secular_solve(_ANCHOR.factor, v,
                                                    np.ones(2))),
     "run_inner": ("epsilon", lambda v: run_inner(_ANCHOR, quartic_oracle(2),
@@ -464,8 +476,8 @@ _NOT_POSITIVE_REALS = {"nan": np.nan, "inf": np.inf, "0": 0.0, "-1": -1.0,
     # fd_tau=None means "no finite differences".
     if not (site == "RunConfig-fd_tau" and bad is None)])
 def test_every_positive_real_is_checked_alike(site, bad):
-    # Sites that only refused <= 0 let NaN and inf through (with_m(inf)
-    # returned an anchor, solve_a(1, nan) ran 200 Newton steps), and none
+    # Sites that only refused <= 0 let NaN and inf through (an anchor was
+    # re-levelled to M = inf, solve_a(1, nan) ran 200 Newton steps), and none
     # refused a bool; a value that is not a real number raised a TypeError
     # naming no argument, or a string such as "1" was read as a number.
     name, call = POSITIVE_SITES[site]
@@ -505,14 +517,20 @@ def test_value_at_and_grad_at_evaluate_once_per_point():
     for _ in range(2):
         f = value_at(oracle, p)
         g = grad_at(oracle, p)
+        g_norm = grad_norm_at(oracle, p)
         oracle.hessian(p)
         oracle.third_directional(p, h)
-    # The value and the gradient are evaluated and counted once; Hessians
-    # and third derivatives are never kept, so each query is a call.
+    # The value and the gradient are evaluated and counted once, and the
+    # gradient's norm is taken once from it; the entry points keep nothing,
+    # so each Hessian and third-derivative query is a call.
     assert oracle.calls.snapshot() == {"value": 1, "grad": 1, "hessian": 2,
                                        "third": 2, "trace": 0}
     assert f == quartic_oracle(2).value(x)
     assert np.array_equal(g, quartic_oracle(2).grad(x))
+    assert g_norm == norm(g) and p.data["grad_norm"] is g_norm
+    q = Point(x)
+    assert grad_norm_at(oracle, q) == g_norm  # reads the gradient first
+    assert oracle.calls.grad == 2
     assert not g.flags.writeable
     with pytest.raises(ValueError):
         g[0] = 0.0
