@@ -199,8 +199,6 @@ def test_secular_non_finite_start_or_phi_fails_at_once(monkeypatch, factor,
 
 def test_secular_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        secular_solve(tri_factor([1.0]), 0.0, np.array([1.0]))
-    with pytest.raises(ValueError):
         secular_solve(tri_factor([-0.5, 1.0]), 1.0, np.ones(2))
 
 
@@ -425,9 +423,6 @@ def test_slow_decay_certificate_unit_cases():
 
 def test_run_inner_validation():
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    with pytest.raises(ValueError,
-                       match="epsilon must be finite and positive"):
-        run_inner(anchor, oracle, 0.0)
     with pytest.raises(ValueError, match="max_inner must be at least 1"):
         run_inner(anchor, oracle, 1e-6, max_inner=0)
 

@@ -417,15 +417,6 @@ def test_anchor_accepts_rank_deficient_psd_family(monkeypatch):
     assert rejected >= 200
 
 
-def test_anchor_rejects_nonpositive_m():
-    oracle = quartic_oracle(2)
-    with pytest.raises(ValueError):
-        ModelAnchor.from_oracle(oracle, np.ones(2), M=0.0)
-    anchor = ModelAnchor.from_oracle(oracle, np.ones(2), M=1.0)
-    with pytest.raises(ValueError):
-        ModelAnchor.from_oracle(oracle, anchor.point, M=-2.0)
-
-
 def test_anchor_tridiagonal_factor_reconstructs_hessian():
     _, oracle = make_logistic(25, 4, seed=17)
     x = np.random.default_rng(18).standard_normal(oracle.n)

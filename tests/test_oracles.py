@@ -481,8 +481,8 @@ def test_every_positive_real_is_checked_alike(site, bad):
     # refused a bool; a value that is not a real number raised a TypeError
     # naming no argument, or a string such as "1" was read as a number.
     name, call = POSITIVE_SITES[site]
-    with pytest.raises(ValueError, match="^%s must be finite and positive, "
-                                         "got " % name):
+    with pytest.raises(ValueError, match="^%s must be finite and positive, got "
+                       "%s$" % (name, re.escape(repr(bad)))):
         call(bad)
 
 

@@ -1,7 +1,7 @@
 """Adaptive outer loop: level escalation, sufficient-decrease acceptance,
 counters, and trace consistency."""
 
-import re
+import itertools
 import threading
 import warnings
 
@@ -29,49 +29,6 @@ def run_quartic(n, x0, m0, epsilon, solve=run_basic, **kw):
 
 
 # -- level selection and acceptance test ------------------------------------------
-
-
-class AbsComposite:
-    """Stands for an ell-1 term psi = ||x||_1, which no solver supports."""
-
-
-BAD_ENTRY_ARGUMENTS = [
-    *[pytest.param({name: bad}, ValueError,
-                   "%s must be finite and positive" % name, id="%s-%s" % (name, bad))
-      for name in ("m0", "epsilon") for bad in (np.nan, np.inf, 0.0, -1.0)],
-    pytest.param({"x0": np.array([np.nan, 1.0])}, ValueError,
-                 r"x0 must be finite, got x0\[0\] = nan", id="x0-nan"),
-    pytest.param({"x0": np.array([1.0, -np.inf])}, ValueError,
-                 r"x0 must be finite, got x0\[1\] = -inf", id="x0-inf"),
-    pytest.param({"x0": np.ones(3)}, ValueError,
-                 r"x0 has shape \(3,\), expected \(2,\)", id="x0-length"),
-    pytest.param({"x0": np.ones((2, 1))}, ValueError,
-                 r"x0 has shape \(2, 1\), expected \(2,\)", id="x0-2d"),
-    pytest.param({"composite": AbsComposite()}, TypeError,
-                 "composite must be ZeroComposite .*, got AbsComposite",
-                 id="composite-l1"),
-    pytest.param({"composite": None}, TypeError,
-                 "composite must be ZeroComposite .*, got NoneType",
-                 id="composite-none"),
-    *[pytest.param({name: bad}, ValueError,
-                   r"%s must be at least 1 and an integer, got %s"
-                   % (name, re.escape(repr(bad))), id="%s-%r" % (name, bad))
-      for name in ("max_outer", "max_inner") for bad in (0, -1, 2.5, 3.0)],
-]
-
-
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-@pytest.mark.parametrize("bad, error, match", BAD_ENTRY_ARGUMENTS)
-def test_nonfinite_or_nonpositive_m0_and_epsilon_fail_before_any_call(
-        solve, bad, error, match):
-    # Also a non-finite or wrong-shape x0, any composite other than ZeroComposite and an
-    # iteration cap that is not an integer >= 1.
-    oracle = quartic_oracle(2)
-    args = {"composite": ZeroComposite(), "x0": np.ones(2), "m0": 1.0,
-            "epsilon": 1e-6, **bad}
-    with pytest.raises(error, match=match):
-        solve(oracle, **args)
-    assert oracle.calls.total() == 0
 
 
 def held(x, **data):
@@ -435,6 +392,13 @@ def test_untraced_run_passes_no_trace_to_the_inner_solver(solve, monkeypatch):
     assert all(trace is None for trace in traces)
 
 
+# -- bad runs ------------------------------------------------------------------------
+
+
+class AbsComposite:
+    """Stands for an ell-1 term psi = ||x||_1, which no solver supports."""
+
+
 class _NoDecreaseOracle(SmoothOracle):
     """Constant value, unit gradient, Hessian 1e6 I: no trial ever decreases
     f, and every trial's gradient norm stays 1, so every level is rejected."""
@@ -452,149 +416,208 @@ class _NoDecreaseOracle(SmoothOracle):
         return np.zeros(self.n)
 
 
-@pytest.mark.parametrize("solve, make, m0, cap, msg, calls", [
-    # The trial at level 2^2 repeats the one at 2^1 (the first is the
-    # smallest 2^i >= 2 m0) bit for bit, with zero decrease: the search
-    # stops there instead of doubling on to 2^201.
-    (run_basic, lambda: (_NoDecreaseOracle(3), np.zeros(3)), 1.0, None,
-     "M = 2.000e+00 .. 4.000e+00, last stop reason EpsilonSmall; last "
-     "evaluated trial has gradient norm 1.000e+00 > epsilon 1.000e-06 and "
-     "decrease f_x - f_trial = 0.000e+00", (3, 3, 1, 78)),
-    # Every capped level certifies slow convergence: nothing was evaluated.
-    *[(solve, lambda: (quartic_oracle(2), np.ones(2)), 1e-80, 3,
-       "M = 2.000e-80 .. 1.600e-79, last stop reason SlowConvergence; no "
-       "trial was evaluated", (0, 1, 1, 136)) for solve in (run_basic,
-                                                           run_accel)],
-    # The accelerated method rejects a trial without reading its value.
-    (run_accel, lambda: (_NoDecreaseOracle(3), np.ones(3)), 1.0, 3,
-     "M = 2.000e+00 .. 1.600e+01, last stop reason EpsilonSmall; last "
-     "evaluated trial has gradient norm 1.000e+00 > epsilon 1.000e-06 (its "
-     "decrease was not evaluated)", (0, 5, 1, 156)),
-])
-def test_run_basic_level_doubling_failure_is_typed_and_named(
-        monkeypatch, solve, make, m0, cap, msg, calls):
-    if cap is not None:
-        monkeypatch.setattr(tensormin.basic, "_MAX_LEVEL_DOUBLINGS", cap)
-    oracle, x0 = make()
-    with pytest.raises(LevelSearchError) as info:
-        solve(oracle, ZeroComposite(), x0, m0, 1e-6)
-    assert tensormin.LevelSearchError is LevelSearchError
-    assert isinstance(info.value, RuntimeError)
-    assert str(info.value) == ("level doubling did not terminate at outer "
-                               "step t=0: levels " + msg)
-    snap = oracle.calls.snapshot()
-    assert (snap["value"], snap["grad"], snap["hessian"],
-            snap["third"]) == calls
-
-
-@pytest.mark.parametrize("m0, error, solve", [
-    (1e-300, LevelSearchError, run_basic),
-    (1e-300, LevelSearchError, run_accel),
-    (1e-200, SecularSolveError, run_basic),
-    (1e-200, SecularSolveError, run_accel),
-    (1e300, LevelSearchError, run_basic),
-    (1e300, WeightEquationError, run_accel),
-])
-def test_extreme_levels_fail_typed_and_name_the_level(m0, error, solve):
-    # Near the ends of float range the inner solver's arithmetic overflows
-    # or divides by zero (then the level search names t, i and M), a
-    # secular solve fails (and names M), or, for the accelerated method,
-    # the weight equation's scale 16 / (18^3 M) underflows to 0 at
-    # M = 3.3e304, soon after the start.
-    oracle = quartic_oracle(2)
-    with pytest.raises(error, match="M = "):
-        solve(oracle, ZeroComposite(), np.ones(2), m0, 1e-6)
-    assert oracle.calls.total() <= 40
-
-
 class _HookError(tensormin.SolveError):
     """A caller's own typed failure."""
 
 
-class _FailingHessianOracle(QuadraticOracle):
-    def _hessian(self, p):
-        raise _HookError("the Hessian hook failed")
+def _failing_hook(p):
+    raise _HookError("the Hessian hook failed")
 
 
-STEP_FAILURES = {
-    "nonconvex": (QuadraticOracle(np.diag([1.0, -1.0]), np.ones(2)), 1.0,
-                  ConvexityError, "level M = 2.000e+00: anchor Hessian has "
-                  "smallest eigenvalue", 2),
-    "secular": (quartic_oracle(2), 1e-200, SecularSolveError,
-                "level M = 2.000e-200: secular iterate sigma = 0", 2),
+def quartic(n=2, x0=1.0):
+    """A factory of the quartic in n variables and a start whose every entry
+    is x0."""
+    return lambda: (quartic_oracle(n), np.full(n, x0))
+
+
+def hooked(hook, result, n=2, k=1):
+    """A factory of ``quartic(n)`` whose ``hook`` returns ``result(p, *args)``
+    from its k-th call on."""
+    def make():
+        oracle, x0 = quartic(n)()
+        good, count = getattr(oracle, hook), itertools.count(1)
+        setattr(oracle, hook,
+                lambda *a: (result if next(count) >= k else good)(*a))
+        return oracle, x0
+    return make
+
+
+def both(calls):
+    """Both loops, with the same (value, grad, hessian, third) calls."""
+    return {run_basic: calls, run_accel: calls}
+
+
+_NO_CALLS = both((0,) * 4)
+_AT_FIRST_LEVEL = "outer step t=0, level index i=1, level M = 2.000e+00: "
+_NO_DOUBLING = "level doubling did not terminate at outer step t=0: levels M = "
+
+# Every typed failure of a run: (id, problem factory returning (oracle, x0),
+# overrides of the arguments composite=ZeroComposite(), x0, m0=1 and
+# epsilon=1e-6 and of the level cap _MAX_LEVEL_DOUBLINGS, error type, full
+# message, {loop: (value, grad, hessian, third) calls}).
+BAD_RUNS = [
+    # Bad arguments fail before any oracle call.
+    *[("%s-%s" % (name, shown), quartic(), {name: bad}, ValueError,
+       "%s must be finite and positive, got %s" % (name, shown), _NO_CALLS)
+      for name in ("m0", "epsilon")
+      for bad, shown in ((np.nan, "nan"), (np.inf, "inf"), (0.0, "0.0"),
+                         (-1.0, "-1.0"))],
+    ("x0-nan", quartic(), {"x0": np.array([np.nan, 1.0])}, ValueError,
+     "x0 must be finite, got x0[0] = nan", _NO_CALLS),
+    ("x0-inf", quartic(), {"x0": np.array([1.0, -np.inf])}, ValueError,
+     "x0 must be finite, got x0[1] = -inf", _NO_CALLS),
+    ("x0-length", quartic(), {"x0": np.ones(3)}, ValueError,
+     "x0 has shape (3,), expected (2,)", _NO_CALLS),
+    ("x0-2d", quartic(), {"x0": np.ones((2, 1))}, ValueError,
+     "x0 has shape (2, 1), expected (2,)", _NO_CALLS),
+    *[("composite-%s" % name, quartic(), {"composite": bad}, TypeError,
+       "composite must be ZeroComposite (the only composite term), got "
+       + name, _NO_CALLS)
+      for bad, name in ((AbsComposite(), "AbsComposite"), (None, "NoneType"))],
+    *[("%s-%s" % (name, shown), quartic(), {name: bad}, ValueError,
+       "%s must be at least 1 and an integer, got %s" % (name, shown),
+       _NO_CALLS)
+      for name in ("max_outer", "max_inner")
+      for bad, shown in ((0, "0"), (-1, "-1"), (2.5, "2.5"), (3.0, "3.0"))],
+    # The trial at level 2^2 repeats the one at 2^1 (the first is the
+    # smallest 2^i >= 2 m0) bit for bit, with zero decrease: the search
+    # stops there instead of doubling on to 2^201.
+    ("no-decrease", lambda: (_NoDecreaseOracle(3), np.zeros(3)), {},
+     LevelSearchError, _NO_DOUBLING + "2.000e+00 .. 4.000e+00, last stop "
+     "reason EpsilonSmall; last evaluated trial has gradient norm 1.000e+00 > "
+     "epsilon 1.000e-06 and decrease f_x - f_trial = 0.000e+00",
+     {run_basic: (3, 3, 1, 78)}),
+    # The accelerated method rejects a trial without reading its value.
+    ("no-decrease-capped", lambda: (_NoDecreaseOracle(3), np.ones(3)),
+     {"_MAX_LEVEL_DOUBLINGS": 3}, LevelSearchError, _NO_DOUBLING
+     + "2.000e+00 .. 1.600e+01, last stop reason EpsilonSmall; last evaluated "
+     "trial has gradient norm 1.000e+00 > epsilon 1.000e-06 (its decrease was "
+     "not evaluated)", {run_accel: (0, 5, 1, 156)}),
+    # Every capped level certifies slow convergence: nothing was evaluated.
+    ("m0-1e-80-capped", quartic(), {"m0": 1e-80, "_MAX_LEVEL_DOUBLINGS": 3},
+     LevelSearchError, _NO_DOUBLING + "2.000e-80 .. 1.600e-79, last stop "
+     "reason SlowConvergence; no trial was evaluated", both((0, 1, 1, 136))),
+    # Near the ends of float range the inner solver's arithmetic overflows
+    # or divides by zero, a secular solve fails, or the weight equation's
+    # scale 16 / (18^3 M) underflows or overflows; each names t, i and M.
+    ("m0-1e-300", quartic(), {"m0": 1e-300}, LevelSearchError,
+     "outer step t=0, level index i=1, level M = 2.000e-300: OverflowError: "
+     "(34, 'Numerical result out of range')", both((0, 1, 1, 0))),
+    ("m0-1e-200", quartic(), {"m0": 1e-200}, SecularSolveError,
+     "outer step t=0, level index i=1, level M = 2.000e-200: secular iterate "
+     "sigma = 0 is not positive at M = 2e-200", both((0, 1, 1, 0))),
+    ("m0-1e300", quartic(), {"m0": 1e300}, LevelSearchError,
+     "outer step t=0, level index i=28, level M = inf: OverflowError: the "
+     "level overflowed float range (m0 = 1.000e+300)",
+     {run_basic: (2, 2, 1, 30)}),
+    ("m0-1e300", quartic(), {"m0": 1e300}, WeightEquationError,
+     "outer step t=0, level index i=15, level M = 3.277e+304: weight-equation "
+     "scale k = 16 / (18^3 M) is 0 at M = 3.2768000000000002e+304",
+     {run_accel: (0, 1, 1, 14)}),
     # The level 2 m0 is inf: refused before any oracle call, naming m0.
-    "overflow": (quartic_oracle(2), 1e308, LevelSearchError,
-                 "level M = inf: OverflowError: the level overflowed float "
-                 "range (m0 = 1.000e+308)", 0),
+    ("m0-1e308", quartic(), {"m0": 1e308}, LevelSearchError,
+     "outer step t=0, level index i=1, level M = inf: OverflowError: the "
+     "level overflowed float range (m0 = 1.000e+308)", _NO_CALLS),
+    ("m0-5e-324", quartic(), {"m0": 5e-324}, WeightEquationError,
+     "outer step t=0, level index i=1, level M = 9.881e-324: weight-equation "
+     "scale k = 16 / (18^3 M) is inf at M = 9.8813129168249309e-324",
+     {run_accel: (0,) * 4}),
+    ("nonconvex", lambda: (QuadraticOracle(np.diag([1.0, -1.0]), np.ones(2)),
+                           np.ones(2)), {}, ConvexityError, _AT_FIRST_LEVEL
+     + "anchor Hessian has smallest eigenvalue lambda_min = -1.000e+00 < "
+     "-1.000e-10", both((0, 1, 1, 0))),
     # Any SolveError, a caller's own subclass too, keeps its type.
-    "hook": (_FailingHessianOracle(np.eye(2), np.ones(2)), 1.0, _HookError,
-             "level M = 2.000e+00: the Hessian hook failed", 2),
-}
-
-
-@pytest.mark.parametrize("solve, oracle, m0, error, message, calls", [
-    pytest.param(solve, *case, id="%s-%s" % (name, solve.__name__))
-    for name, case in STEP_FAILURES.items() for solve in (run_basic, run_accel)
-] + [
-    # 16 / (18^3 M) overflows at the first level, so the weight equation
-    # fails before any oracle call.
-    pytest.param(run_accel, quartic_oracle(2), 5e-324, WeightEquationError,
-                 "level M = 9.881e-324: weight-equation scale k = "
-                 "16 / (18^3 M) is inf", 0, id="weight-run_accel"),
-])
-def test_step_failures_name_the_outer_step_level_index_and_level(
-        solve, oracle, m0, error, message, calls):
-    oracle.calls.reset()
-    with pytest.raises(error) as info:
-        solve(oracle, ZeroComposite(), np.ones(2), m0, 1e-6)
-    assert str(info.value).startswith(
-        "outer step t=0, level index i=1, " + message)
-    assert oracle.calls.total() == calls
-
-
-def test_overflowing_oracle_fails_typed_without_numpy_warnings():
-    oracle = quartic_oracle(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OracleError, match="returned a non-finite result"):
-            run_basic(oracle, ZeroComposite(), 1e150 * np.ones(2), 1.0, 1e-6)
-
-
-MALFORMED_HOOKS = [
-    pytest.param("_grad", lambda p: (4.0 * p.x**3)[:, None],
-                 "grad returned an array of shape (3, 1), expected an array "
-                 "of shape (3,)", id="grad-3x1"),
-    pytest.param("_grad", lambda p: (4.0 * p.x**3)[:2],
-                 "grad returned an array of shape (2,), expected an array of "
-                 "shape (3,)", id="grad-2"),
-    pytest.param("_third_directional", lambda p, h: (24.0 * p.x * h * h)[:2],
-                 "third_directional returned an array of shape (2,), expected "
-                 "an array of shape (3,)", id="third-2"),
-    pytest.param("_hessian", lambda p: np.diag(12.0 * p.x**2)[:, :2],
-                 "hessian returned an array of shape (3, 2), expected an "
-                 "array of shape (3, 3)", id="hessian-3x2"),
-    pytest.param("_hessian", lambda p: np.diag(12.0 * p.x**2).tolist(),
-                 "hessian returned a list of shape (3, 3), expected an array "
-                 "of shape (3, 3)", id="hessian-list"),
-    pytest.param("_value", lambda p: np.full(2, np.sum(p.x**4)),
-                 "value returned an array of shape (2,), expected an array of "
-                 "shape ()", id="value-2"),
+    ("hook-error", hooked("_hessian", _failing_hook), {}, _HookError,
+     _AT_FIRST_LEVEL + "the Hessian hook failed", both((0, 1, 1, 0))),
+    # Oracle output is checked at its entry point, before a NumPy, f2py or
+    # LAPACK routine meets it.  Unchecked, a NaN trial gradient drives 200
+    # level doublings, a NaN third derivative surfaces as a root finder's
+    # message, and a (2,) gradient or third derivative makes dormqr write
+    # to stderr and the secular solve take the blame.
+    ("overflow-1e150", quartic(x0=1e150), {}, OracleError,
+     _AT_FIRST_LEVEL + "grad returned a non-finite result", both((0, 1, 0, 0))),
+    ("grad-nan-from-2", hooked("_grad", lambda p: np.full(2, np.nan), k=2), {},
+     OracleError, _AT_FIRST_LEVEL + "grad returned a non-finite result",
+     both((0, 2, 1, 63))),
+    ("third-nan", hooked("_third_directional", lambda p, h: np.full(2, np.nan)),
+     {}, OracleError, _AT_FIRST_LEVEL + "third_directional returned a "
+     "non-finite result", both((0, 1, 1, 1))),
+    # Output that turns non-finite at a later call names a later step.
+    ("value-nan-from-4", hooked("_value", lambda p: np.nan, k=4), {},
+     OracleError, "outer step t=1, level index i=0, level M = 2.000e+00: "
+     "value returned a non-finite result", {run_basic: (4, 4, 2, 152)}),
+    ("value-nan-from-4", hooked("_value", lambda p: np.nan, k=4), {},
+     OracleError, "outer step t=2, level index i=1, level M = 4.000e+00: "
+     "value returned a non-finite result", {run_accel: (4, 12, 6, 293)}),
+    ("hessian-inf-from-3",
+     hooked("_hessian", lambda p: np.full((2, 2), np.inf), k=3), {},
+     OracleError, "outer step t=2, level index i=0, level M = 2.000e+00: "
+     "hessian returned a non-finite result", {run_basic: (5, 5, 3, 178)}),
+    ("hessian-inf-from-3",
+     hooked("_hessian", lambda p: np.full((2, 2), np.inf), k=3), {},
+     OracleError, "outer step t=1, level index i=1, level M = 4.000e+00: "
+     "hessian returned a non-finite result", {run_accel: (1, 6, 3, 152)}),
+    ("grad-nan-from-4", hooked("_grad", lambda p: np.full(2, np.nan), k=4), {},
+     OracleError, "outer step t=1, level index i=0, level M = 2.000e+00: grad "
+     "returned a non-finite result",
+     {run_basic: (3, 4, 2, 152), run_accel: (1, 4, 1, 89)}),
+    # Wrong-shape output.
+    ("grad-3x1", hooked("_grad", lambda p: (4.0 * p.x**3)[:, None], n=3), {},
+     OracleError, _AT_FIRST_LEVEL + "grad returned an array of shape (3, 1), "
+     "expected an array of shape (3,)", both((0, 1, 0, 0))),
+    ("grad-2", hooked("_grad", lambda p: (4.0 * p.x**3)[:2], n=3), {},
+     OracleError, _AT_FIRST_LEVEL + "grad returned an array of shape (2,), "
+     "expected an array of shape (3,)", both((0, 1, 0, 0))),
+    ("third-2", hooked("_third_directional",
+                       lambda p, h: (24.0 * p.x * h * h)[:2], n=3), {},
+     OracleError, _AT_FIRST_LEVEL + "third_directional returned an array of "
+     "shape (2,), expected an array of shape (3,)", both((0, 1, 1, 1))),
+    ("hessian-3x2", hooked("_hessian", lambda p: np.diag(12.0 * p.x**2)[:, :2],
+                           n=3), {},
+     OracleError, _AT_FIRST_LEVEL + "hessian returned an array of shape "
+     "(3, 2), expected an array of shape (3, 3)", both((0, 1, 1, 0))),
+    ("hessian-list", hooked("_hessian",
+                            lambda p: np.diag(12.0 * p.x**2).tolist(), n=3), {},
+     OracleError, _AT_FIRST_LEVEL + "hessian returned a list of shape (3, 3), "
+     "expected an array of shape (3, 3)", both((0, 1, 1, 0))),
+    ("value-2", hooked("_value", lambda p: np.full(2, np.sum(p.x**4)), n=3),
+     {}, OracleError, _AT_FIRST_LEVEL + "value returned an array of shape "
+     "(2,), expected an array of shape ()", {run_basic: (1, 2, 1, 59)}),
+    ("value-2", hooked("_value", lambda p: np.full(2, np.sum(p.x**4)), n=3),
+     {}, OracleError, "outer step t=0, level index i=2, level M = 4.000e+00: "
+     "value returned an array of shape (2,), expected an array of shape ()",
+     {run_accel: (1, 3, 1, 78)}),
 ]
 
 
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-@pytest.mark.parametrize("hook, result, message", MALFORMED_HOOKS)
-def test_malformed_hook_results_fail_typed_and_named(solve, hook, result,
-                                                     message, capfd):
-    # A malformed hook result is named at its entry point, before a NumPy,
-    # f2py or LAPACK routine meets it: a (2,) gradient or third derivative
-    # would make dormqr write to stderr and the secular solve take the blame.
-    oracle = quartic_oracle(3)
-    setattr(oracle, hook, result)
-    with pytest.raises(OracleError, match=r"^outer step t=0, level index "
-                       r"i=\d+, level M = [^:]+: %s$" % re.escape(message)):
-        solve(oracle, ZeroComposite(), np.ones(3), 1.0, 1e-6)
+@pytest.mark.parametrize("solve, make, overrides, error, message, calls", [
+    pytest.param(solve, make, overrides, error, message, calls,
+                 id="%s-%s" % (name, solve.__name__))
+    for name, make, overrides, error, message, by_loop in BAD_RUNS
+    for solve, calls in by_loop.items()])
+def test_bad_run_fails_typed_named_and_counted(
+        monkeypatch, capfd, solve, make, overrides, error, message, calls):
+    oracle, x0 = make()
+    args = {"composite": ZeroComposite(), "x0": x0, "m0": 1.0,
+            "epsilon": 1e-6, **overrides}
+    if "_MAX_LEVEL_DOUBLINGS" in args:
+        monkeypatch.setattr(tensormin.basic, "_MAX_LEVEL_DOUBLINGS",
+                            args.pop("_MAX_LEVEL_DOUBLINGS"))
+    with pytest.raises(error) as info:
+        solve(oracle, **args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert oracle.calls.snapshot() == dict(
+        zip(("value", "grad", "hessian", "third"), calls), trace=0)
     assert capfd.readouterr().err == ""
+
+
+def test_every_exported_solve_error_is_a_bad_run():
+    # A new typed failure needs a row above.
+    exported = {obj for obj in map(vars(tensormin).get, tensormin.__all__)
+                if isinstance(obj, type) and issubclass(obj, tensormin.SolveError)}
+    assert issubclass(tensormin.SolveError, RuntimeError)
+    assert exported - {row[3] for row in BAD_RUNS} == {tensormin.SolveError}
 
 
 def test_runs_sharing_an_oracle_count_their_own_calls():
