@@ -122,7 +122,8 @@ def secular_solve(factor, M, c):
         definite, which a singular T allows for tiny sigma) puts sigma left
         of the root; it is returned as phi = -inf with no h and the solve's
         unraised error.  A sigma that is not positive (a bisection that
-        underflowed) or a NaN phi raises SecularSolveError.
+        underflowed), an h of norm 0 (phi's 1 / ||h|| is undefined) or a
+        NaN phi raises SecularSolveError.
         """
         if not sigma > 0.0:
             raise SecularSolveError("secular iterate sigma = %.17g is not "
@@ -132,6 +133,9 @@ def secular_solve(factor, M, c):
             return None, 0.0, -math.inf, 1.0, breakdown
         hsq = float(np.dot(hh, hh))
         hn = math.sqrt(hsq)
+        if hn == 0.0:
+            raise SecularSolveError("secular step norm ||h(sigma)|| is 0 at "
+                                    "sigma = %.17g, M = %.17g" % (sigma, M))
         phi = 1.0 / hn - root_half_m / math.sqrt(sigma)
         if math.isnan(phi):
             raise SecularSolveError("secular function is NaN at sigma = "

@@ -26,7 +26,7 @@ import math
 import numbers
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -581,14 +581,22 @@ class DerivativeReport:
     """Result of a finite-difference audit of an oracle's derivatives.
 
     ``max_rel_err`` maps derivative order (1, 2, 3) to the worst relative
-    error observed over the probe directions; ``failed_orders`` lists the
-    orders whose error exceeded ``tol``.
+    error observed over the probe directions; ``failed_orders`` and
+    ``passed`` are derived from it and ``tol``, not stored.
     """
 
     max_rel_err: dict
     tol: float
-    passed: bool
-    failed_orders: list = field(default_factory=list)
+
+    @property
+    def failed_orders(self):
+        """The orders whose error exceeded ``tol``."""
+        return [k for k, err in self.max_rel_err.items() if err > self.tol]
+
+    @property
+    def passed(self):
+        """True when no order failed."""
+        return not self.failed_orders
 
 
 def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
@@ -644,7 +652,4 @@ def check_derivatives(oracle, x, tol=1e-5, n_directions=5, seed=0):
         ref3 = oracle.third_directional(p, h)
         err[3] = max(err[3], norm(fd3 - ref3) / (1.0 + norm(ref3)))
 
-    failed = [k for k in (1, 2, 3) if err[k] > tol]
-    return DerivativeReport(
-        max_rel_err=err, tol=tol, passed=not failed, failed_orders=failed
-    )
+    return DerivativeReport(max_rel_err=err, tol=tol)

@@ -9,7 +9,10 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
+from conftest import PINNED_RUNS, check_run, pinned
 import tensormin.harness as harness
+from tensormin.accel import run_accel
+from tensormin.basic import run_basic
 from tensormin.cli import build_parser, main
 from tensormin.harness import (
     RunConfig,
@@ -218,31 +221,17 @@ def test_experiment_logistic_bundled_dataset():
 
 
 def test_experiment_bundled_dataset_paper_counters():
-    # The paper's protocol (x0 = ones, m0 = 1) on the bundled set pins the
-    # exact (IT, CO, BGM_E, BGM_IT) so refactors of the outer loops cannot
-    # change the work done without this test noticing.
-    expected = {
-        "basic": [
-            (1e-2, (3, 44, 3, 33)),
-            (1e-4, (3, 56, 3, 45)),
-            (1e-6, (4, 75, 4, 61)),
-            (1e-8, (4, 86, 4, 72)),
-        ],
-        "accel": [
-            (1e-2, (3, 66, 5, 48)),
-            (1e-4, (3, 78, 5, 60)),
-            (1e-6, (4, 111, 7, 86)),
-            (1e-8, (4, 122, 7, 97)),
-        ],
-    }
-    for solver, cases in expected.items():
+    # The paper's protocol (x0 = ones, m0 = 1) on the bundled set gives the
+    # pinned runs' exact (IT, CO, BGM_E, BGM_IT), one report per accuracy.
+    for solver, loop in (("basic", run_basic), ("accel", run_accel)):
+        pins = [p for p in PINNED_RUNS
+                if p.name.startswith("bundled-") and p.loop is loop]
         reports = run_experiment(RunConfig(
             problem="logistic", solver=solver, x0="ones", m0=1.0,
-            epsilons=[eps for eps, _ in cases],
-        ))
-        got = [(r.epsilon, (r.IT, r.CO, r.BGM_E, r.BGM_IT)) for r in reports]
-        assert got == cases, solver
-        assert all(r.converged for r in reports)
+            epsilons=[p.args["epsilon"] for p in pins]))
+        assert [(r.epsilon, r.IT, r.CO, r.BGM_E, r.BGM_IT, r.converged)
+                for r in reports] == [(p.args["epsilon"], *p.counters,
+                                       p.converged) for p in pins]
 
 
 def test_experiment_reads_the_dataset_once_per_sweep(monkeypatch):
@@ -589,24 +578,16 @@ def test_cli_zero_start_immediate_success(tmp_path):
 
 
 def test_cli_trace_stream_is_json_lines(tmp_path):
-    trace = tmp_path / "trace.jsonl"
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "r.csv"
     code = main([
         "solve", "--problem", "quartic", "--n", "2", "--solver", "basic",
-        "--eps", "1e-3", "--trace", str(trace),
-        "--format", "csv", "--out", str(tmp_path / "r.csv"),
+        "--eps", "1e-3", "--trace", str(trace), "--format", "csv",
+        "--out", str(out),
     ])
     assert code == 0
-    rows = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert rows
-    kinds = {r["kind"] for r in rows}
-    assert kinds == {"outer", "inner"}
-    for r in rows:
-        assert r["epsilon"] == 1e-3
-        if r["kind"] == "inner":
-            assert {"k", "model_grad_norm", "step_norm", "slow_rhs"} <= set(r)
-    evaluated = [r for r in rows if r["kind"] == "outer" and "x_trial" in r]
-    assert evaluated
-    assert all(isinstance(r["x_trial"], list) for r in evaluated)
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    check_run(lines, pinned("quartic2-1e-3", run_basic),
+              parse_report_csv(out.read_text())[0])
 
 
 def test_cli_finite_difference_flag(tmp_path):

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle, hat, quad_anchor, tri_factor
+from conftest import (QuadraticOracle, documented_trace_keys, hat, quad_anchor,
+                      tri_factor)
 from tensormin import model
 from tensormin.inner import (
     StopReason,
@@ -469,10 +470,12 @@ def test_run_inner_trace_records():
     anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
     rows = []
     res = run_inner(anchor, oracle, 1e-6, trace=rows.append)
+    # The README's inner keys but the tags the outer loop adds.
+    inner_keys = documented_trace_keys()["inner"] - {"kind", "t", "i", "epsilon"}
     assert len(rows) == res.iterations
     assert [r["k"] for r in rows] == list(range(res.iterations))
     for r in rows:
-        assert set(r) == {"k", "model_grad_norm", "step_norm", "slow_rhs"}
+        assert set(r) == inner_keys
         assert r["model_grad_norm"] >= 0.0
         assert r["step_norm"] >= 0.0
         assert 0.0 < r["slow_rhs"] < math.inf

@@ -3,20 +3,19 @@ counters, and trace consistency."""
 
 import itertools
 import threading
-import warnings
 
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle
+from conftest import (KINDS, PINNED_RUNS, QuadraticOracle, check_run, pinned,
+                      quartic)
 import tensormin
 from tensormin.accel import WeightEquationError, _AccelStep, run_accel
 from tensormin.basic import (LevelSearchError, _BasicStep, decrease_rhs,
                              run_basic)
-from tensormin.inner import StopReason, run_inner
+from tensormin.inner import run_inner
 from tensormin.model import ConvexityError, SecularSolveError
-from tensormin.oracles import (Dataset, FdThirdOracle, LowerBoundQuartic,
-                               OracleError, Point, SmoothOracle, ZeroComposite,
+from tensormin.oracles import (OracleError, Point, SmoothOracle, ZeroComposite,
                                logistic_oracle, make_logistic, quartic_oracle)
 
 
@@ -67,193 +66,19 @@ def test_step_decrease_against_the_bound_at_points_and_boundary(
     assert oracle.calls.total() == 0
 
 
-# -- terminal behavior --------------------------------------------------------------
+# -- whole runs ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-def test_run_already_stationary_start(solve):
-    oracle, x, report, rows = run_quartic(3, np.zeros(3), 1.0, 1e-8, solve)
-    assert report.converged is True
-    assert report.IT == 1
-    assert report.BGM_E == 1
-    assert len(rows) == 1
-    assert rows[0]["accepted"] is True
-    assert np.array_equal(x, np.zeros(3))
-
-
-def test_run_basic_quartic_converges_within_level_bounds():
-    oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-8)
-    assert report.converged is True
-    assert float(np.linalg.norm(oracle.grad(x))) <= 1e-8
-    assert 1 <= report.IT <= 20
-
-    # Every trial level sits at or above 2 M_0, and the running estimate
-    # (half the accepted level) never exceeds max(2 M_0, 4 * 24) = 96.
-    for row in rows:
-        assert row["M_level"] >= 2.0 * (1.0 - 1e-12)
-        assert row["M_level"] <= 192.0
-        if row["accepted"]:
-            assert row["M_level"] / 2.0 <= 96.0
-
-    # Executions stay within the escalation-accounting budget.
-    assert report.BGM_E <= 2 * (report.IT + 1) + np.log2(96.0)
-
-
-def test_run_basic_acceptance_inequality_recomputed():
-    rng = np.random.default_rng(30)
-    x0 = rng.uniform(0.5, 1.5, size=3)
-    oracle, _, report, rows = run_quartic(3, x0, 1.0, 1e-6)
-    assert report.converged is True
-    x_prev = x0
-    checked = 0
-    for row in rows:
-        if not row["accepted"]:
-            continue
-        x_trial = row["x_trial"]
-        f_trial = oracle.value(x_trial)
-        g_trial = float(np.linalg.norm(oracle.grad(x_trial)))
-        assert abs(f_trial - row["f_trial"]) <= 1e-12 * (1.0 + abs(f_trial))
-        assert abs(g_trial - row["grad_norm_trial"]) <= 1e-12 * (1.0 + g_trial)
-        if g_trial > 1e-6:
-            f_at_prev = oracle.value(x_prev)
-            rhs = g_trial ** (4.0 / 3.0) / (6.0 * row["M_level"] ** (1.0 / 3.0))
-            assert f_at_prev - f_trial >= rhs - 1e-12 * (1.0 + abs(f_at_prev))
-            # Monotone objective along accepted steps.
-            assert f_trial <= f_at_prev + 1e-12 * (1.0 + abs(f_at_prev))
-        x_prev = x_trial
-        checked += 1
-    assert checked >= 4
-
-
-def test_run_basic_trace_levels_are_contiguous_doublings():
-    oracle, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-6)
-    assert report.BGM_E == len(rows)
-    assert report.BGM_IT == sum(r["inner_iters"] for r in rows)
-
-    m_t = 1.0
-    by_t = {}
-    for row in rows:
-        by_t.setdefault(row["t"], []).append(row)
-    for t in sorted(by_t):
-        group = by_t[t]
-        # The first level is the smallest m_t 2^i that is >= 2 m0 = 2.
-        start = group[0]["i"]
-        assert m_t * 2.0**start >= 2.0
-        assert start == 0 or m_t * 2.0 ** (start - 1) < 2.0
-        assert [r["i"] for r in group] == list(range(start, start + len(group)))
-        for r in group:
-            assert r["M_level"] == pytest.approx(m_t * 2.0 ** r["i"], rel=1e-12)
-        # only the last row of a group may be accepted
-        assert all(not r["accepted"] for r in group[:-1])
-        if group[-1]["accepted"]:
-            m_t = group[-1]["M_level"] / 2.0
-        for r in group:
-            if r["stop_reason"] == "SlowConvergence":
-                assert r["f_trial"] is None
-                assert r["grad_norm_trial"] is None
-                assert "x_trial" not in r
-
-
-def test_run_basic_oracle_call_conservation():
-    oracle, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-6)
-    snap = oracle.calls.snapshot()
-    assert report.CO == oracle.calls.total() == sum(snap.values())
-    evaluated = sum(1 for r in rows if r["f_trial"] is not None)
-    anchors = len({r["t"] for r in rows})
-    # one objective value at x_0 plus one per evaluated trial
-    assert snap["value"] == 1 + evaluated
-    # gradients likewise; all other gradient uses reuse anchor data
-    assert snap["grad"] == 1 + evaluated
-    # one Hessian per outer anchor, levels share it; the factor holds the
-    # trace
-    assert snap["hessian"] == anchors
-    assert snap["trace"] == 0
-
-
-def test_run_basic_queries_third_once_per_inner_iteration():
-    # Each inner step needs D3f[h]^2 at one new displacement; the first
-    # step of an inner run starts at the anchor, where h = 0 costs nothing.
-    _, oracle = make_logistic(300, 5, seed=3)
-    _, report, _ = run_basic(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0, 1e-8)
-    assert report.converged is True
-    assert report.BGM_IT > report.BGM_E
-    assert oracle.calls.third == report.BGM_IT
-
-
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-def test_logistic_solves_make_no_trace_and_no_anchor_value_calls(solve):
-    # The anchor's factor holds the trace, and no anchor queries f: basic
-    # evaluates f at x_0 and at each evaluated trial, accel at accepted
-    # trials and at evaluated companions, to compare the two.
-    _, oracle = make_logistic(300, 6, seed=41)
-    _, report, rows = solve(oracle, ZeroComposite(), np.zeros(oracle.n), 1.0,
-                            1e-6, max_outer=40)
-    snap = oracle.calls.snapshot()
-    assert report.BGM_E > 0
-    assert snap["trace"] == 0
-    companions = [r for r in rows if r.get("companion")]
-    trials = [r for r in rows if not r.get("companion")]
-    evaluated = sum(1 for r in trials if r["grad_norm_trial"] is not None)
-    accepted = sum(1 for r in trials if r["accepted"])
-    evaluated_companions = sum(1 for r in companions
-                               if r["f_trial"] is not None)
-    if solve is run_basic:
-        assert not companions
-        assert snap["value"] == 1 + evaluated
-    else:
-        assert evaluated_companions >= 1
-        assert snap["value"] == accepted + evaluated_companions
-
-
-# Per problem: its oracle and start, epsilon, and for each loop (basic,
-# accel) its IT, CO, BGM_E, BGM_IT and value/grad/hessian/third calls.
-PINNED_COUNTERS = {
-    "quartic": (lambda: (quartic_oracle(10), np.ones(10)), 1e-7,
-                (11, 200, 11, 165, 12, 12, 11, 165),
-                (11, 389, 21, 315, 21, 32, 21, 315)),
-    "lower-bound-quartic": (lambda: (LowerBoundQuartic(10), np.zeros(10)), 1e-6,
-                            (38, 297, 38, 181, 39, 39, 38, 181),
-                            (38, 602, 75, 339, 75, 113, 75, 339)),
-    "logistic-2000x50": (
-        lambda: (make_logistic(2000, 49, seed=0)[1], np.zeros(50)), 1e-6,
-        (7, 280, 11, 249, 12, 12, 7, 249),
-        (7, 404, 17, 346, 13, 28, 17, 346)),
-    # Gradients near 1e120 once overflowed the secular solve's c^T T c.
-    "quartic-from-1e40": (lambda: (quartic_oracle(2), 1e40 * np.ones(2)), 1e-6,
-                          (108, 10154, 216, 9612, 217, 217, 108, 9612),
-                          (108, 13469, 323, 12394, 215, 538, 322, 12394)),
-}
-
-
-@pytest.mark.parametrize("make, eps, basic, accel", PINNED_COUNTERS.values(),
-                         ids=PINNED_COUNTERS.keys())
-def test_outer_loops_pin_their_counters(make, eps, basic, accel):
-    # The exact counters and per-kind oracle calls of both loops, so that a
-    # refactor of either, or a change in how oracle data travels through
-    # them, cannot change the work done without this test noticing.
-    for solve, expected in ((run_basic, basic), (run_accel, accel)):
-        oracle, x0 = make()
-        _, rep, _ = solve(oracle, ZeroComposite(), x0, 1.0, eps,
-                          max_outer=400)
-        assert rep.converged
-        snap = oracle.calls.snapshot()
-        assert (rep.IT, rep.CO, rep.BGM_E, rep.BGM_IT, snap["value"],
-                snap["grad"], snap["hessian"], snap["third"]) == expected, solve
-
-
-@pytest.mark.parametrize("solve, grad, co, counters", [
-    (run_basic, 1081, 1100, (6, 12, 534)),
-    (run_accel, 1356, 1383, (6, 17, 664)),
-], ids=["basic", "accel"])
-def test_fd_run_evaluates_each_anchor_gradient_once(solve, grad, co, counters):
-    # A8's run.  The first T_tau query at an anchor reuses the gradient the
-    # anchor's point holds, so each anchor costs one gradient call fewer
-    # than a fresh evaluation there (basic 6 anchors, accel 16).
-    oracle = FdThirdOracle(quartic_oracle(2), 1e-4)
-    _, report, _ = solve(oracle, ZeroComposite(), np.ones(2), 1.0, 1e-6)
-    assert report.converged
-    assert (report.IT, report.BGM_E, report.BGM_IT) == counters
-    assert (oracle.calls.grad, report.CO) == (grad, co)
+@pytest.mark.parametrize("pin", PINNED_RUNS, ids=lambda pin: pin.id)
+def test_pinned_run(pin):
+    # The exact counters and per-kind oracle calls, so that a refactor of
+    # either loop, or of how oracle data travels through them, cannot change
+    # the work done unnoticed; and the whole trace contract on the run.
+    oracle, x0 = pin.make()
+    lines = []
+    x, report, rows = pin.loop(oracle, ZeroComposite(), x0, **pin.run_args,
+                               trace_sink=lines.append)
+    check_run(lines, pin, report, oracle.calls.snapshot(), x, rows)
 
 
 @pytest.mark.parametrize("solve", [run_basic, run_accel])
@@ -307,75 +132,6 @@ def test_run_outer_cap_reports_honestly(solve):
     assert report.final_grad_norm > 1e-12
 
 
-@pytest.mark.parametrize("solve, counters", [
-    (run_basic, (3, 284, 6, 267)), (run_accel, (3, 344, 8, 319))])
-def test_run_from_a_start_whose_squared_gradient_norm_overflows(solve, counters):
-    # grad f = 4e180 is finite but ||grad f||^2 = 1.6e361 is not; the norm
-    # once overflowed to inf and ended the run in a ZeroDivisionError.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, _, report, _ = run_quartic(2, 1e60 * np.ones(2), 1.0, 1e-6, solve,
-                                      max_outer=3)
-    assert report.converged is False
-    assert report.final_f < 2e240
-    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == counters
-
-
-def test_run_on_unnormalized_logistic_data_converges():
-    # Features near 1e5 put ||T|| near 1e11, so merely evaluating the
-    # secular residual errs by about eps ||T|| ||h|| = 1e-6; the residual
-    # bound once ignored that term and failed an exact solve at t = 60.
-    rng = np.random.default_rng(0)
-    features = rng.standard_normal((40, 3)) * 1e5
-    labels = (rng.random(40) < 0.5).astype(float)
-    oracle = logistic_oracle(Dataset(np.hstack([np.ones((40, 1)), features]),
-                                     labels))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, report, _ = run_basic(oracle, ZeroComposite(), np.ones(4), 1.0,
-                                 1e-2)
-    assert report.converged
-    assert report.final_grad_norm <= 1e-2
-    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == (
-        74, 1943, 157, 1609)
-
-
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-def test_run_inner_cap_aborts_run(solve):
-    oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-10, solve,
-                                          max_inner=1)
-    assert report.converged is False
-    assert report.IT == 0
-    assert rows[-1]["stop_reason"] == StopReason.ITERATION_CAP.value
-    assert rows[-1]["accepted"] is False
-    assert rows[-1]["f_trial"] is None
-    assert np.array_equal(x, np.array([1.0, 1.0]))
-
-
-@pytest.mark.parametrize("solve", [run_basic, run_accel])
-def test_run_basic_trace_sink_sees_both_levels_of_detail(solve):
-    sink = []
-    oracle = quartic_oracle(2)
-    _, report, rows = solve(
-        oracle, ZeroComposite(), np.array([1.0, 1.0]), 1.0, 1e-6,
-        trace_sink=sink.append,
-    )
-    outer = [r for r in sink if r["kind"] == "outer"]
-    inner = [r for r in sink if r["kind"] == "inner"]
-    # The returned rows are the sink's outer lines themselves, in order.
-    assert len(outer) == len(rows)
-    assert all(a is b for a, b in zip(outer, rows))
-    assert all(r["epsilon"] == 1e-6 for r in sink)
-    assert report.BGM_E == len(rows)
-    assert report.IT == sum(1 for r in rows
-                            if r["accepted"] and not r.get("companion"))
-    assert len(inner) == report.BGM_IT
-    outer_keys = {(r["t"], r["i"]) for r in outer}
-    for r in inner:
-        assert (r["t"], r["i"]) in outer_keys
-        assert {"k", "model_grad_norm", "step_norm", "slow_rhs"} <= set(r)
-
-
 @pytest.mark.parametrize("solve", [run_basic, run_accel])
 def test_untraced_run_passes_no_trace_to_the_inner_solver(solve, monkeypatch):
     # Without a sink no inner line is built: every inner run gets trace=None.
@@ -422,12 +178,6 @@ class _HookError(tensormin.SolveError):
 
 def _failing_hook(p):
     raise _HookError("the Hessian hook failed")
-
-
-def quartic(n=2, x0=1.0):
-    """A factory of the quartic in n variables and a start whose every entry
-    is x0."""
-    return lambda: (quartic_oracle(n), np.full(n, x0))
 
 
 def hooked(hook, result, n=2, k=1):
@@ -518,6 +268,10 @@ BAD_RUNS = [
     ("m0-1e308", quartic(), {"m0": 1e308}, LevelSearchError,
      "outer step t=0, level index i=1, level M = inf: OverflowError: the "
      "level overflowed float range (m0 = 1.000e+308)", _NO_CALLS),
+    ("m0-5e-324", quartic(), {"m0": 5e-324}, SecularSolveError,
+     "outer step t=0, level index i=1, level M = 9.881e-324: secular step norm "
+     "||h(sigma)|| is 0 at sigma = inf, M = 9.8813129168249309e-324",
+     {run_basic: (0, 1, 1, 0)}),
     ("m0-5e-324", quartic(), {"m0": 5e-324}, WeightEquationError,
      "outer step t=0, level index i=1, level M = 9.881e-324: weight-equation "
      "scale k = 16 / (18^3 M) is inf at M = 9.8813129168249309e-324",
@@ -607,8 +361,7 @@ def test_bad_run_fails_typed_named_and_counted(
         solve(oracle, **args)
     assert type(info.value) is error
     assert str(info.value) == message
-    assert oracle.calls.snapshot() == dict(
-        zip(("value", "grad", "hessian", "third"), calls), trace=0)
+    assert oracle.calls.snapshot() == dict(zip(KINDS, calls), trace=0)
     assert capfd.readouterr().err == ""
 
 
@@ -636,6 +389,6 @@ def test_runs_sharing_an_oracle_count_their_own_calls():
     for th in threads:
         th.join(timeout=120)
         assert not th.is_alive()
-    assert solo == PINNED_COUNTERS["logistic-2000x50"][2][1]  # basic's CO
+    assert solo == pinned("logistic-2000x50", run_basic).counters[1]
     assert cos == [solo, solo]
     assert sum(cos) == shared.calls.total()

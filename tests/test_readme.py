@@ -1,17 +1,19 @@
 """The README's code runs: its Python quick start, and every `tensormin solve`
-command, which must exit 0; and `--trace` writes the keys its schema lists."""
+command, which must exit 0; and `--trace` writes the lines its schema
+describes."""
 
 import json
-import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from conftest import EVALUATED, README, check_run, pinned
+from tensormin.accel import run_accel
+from tensormin.basic import run_basic
 from tensormin.cli import main
 from tensormin.harness import bundled_dataset_path
-
-README = Path(__file__).resolve().parent.parent / "README.md"
+from tensormin.reports import parse_report_csv
 
 
 def readme_blocks(language):
@@ -72,43 +74,20 @@ def test_readme_command_exits_zero(command, tmp_path, monkeypatch):
     assert main(shlex.split(command)[1:]) == 0
 
 
-def documented_trace_keys():
-    """Label -> key set of each bullet of the README's trace schema: the
-    backticked names after the bullet's last colon."""
-    section = README.read_text().split("## Trace schema", 1)[1].split("\n## ")[0]
-    keys = {}
-    for label, names in re.findall(r"^- \*\*(.+?)\*\*.*: (.*)$", section, re.M):
-        keys[label] = set(re.findall(r"`(\w+)`", names))
-    return keys
-
-
 @pytest.mark.parametrize("solver", ["basic", "accel"])
 def test_trace_lines_have_the_documented_keys(solver, tmp_path):
-    schema = documented_trace_keys()
-    trace = tmp_path / "trace.jsonl"
+    # check_run holds each line to the schema; this run shows every kind
+    # of outer line.
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "r.csv"
     assert main(["solve", "--problem", "quartic", "--n", "3", "--solver", solver,
                  "--eps", "1e-6", "--m0", "0.01", "--trace", str(trace),
-                 "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+                 "--format", "csv", "--out", str(out)]) == 0
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
-    seen = set()
-    for line in lines:
-        if line["kind"] == "inner":
-            expected = schema["inner"]
-        else:
-            expected = set(schema["outer"])
-            evaluated = line["stop_reason"] in ("EpsilonSmall",
-                                                "ModelStationarity")
-            if evaluated:
-                expected |= schema["evaluated"]
-            if solver == "accel":
-                expected |= schema["accel"]
-                if line.get("companion"):
-                    expected |= schema["accel companion"]
-                elif (line["accepted"]
-                      and line["grad_norm_trial"] > line["epsilon"]):
-                    expected |= schema["accel accepted"]
-            seen.add((evaluated, line["accepted"], "companion" in line))
-        assert set(line) == expected, line["kind"]
+    loop = {"basic": run_basic, "accel": run_accel}[solver]
+    check_run(lines, pinned("quartic3-m0-0.01", loop),
+              parse_report_csv(out.read_text())[0])
+    seen = {(line["stop_reason"] in EVALUATED, line["accepted"],
+             "companion" in line) for line in lines if line["kind"] == "outer"}
     # Slow-convergence, rejected and accepted trials all occurred, and under
     # accel a companion step that won.
     assert {(False, False, False), (True, False, False),
