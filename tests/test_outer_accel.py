@@ -323,6 +323,16 @@ def test_run_accel_epsilon_sweep_nondecreasing_cost():
     assert inner_totals == sorted(inner_totals)
 
 
+def test_run_accel_first_anchor_is_the_start_point():
+    # While z = x0 the anchor is built on the iterate's own point, so a run
+    # that accepts no step reads grad f(x0) once, for the anchor and the
+    # report alike.
+    oracle, _, report, _ = run_quartic(3, np.ones(3), 1, 1e-10, max_inner=1)
+    assert oracle.calls.snapshot() == {"value": 1, "grad": 1, "hessian": 1,
+                                       "third": 1, "trace": 0}
+    assert report.CO == 4
+
+
 @pytest.mark.parametrize("solver", [run_basic, run_accel])
 def test_inner_cap_before_any_step_reports_start_values(solver):
     # An abort before the first accepted step still reports f and ||grad f||

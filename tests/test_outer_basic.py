@@ -13,7 +13,7 @@ import tensormin
 from tensormin.accel import WeightEquationError, _AccelStep, run_accel
 from tensormin.basic import (LevelSearchError, _BasicStep, decrease_rhs,
                              run_basic)
-from tensormin.inner import run_inner
+from tensormin.inner import StopReason, run_inner
 from tensormin.model import ConvexityError, SecularSolveError
 from tensormin.oracles import (OracleError, Point, SmoothOracle, ZeroComposite,
                                logistic_oracle, make_logistic, quartic_oracle)
@@ -79,6 +79,87 @@ def test_pinned_run(pin):
     x, report, rows = pin.loop(oracle, ZeroComposite(), x0, **pin.run_args,
                                trace_sink=lines.append)
     check_run(lines, pin, report, oracle.calls.snapshot(), x, rows)
+
+
+def test_run_basic_trace_levels_are_contiguous_doublings():
+    oracle, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-6)
+    assert report.BGM_E == len(rows)
+    assert report.BGM_IT == sum(r["inner_iters"] for r in rows)
+
+    m_t = 1.0
+    by_t = {}
+    for row in rows:
+        by_t.setdefault(row["t"], []).append(row)
+    for t in sorted(by_t):
+        group = by_t[t]
+        # The first level is the smallest m_t 2^i that is >= 2 m0 = 2.
+        start = group[0]["i"]
+        assert m_t * 2.0**start >= 2.0
+        assert start == 0 or m_t * 2.0 ** (start - 1) < 2.0
+        assert [r["i"] for r in group] == list(range(start, start + len(group)))
+        for r in group:
+            assert r["M_level"] == pytest.approx(m_t * 2.0 ** r["i"], rel=1e-12)
+        # only the last row of a group may be accepted
+        assert all(not r["accepted"] for r in group[:-1])
+        if group[-1]["accepted"]:
+            m_t = group[-1]["M_level"] / 2.0
+        for r in group:
+            if r["stop_reason"] == "SlowConvergence":
+                assert r["f_trial"] is None
+                assert r["grad_norm_trial"] is None
+                assert "x_trial" not in r
+
+
+def test_run_basic_oracle_call_conservation():
+    oracle, _, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-6)
+    snap = oracle.calls.snapshot()
+    assert report.CO == oracle.calls.total() == sum(snap.values())
+    evaluated = sum(1 for r in rows if r["f_trial"] is not None)
+    anchors = len({r["t"] for r in rows})
+    # one objective value at x_0 plus one per evaluated trial
+    assert snap["value"] == 1 + evaluated
+    # gradients likewise; all other gradient uses reuse anchor data
+    assert snap["grad"] == 1 + evaluated
+    # one Hessian per outer anchor, levels share it; the factor holds the
+    # trace
+    assert snap["hessian"] == anchors
+    assert snap["trace"] == 0
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_inner_cap_aborts_run(solve):
+    oracle, x, report, rows = run_quartic(2, [1.0, 1.0], 1.0, 1e-10, solve,
+                                          max_inner=1)
+    assert report.converged is False
+    assert report.IT == 0
+    assert rows[-1]["stop_reason"] == StopReason.ITERATION_CAP.value
+    assert rows[-1]["accepted"] is False
+    assert rows[-1]["f_trial"] is None
+    assert np.array_equal(x, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("solve", [run_basic, run_accel])
+def test_run_basic_trace_sink_sees_both_levels_of_detail(solve):
+    sink = []
+    oracle = quartic_oracle(2)
+    _, report, rows = solve(
+        oracle, ZeroComposite(), np.array([1.0, 1.0]), 1.0, 1e-6,
+        trace_sink=sink.append,
+    )
+    outer = [r for r in sink if r["kind"] == "outer"]
+    inner = [r for r in sink if r["kind"] == "inner"]
+    # The returned rows are the sink's outer lines themselves, in order.
+    assert len(outer) == len(rows)
+    assert all(a is b for a, b in zip(outer, rows))
+    assert all(r["epsilon"] == 1e-6 for r in sink)
+    assert report.BGM_E == len(rows)
+    assert report.IT == sum(1 for r in rows
+                            if r["accepted"] and not r.get("companion"))
+    assert len(inner) == report.BGM_IT
+    outer_keys = {(r["t"], r["i"]) for r in outer}
+    for r in inner:
+        assert (r["t"], r["i"]) in outer_keys
+        assert {"k", "model_grad_norm", "step_norm", "slow_rhs"} <= set(r)
 
 
 @pytest.mark.parametrize("solve", [run_basic, run_accel])
