@@ -4,16 +4,57 @@ Each outer iteration hands this module a frozen anchor and a level M.  The
 inner solver approximately minimizes Omega(y) by repeated Bregman steps
 relative to the scaling function rho,
 
-    y_{k+1} = argmin_y  <grad Omega(y_k), y - y_k> + 3 beta_rho(y_k, y),
+    y_{k+1} = argmin_y  <grad Omega(y_k), y - y_k> + L_k beta_rho(y_k, y),
 
 each of which is one n-dimensional linear solve with a scalar secular
-equation on the step norm.  It exits when the model gradient is small
-in absolute terms, small relative to the cube of the step from the anchor, or
-provably decaying too slowly for the current level: the certificate that M is
-too small and must be doubled.  The certificate is G^4 above the envelope
-3^8 L^4 beta / (2 M (6/5)^k) after k steps, with L and beta read from the
-anchor (``inner_constants``); each run takes the envelope's log at k = 0
-(``certificate_log_bound``) once.
+equation on the step norm.  The paper fixes L_k = 3, the constant of
+Omega's smoothness relative to rho at a safe level.  Here L_k <= 3 adapts
+by backtracking on the relative-smoothness descent inequality (Bauschke,
+Bolte & Teboulle, Math. Oper. Res. 2017; Lu, Freund & Nesterov, SIAM J.
+Optim. 2018): a step tried at L_k < 3 is kept when
+
+    Omega(y_{k+1}) <= Omega(y_k) + <grad Omega(y_k), y_{k+1} - y_k>
+                      + L_k beta_rho(y_k, y_{k+1})                      (*)
+
+(``descent_holds``), and is otherwise refused: y stays where it was and the
+step is tried again at min(2 L_k, 3).  At L_k = 3 no check is made, so the
+paper's step is always the fallback.  A run tries its first step at
+0.7 * 3, and after a kept step tries max(0.7 L_k, 3/64).  The check costs
+no oracle call: it reads the third-derivative vector that the tried point's
+model gradient already queried.
+
+The solver exits when the model gradient is small in absolute terms, small
+relative to the cube of the step from the anchor, or provably decaying too
+slowly for the current level: the certificate that M is too small and must
+be doubled.  The certificate is G^4 above the envelope
+3^8 L^4 beta / (2 M (6/5)^k) with k counting kept steps, L and beta read
+from the anchor (``inner_constants``); each run takes the envelope's log at
+k = 0 (``certificate_log_bound``) once.
+
+Why the envelope still holds with kept steps counted.  Let y* minimize
+Omega, D_k = beta_rho(y_k, y*), and mu the constant of Omega's convexity
+relative to rho at a safe level.  The three-point property of the Bregman
+step, (*) and relative convexity give, for every u,
+
+    Omega(y_{k+1}) <= Omega(u) + (L_k - mu) beta_rho(y_k, u)
+                      - L_k beta_rho(y_{k+1}, u),
+
+and at u = y*, where Omega(y_{k+1}) >= Omega(y*),
+
+    D_{k+1} <= (1 - mu / L_k) D_k <= (1 - mu / 3) D_k
+
+for every kept step, since mu <= L_k <= 3 ((*) and relative convexity
+give mu beta_rho(y_k, y_{k+1}) <= L_k beta_rho(y_k, y_{k+1})); a refused
+try does not move y.  So
+after k kept steps D_k is within the fixed-3 step's bound, whose rate
+1 - mu / 3 = 5/6 the envelope's (6/5)^k encodes.  The envelope bounds G
+through D_k and through the step's identity
+G = ||grad Omega(y_{k+1}) - grad Omega(y_k) - L_k (grad rho(y_{k+1}) -
+grad rho(y_k))||, whose bound ||grad Omega(y_{k+1}) - grad Omega(y_k)|| +
+L_k ||grad rho(y_{k+1}) - grad rho(y_k)|| grows with L_k and so is no
+larger than at L_k = 3.  The envelope therefore still bounds G at a safe
+level, with its constant 3^8 and its decay of 6/5 per kept step unchanged;
+refused tries do not advance k.
 """
 
 from __future__ import annotations
@@ -24,7 +65,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import SecularSolveError, omega_grad, rho_grad
+from .model import (SecularSolveError, bregman_div_hat, cubic_div_hat,
+                    omega_grad, rho_grad)
 from .oracles import check_cap, check_positive, norm
 
 # Residual bound of every secular solve, relative to 1 + ||c|| + ||T|| ||h||
@@ -39,6 +81,12 @@ _EPS = np.finfo(float).eps
 _SECULAR_MAXIT = 100
 _LOG3 = math.log(3.0)
 _LOG65 = math.log(1.2)  # decay factor 6/5 of the slow-convergence certificate
+
+# The step constant: at most the paper's 3, shrunk by 0.7 after a kept step
+# down to 3/64, doubled after a refused one.
+_L_MAX = 3.0
+_L_MIN = 3.0 / 64.0
+_L_SHRINK = 0.7
 
 
 class StopReason(Enum):
@@ -57,7 +105,8 @@ class InnerResult:
     ``stop_reason`` SLOW_CONVERGENCE is the slow-convergence flag: the run
     certified the level M too small rather than producing a useful trial
     point.  ``model_grad_norm`` is the final model gradient norm
-    G = ||grad Omega(x_plus) + r||, with r the last step's residual.
+    G = ||grad Omega(x_plus) + r||, with r the last step's residual, and
+    ``iterations`` counts the Bregman steps tried, refused ones included.
     """
 
     x_plus: np.ndarray
@@ -226,12 +275,14 @@ def _confirm_end(phi_at, end, factor, limit, which, M):
                             % (which, M))
 
 
-def bregman_step(anchor, gom, grho):
-    """One Bregman-gradient step of the inner solver from y = x + Q h^.
+def bregman_step(anchor, gom, grho, L):
+    """One Bregman-gradient step of the inner solver from y = x + Q h^,
+    with step constant L.
 
-    The step's optimality condition is
+    The step minimizes <grad Omega(y), u - y> + L beta_rho(y, u); its
+    optimality condition is
 
-        grad rho(y_next) = grad rho(y) - (1/3) grad Omega(y) =: c',
+        grad rho(y_next) = grad rho(y) - (1/L) grad Omega(y) =: c',
 
     i.e. (H + (M / 2) ||h||^2 I) h = c', with h = y_next - x; that system is
     solved exactly by ``secular_solve`` in the coordinates of Q.  Points,
@@ -241,15 +292,31 @@ def bregman_step(anchor, gom, grho):
 
     Returns ``(hh_next, r, grho_next)`` where hh_next = Q^T (y_next - x), r is
     the step's optimality residual
-    -grad Omega(y) + 3 [grad rho(y) - grad rho(y_next)]  (for an exact step
+    -grad Omega(y) + L [grad rho(y) - grad rho(y_next)]  (for an exact step
     it vanishes up to the secular tolerance) and grho_next is
     grad rho(y_next), which starts the next step.
     """
-    c = grho - gom / 3.0
+    c = grho - gom / L
     hh_next = secular_solve(anchor.factor, anchor.M, c)
     grho_next = rho_grad(anchor, hh_next)
-    r = -gom + 3.0 * (grho - grho_next)
+    r = -gom + L * (grho - grho_next)
     return hh_next, r, grho_next
+
+
+def descent_holds(anchor, L, hh, s, hh_next, s_next):
+    """The relative-smoothness descent inequality of a step from y to
+    y_next tried at constant L,
+
+        Omega(y_next) <= Omega(y) + <grad Omega(y), y_next - y>
+                         + L beta_rho(y, y_next),
+
+    from the points' coordinates h^ in Q and their third-derivative vectors
+    s = Q^T D3f(x)[h]^2 (``omega_grad``).  Omega's divergence is
+    beta_rho plus the cubic term's, so the test is
+    ``cubic_div_hat`` <= (L - 1) ``bregman_div_hat``, with no oracle call.
+    """
+    return (cubic_div_hat(hh, s, hh_next, s_next)
+            <= (L - 1.0) * bregman_div_hat(anchor, hh, hh_next))
 
 
 def inner_constants(anchor):
@@ -299,24 +366,31 @@ def slow_decay_violated(G, log_env):
 def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     """Minimize the regularized model at ``anchor`` to first-order tolerance.
 
-    Runs Bregman-gradient steps from y_0 = anchor.x, in the coordinates of Q
-    (see ``bregman_step``): each step applies Q twice, to query and map back
-    the directional third derivative, and the trial point x_plus = x + Q h^
-    is formed at the exit from the last query's displacement Q h^.  After
-    every step the model gradient norm G = ||grad Omega(y) + r||, r the
-    step's residual from ``bregman_step``, is tested (grad Omega(y) and the
-    step's grad rho(y) then also start the next step):
+    Tries Bregman steps from y_0 = anchor.x, in the coordinates of Q (see
+    ``bregman_step``), each at the adaptive constant L_k of the module
+    docstring: each try applies Q twice, to query and map back the
+    directional third derivative, and the trial point x_plus = x + Q h^ is
+    formed at the exit from the last query's displacement Q h^.  A try at
+    L_k < 3 is kept when ``descent_holds``, one at L_k = 3 always; a refused
+    try leaves y in place.  After every kept step the model gradient norm
+    G = ||grad Omega(y) + r||, r the step's residual from ``bregman_step``,
+    is tested (grad Omega(y), its third-derivative vector and the step's
+    grad rho(y) then also start the next try):
 
     * G <= epsilon / 7                      -> EPSILON_SMALL exit,
     * G <= (M / 6) ||y - x||^3              -> MODEL_STATIONARITY exit,
     * G^4 above the geometric decay envelope -> SLOW_CONVERGENCE exit (the
-      level-doubling certificate),
-    * otherwise iterate, up to ``max_inner`` steps (ITERATION_CAP; a trial's
+      level-doubling certificate; its k counts the kept steps before),
+    * otherwise iterate, up to ``max_inner`` tries (ITERATION_CAP; a trial's
       cap ends the run, a companion's leaves the trial as the iterate).
 
+    Every try, refused or kept, is one inner iteration: one Bregman step,
+    one secular solve and one ``omega_grad`` and ``rho_grad`` call each.
     Every exit reports the last tested G; G and ||y - x|| are the same in
-    the coordinates of Q.  The first step starts from the anchor's
-    grad Omega(y_0) = g^ and grad rho(y_0) = 0.
+    the coordinates of Q.  The cap returns the last try, kept or refused,
+    and its G, so ``max_inner`` = 1 still returns a real displacement.  The
+    first step starts from the anchor's grad Omega(y_0) = g^,
+    grad rho(y_0) = 0 and third-derivative vector 0.
 
     Parameters
     ----------
@@ -330,8 +404,9 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     max_inner : int
         Iteration cap, an integer at least 1.
     trace : callable, optional
-        Called with a dict per iteration: k, model gradient norm, step norm
-        from the anchor, and the certificate envelope.
+        Called with a dict per try: k, the tried point's model gradient
+        norm and step norm from the anchor, the certificate envelope, the
+        constant L tried and whether the try was kept.
 
     Returns
     -------
@@ -341,29 +416,38 @@ def run_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
     check_cap("max_inner", max_inner)
     log_bound = certificate_log_bound(anchor)
     eps_exit = epsilon / 7.0
+    hh = s = np.zeros_like(anchor.g_hat)
     gom, grho = anchor.g_hat, 0.0
+    L, kept_steps = _L_SHRINK * _L_MAX, 0
 
     def result(iterations, reason, G):
         return InnerResult(anchor.x + h, iterations, reason, G)
 
     for k in range(max_inner):
-        hh_next, r, grho = bregman_step(anchor, gom, grho)
+        hh_next, r, grho_next = bregman_step(anchor, gom, grho, L)
         h = anchor.factor.q(hh_next)
-        gom = omega_grad(anchor, oracle, hh_next, h)
-        G = norm(gom + r)
+        gom_next, s_next = omega_grad(anchor, oracle, hh_next, h)
+        ok = L >= _L_MAX or descent_holds(anchor, L, hh, s, hh_next, s_next)
+        G = norm(gom_next + r)
         step_norm = norm(hh_next)
-        log_env = log_bound - k * _LOG65
+        log_env = log_bound - kept_steps * _LOG65
 
         if trace is not None:
             trace({"k": k, "model_grad_norm": G, "step_norm": step_norm,
                    "slow_rhs": (math.inf if log_env > 709.0
-                                else math.exp(log_env))})
+                                else math.exp(log_env)),
+                   "L": L, "kept": ok})
 
+        if not ok:
+            L = min(2.0 * L, _L_MAX)
+            continue
         if G <= eps_exit:
             return result(k + 1, StopReason.EPSILON_SMALL, G)
         if G <= anchor.M / 6.0 * step_norm**3:
             return result(k + 1, StopReason.MODEL_STATIONARITY, G)
         if slow_decay_violated(G, log_env):
             return result(k + 1, StopReason.SLOW_CONVERGENCE, G)
+        hh, s, gom, grho = hh_next, s_next, gom_next, grho_next
+        L, kept_steps = max(_L_SHRINK * L, _L_MIN), kept_steps + 1
 
     return result(max_inner, StopReason.ITERATION_CAP, G)

@@ -25,8 +25,12 @@ so the anchor asks the oracle for the gradient and the Hessian only.
 The inner solver works in the coordinates of Q.  ``omega_grad``, ``rho_grad``
 (and the inner module's steps) take the displacement as h^ = Q^T (y - x) and
 return gradients as Q^T grad; there H is T, an O(n) product, and only the
-third derivative needs Q, once each way.  The values ``taylor3_value``,
-``omega_value``, ``rho_value`` and ``bregman_div`` take points y.
+third derivative needs Q, once each way.  ``omega_grad`` also returns
+s = Q^T D3f(x)[h]^2, the one third-derivative vector the model's cubic term
+reads, and the divergences of rho and of Omega's cubic term have closed
+forms in h^ and s (``bregman_div_hat``, ``cubic_div_hat``).  The values
+``taylor3_value``, ``omega_value``, ``rho_value`` and ``bregman_div`` take
+points y and read those same pieces.
 """
 
 from __future__ import annotations
@@ -276,16 +280,17 @@ class ModelAnchor:
 def taylor3_value(anchor, oracle, y):
     """Third-order Taylor polynomial Phi(y) of f around the anchor.
 
-    Reads f at the anchor point through ``value_at``.
+    Reads f at the anchor point through ``value_at`` and the cubic term
+    1/6 <s, h^> from ``omega_grad``'s s = Q^T D3f(x)[h]^2.
     """
     h = np.asarray(y, dtype=float) - anchor.x
     hh = anchor.factor.qt(h)
-    t = anchor.third_at(oracle, h)
+    _, s = omega_grad(anchor, oracle, hh, h)
     return (
         value_at(oracle, anchor.point)
         + float(np.dot(anchor.g_hat, hh))
         + 0.5 * float(np.dot(anchor.factor.tri(hh), hh))
-        + float(np.dot(t, h)) / 6.0
+        + float(np.dot(s, hh)) / 6.0
     )
 
 
@@ -296,23 +301,26 @@ def omega_value(anchor, oracle, y):
 
 
 def omega_grad(anchor, oracle, hh, h=None):
-    """Gradient of the regularized model in the coordinates of Q,
+    """Gradient of the regularized model in the coordinates of Q, and the
+    third-derivative vector it reads: ``(gom, s)`` with s = Q^T D3f(x)[h]^2
+    and
 
-        Q^T grad Omega(y) = g^ + T h^ + 1/2 Q^T D3f(x)[h]^2
-                            + (M / 2) ||h^||^2 h^
+        gom = Q^T grad Omega(y) = g^ + T h^ + 1/2 s + (M / 2) ||h^||^2 h^
 
     at y = x + h with h = Q h^, T here being the factor's tridiagonal
     matrix.  A caller that also needs y passes h = Q h^ in, and the product
     is not formed again.  The 1/2 on the directional third derivative is
     what calculus gives for the 1/6 <D3f(x)[h]^2, h> term of Phi; a
-    finite-difference consistency test pins it down.
+    finite-difference consistency test pins it down.  s is the one query of
+    the third derivative at y: Phi's cubic term is 1/6 <s, h^>, and
+    ``cubic_div_hat`` reads it too.
     """
     f = anchor.factor
     if h is None:
         h = f.q(hh)
-    t = anchor.third_at(oracle, h)
-    return (anchor.g_hat + f.tri(hh) + 0.5 * f.qt(t)
-            + 0.5 * anchor.M * d4_grad(hh))
+    s = f.qt(anchor.third_at(oracle, h))
+    return (anchor.g_hat + f.tri(hh) + 0.5 * s
+            + 0.5 * anchor.M * d4_grad(hh)), s
 
 
 def rho_value(anchor, y):
@@ -327,15 +335,49 @@ def rho_grad(anchor, hh):
     return anchor.factor.tri(hh) + 0.5 * anchor.M * d4_grad(hh)
 
 
+def bregman_div_hat(anchor, uh, vh):
+    """Bregman divergence beta_rho(u, v) of the scaling function, from the
+    points' coordinates u^, v^ in Q, in closed form.
+
+    With D = v^ - u^, p = <u^, D> and q = ||D||^2,
+
+        beta_rho(u, v) = 1/2 <T D, D>
+                         + (M / 8) (4 p^2 + 2 p q + q (||u^||^2 + ||v^||^2)),
+
+    the quartic part being (M / 8) (||v^||^4 - ||u^||^4 - 4 ||u^||^2 p)
+    with the difference of fourth powers cancelled by hand, so a short step
+    far from the anchor loses no digits.
+    """
+    d = vh - uh
+    p = float(np.dot(uh, d))
+    q = float(np.dot(d, d))
+    return (0.5 * float(np.dot(anchor.factor.tri(d), d))
+            + 0.125 * anchor.M * (4.0 * p * p + 2.0 * p * q
+                                  + q * (float(np.dot(uh, uh))
+                                         + float(np.dot(vh, vh)))))
+
+
+def cubic_div_hat(uh, su, vh, sv):
+    """Bregman divergence of Phi's cubic term 1/6 D3f(x)[h]^3 from u to v,
+    from their coordinates u^, v^ in Q and their vectors s = Q^T D3f(x)[h]^2
+    (``omega_grad``):
+
+        (<s_v, v^> - <s_u, u^>) / 6 - 1/2 <s_u, v^ - u^>.
+
+    Omega's divergence Omega(v) - Omega(u) - <grad Omega(u), v - u> is this
+    plus ``bregman_div_hat``: the rest of Omega is rho plus an affine term.
+    """
+    return ((float(np.dot(sv, vh)) - float(np.dot(su, uh))) / 6.0
+            - 0.5 * float(np.dot(su, vh - uh)))
+
+
 def bregman_div(anchor, u, v):
     """Bregman divergence of the scaling function,
 
-        beta(u, v) = rho(v) - rho(u) - <grad rho(u), v - u>  >=  0.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    qt = anchor.factor.qt
-    return rho_value(anchor, v) - rho_value(anchor, u) - float(
-        np.dot(rho_grad(anchor, qt(u - anchor.x)), qt(v - u))
-    )
+        beta(u, v) = rho(v) - rho(u) - <grad rho(u), v - u>  >=  0,
 
+    read from ``bregman_div_hat``.
+    """
+    qt = anchor.factor.qt
+    return bregman_div_hat(anchor, qt(np.asarray(u, dtype=float) - anchor.x),
+                           qt(np.asarray(v, dtype=float) - anchor.x))

@@ -3,6 +3,7 @@ that build a model anchor or read its factor in the original coordinates,
 and ``PINNED_RUNS``, every loop run the suite pins, with ``check_run``, the
 README's trace contract asserted on one run."""
 
+import math
 import re
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -76,7 +77,7 @@ def hat(anchor, y):
 
 def omega_grad_at(anchor, oracle, y):
     """grad Omega(y) in the original coordinates."""
-    return anchor.factor.q(omega_grad(anchor, oracle, hat(anchor, y)))
+    return anchor.factor.q(omega_grad(anchor, oracle, hat(anchor, y))[0])
 
 
 def rho_grad_at(anchor, y):
@@ -158,76 +159,80 @@ PINNED_RUNS = [
     # run_experiment reproduces.
     *[Pin("bundled-%.0e" % eps, loop, bundled, {"epsilon": eps}, counters, calls)
       for loop, eps, counters, calls in (
-          (run_basic, 1e-2, (3, 44, 3, 33), (4, 4, 3, 33)),
-          (run_basic, 1e-4, (3, 56, 3, 45), (4, 4, 3, 45)),
-          (run_basic, 1e-6, (4, 75, 4, 61), (5, 5, 4, 61)),
-          (run_basic, 1e-8, (4, 86, 4, 72), (5, 5, 4, 72)),
-          (run_accel, 1e-2, (3, 66, 5, 48), (5, 8, 5, 48)),
-          (run_accel, 1e-4, (3, 78, 5, 60), (5, 8, 5, 60)),
-          (run_accel, 1e-6, (4, 111, 7, 86), (7, 11, 7, 86)),
-          (run_accel, 1e-8, (4, 122, 7, 97), (7, 11, 7, 97)))],
+          (run_basic, 1e-2, (3, 24, 3, 13), (4, 4, 3, 13)),
+          (run_basic, 1e-4, (3, 27, 3, 16), (4, 4, 3, 16)),
+          (run_basic, 1e-6, (4, 37, 4, 23), (5, 5, 4, 23)),
+          (run_basic, 1e-8, (4, 40, 4, 26), (5, 5, 4, 26)),
+          (run_accel, 1e-2, (3, 40, 5, 22), (5, 8, 5, 22)),
+          (run_accel, 1e-4, (3, 43, 5, 25), (5, 8, 5, 25)),
+          (run_accel, 1e-6, (4, 60, 7, 35), (7, 11, 7, 35)),
+          (run_accel, 1e-8, (4, 63, 7, 38), (7, 11, 7, 38)))],
     Pin("logistic-2000x50", run_basic, logistic(2000, 49, 0), {"epsilon": 1e-6},
-        (7, 280, 11, 249), (12, 12, 7, 249)),
+        (7, 99, 11, 68), (12, 12, 7, 68)),
     Pin("logistic-2000x50", run_accel, logistic(2000, 49, 0), {"epsilon": 1e-6},
-        (7, 404, 17, 346), (13, 28, 17, 346)),
+        (7, 163, 18, 102), (13, 30, 18, 102)),
+    # m0 = 1e-8: a probe of the adaptive step constant on an earlier
+    # formulation raised CO from 1378 to 9529 here.
+    Pin("logistic-2000x50-m0-1e-8", run_basic, logistic(2000, 49, 0),
+        {"epsilon": 1e-6, "m0": 1e-8}, (6, 535, 37, 461), (34, 34, 6, 461)),
     Pin("logistic-300x5", run_basic, logistic(300, 5, 3), {"epsilon": 1e-8},
-        (4, 108, 4, 94), (5, 5, 4, 94)),
+        (4, 41, 4, 27), (5, 5, 4, 27)),
     Pin("logistic-300x6", run_basic, logistic(300, 6, 41), {"epsilon": 1e-6},
-        (4, 193, 5, 179), (5, 5, 4, 179)),
+        (4, 55, 5, 39), (6, 6, 4, 39)),
     Pin("logistic-300x6", run_accel, logistic(300, 6, 41), {"epsilon": 1e-6},
-        (4, 383, 11, 346), (7, 19, 11, 346)),
+        (4, 106, 11, 69), (7, 19, 11, 69)),
     # ||T|| near 1e11: the secular residual bound once ignored the rounding
     # of T h and failed an exact solve at t = 60.
     Pin("unscaled-logistic", run_basic, unscaled, {"epsilon": 1e-2},
-        (74, 1943, 157, 1609), (130, 130, 74, 1609)),
+        (70, 1262, 149, 932), (130, 130, 70, 932)),
     Pin("stationary", run_basic, quartic(3, 0.0), {"epsilon": 1e-8},
         (1, 4, 1, 1), (1, 2, 1, 0)),
     Pin("stationary", run_accel, quartic(3, 0.0), {"epsilon": 1e-8},
         (1, 4, 1, 1), (1, 2, 1, 0)),
     Pin("quartic2-1e-3", run_basic, quartic(2), {"epsilon": 1e-3},
-        (4, 373, 8, 351), (9, 9, 4, 351)),
+        (4, 85, 8, 63), (9, 9, 4, 63)),
     Pin("quartic2-1e-3", run_accel, quartic(2), {"epsilon": 1e-3},
-        (4, 464, 11, 429), (7, 18, 10, 429)),
+        (4, 116, 11, 81), (7, 18, 10, 81)),
     Pin("quartic2-1e-6", run_basic, quartic(2), {"epsilon": 1e-6},
-        (6, 566, 12, 534), (13, 13, 6, 534)),
+        (6, 128, 12, 96), (13, 13, 6, 96)),
     Pin("quartic2-1e-6", run_accel, quartic(2), {"epsilon": 1e-6},
-        (6, 719, 17, 664), (11, 28, 16, 664)),
+        (6, 181, 17, 126), (11, 28, 16, 126)),
     Pin("quartic2-1e-8", run_basic, quartic(2), {"epsilon": 1e-8},
-        (8, 754, 16, 712), (17, 17, 8, 712)),
+        (8, 169, 16, 127), (17, 17, 8, 127)),
     Pin("quartic3-random", run_basic,
         quartic(3, np.random.default_rng(30).uniform(0.5, 1.5, 3)),
-        {"epsilon": 1e-6}, (8, 816, 16, 780), (14, 14, 8, 780)),
+        {"epsilon": 1e-6}, (7, 146, 13, 111), (14, 14, 7, 111)),
     Pin("quartic3-m0-0.01", run_basic, quartic(3), {"epsilon": 1e-6, "m0": 0.01},
-        (6, 790, 18, 756), (14, 14, 6, 756)),
+        (6, 194, 18, 156), (16, 16, 6, 156)),
     Pin("quartic3-m0-0.01", run_accel, quartic(3), {"epsilon": 1e-6, "m0": 0.01},
-        (6, 947, 23, 891), (11, 29, 16, 891)),
+        (6, 244, 23, 186), (11, 31, 16, 186)),
     Pin("quartic10", run_basic, quartic(10), {"epsilon": 1e-7},
-        (11, 200, 11, 165), (12, 12, 11, 165)),
+        (11, 89, 11, 54), (12, 12, 11, 54)),
     Pin("quartic10", run_accel, quartic(10), {"epsilon": 1e-7},
-        (11, 389, 21, 315), (21, 32, 21, 315)),
+        (11, 178, 21, 104), (21, 32, 21, 104)),
     Pin("quartic-from-10", run_accel, quartic(2, 10.0), {"epsilon": 1e-10},
-        (12, 1469, 35, 1354), (23, 58, 34, 1354)),
+        (12, 372, 35, 257), (23, 58, 34, 257)),
     # Gradients near 1e120 once overflowed the secular solve's c^T T c.
     Pin("quartic-from-1e40", run_basic, quartic(2, 1e40), {"epsilon": 1e-6},
-        (108, 10154, 216, 9612), (217, 217, 108, 9612)),
+        (102, 2144, 204, 1632), (205, 205, 102, 1632)),
     Pin("quartic-from-1e40", run_accel, quartic(2, 1e40), {"epsilon": 1e-6},
-        (108, 13469, 323, 12394), (215, 538, 322, 12394)),
+        (102, 3253, 305, 2238), (203, 508, 304, 2238)),
     # grad f = 4e180 is finite but ||grad f||^2 is not; the norm once
     # overflowed and ended the run in a ZeroDivisionError.
     Pin("quartic-from-1e60", run_basic, quartic(2, 1e60),
-        {"epsilon": 1e-6, "max_outer": 3}, (3, 284, 6, 267), (7, 7, 3, 267),
+        {"epsilon": 1e-6, "max_outer": 3}, (3, 65, 6, 48), (7, 7, 3, 48),
         False),
     Pin("quartic-from-1e60", run_accel, quartic(2, 1e60),
-        {"epsilon": 1e-6, "max_outer": 3}, (3, 344, 8, 319), (5, 13, 7, 319),
+        {"epsilon": 1e-6, "max_outer": 3}, (3, 85, 8, 60), (5, 13, 7, 60),
         False),
     Pin("lower-bound-quartic", run_basic, lower_bound(10), {"epsilon": 1e-6},
-        (38, 297, 38, 181), (39, 39, 38, 181)),
+        (38, 200, 38, 84), (39, 39, 38, 84)),
     Pin("lower-bound-quartic", run_accel, lower_bound(10), {"epsilon": 1e-6},
-        (38, 602, 75, 339), (75, 113, 75, 339)),
+        (38, 426, 75, 163), (75, 113, 75, 163)),
     # Only a trial's inner cap ends a run; two companions hit it here.
     Pin("lower-bound-inner-cap-5", run_accel, lower_bound(10),
-        {"epsilon": 1e-6, "max_inner": 5, "max_outer": 40}, (40, 610, 79, 337),
-        (77, 117, 79, 337), False),
+        {"epsilon": 1e-6, "max_inner": 5, "max_outer": 40}, (40, 445, 79, 170),
+        (78, 118, 79, 170), False),
     # A trial's inner cap before any step: f and grad f read at x0 once.
     Pin("inner-cap-1", run_basic, quartic(2), {"epsilon": 1e-10, "max_inner": 1},
         (0, 4, 1, 1), (1, 1, 1, 1), False),
@@ -235,15 +240,35 @@ PINNED_RUNS = [
         (0, 4, 1, 1), (1, 1, 1, 1), False),
     # A8's run: the third derivative from gradient differences.
     Pin("fd-quartic2", run_basic, fd_quartic, {"epsilon": 1e-6},
-        (6, 1100, 12, 534), (13, 1081, 6, 0)),
+        (6, 224, 12, 96), (13, 205, 6, 0)),
     Pin("fd-quartic2", run_accel, fd_quartic, {"epsilon": 1e-6},
-        (6, 1383, 17, 664), (11, 1356, 16, 0)),
+        (6, 307, 17, 126), (11, 280, 16, 0)),
 ]
 
 
 def pinned(name, loop):
     """The row of ``PINNED_RUNS`` of that name and loop."""
     return next(p for p in PINNED_RUNS if (p.name, p.loop) == (name, loop))
+
+
+def check_step_constant(line, prev):
+    """The README's rule for an inner line's step constant ``L``, given
+    the previous inner line of its run (None for the run's first): the
+    first try at 0.7 * 3, the next at max(0.7 L, 3/64) after a kept line
+    and at min(2 L, 3) after a refused one; no line refused at L = 3; and
+    ``slow_rhs`` divided by 6/5 after a kept line only."""
+    assert line["kept"] or line["L"] < 3.0
+    if prev is None:
+        assert line["L"] == 0.7 * 3.0
+        return
+    if prev["kept"]:
+        assert line["L"] == max(0.7 * prev["L"], 3.0 / 64.0)
+        if prev["slow_rhs"] < math.inf:
+            assert math.isclose(line["slow_rhs"], prev["slow_rhs"] / 1.2,
+                                rel_tol=1e-12, abs_tol=1e-300)
+    else:
+        assert line["L"] == min(2.0 * prev["L"], 3.0)
+        assert line["slow_rhs"] == prev["slow_rhs"]
 
 
 KINDS = ("value", "grad", "hessian", "third")
@@ -280,6 +305,7 @@ def check_run(lines, pin, report, calls=None, x=None, rows=None):
         if line["kind"] == "inner":
             assert set(line) == keys
             pending.append((line["t"], line["i"], line["k"]))
+            check_step_constant(line, lines[n - 1] if line["k"] else None)
             continue
         if line["stop_reason"] in EVALUATED:
             keys |= schema["evaluated"]

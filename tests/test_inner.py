@@ -1,6 +1,7 @@
 """Inner solver: secular equation, Bregman steps, stopping tests, and the
 slow-convergence certificate."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -8,10 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (QuadraticOracle, documented_trace_keys, hat, quad_anchor,
-                      tri_factor)
+from conftest import (QuadraticOracle, documented_trace_keys, hat, pinned,
+                      quad_anchor, tri_factor)
+import tensormin.basic
 from tensormin import model
+from tensormin.accel import run_accel
+from tensormin.basic import run_basic
 from tensormin.inner import (
+    MAX_INNER,
+    InnerResult,
     StopReason,
     bregman_step,
     certificate_log_bound,
@@ -28,7 +34,7 @@ from tensormin.model import (
     rho_grad,
     tridiagonal_factor,
 )
-from tensormin.oracles import make_logistic, quartic_oracle
+from tensormin.oracles import ZeroComposite, make_logistic, norm, quartic_oracle
 
 
 def quartic_anchor(x, M):
@@ -210,8 +216,8 @@ def test_bregman_step_stationary_anchor_stays_put():
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([0.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
     h0 = np.zeros(1)
-    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
-                            rho_grad(anchor, h0))
+    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0)[0],
+                            rho_grad(anchor, h0), 3.0)
     assert np.array_equal(h1, np.zeros(1))
     assert np.allclose(r, 0.0, atol=1e-15)
 
@@ -222,8 +228,8 @@ def test_one_dimensional_anchor_through_step_and_run():
     oracle = QuadraticOracle(np.array([[2.0]]), np.array([-1.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=6.0)
     h0 = np.zeros(1)
-    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
-                            rho_grad(anchor, h0))
+    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0)[0],
+                            rho_grad(anchor, h0), 3.0)
     h = float(h1[0])  # n = 1: Q = 1
     assert abs((2.0 + 3.0 * h * h) * h - 1.0 / 3.0) <= 1e-15
     assert np.linalg.norm(r) <= 1e-12
@@ -244,16 +250,17 @@ def test_bregman_step_one_dimensional_point():
     oracle = QuadraticOracle(np.array([[1.0]]), np.array([-6.0]))
     anchor = ModelAnchor.from_oracle(oracle, np.array([0.0]), M=2.0)
     h0 = np.zeros(1)
-    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
-                            rho_grad(anchor, h0))
+    h1, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0)[0],
+                            rho_grad(anchor, h0), 3.0)
     assert h1 == pytest.approx([1.0], abs=1e-10)  # x = 0 and Q = 1
     assert np.linalg.norm(r) <= 1e-9
 
 
 def test_bregman_step_optimality_along_runs():
     # The step's first-order optimality condition, recomputed from scratch:
-    # grad Omega(y_k) + 3 [grad rho(y_{k+1}) - grad rho(y_k)] vanishes to the
-    # secular tolerance, scaled by the local gradient size.  Q^T preserves
+    # grad Omega(y_k) + L [grad rho(y_{k+1}) - grad rho(y_k)] vanishes to
+    # the secular tolerance, scaled by the local gradient size, at the
+    # paper's L = 3 and at the smallest constant tried.  Q^T preserves
     # norms, so the check runs in the coordinates of Q.
     cases = []
     anchor_q, oracle_q = quartic_anchor(np.array([1.0, -2.0, 0.5]), M=96.0)
@@ -262,14 +269,14 @@ def test_bregman_step_optimality_along_runs():
     x = np.random.default_rng(22).standard_normal(oracle_l.n)
     cases.append((ModelAnchor.from_oracle(oracle_l, x, M=5.0), oracle_l))
 
-    for anchor, oracle in cases:
+    for (anchor, oracle), L in itertools.product(cases, (3.0, 3.0 / 64.0)):
         hh = np.zeros(oracle.n)
         for _ in range(15):
-            gom = omega_grad(anchor, oracle, hh)
+            gom = omega_grad(anchor, oracle, hh)[0]
             hh_next, r, grho_next = bregman_step(anchor, gom,
-                                                 rho_grad(anchor, hh))
-            resid = gom + 3.0 * (rho_grad(anchor, hh_next)
-                                 - rho_grad(anchor, hh))
+                                                 rho_grad(anchor, hh), L)
+            resid = gom + L * (rho_grad(anchor, hh_next)
+                               - rho_grad(anchor, hh))
             bound = 1e-12 * (1.0 + np.linalg.norm(gom))
             assert np.linalg.norm(resid) <= bound
             assert np.allclose(r, -resid, atol=1e-15)
@@ -304,7 +311,7 @@ def test_run_inner_exit_inequalities_recomputed(high_level_runs):
     # gradient is recomputed from scratch at the returned point.
     for anchor, oracle, res in high_level_runs:
         G = float(np.linalg.norm(omega_grad(anchor, oracle,
-                                            hat(anchor, res.x_plus))))
+                                            hat(anchor, res.x_plus))[0]))
         assert abs(G - res.model_grad_norm) <= 1e-9 * (1.0 + res.model_grad_norm)
         if res.stop_reason is StopReason.EPSILON_SMALL:
             assert G <= (1e-6 / 7.0) * (1.0 + 1e-6)
@@ -331,13 +338,16 @@ def test_run_inner_model_stationarity_satisfies_descent_inequality(high_level_ru
 
 def test_run_inner_slow_certificate_at_tiny_level():
     # A level far below the problem's curvature must trip the
-    # slow-convergence certificate, and the certificate inequality must hold
-    # when recomputed independently at the exit iterate.
+    # slow-convergence certificate, and the certificate inequality, its k
+    # the kept steps before the exit, must hold when recomputed
+    # independently at the exit iterate.
     for M in (1e-6, 1e-4):
         anchor, oracle = quartic_anchor(3.0 * np.ones(3), M=M)
-        res = run_inner(anchor, oracle, 1e-8)
+        rows = []
+        res = run_inner(anchor, oracle, 1e-8, trace=rows.append)
         assert res.stop_reason is StopReason.SLOW_CONVERGENCE
-        k_exit = res.iterations - 1
+        assert rows[-1]["kept"]
+        k_exit = sum(r["kept"] for r in rows[:-1])
         G = float(np.linalg.norm(omega_grad(anchor, oracle,
                                             hat(anchor, res.x_plus))))
         log_env = certificate_log_bound(anchor) - k_exit * math.log(1.2)
@@ -353,8 +363,8 @@ def test_run_inner_monotone_model_decrease():
         hh = np.zeros(oracle.n)
         om = omega_value(anchor, oracle, anchor.x)
         for _ in range(20):
-            hh, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, hh),
-                                    rho_grad(anchor, hh))
+            hh, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, hh)[0],
+                                    rho_grad(anchor, hh), 3.0)
             om_next = omega_value(anchor, oracle, anchor.x + anchor.factor.q(hh))
             assert om_next <= om + 1e-10 * (1.0 + abs(om))
             om = om_next
@@ -433,20 +443,23 @@ def test_run_inner_iteration_cap():
     res = run_inner(anchor, oracle, 1e-10, max_inner=1)
     assert res.stop_reason is StopReason.ITERATION_CAP
     assert res.iterations == 1
-    # The one step, retraced in the coordinates of Q from the anchor's
-    # grad Omega(x) = g^ and grad rho(x) = 0; the cap exit reports the
-    # tested G = ||grad Omega(y_1) + r|| like every other exit.
-    h1, r, _ = bregman_step(anchor, anchor.g_hat, 0.0)
+    # The one try, at the first constant 0.7 * 3, retraced in the
+    # coordinates of Q from the anchor's grad Omega(x) = g^ and
+    # grad rho(x) = 0: the cap returns it, kept or refused, with its
+    # G = ||grad Omega(y_1) + r||, like every other exit.
+    h1, r, _ = bregman_step(anchor, anchor.g_hat, 0.0, 0.7 * 3.0)
     assert np.array_equal(res.x_plus, anchor.x + anchor.factor.q(h1))
     assert res.model_grad_norm == float(
-        np.linalg.norm(omega_grad(anchor, oracle, h1) + r)
+        np.linalg.norm(omega_grad(anchor, oracle, h1)[0] + r)
     )
 
 
 def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
-    # The exit test's grad Omega(y_{k+1}) and the step's grad rho(y_{k+1})
-    # start step k + 1, and the first step reads both at y_0 from the
-    # anchor, so a run of K steps evaluates each K times.
+    # Each try evaluates grad Omega and grad rho once at its point, refused
+    # tries too (the descent check reads the tried point's third-derivative
+    # vector); a kept point's pair starts the next try, and the first try
+    # reads both at y_0 from the anchor, so a run of K tries evaluates each
+    # K times.
     evaluated = {"omega_grad": 0, "rho_grad": 0}
 
     def counting(name, fn):
@@ -459,9 +472,10 @@ def test_run_inner_evaluates_the_model_gradient_once_per_step(monkeypatch):
                         counting("omega_grad", omega_grad))
     monkeypatch.setattr("tensormin.inner.rho_grad",
                         counting("rho_grad", rho_grad))
-    anchor, oracle = quartic_anchor(np.ones(2), M=96.0)
-    res = run_inner(anchor, oracle, 1e-8)
-    assert res.iterations > 1
+    anchor, oracle = quartic_anchor(np.ones(2), M=1.0)
+    rows = []
+    res = run_inner(anchor, oracle, 1e-8, trace=rows.append)
+    assert not all(r["kept"] for r in rows)
     assert evaluated == {"omega_grad": res.iterations,
                          "rho_grad": res.iterations}
 
@@ -480,3 +494,97 @@ def test_run_inner_trace_records():
         assert r["step_norm"] >= 0.0
         assert 0.0 < r["slow_rhs"] < math.inf
     assert rows[-1]["model_grad_norm"] == res.model_grad_norm
+
+
+# -- the adaptive step constant --------------------------------------------------
+
+
+def fixed_step_inner(anchor, oracle, epsilon, max_inner=MAX_INNER, trace=None):
+    """The paper's inner loop, every Bregman step at L = 3 and tested for
+    the exits: the reference the adaptive loop falls back to.  Takes
+    ``run_inner``'s arguments and ignores ``trace``."""
+    log_bound = certificate_log_bound(anchor)
+    gom, grho = anchor.g_hat, 0.0
+    for k in range(max_inner):
+        hh, r, grho = bregman_step(anchor, gom, grho, 3.0)
+        h = anchor.factor.q(hh)
+        gom = omega_grad(anchor, oracle, hh, h)[0]
+        G = norm(gom + r)
+        if G <= epsilon / 7.0:
+            return InnerResult(anchor.x + h, k + 1, StopReason.EPSILON_SMALL, G)
+        if G <= anchor.M / 6.0 * norm(hh)**3:
+            return InnerResult(anchor.x + h, k + 1,
+                               StopReason.MODEL_STATIONARITY, G)
+        if slow_decay_violated(G, log_bound - k * math.log(1.2)):
+            return InnerResult(anchor.x + h, k + 1,
+                               StopReason.SLOW_CONVERGENCE, G)
+    return InnerResult(anchor.x + h, max_inner, StopReason.ITERATION_CAP, G)
+
+
+def refuse_below_three(monkeypatch):
+    monkeypatch.setattr("tensormin.inner.descent_holds", lambda *args: False)
+
+
+def test_refusing_every_try_below_three_is_the_fixed_step(monkeypatch):
+    # With every try below 3 refused, each step is tried at 0.7 * 3,
+    # refused and solved again at 3 from the same point, so the kept
+    # iterates, the exit and G are the fixed-3 loop's bit for bit; only the
+    # tries, and with them the third-derivative calls, double.
+    refuse_below_three(monkeypatch)
+    reasons = set()
+    for M, x in itertools.product((96.0, 1.0, 1e-4),
+                                  (np.ones(2), np.array([1.0, -2.0, 0.5]))):
+        anchor, oracle = quartic_anchor(x, M)
+        before = oracle.calls.snapshot()["third"]
+        ref = fixed_step_inner(anchor, oracle, 1e-8)
+        mid = oracle.calls.snapshot()["third"]
+        rows = []
+        res = run_inner(anchor, oracle, 1e-8, trace=rows.append)
+        after = oracle.calls.snapshot()["third"]
+        assert np.array_equal(res.x_plus, ref.x_plus)
+        assert res.stop_reason is ref.stop_reason
+        assert res.model_grad_norm == ref.model_grad_norm
+        assert res.iterations == 2 * ref.iterations
+        assert after - mid == 2 * (mid - before) > 0
+        assert [(r["L"], r["kept"]) for r in rows] == [
+            (0.7 * 3.0, False), (3.0, True)] * ref.iterations
+        reasons.add(res.stop_reason)
+    assert reasons == {StopReason.MODEL_STATIONARITY,
+                       StopReason.SLOW_CONVERGENCE}
+
+
+@pytest.mark.parametrize("name, loop, fixed", [
+    ("quartic2-1e-6", run_basic, (6, 566, 12, 534)),
+    ("logistic-300x6", run_accel, (4, 383, 11, 346)),
+])
+def test_refusing_every_try_below_three_runs_the_fixed_step_loop(
+        monkeypatch, name, loop, fixed):
+    # Whole runs: with every try below 3 refused, the rows, the iterate and
+    # the report are those of the fixed-3 inner loop, whose (IT, CO, BGM_E,
+    # BGM_IT) ``fixed`` the suite pinned before the step constant adapted,
+    # but for the tries: BGM_IT and the third-derivative calls double.
+    pin = pinned(name, loop)
+
+    def solve():
+        oracle, x0 = pin.make()
+        x, report, rows = loop(oracle, ZeroComposite(), x0, **pin.run_args)
+        return x, report, rows, oracle.calls.snapshot()
+
+    monkeypatch.setattr(tensormin.basic, "run_inner", fixed_step_inner)
+    x_ref, ref, rows_ref, calls_ref = solve()
+    assert (ref.IT, ref.CO, ref.BGM_E, ref.BGM_IT) == fixed
+    monkeypatch.undo()
+    refuse_below_three(monkeypatch)
+    x, report, rows, calls = solve()
+    assert np.array_equal(x, x_ref)
+    assert (report.IT, report.CO, report.BGM_E, report.BGM_IT) == (
+        ref.IT, ref.CO + ref.BGM_IT, ref.BGM_E, 2 * ref.BGM_IT)
+    assert (report.final_f, report.final_grad_norm) == (
+        ref.final_f, ref.final_grad_norm)
+    assert calls == {**calls_ref, "third": 2 * calls_ref["third"]}
+    assert len(rows) == len(rows_ref)
+    for row, row_ref in zip(rows, rows_ref):
+        assert row["inner_iters"] == 2 * row_ref["inner_iters"]
+        assert set(row) == set(row_ref)
+        for key in set(row) - {"inner_iters"}:
+            assert np.array_equal(row[key], row_ref[key]), key

@@ -8,6 +8,7 @@ from scipy.linalg import lapack
 from conftest import (
     QuadraticOracle,
     dense_q,
+    hat,
     omega_grad_at,
     quad_anchor,
     rho_grad_at,
@@ -21,6 +22,8 @@ from tensormin.model import (
     ModelAnchor,
     SecularSolveError,
     bregman_div,
+    bregman_div_hat,
+    cubic_div_hat,
     d4_grad,
     d4_value,
     omega_grad,
@@ -116,8 +119,9 @@ def test_omega_at_anchor_reduces_to_f_and_grad_f():
     assert omega_value(anchor, oracle, x) == pytest.approx(oracle.value(x), rel=1e-14)
     assert np.allclose(omega_grad_at(anchor, oracle, x), oracle.grad(x),
                        atol=1e-14)
-    assert np.array_equal(omega_grad(anchor, oracle, np.zeros(oracle.n)),
-                          anchor.g_hat)
+    gom, s = omega_grad(anchor, oracle, np.zeros(oracle.n))
+    assert np.array_equal(gom, anchor.g_hat)
+    assert not s.any()
 
 
 def test_omega_is_taylor_plus_scaled_regularizer():
@@ -221,6 +225,38 @@ def test_bregman_from_anchor_is_rho():
         )
 
 
+def test_divergence_closed_forms_match_the_values():
+    # The closed forms in the coordinates of Q, against bregman_div and the
+    # divergences of rho and Omega formed from their values and gradients:
+    # beta_rho(u, v) = rho(v) - rho(u) - <grad rho(u), v - u>, and Omega's
+    # divergence = beta_rho + the cubic term's, from omega_grad's s.
+    rng = np.random.default_rng(41)
+    _, logistic = make_logistic(30, 4, seed=40)
+    checked = 0
+    for oracle in (logistic, quartic_oracle(5)):
+        for _ in range(20):
+            x = rng.standard_normal(oracle.n)
+            anchor = ModelAnchor.from_oracle(
+                oracle, x, M=float(10 ** rng.uniform(-2, 2)))
+            u = x + rng.standard_normal(oracle.n)
+            v = u + rng.uniform(0.1, 1.0) * rng.standard_normal(oracle.n)
+            uh, vh = hat(anchor, u), hat(anchor, v)
+            gom_u, s_u = omega_grad(anchor, oracle, uh)
+            _, s_v = omega_grad(anchor, oracle, vh)
+            beta = bregman_div_hat(anchor, uh, vh)
+            assert beta == pytest.approx(bregman_div(anchor, u, v), rel=1e-10)
+            rho_div = (rho_value(anchor, v) - rho_value(anchor, u)
+                       - float(np.dot(rho_grad(anchor, uh), vh - uh)))
+            assert beta == pytest.approx(rho_div, rel=1e-10)
+            omega_div = (omega_value(anchor, oracle, v)
+                         - omega_value(anchor, oracle, u)
+                         - float(np.dot(gom_u, vh - uh)))
+            assert cubic_div_hat(uh, s_u, vh, s_v) + beta == pytest.approx(
+                omega_div, rel=1e-10)
+            checked += 1
+    assert checked == 40
+
+
 # -- model-vs-function inequalities ----------------------------------------------
 
 
@@ -301,8 +337,8 @@ def test_sublevel_displacement_bound_during_inner_runs():
         f_x = oracle.value(x)
         hh = np.zeros(3)
         for _ in range(30):
-            hh, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, hh),
-                                    rho_grad(anchor, hh))
+            hh, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, hh)[0],
+                                    rho_grad(anchor, hh), 3.0)
             y = x + anchor.factor.q(hh)
             if omega_value(anchor, oracle, y) <= f_x:
                 disp = float(np.linalg.norm(y - x)) ** 3
@@ -361,8 +397,8 @@ def test_anchor_accepts_rotated_rounding_noise_hessian():
         t = tridiag_dense(anchor.factor.d, anchor.factor.e)
         assert np.linalg.eigvalsh(t).min() >= -1e-15 * np.linalg.norm(P, 2)
         h0 = np.zeros(3)
-        h1, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
-                                rho_grad(anchor, h0))
+        h1, _, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0)[0],
+                                rho_grad(anchor, h0), 3.0)
         h = q @ h1
         c = -oracle.grad(anchor.x) / 3.0
         shifted = q @ t @ q.T
@@ -381,8 +417,8 @@ def test_rounding_noise_anchor_step_certificate_vanishes():
         oracle = QuadraticOracle(P, rng.standard_normal(3))
         anchor = ModelAnchor.from_oracle(oracle, np.zeros(3), M=1.0)
         h0 = np.zeros(3)
-        _, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0),
-                               rho_grad(anchor, h0))
+        _, r, _ = bregman_step(anchor, omega_grad(anchor, oracle, h0)[0],
+                               rho_grad(anchor, h0), 3.0)
         gnorm = np.linalg.norm(oracle.grad(anchor.x))
         assert np.linalg.norm(r) <= 1e-12 * (1.0 + gnorm)
 

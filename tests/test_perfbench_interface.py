@@ -68,16 +68,20 @@ def test_traced_solve_reconciles(spans, module, loop):
     targets = spans.rebind_targets(tm)
     shipped = [owner.__dict__[attr] for owner, attr, _ in targets]
     tracer = spans.Tracer()
+    lines = []
     with tracer.installed(tm):
         # Looked up inside the block, as the benchmark does, so the span
         # wrapper is what runs.
         solve = getattr(getattr(tm, module), loop)
         _, report, _ = solve(oracle, tm.ZeroComposite(), np.zeros(oracle.n),
-                             1.0, 1e-6, max_outer=40)
+                             1.0, 1e-6, max_outer=40, trace_sink=lines.append)
     totals = {"CO": report.CO, "BGM_E": report.BGM_E,
               "BGM_IT": report.BGM_IT}
     assert spans.reconcile(tracer, totals) == []
     assert report.BGM_IT > 0
+    # A refused try of the adaptive Bregman step is one inner iteration:
+    # one bregman_step and one secular_solve span, as BGM_IT counts it.
+    assert any(line["kind"] == "inner" and not line["kept"] for line in lines)
     # Every layer the benchmark reports records calls, so a refactor cannot
     # silently zero one; the trace entry point is no longer used.
     for span in ("model.anchor", "model.omega_grad", "model.rho_grad",
