@@ -31,30 +31,64 @@ be doubled.  The certificate is G^4 above the envelope
 from the anchor (``inner_constants``); each run takes the envelope's log at
 k = 0 (``certificate_log_bound``) once.
 
-Why the envelope still holds with kept steps counted.  Let y* minimize
-Omega, D_k = beta_rho(y_k, y*), and mu the constant of Omega's convexity
-relative to rho at a safe level.  The three-point property of the Bregman
-step, (*) and relative convexity give, for every u,
+Why the envelope still holds with kept steps counted.  At a safe level
+Omega is 3-smooth and mu-convex relative to rho, with mu = 1/2 (the rate
+1 - mu / 3 = 5/6 is the envelope's (6/5)^k), and the sublevel set
+{Omega <= Omega(y_0)} lies in the ball ||h||^2 <= B of ``inner_constants``.
+There L bounds ||hess rho||, and D_0 = rho(y* - x) <= beta.  The
+argument below uses only these premises and L_k <= 3.
+Let y* minimize Omega, Omega* = Omega(y*) and D_k = beta_rho(y_k, y*).
 
-    Omega(y_{k+1}) <= Omega(u) + (L_k - mu) beta_rho(y_k, u)
-                      - L_k beta_rho(y_{k+1}, u),
+1. Kept steps contract.  The three-point property of the Bregman step, (*)
+   and relative convexity give, for every u,
 
-and at u = y*, where Omega(y_{k+1}) >= Omega(y*),
+       Omega(y_{k+1}) <= Omega(u) + (L_k - mu) beta_rho(y_k, u)
+                         - L_k beta_rho(y_{k+1}, u).
 
-    D_{k+1} <= (1 - mu / L_k) D_k <= (1 - mu / 3) D_k
+   At u = y_k, Omega(y_{k+1}) <= Omega(y_k) - L_k beta_rho(y_{k+1}, y_k):
+   kept steps descend, so every kept iterate stays in the sublevel set.
+   At u = y*, where Omega(y_{k+1}) >= Omega*,
 
-for every kept step, since mu <= L_k <= 3 ((*) and relative convexity
-give mu beta_rho(y_k, y_{k+1}) <= L_k beta_rho(y_k, y_{k+1})); a refused
-try does not move y.  So
-after k kept steps D_k is within the fixed-3 step's bound, whose rate
-1 - mu / 3 = 5/6 the envelope's (6/5)^k encodes.  The envelope bounds G
-through D_k and through the step's identity
-G = ||grad Omega(y_{k+1}) - grad Omega(y_k) - L_k (grad rho(y_{k+1}) -
-grad rho(y_k))||, whose bound ||grad Omega(y_{k+1}) - grad Omega(y_k)|| +
-L_k ||grad rho(y_{k+1}) - grad rho(y_k)|| grows with L_k and so is no
-larger than at L_k = 3.  The envelope therefore still bounds G at a safe
-level, with its constant 3^8 and its decay of 6/5 per kept step unchanged;
-refused tries do not advance k.
+       D_{k+1} <= (1 - mu / L_k) D_k <= (1 - mu / 3) D_k,
+       Omega(y_{k+1}) - Omega* <= (L_k - mu) D_k <= 3 D_k,
+
+   since mu <= L_k <= 3 ((*) and relative convexity give
+   mu beta_rho(y_k, y_{k+1}) <= L_k beta_rho(y_k, y_{k+1})).  A refused
+   try does not move y.  So after j kept steps D_j <= (5/6)^j beta, and the
+   next kept step reaches Omega(y_{j+1}) - Omega* <= 3 (5/6)^j beta, the
+   fixed-3 step's bound.
+
+2. G is bounded by the gap at the point tested, not by the step that
+   reached it.  The step length does depend on L_k: the step's optimality
+   condition gives L_k ||grad rho(y_{k+1}) - grad rho(y_k)|| =
+   ||grad Omega(y_k)||, so a step at 3/64 moves grad rho 64 times as far
+   as one at 3, and ||grad Omega(y_{k+1}) - grad Omega(y_k)|| can grow as
+   L_k falls.  A bound on G through y_{k+1} - y_k would therefore need a
+   factor in 3 / L_k.  Instead, with y = y_{j+1}, take the step z
+   that the constant 3 would make from y (only in this argument, never
+   computed).  Its optimality condition is
+   grad Omega(y) = 3 (grad rho(y) - grad rho(z)), and 3-smoothness with the
+   three-point property at u = y gives
+   Omega(z) <= Omega(y) - 3 beta_rho(z, y), so z lies in the sublevel set
+   and beta_rho(z, y) <= (Omega(y) - Omega*) / 3.  rho's quartic part
+   (M / 8) ||h||^4 is uniformly convex of degree 4 (Nesterov, Lectures on
+   Convex Optimization, 2018, Lemma 4.2.3), so
+   beta_rho(z, y) >= (M / 32) ||y - z||^4.  The sublevel set is convex, so
+   ||grad rho(y) - grad rho(z)|| <= L ||y - z||.  Together,
+
+       ||grad Omega(y_{j+1})||^4 <= 3^4 L^4 ||y - z||^4
+                                <= 3^4 L^4 (32 / M) (Omega(y) - Omega*) / 3
+                                <= 2592 L^4 beta / (M (6/5)^j),
+
+   below the envelope 3^8 L^4 beta / (2 M (6/5)^j) = 3280.5 L^4 beta /
+   (M (6/5)^j).  L_k enters only through step 1.
+
+In exact arithmetic G = ||grad Omega(y_{k+1}) + r|| is
+||grad Omega(y_{k+1})||, since the secular solve leaves r = 0 at any L_k.
+So at a safe level the envelope, with k the kept steps before the tested
+one, bounds G with its constant 3^8 and its decay of 6/5 per kept step
+unchanged.  The certificate is unchanged too: G^4 above the envelope still
+proves the level is not safe.  Refused tries do not advance k.
 """
 
 from __future__ import annotations

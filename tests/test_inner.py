@@ -349,7 +349,7 @@ def test_run_inner_slow_certificate_at_tiny_level():
         assert rows[-1]["kept"]
         k_exit = sum(r["kept"] for r in rows[:-1])
         G = float(np.linalg.norm(omega_grad(anchor, oracle,
-                                            hat(anchor, res.x_plus))))
+                                            hat(anchor, res.x_plus))[0]))
         log_env = certificate_log_bound(anchor) - k_exit * math.log(1.2)
         assert slow_decay_violated(G, log_env)
 
